@@ -104,24 +104,37 @@ def _emit(result: CommandResult, text: str | None = None) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _cache_name(command: str, parameters: dict) -> str:
+    key = json.dumps({"command": command, "parameters": parameters},
+                     sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(key.encode()).hexdigest()[:32]
+    return f"{command}-{digest}.json"
+
+
 def _cache_path(command: str, parameters: dict) -> str | None:
     root = os.environ.get(CACHE_ENV)
     if not root or not os.path.isdir(root):
         return None
-    key = json.dumps({"command": command, "parameters": parameters},
-                     sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(key.encode()).hexdigest()[:32]
-    return os.path.join(root, f"{command}-{digest}.json")
+    return os.path.join(root, _cache_name(command, parameters))
 
 
 def _cache_load(path: str | None) -> CommandResult | None:
+    """Replay a cache entry; an unreadable entry, or one whose own command
+    and parameters do not hash to its file name, is a miss."""
     if path is None or not os.path.isfile(path):
         return None
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return CommandResult(
-        data["command"], data["parameters"], data["status"], data["payload"]
-    )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        result = CommandResult(
+            data["command"], data["parameters"], data["status"], data["payload"]
+        )
+        if os.path.basename(path) == _cache_name(result.command, result.parameters):
+            return result
+    except (OSError, ValueError, KeyError, TypeError):
+        pass
+    print(f"note: ignoring invalid cache entry {path}", file=sys.stderr)
+    return None
 
 
 def _cache_store(path: str | None, result: CommandResult) -> None:

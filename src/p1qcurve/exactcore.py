@@ -785,8 +785,6 @@ class TruncatedSeries:
             return NotImplemented
         self._check_var(other)
         if self.is_zero() or other.is_zero():
-            m1 = self.min_exp if self.coeffs else self.order + 1
-            m2 = other.min_exp if other.coeffs else other.order + 1
             order = min(self.order + other.min_exp, other.order + self.min_exp)
             return TruncatedSeries.zero(self.var, order)
         order = min(self.order + other.min_exp, other.order + self.min_exp)

@@ -4,9 +4,10 @@ Stable correlation forms W_{g,n} are finite sums of tensor products of
 single-pole differentials dz/(z -a)^j with a = +-1 and j >= 2; the recursion
 residues are evaluated by exact local Laurent expansion at the two branch
 points.  The branch constant log(-1) is tracked formally and must cancel in
-the kernel (it does, exactly: log(1/z) and -log z differ by twice the branch
-constant at z = -1); every residue asserts branch-freeness before a value is
-accepted.
+the kernel gap y(1/z) - y(z) (it does, exactly: log(1/z) and -log z differ by
+twice the branch constant at z = -1).  That cancellation is asserted once, in
+_loc_log_gap, where the constant is introduced; every later product is a
+plain rational series that cannot carry it.
 
 The module also provides the pole-primitive family theta/eta with its
 x-expansion checks against the closed-form transition-matrix entries, the
@@ -33,7 +34,6 @@ from .exactcore import (
     RationalFunction,
     TruncatedSeries,
     TruncationError,
-    _LPoly,
     partial_fractions,
     series_log,
 )
@@ -214,44 +214,33 @@ class CorrelationForm:
 # ---------------------------------------------------------------------------
 
 
-def _fl_scalar(c: Frac, order: int) -> FormalLaurent:
-    return FormalLaurent(0, [_LPoly(c)] + [_LPoly(0)] * order, order)
-
-
-def _fl_monomial(exp: int, c: Frac, order: int) -> FormalLaurent:
-    return FormalLaurent(exp, [_LPoly(c)] + [_LPoly(0)] * (order - exp), order)
-
-
-def _fl_from_rf(f: RationalFunction, a: Frac, order: int) -> FormalLaurent:
-    return FormalLaurent.from_series(f.laurent_at(a, order, "t"))
-
-
 @cache
-def _loc_z_inv(a: Frac, order: int) -> FormalLaurent:
+def _loc_z_inv(a: Frac, order: int) -> TruncatedSeries:
     """1/z = 1/(a+t) as a local series."""
-    return _fl_from_rf(_rf(Polynomial.one(), Polynomial([0, 1])), a, order)
+    return _rf(Polynomial.one(), Polynomial([0, 1])).laurent_at(a, order, "t")
 
 
 @cache
-def _loc_s(a: Frac, order: int) -> FormalLaurent:
+def _loc_s(a: Frac, order: int) -> TruncatedSeries:
     """s(t) = 1/z - a, the local coordinate of the involution image."""
-    return _loc_z_inv(a, order) - _fl_scalar(a, order)
+    return _loc_z_inv(a, order) - a
 
 
 @cache
-def _loc_jacobian(a: Frac, order: int) -> FormalLaurent:
+def _loc_jacobian(a: Frac, order: int) -> TruncatedSeries:
     """d(1/z)/dz = -1/z^2 as a local series."""
-    return _fl_from_rf(_rf(Polynomial.constant(-1), Polynomial([0, 0, 1])), a, order)
+    return _rf(Polynomial.constant(-1), Polynomial([0, 0, 1])).laurent_at(a, order, "t")
 
 
 @cache
-def _loc_log_gap(a: Frac, order: int) -> FormalLaurent:
+def _loc_log_gap(a: Frac, order: int) -> TruncatedSeries:
     """y(1/z) - y(z) as a local series at z = a + t.
 
     Both logarithms carry the same branch constant at a = -1, so the gap is
     branch-free: it equals -2 log(1+t) at a = 1 and -2 log(1-t) at a = -1.
     The cancellation is performed with the constant tracked formally and
-    asserted, not assumed.
+    asserted, not assumed.  This is the only place the branch constant enters
+    the engine; everything downstream is a plain rational series.
     """
     # log z  =  [L if a = -1 else 0] + log(1 -+ t)-series
     sign = 1 if a == 1 else -1
@@ -269,42 +258,37 @@ def _loc_log_gap(a: Frac, order: int) -> FormalLaurent:
     gap = log_z_inv - log_z
     if not gap.is_branch_free():
         raise BranchLogError("branch constant failed to cancel in the recursion kernel")
-    return gap
+    return gap.to_series("t")
 
 
 @cache
-def _loc_kernel_denominator_inverse(a: Frac, order: int) -> FormalLaurent:
+def _loc_kernel_denominator_inverse(a: Frac, order: int) -> TruncatedSeries:
     """Reciprocal of 2*(y(1/z) - y(z))*x'(z), local at a."""
-    den = _fl_scalar(Frac(2), order) * _loc_log_gap(a, order) * _fl_from_rf(_XPRIME, a, order)
-    return den.inverse()
+    return (2 * _loc_log_gap(a, order) * _XPRIME.laurent_at(a, order, "t")).inverse()
 
 
 @cache
-def _loc_pole(b: Frac, j: int, a: Frac, order: int) -> FormalLaurent:
+def _loc_pole(b: Frac, j: int, a: Frac, order: int) -> TruncatedSeries:
     """1/(z - b)^j local at z = a + t."""
     if b == a:
-        return _fl_monomial(-j, Frac(1), order)
-    return _fl_from_rf(
-        _rf(Polynomial.one(), Polynomial.from_roots([b]) ** j), a, order
-    )
+        return TruncatedSeries.monomial("t", -j, 1, order)
+    return _rf(Polynomial.one(), Polynomial.from_roots([b]) ** j).laurent_at(a, order, "t")
 
 
 @cache
-def _loc_pole_inv(b: Frac, j: int, a: Frac, order: int) -> FormalLaurent:
+def _loc_pole_inv(b: Frac, j: int, a: Frac, order: int) -> TruncatedSeries:
     """1/(1/z - b)^j local at z = a + t (without the d(1/z) jacobian)."""
     if b == a:
-        return _loc_s(a, order).power(-j)
+        return _loc_s(a, order) ** -j
     # 1/((a - b) + s)^j with a - b = 2a
-    base = _fl_scalar(2 * a, order) + _loc_s(a, order)
-    return base.power(-j)
+    return (_loc_s(a, order) + 2 * a) ** -j
 
 
-def _loc_bergman_local_pair(a: Frac, order: int) -> FormalLaurent:
+def _loc_bergman_local_pair(a: Frac, order: int) -> TruncatedSeries:
     """dz d(1/z)/(z - 1/z)^2 reduced to its dz^2-coefficient: the series of
     -1/z^2 * 1/(z - 1/z)^2."""
-    z_series = _fl_monomial(0, a, order) + _fl_monomial(1, Frac(1), order)
-    diff = z_series - _loc_z_inv(a, order)
-    return _loc_jacobian(a, order) * diff.power(-2)
+    z_series = TruncatedSeries.variable("t", order) + a
+    return _loc_jacobian(a, order) * (z_series - _loc_z_inv(a, order)) ** -2
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +314,7 @@ def _finalize_key(partial: tuple, n: int) -> PoleKey:
 def _residue_of_products(
     a: Frac,
     order: int,
-    scalar: FormalLaurent,
+    scalar: TruncatedSeries,
     coupled: Sequence[tuple[int, str]],
     fixed: Sequence[tuple[int, tuple[Frac, int]]],
     n: int,
@@ -346,17 +330,17 @@ def _residue_of_products(
     """
     if scalar.min_exp > scalar.order:
         return
-    t_pow = _fl_monomial(1, Frac(1), order)
+    t_pow = TruncatedSeries.variable("t", order)
     s_ser = _loc_s(a, order)
 
     # expansions: list of (partial assignment, local series)
-    state: list[tuple[tuple, FormalLaurent]] = [((), scalar)]
+    state: list[tuple[tuple, TruncatedSeries]] = [((), scalar)]
 
     # kernel numerator: sum_{m>=2} (s^{m-1} - t^{m-1})/(z_1 - a)^m
-    new_state: list[tuple[tuple, FormalLaurent]] = []
+    new_state: list[tuple[tuple, TruncatedSeries]] = []
     depth = -scalar.min_exp  # maximal pole order available
     for m in range(2, depth + 2):
-        num = s_ser.power(m - 1) - t_pow.power(m - 1)
+        num = s_ser ** (m - 1) - t_pow ** (m - 1)
         for key, fl in state:
             prod = fl * num
             if prod.min_exp <= -1:
@@ -369,20 +353,19 @@ def _residue_of_products(
         for key, fl in state:
             max_k = -fl.min_exp - 1
             for k in range(0, max(max_k, 0) + 1):
-                prod = fl * base.power(k) * _fl_scalar(Frac(k + 1), order)
+                prod = fl * base ** k * (k + 1)
                 if prod.min_exp <= -1:
                     new_state.append((_tensor_insert(key, slot, (a, k + 2)), prod))
         state = new_state
 
     for key, fl in state:
         try:
-            res = fl.lcoefficient(-1)
+            value = fl.coefficient(-1)
         except TruncationError as exc:
             raise ExactError(
                 f"local expansion order {order} insufficient at branch point {a}; "
                 "increase the working order"
             ) from exc
-        value = res.scalar()  # raises BranchLogError when the branch constant survives
         if value == 0:
             continue
         full = _finalize_key(key + tuple(fixed), n)
@@ -393,8 +376,9 @@ def _residue_of_products(
 def toprec_wgn(g: int, n: int, bound: int = 4) -> CorrelationForm:
     """The stable correlation form W_{g,n} from the residue recursion.
 
-    Residues at both branch points are computed by exact local expansion; the
-    formal branch constant must cancel in every accepted coefficient.
+    Residues at both branch points are computed by exact local expansion.
+    The formal branch constant is asserted to cancel once, in the kernel gap
+    (_loc_log_gap); all later local series are branch-free by construction.
     """
     if not _stable(g, n):
         raise ExactError("toprec_wgn is defined on the stable range 2g-2+n > 0")

@@ -48,6 +48,7 @@ from .exactcore import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
+    series_exp,
 )
 from .qcurve import toda_quadratic_check, verify_xd_recursion, x_partition
 from .toprec import s0_s1_closed_forms
@@ -307,46 +308,18 @@ def bernoulli_operator(order: int) -> LogLaurentForm:
 # ---------------------------------------------------------------------------
 
 
-def _rmul(a: list[Frac], b: list[Frac], order: int) -> list[Frac]:
-    out = [Frac(0)] * (order + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            out[i + j] += ai * bj
-    return out
+def _binomial_series(exponent: int, m: int, order: int) -> TruncatedSeries:
+    """(1 + m*r)^exponent as a series in r, exponent in Z."""
+    return TruncatedSeries.from_function(
+        "r",
+        lambda l: math.prod(range(exponent - l + 1, exponent + 1))
+        * Frac(m**l, math.factorial(l)),
+        0,
+        order,
+    )
 
 
-def _rexp(a: list[Frac], order: int) -> list[Frac]:
-    if a[0]:
-        raise ExactError("exponential needs a vanishing constant term")
-    out = [Frac(0)] * (order + 1)
-    out[0] = Frac(1)
-    term = [Frac(1)] + [Frac(0)] * order
-    for j in range(1, order + 1):
-        term = _rmul(term, a, order)
-        inv = Frac(1, math.factorial(j))
-        for k in range(order + 1):
-            out[k] += inv * term[k]
-        if all(c == 0 for c in term):
-            break
-    return out
-
-
-def _binomial_series(exponent: int, m: int, order: int) -> list[Frac]:
-    """(1 + m*r)^exponent as a list of r-coefficients, exponent in Z."""
-    out = []
-    for l in range(order + 1):
-        c = Frac(1)
-        for t in range(l):
-            c *= Frac(exponent - t)
-        out.append(c * Frac(m**l, math.factorial(l)))
-    return out
-
-
-def _diagonal_series(form: LogLaurentForm, order: int) -> list[Frac]:
+def _diagonal_series(form: LogLaurentForm, order: int) -> TruncatedSeries:
     """Read a form with no (x - x log x)/hbar part and purely diagonal tail
     (hbar-power equal to 1/x-power) as a series in r = hbar/x."""
     if form.anti:
@@ -357,10 +330,10 @@ def _diagonal_series(form: LogLaurentForm, order: int) -> list[Frac]:
             raise ExactError(f"tail is not diagonal at {(p, i)}")
         if 0 <= p <= order:
             out[p] = c
-    return out
+    return TruncatedSeries("r", 0, out, order)
 
 
-def _exp_of_difference(delta: LogLaurentForm, order: int) -> tuple[int, list[Frac]]:
+def _exp_of_difference(delta: LogLaurentForm, order: int) -> tuple[int, TruncatedSeries]:
     """Exponentiate a form of the shape c*log x + (diagonal tail with zero
     constant term); returns (c, exp(tail)) with c required integral, so that
     the exponential is x^c times a series in r = hbar/x."""
@@ -369,8 +342,8 @@ def _exp_of_difference(delta: LogLaurentForm, order: int) -> tuple[int, list[Fra
     c = delta.log.get(0, Frac(0))
     if c.denominator != 1:
         raise ExactError("log x coefficient must be an integer to exponentiate")
-    series = _diagonal_series(delta, order)
-    return int(c), _rexp(series, order)
+    # series_exp rejects a nonzero constant term
+    return int(c), series_exp(_diagonal_series(delta, order))
 
 
 # ---------------------------------------------------------------------------
@@ -406,15 +379,11 @@ def conjugation_check(k_max: int, hbar_order: int = 8) -> bool:
     for k in range(k_max + 1):
         # first identity applied to x^k: both sides are x^{k-1} times a
         # series in r = hbar/x
-        lhs = _rmul(exp_up, _binomial_series(k, 1, order), order)
-        rhs = _binomial_series(k - 1, 1, order)
-        if lhs != rhs:
+        if exp_up * _binomial_series(k, 1, order) != _binomial_series(k - 1, 1, order):
             return False
         # second identity applied to x^k: both sides are x^{k+1} times a
         # series in r
-        lhs = _rmul(exp_down, _binomial_series(k, -1, order), order)
-        rhs = _binomial_series(k, -1, order)
-        if lhs != rhs:
+        if exp_down * _binomial_series(k, -1, order) != _binomial_series(k, -1, order):
             return False
         # third identity: the prefactor exponentials are multiplication
         # operators, so conjugating x by them leaves x^{k+1} unchanged --
@@ -644,30 +613,22 @@ def build_degree_graded_x(
     """
     if d_max < 0 or order < 1:
         raise ExactError("need d_max >= 0 and order >= 1")
-    blocks = {dd: _degree_block(dd, order, route) for dd in range(1, d_max + 1)}
-    # exponentiate in q, coefficients are 1/u-series
-    zero = [Frac(0)] * (order + 1)
-    one = [Frac(1)] + [Frac(0)] * order
-    geom: list[list[Frac]] = [list(one)] + [list(zero) for _ in range(d_max)]
-    power: list[list[Frac]] = [list(one)] + [list(zero) for _ in range(d_max)]
-    for m in range(1, d_max + 1):
-        nxt: list[list[Frac]] = [list(zero) for _ in range(d_max + 1)]
-        for da in range(d_max):
-            if all(c == 0 for c in power[da]):
-                continue
-            for db in range(1, d_max + 1 - da):
-                prod = _rmul(power[da], list(blocks[db]), order)
-                for j in range(order + 1):
-                    nxt[da + db][j] += prod[j]
-        power = nxt
-        inv = Frac(1, math.factorial(m))
-        for dd in range(1, d_max + 1):
-            for j in range(order + 1):
-                geom[dd][j] += inv * power[dd][j]
+    blocks = {
+        dd: TruncatedSeries("uinv", 0, _degree_block(dd, order, route), order)
+        for dd in range(1, d_max + 1)
+    }
+    # exponentiate in q with the series_exp recurrence d X_d = sum_k k B_k X_{d-k};
+    # coefficients are 1/u-series
+    geom = [TruncatedSeries.constant("uinv", 1, order)]
+    for dd in range(1, d_max + 1):
+        total = sum(
+            (k * blocks[k] * geom[dd - k] for k in range(1, dd + 1)),
+            TruncatedSeries.zero("uinv", order),
+        )
+        geom.append(total / dd)
     entries = []
     bad: list[tuple[int, int, Frac, Frac]] = []
-    for dd in range(d_max + 1):
-        series = TruncatedSeries("uinv", 0, geom[dd], order)
+    for dd, series in enumerate(geom):
         comb_side = x_partition(dd)
         expansion = comb_side.series_at_infinity(order, "uinv")
         for j in range(order + 1):
@@ -827,17 +788,18 @@ def toda_specialization_check(order: int = 8, d_max: int = 4) -> bool:
     # x/(x + hbar) = x^0 * (1 + r)^{-1} in r = hbar/x
     if xpow != 0 or expanded != _binomial_series(-1, 1, order):
         return False
-    # kernel identity as series in t
-    zeta = [
-        Frac(1, 2 ** (m - 1) * math.factorial(m)) if m % 2 else Frac(0)
-        for m in range(order + 1)
-    ]
-    bern = [Frac(bernoulli_number(m), math.factorial(m)) for m in range(order + 1)]
-    lhs = _rmul(_rmul(zeta, zeta, order), bern, order)
-    rhs = [Frac(0)] * (order + 1)
-    for j in range(2, order + 1):
-        rhs[j] = Frac((-1) ** j, math.factorial(j - 1))
-    if lhs != rhs:
+    # kernel identity as series in t; zeta has valuation 1, so zeta*zeta*bern
+    # is known through t^(order+1)
+    zeta = TruncatedSeries.from_function(
+        "t", lambda m: Frac(1, 2 ** (m - 1) * math.factorial(m)) if m % 2 else 0, 0, order
+    )
+    bern = TruncatedSeries.from_function(
+        "t", lambda m: Frac(bernoulli_number(m), math.factorial(m)), 0, order
+    )
+    rhs = TruncatedSeries.from_function(
+        "t", lambda j: Frac((-1) ** j, math.factorial(j - 1)), 2, order
+    )
+    if (zeta * zeta * bern).truncate(order) != rhs:
         return False
     for dd in range(d_max + 1):
         if not toda_quadratic_check(dd, "full"):

@@ -320,6 +320,32 @@ def test_cache_roundtrip(capsys, tmp_path, monkeypatch):
     assert out1 == out2
 
 
+def test_cache_truncated_entry_is_a_miss(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("P1QC_CACHE_DIR", str(tmp_path))
+    _, out1, _ = run(capsys, "gw", "--g", "0", "--n", "1", "--d", "1", "--b", "0")
+    (entry,) = tmp_path.glob("gw-*.json")
+    entry.write_text(entry.read_text()[:20])
+    code, out2, err = run(capsys, "gw", "--g", "0", "--n", "1", "--d", "1", "--b", "0")
+    assert code == 0
+    assert out2 == out1
+    assert "invalid cache entry" in err
+    assert entry.read_text() + "\n" == out1  # the bad entry was rewritten
+
+
+def test_cache_entry_for_other_parameters_is_a_miss(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("P1QC_CACHE_DIR", str(tmp_path))
+    _, out1, _ = run(capsys, "gw", "--g", "0", "--n", "1", "--d", "1", "--b", "0")
+    (entry,) = tmp_path.glob("gw-*.json")
+    forged = {"command": "gw", "parameters": {}, "status": "value",
+              "payload": {"value": "999"}}
+    entry.write_text(json.dumps(forged))
+    code, out2, err = run(capsys, "gw", "--g", "0", "--n", "1", "--d", "1", "--b", "0")
+    assert code == 0
+    assert out2 == out1
+    assert "999" not in out2
+    assert "invalid cache entry" in err
+
+
 def test_bad_budget_is_usage_error(capsys):
     code, _, err = run(capsys, "--budget", "0", "xd", "--d", "1")
     assert code == 2

@@ -6,6 +6,7 @@ independent route; the one evaluation oracle below re-derives a residue by
 brute-force local expansion without any of the engine's tensor bookkeeping.
 """
 
+import hashlib
 import math
 from fractions import Fraction as Frac
 
@@ -13,8 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p1qcurve.exactcore import ExactError, Polynomial, RationalFunction, TruncatedSeries
+from p1qcurve.exactcore import (
+    ExactError,
+    LocalExpr,
+    Polynomial,
+    RationalFunction,
+    TruncatedSeries,
+    local_laurent,
+)
 from p1qcurve.toprec import (
+    _loc_log_gap,
     ancestor_decomposition,
     ancestor_descendant_check,
     eta_function,
@@ -89,6 +98,25 @@ def test_w03_terms_frozen():
     }
 
 
+# sha256 of the canonical sorted terms, one "a:j,...=c" line per term
+WGN_DIGESTS = {
+    (0, 3): "c1c1806ca24b088311632588b7546db2191358281d3d6aca72ed341fea8e7db8",
+    (1, 1): "478cb9b66adfeacd750cad86ccb7d36d16488864259354504df15fe9171f04f1",
+    (0, 4): "05f1477a0e84552720924beaea7efc98fb683a3fe1937eb0eb00ec7905e326eb",
+    (1, 2): "b1e10bb2d7cd58b398c6ace9d8a70e04fa9ff256cae5ae5834aeda503750ebc1",
+    (2, 1): "b77a2a2fe156c69dab225e7ec66ae7a75977acc38d333f62be99fe8d4b194761",
+}
+
+
+@pytest.mark.parametrize("g,n", STABLE_PAIRS)
+def test_wgn_terms_frozen_digest(g, n):
+    canonical = "\n".join(
+        ",".join(f"{a}:{j}" for a, j in key) + "=" + str(c)
+        for key, c in sorted(toprec_wgn(g, n).terms.items())
+    )
+    assert hashlib.sha256(canonical.encode()).hexdigest() == WGN_DIGESTS[(g, n)]
+
+
 def test_w11_terms_frozen():
     form = toprec_wgn(1, 1)
     expected = {
@@ -135,13 +163,6 @@ def test_w03_against_bruteforce_residue_oracle():
     order = 8
     total = Frac(0)
     for a in (Frac(1), Frac(-1)):
-        t_id = Polynomial([a, 1])  # z = a + t
-
-        def rf_series(f: RationalFunction) -> TruncatedSeries:
-            return RationalFunction(
-                f.num(t_id) if False else f.num, f.den
-            ).laurent_at(a, order, "t")
-
         def series_of(f: RationalFunction) -> TruncatedSeries:
             return f.laurent_at(a, order, "t")
 
@@ -151,8 +172,6 @@ def test_w03_against_bruteforce_residue_oracle():
         x_prime = RationalFunction(zsq - one, zsq)
         # kernel numerator 1/(z - z1) - 1/(1/z - z1)
         n1 = RationalFunction(one, Polynomial.from_roots([z1]))
-        recip = RationalFunction(one, z)  # 1/z as a function
-        n2_num = RationalFunction(one, Polynomial([ -z1, 1]))  # 1/(y - z1)
         # 1/(1/z - z1) = z/(1 - z1 z)
         n2 = RationalFunction(z, one - Frac(z1) * z)
         numer = series_of(n1) - series_of(n2)
@@ -177,6 +196,13 @@ def test_w03_against_bruteforce_residue_oracle():
         bracket = b_direct(z2) * b_pullback(z3) + b_direct(z3) * b_pullback(z2)
         total += (kern * bracket).coefficient(-1)
     assert total == toprec_wgn(0, 3).evaluate((z1, z2, z3))
+
+
+@pytest.mark.parametrize("a", [Frac(1), Frac(-1)])
+def test_log_gap_matches_local_expr_oracle(a):
+    # the engine's only branch check against the public LocalExpr route
+    oracle = local_laurent(LocalExpr.log_z_reciprocal() - LocalExpr.log_z(), int(a), 10)
+    assert _loc_log_gap(a, 10) == oracle
 
 
 # ---------------------------------------------------------------------------
