@@ -140,10 +140,16 @@ def _cache_load(path: str | None) -> CommandResult | None:
 def _cache_store(path: str | None, result: CommandResult) -> None:
     if path is None:
         return
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(result.to_json())
-    os.replace(tmp, path)
+    import tempfile  # here, not at the top: it would add ~9 ms to every CLI start
+    # One temp file per writer, so concurrent stores of an entry cannot collide.
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(result.to_json())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 # ---------------------------------------------------------------------------

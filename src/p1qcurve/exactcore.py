@@ -23,6 +23,7 @@ No floats enter any code path; all comparisons are exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 from typing import Iterable, Mapping, Sequence, Union
@@ -217,8 +218,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
@@ -389,11 +391,6 @@ class RationalFunction:
 
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
-
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial():
-            raise ExactError("rational function is not a polynomial")
-        return self.num
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -575,47 +572,74 @@ class PartialFractions:
         return total
 
 
-def _rational_linear_roots(p: Polynomial) -> dict[Frac, int]:
-    """Roots with multiplicity of a polynomial that splits over Q (else FactorError)."""
-    import sympy
+def _rational_roots(p: Polynomial) -> list[Frac]:
+    """The distinct rational roots of a nonzero ``p``, ascending; raises
+    :class:`FactorError` if ``p`` has an irrational or non-real root.
 
-    t = sympy.Symbol("t")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in enumerate(p.coeffs))
-    _, factors = sympy.Poly(expr, t, domain="QQ").factor_list()
-    roots: dict[Frac, int] = {}
-    for fac, mult in factors:
-        if fac.degree() != 1:
-            raise FactorError(
-                "denominator has an irreducible factor of degree "
-                f"{fac.degree()}; only rational poles are supported"
-            )
-        a1, a0 = fac.all_coeffs()
-        root = Frac(int(sympy.numer(-a0 / a1)), int(sympy.denom(-a0 / a1)))
-        roots[root] = roots.get(root, 0) + int(mult)
-    return roots
+    With ``s`` the monic square-free part of ``p``, ``k`` its degree and ``a``
+    the lcm of its denominators, ``F(u) = a**k s(u/a)`` is monic over Z, so
+    ``s`` splits over Q iff ``F`` has ``k`` integer roots ``u = a*r``.  Then
+    ``F`` is real-rooted and the Budan–Fourier count ``V(l) - V(r)`` (sign
+    changes of ``F, F', ..., F^(k)`` at a point, zeros dropped) is exactly the
+    number of roots in ``(l, r]``.  Bisecting ``(-B, B]``, ``B = 1 + max|F_i|``,
+    at integer midpoints down to unit intervals ``(n-1, n]`` of nonzero count,
+    each must have count 1 and ``F(n) = 0``.  Only Taylor shifts of ``F`` are
+    computed: no integer is factored, as the rational-root test would have to.
+    """
+    s = (p // p.gcd(p.derivative())).monic()
+    k = s.degree
+    a = math.lcm(*(x.denominator for x in s.coeffs))
+    F = [int(x * a ** (k - i)) for i, x in enumerate(s.coeffs)]
+
+    def variations(x: int) -> int:
+        cs = list(F)  # becomes F(u + x), whose u^j coefficient is F^(j)(x) / j!
+        for i in range(k):
+            for j in range(k - 1, i - 1, -1):
+                cs[j] += x * cs[j + 1]
+        signs = [v > 0 for v in cs if v]
+        return sum(u != w for u, w in zip(signs, signs[1:]))
+
+    bound = 1 + max(abs(v) for v in F)
+    roots: list[Frac] = []
+    stack = [(-bound, variations(-bound), bound, variations(bound))]
+    while stack:
+        lo, v_lo, hi, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            v_mid = variations(mid)
+            stack += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+        elif v_lo - v_hi == 1 and s(Frac(hi, a)) == 0:
+            roots.append(Frac(hi, a))
+        else:
+            raise FactorError("denominator has an irrational or non-real pole; "
+                              "only rational poles are supported")
+    return sorted(roots)
 
 
 def partial_fractions(f: RationalFunction) -> PartialFractions:
     """Exact partial fractions of ``f`` over rational poles.
 
-    Raises :class:`FactorError` if the denominator has an irreducible factor of
-    degree greater than one.
+    Raises :class:`FactorError` if the denominator has an irrational or
+    non-real root.
     """
     poly_part, rem = divmod(f.num, f.den)
     if rem.is_zero():
         return PartialFractions(poly_part, ())
     proper = RationalFunction(rem, f.den)
-    roots = _rational_linear_roots(proper.den)
-    if sum(roots.values()) != proper.den.degree:
-        raise FactorError("denominator did not split into rational linear factors")
     terms: list[tuple[tuple[Frac, int], Frac]] = []
-    for root in sorted(roots):
-        m = roots[root]
+    orders = 0
+    for root in _rational_roots(proper.den):
         expansion = proper.laurent_at(root, -1)
+        m = -expansion.valuation()  # the numerator does not vanish at a pole
+        orders += m
         for k in range(1, m + 1):
             c = expansion.coefficient(-k)
             if c != 0:
                 terms.append(((root, k), c))
+    if orders != proper.den.degree:
+        raise FactorError("denominator did not split into rational linear factors")
     result = PartialFractions(poly_part, tuple(terms))
     if result.reassemble() != f:
         raise ExactError("internal error: partial fractions failed to reassemble")
@@ -731,9 +755,6 @@ class TruncatedSeries:
 
     def rename(self, var: str) -> "TruncatedSeries":
         return TruncatedSeries(var, self.min_exp, self.coeffs, self.order)
-
-    def map_coefficients(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries(self.var, self.min_exp, (fn(c) for c in self.coeffs), self.order)
 
     # -- arithmetic -------------------------------------------------------------------
 
@@ -869,17 +890,6 @@ class TruncatedSeries:
         out = [Frac(0)] * (order - lo + 1)
         for e, c in pairs:
             out[e - lo] = c
-        return TruncatedSeries(self.var, lo, out, order)
-
-    def integrate(self) -> "TruncatedSeries":
-        """Term-wise antiderivative with zero constant; rejects a 1/t term."""
-        if self.min_exp <= -1 <= self.order and self.coefficient(-1) != 0:
-            raise ExactError("antiderivative of a 1/t term is not a Laurent series")
-        order = self.order + 1
-        lo = min(self.min_exp + 1, 0)
-        out = [Frac(0)] * (order - lo + 1)
-        for k, c in self.items():
-            out[k + 1 - lo] = c / (k + 1)
         return TruncatedSeries(self.var, lo, out, order)
 
     # -- serialization & display -----------------------------------------------------------

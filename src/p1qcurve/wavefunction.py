@@ -177,15 +177,6 @@ class LogLaurentForm:
             self.order,
         )
 
-    def hbar_slice(self, p: int) -> dict:
-        """The content at one hbar-power: coefficients of
-        (x - x log x)/hbar, log x, and the map i -> coefficient of x^{-i}."""
-        return {
-            "anti": self.anti.get(p, Frac(0)),
-            "log": self.log.get(p, Frac(0)),
-            "tail": {i: c for (q, i), c in self.tail.items() if q == p},
-        }
-
     def __repr__(self) -> str:
         bits = []
         for p, c in sorted(self.anti.items()):

@@ -311,14 +311,6 @@ def connected_coefficient(d: int, b: tuple[int, ...]) -> Frac:
 # ---------------------------------------------------------------------------
 
 
-def _dimension_genus(d: int, b: tuple[int, ...], units: int = 0) -> int | None:
-    """The unique genus g >= 0 with sum(b) = 2g - 2 + 2d + units, or None."""
-    twog = sum(b) + 2 - 2 * d - units
-    if twog < 0 or twog % 2:
-        return None
-    return twog // 2
-
-
 def stationary_invariant(g: int, n: int, d: int, b, *, explain: bool = False):
     """The connected invariant with n point classes and descendant exponents b
     (each >= -2) at genus g and degree d.

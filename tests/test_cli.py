@@ -2,9 +2,14 @@
 exit codes, budget capping, and the replay cache."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import p1qcurve
 from p1qcurve.cli import main
 from p1qcurve.toprec import s_matrix
 from p1qcurve.exactcore import rational_to_json
@@ -344,6 +349,29 @@ def test_cache_entry_for_other_parameters_is_a_miss(capsys, tmp_path, monkeypatc
     assert out2 == out1
     assert "999" not in out2
     assert "invalid cache entry" in err
+
+
+def test_concurrent_stores_of_one_entry(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("P1QC_CACHE_DIR", str(tmp_path))
+    _, out1, _ = run(capsys, "gw", "--g", "0", "--n", "1", "--d", "1", "--b", "0")
+    (entry,) = tmp_path.glob("gw-*.json")
+    script = ("import sys\n"
+              "from p1qcurve.cli import _cache_load, _cache_store\n"
+              "result = _cache_load(sys.argv[1])\n"
+              "for _ in range(300):\n"
+              "    _cache_store(sys.argv[1], result)\n")
+    src = str(Path(p1qcurve.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    writers = [subprocess.Popen([sys.executable, "-c", script, str(entry)], env=env,
+                                stderr=subprocess.PIPE, text=True) for _ in range(2)]
+    for proc in writers:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [entry.name]
+    code, out2, err = run(capsys, "gw", "--g", "0", "--n", "1", "--d", "1", "--b", "0")
+    assert code == 0
+    assert out2 == out1
+    assert "invalid cache entry" not in err
 
 
 def test_bad_budget_is_usage_error(capsys):

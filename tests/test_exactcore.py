@@ -6,7 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from p1qcurve.exactcore import (
@@ -20,6 +21,7 @@ from p1qcurve.exactcore import (
     RationalFunction,
     TruncatedSeries,
     TruncationError,
+    _rational_roots,
     local_laurent,
     partial_fractions,
     rational_from_json,
@@ -167,9 +169,73 @@ def test_partial_fractions_poly_part():
     assert not pf.poly_part.is_zero()
 
 
-def test_partial_fractions_rejects_irrational_poles():
+@pytest.mark.parametrize(
+    "den",
+    [
+        poly([1, 0, 1]),
+        poly([-2, 0, 1]),
+        poly([-1, 1]) * poly([-2, 0, 1]),
+        poly([-2, 0, 0, 1]),
+        poly([10**40 + 1, 0, 1]),
+    ],
+    ids=["1+t^2", "t^2-2", "(t-1)(t^2-2)", "t^3-2", "t^2+(10^40+1)"],
+)
+def test_partial_fractions_rejects_irrational_poles(den):
     with pytest.raises(FactorError):
-        partial_fractions(RationalFunction(poly([1]), poly([1, 0, 1])))  # 1/(1+t^2)
+        partial_fractions(RationalFunction(poly([1]), den))
+
+
+def sympy_rational_roots(p: Polynomial) -> dict:
+    """Reference oracle: roots with multiplicity of ``p`` by sympy's
+    ``factor_list`` over Q; FactorError on an irreducible factor of degree > 1."""
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**k for k, c in enumerate(p.coeffs))
+    _, factors = sympy.Poly(expr, t, domain="QQ").factor_list()
+    roots: dict = {}
+    for fac, mult in factors:
+        if fac.degree() != 1:
+            raise FactorError(f"irreducible factor of degree {fac.degree()}")
+        a1, a0 = fac.all_coeffs()
+        root = F(int(sympy.numer(-a0 / a1)), int(sympy.denom(-a0 / a1)))
+        roots[root] = roots.get(root, 0) + int(mult)
+    return roots
+
+
+def _irreducible(coeffs) -> bool:
+    t = sympy.Symbol("t")
+    return sympy.Poly(sum(c * t**k for k, c in enumerate(coeffs)), t, domain="QQ").is_irreducible
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    roots=st.lists(st.tuples(small_fracs, st.integers(1, 3)), min_size=1, max_size=4),
+    extra=st.none() | st.lists(st.integers(-6, 6), min_size=2, max_size=3).map(lambda cs: cs + [1]),
+    num=st.lists(small_fracs, min_size=1, max_size=6),
+)
+@example(roots=[(F(10**20), 1), (F(-1), 2), (F(1, 3), 1)], extra=None, num=[F(1)])
+def test_rational_roots_match_sympy_oracle(roots, extra, num):
+    """The Budan–Fourier root finder and partial_fractions against sympy, on
+    products of rational linear factors with multiplicity, optionally times an
+    irreducible quadratic or cubic."""
+    den = Polynomial.from_roots(r for r, m in roots for _ in range(m))
+    if extra is not None:
+        assume(_irreducible(extra))
+        den = den * poly(extra)
+    assume(any(num))
+    f = RationalFunction(poly(num), den)
+    try:
+        want = sympy_rational_roots(f.den)
+    except FactorError:
+        with pytest.raises(FactorError):
+            _rational_roots(f.den)
+        with pytest.raises(FactorError):
+            partial_fractions(f)
+        return
+    assert _rational_roots(f.den) == sorted(want)
+    orders: dict = {}
+    for (root, k), _ in partial_fractions(f).terms:
+        orders[root] = max(orders.get(root, 0), k)
+    assert orders == want
 
 
 def test_partial_fractions_random_reassembly():
