@@ -42,6 +42,7 @@ from .toprec import (
     s_matrix,
     theta_expansion_check,
     toprec_wgn,
+    WGN_BOUND,
     _wgn_x_series,
 )
 from .wavefunction import (
@@ -58,7 +59,6 @@ CACHE_ENV = "P1QC_CACHE_DIR"
 
 _NS_PAIRS = ((0, 3), (1, 1), (0, 4), (1, 2), (2, 1))
 _RESUMMATION_BLOCKS = ((0, 1, 0), (1, 1, 0), (0, 1, 1), (0, 2, 1), (1, 1, 1))
-_WGN_BOUND = 4
 
 
 @dataclass
@@ -391,9 +391,9 @@ def cmd_wgn(args, budget: int | None) -> int:
         return _usage_error("the recursion output is defined on the stable range "
                             "2g-2+n > 0; the unstable forms have their own closed shapes")
     complexity = 2 * args.g - 2 + args.n
-    if complexity > _WGN_BOUND:
+    if complexity > WGN_BOUND:
         print(f"error: complexity 2g-2+n = {complexity} exceeds the configured "
-              f"bound {_WGN_BOUND}", file=sys.stderr)
+              f"bound {WGN_BOUND}", file=sys.stderr)
         return 1
     order = _effective(args.order, budget)
     if order < 1:
@@ -537,9 +537,9 @@ def cmd_fgn(args, budget: int | None) -> int:
     if 2 * args.g - 2 + args.n <= 0:
         return _usage_error("primitives exist on the stable range 2g-2+n > 0")
     complexity = 2 * args.g - 2 + args.n
-    if complexity > _WGN_BOUND:
+    if complexity > WGN_BOUND:
         print(f"error: complexity 2g-2+n = {complexity} exceeds the configured "
-              f"bound {_WGN_BOUND}", file=sys.stderr)
+              f"bound {WGN_BOUND}", file=sys.stderr)
         return 1
     order = _effective(args.order, budget)
     if order < 1:

@@ -1148,7 +1148,7 @@ class MultiSeries:
         )
 
     def __hash__(self) -> int:
-        return hash((self.vars, self.min_exps, self.orders, tuple(sorted(self.data.items()))))
+        return hash((self.vars, self.orders, tuple(sorted(self.data.items()))))
 
     def truncate(self, orders: Sequence[int]) -> "MultiSeries":
         orders = tuple(int(o) for o in orders)

@@ -14,6 +14,10 @@ x-expansion checks against the closed-form transition-matrix entries, the
 antisymmetrized primitives F_{g,n} with their expansion in stationary
 invariants, the ancestor-coefficient decomposition of W_{g,n}, and the two
 unstable closed forms S_0, S_1.
+
+Every slot-by-slot map of a form -- the large-x expansions of W_{g,n} and
+F_{g,n}, the z -> 1/z pullback, the derivative of F_{g,n}, the ancestor
+reassembly -- is the one contraction _slotwise of per-slot images.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Mapping, Sequence
 
 from .exactcore import (
@@ -195,18 +199,38 @@ class CorrelationForm:
     def involution_check(self, slot: int) -> bool:
         """Pullback z_slot -> 1/z_slot (including the d(1/z) factor) equals the
         negative of the form."""
-        out: dict[PoleKey, Frac] = {}
-        for key, c in self.terms.items():
-            a, j = key[slot]
-            # 1/(1/z-a)^j * (-1/z^2) = -(-a)^{-j} z^{j-2}/(z-a)^j  (a = 1/a)
-            base = -c * (-a) ** (-j)
-            for l in range(j - 1):
-                coeff = base * math.comb(j - 2, l) * a ** (j - 2 - l)
-                nk = key[:slot] + ((a, j - l),) + key[slot + 1 :]
-                out[nk] = out.get(nk, Frac(0)) + coeff
-        negated = {k: -v for k, v in self.terms.items()}
-        out = {k: v for k, v in out.items() if v}
-        return out == negated
+        slot = range(self.n)[slot]  # a negative slot counts from the end
+        out = _slotwise(
+            self.terms, self.n, lambda k, pole: _pullback(*pole) if k == slot else {pole: 1}
+        )
+        return out == {k: -v for k, v in self.terms.items()}
+
+
+@cache
+def _pullback(a: Frac, j: int) -> dict[tuple[Frac, int], Frac]:
+    """dz/(z-a)^j pulled back through z -> 1/z, in the pole basis at the same a:
+    d(1/z)/(1/z - a)^j = -(-a)^{-j} z^{j-2} dz/(z-a)^j (as 1/a = a), with
+    z^{j-2} expanded binomially around a."""
+    base = -((-a) ** (-j))
+    return {(a, j - l): base * math.comb(j - 2, l) * a ** (j - 2 - l) for l in range(j - 1)}
+
+
+def _slotwise(terms: Mapping[tuple, Frac], n: int, slot_map) -> dict[tuple, Frac]:
+    """sum_key c * prod_k slot_map(k, key[k]) for terms {key: c} of arity n,
+    where slot_map gives a slot item's image as a mapping label -> weight;
+    the result maps label tuples to nonzero coefficients.  Expanded one slot
+    at a time: partial states (labels so far, items left) that agree across
+    keys are merged before the next slot."""
+    state = {((), key): c for key, c in terms.items()}
+    for k in range(n):
+        images = {item: slot_map(k, item) for item in {rest[0] for _, rest in state}}
+        nxt: dict[tuple, Frac] = {}
+        for (done, rest), c in state.items():
+            for label, w in images[rest[0]].items():
+                s = (done + (label,), rest[1:])
+                nxt[s] = nxt.get(s, 0) + c * w
+        state = {s: c for s, c in nxt.items() if c}
+    return {done: c for (done, _), c in state.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +396,11 @@ def _residue_of_products(
         out[full] = out.get(full, Frac(0)) + coeff * value
 
 
+WGN_BOUND = 4  # the largest complexity 2g-2+n the recursion is run to
+
+
 @cache
-def toprec_wgn(g: int, n: int, bound: int = 4) -> CorrelationForm:
+def toprec_wgn(g: int, n: int) -> CorrelationForm:
     """The stable correlation form W_{g,n} from the residue recursion.
 
     Residues at both branch points are computed by exact local expansion.
@@ -382,9 +409,9 @@ def toprec_wgn(g: int, n: int, bound: int = 4) -> CorrelationForm:
     """
     if not _stable(g, n):
         raise ExactError("toprec_wgn is defined on the stable range 2g-2+n > 0")
-    if 2 * g - 2 + n > bound:
+    if 2 * g - 2 + n > WGN_BOUND:
         raise ExactError(
-            f"complexity 2g-2+n = {2*g-2+n} exceeds the configured bound {bound}"
+            f"complexity 2g-2+n = {2*g-2+n} exceeds the configured bound {WGN_BOUND}"
         )
 
     # Bracket terms: list of (coeff-from-subterm, z-locals, inv-locals,
@@ -407,7 +434,7 @@ def toprec_wgn(g: int, n: int, bound: int = 4) -> CorrelationForm:
     # (g-1, n+1) term with the first two slots at z and 1/z
     if g >= 1:
         if _stable(g - 1, n + 1):
-            prev = toprec_wgn(g - 1, n + 1, bound)
+            prev = toprec_wgn(g - 1, n + 1)
             for key, c in prev.terms.items():
                 (b0, j0), (b1, j1) = key[0], key[1]
                 fixed = [(i, key[i]) for i in range(2, n + 1)]
@@ -427,8 +454,8 @@ def toprec_wgn(g: int, n: int, bound: int = 4) -> CorrelationForm:
                     continue
                 if (g2, len(J) + 1) == (0, 1):
                     continue
-                left_terms = _factor_terms(g1, I, "z", bound)
-                right_terms = _factor_terms(g2, J, "inv", bound)
+                left_terms = _factor_terms(g1, I, "z")
+                right_terms = _factor_terms(g2, J, "inv")
                 for cl, zl, il, cpl, fxl in left_terms:
                     for cr, zr, ir, cpr, fxr in right_terms:
                         add_piece(cl * cr, zl + zr, il + ir, cpl + cpr, fxl + fxr)
@@ -459,7 +486,7 @@ def toprec_wgn(g: int, n: int, bound: int = 4) -> CorrelationForm:
     return result
 
 
-def _factor_terms(gf: int, slots: tuple[int, ...], side: str, bound: int):
+def _factor_terms(gf: int, slots: tuple[int, ...], side: str):
     """Expand one splitting factor W_{gf, len(slots)+1}(local, z_slots) into
     engine pieces: (coeff, z_locals, inv_locals, coupled, fixed)."""
     m = len(slots) + 1
@@ -468,7 +495,7 @@ def _factor_terms(gf: int, slots: tuple[int, ...], side: str, bound: int):
         slot = slots[0]
         kind = "bergman_z" if side == "z" else "bergman_inv"
         return [(Frac(1), [], [], [(slot, kind)], [])]
-    form = toprec_wgn(gf, m, bound)
+    form = toprec_wgn(gf, m)
     out = []
     for key, c in form.terms.items():
         local_pole = key[0]
@@ -515,19 +542,22 @@ def _slot_w_series(a: Frac, j: int, order: int) -> TruncatedSeries:
     return (pole * dz_dx).truncate(order)
 
 
+def _x_expansion(terms: Mapping[PoleKey, Frac], n: int, order: int, slot_series) -> MultiSeries:
+    """sum_key c * prod_k slot_series(*key[k]) as a series in w_1..w_n, each
+    slot series in w known through the given order.  A slot's lowest exponent
+    is the least one over the keys (0 for a zero series)."""
+    series = {pole: slot_series(*pole) for key in terms for pole in key}
+    low = {pole: 0 if s.is_zero() else s.min_exp for pole, s in series.items()}
+    return MultiSeries(
+        tuple(f"w{k+1}" for k in range(n)),
+        tuple(min((low[key[k]] for key in terms), default=0) for k in range(n)),
+        (order,) * n,
+        _slotwise(terms, n, lambda _, pole: dict(series[pole].items())),
+    )
+
+
 def _wgn_x_series(form: CorrelationForm, order: int) -> MultiSeries:
-    total: MultiSeries | None = None
-    for key, c in form.terms.items():
-        facs = [
-            _slot_w_series(a, j, order).rename(f"w{i+1}")
-            for i, (a, j) in enumerate(key)
-        ]
-        m = MultiSeries.outer_product(facs) * c
-        total = m if total is None else total + m
-    if total is None:
-        vars_ = tuple(f"w{i+1}" for i in range(form.n))
-        total = MultiSeries.zero(vars_, (0,) * form.n, (order,) * form.n)
-    return total
+    return _x_expansion(form.terms, form.n, order, lambda a, j: _slot_w_series(a, j, order))
 
 
 def _expected_w_coefficient(g: int, n: int, exps: Sequence[int]) -> Frac:
@@ -551,20 +581,11 @@ def ns_expansion_check(g: int, n: int, total_order: int = 10) -> bool:
     total degree at most total_order."""
     form = toprec_wgn(g, n)
     series = _wgn_x_series(form, total_order)
-
-    def tuples(total: int, k: int):
-        if k == 1:
-            for e in range(total + 1):
-                yield (e,)
-            return
-        for e in range(total + 1):
-            for rest in tuples(total - e, k - 1):
-                yield (e,) + rest
-
-    for exps in tuples(total_order, n):
-        if series.coefficient(exps) != _expected_w_coefficient(g, n, exps):
-            return False
-    return True
+    return all(
+        series.coefficient(exps) == _expected_w_coefficient(g, n, exps)
+        for exps in product(range(total_order + 1), repeat=n)
+        if sum(exps) <= total_order
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -809,35 +830,15 @@ class FgnPrimitive:
 
     def derivative_recovery_check(self) -> bool:
         """Applying d/dz_k in every slot returns the parent form exactly
-        (expanded back into the pole basis)."""
-        out: dict[PoleKey, Frac] = {}
-        for key, c in self.terms.items():
-            partial: dict[tuple, Frac] = {(): c}
-            for (a, j) in key:
-                vec = _slot_derivative_vector(a, j)
-                nxt: dict[tuple, Frac] = {}
-                for pk, pc in partial.items():
-                    for pole, w in vec.items():
-                        nk = pk + (pole,)
-                        nxt[nk] = nxt.get(nk, Frac(0)) + pc * w
-                partial = nxt
-            for pk, pc in partial.items():
-                out[pk] = out.get(pk, Frac(0)) + pc
-        out = {k: v for k, v in out.items() if v}
-        parent = toprec_wgn(self.g, self.n)
-        return out == dict(parent.terms)
+        (expanded back into the pole basis): h'_{a,j} is half the pole form
+        minus half its pullback through z -> 1/z."""
 
+        def derivative(_, pole):
+            vec = {p: -w / 2 for p, w in _pullback(*pole).items()}
+            vec[pole] = vec.get(pole, 0) + Frac(1, 2)
+            return vec
 
-@cache
-def _slot_derivative_vector(a: Frac, j: int) -> dict[tuple[Frac, int], Frac]:
-    """h'_{a,j} expanded in the pole basis: (1/(z-a)^j + pullback term)/2."""
-    vec: dict[tuple[Frac, int], Frac] = {(a, j): Frac(1, 2)}
-    # 1/(1/z - a)^j / z^2  =  (-a)^{-j} z^{j-2}/(z-a)^j, expanded binomially
-    base = Frac(1, 2) * (-a) ** (-j)
-    for l in range(j - 1):
-        pole = (a, j - l)
-        vec[pole] = vec.get(pole, Frac(0)) + base * math.comb(j - 2, l) * a ** (j - 2 - l)
-    return vec
+        return _slotwise(self.terms, self.n, derivative) == dict(toprec_wgn(self.g, self.n).terms)
 
 
 @cache
@@ -860,28 +861,14 @@ def fgn_x_expansion(g: int, n: int, order: int, verify: bool = True) -> MultiSer
     """
     prim = primitive_fgn(g, n)
     z = _catalan_branch(order + 2)
-    total: MultiSeries | None = None
-    for key, c in prim.terms.items():
-        facs = [
-            _rf_on_series(primitive_slot_function(a, j), z).truncate(order).rename(f"w{i+1}")
-            for i, (a, j) in enumerate(key)
-        ]
-        m = MultiSeries.outer_product(facs) * c
-        total = m if total is None else total + m
-    if total is None:
-        vars_ = tuple(f"w{i+1}" for i in range(n))
-        total = MultiSeries.zero(vars_, (0,) * n, (order,) * n)
-
+    total = _x_expansion(
+        prim.terms,
+        n,
+        order,
+        lambda a, j: _rf_on_series(primitive_slot_function(a, j), z).truncate(order),
+    )
     if verify:
-        def tuples(k: int):
-            if k == 0:
-                yield ()
-                return
-            for e in range(order + 1):
-                for rest in tuples(k - 1):
-                    yield (e,) + rest
-
-        for exps in tuples(n):
+        for exps in product(range(order + 1), repeat=n):
             got = total.coefficient(exps)
             want = _expected_f_coefficient(g, n, exps)
             if got != want:
@@ -1020,20 +1007,11 @@ def ancestor_decomposition(
     result = {k: sign * v for k, v in tensor.items() if v}
 
     # reassembly: substitute the pole coordinates of each basis element back
-    rebuilt: dict[PoleKey, Frac] = {}
-    for key, c in result.items():
-        partial: dict[tuple, Frac] = {(): sign * c}
-        for d, mu in key:
-            coords = _pole_coordinates(eta_derivative(mu, d))
-            nxt: dict[tuple, Frac] = {}
-            for pk, pc in partial.items():
-                for pole, w in coords.items():
-                    nk = pk + (pole,)
-                    nxt[nk] = nxt.get(nk, Frac(0)) + pc * w
-            partial = nxt
-        for pk, pc in partial.items():
-            rebuilt[pk] = rebuilt.get(pk, Frac(0)) + pc
-    rebuilt = {k: v for k, v in rebuilt.items() if v}
+    rebuilt = _slotwise(
+        {key: sign * c for key, c in result.items()},
+        n,
+        lambda _, dmu: _pole_coordinates(eta_derivative(dmu[1], dmu[0])),
+    )
     if rebuilt != dict(form.terms):
         raise ExactError("ancestor reassembly failed to reproduce the form")
     return result

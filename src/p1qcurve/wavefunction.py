@@ -510,6 +510,9 @@ def _degree_block(d: int, order: int, route: str) -> tuple[Frac, ...]:
     """
     if d < 1:
         raise ExactError("degree blocks are formed for d >= 1")
+    blocks = {"shift": _theta_shifted, "definition": _theta_definition}
+    if route not in blocks:
+        raise ExactError(f"unknown route {route!r}")
     out = [Frac(0)] * (order + 1)
     if d == 1:
         out[0] += stationary_invariant(0, 1, 1, (0,))
@@ -519,35 +522,11 @@ def _degree_block(d: int, order: int, route: str) -> tuple[Frac, ...]:
             lead = 2 * g - 2 + n + 2 * d
             if lead > order:
                 break
+            # a tail term hbar^p x^-i of the block sits at w^i with i = lead + p,
+            # so the block's hbar-order order - lead fills the window
             prefac = Frac((-1) ** n, math.factorial(n))
-            if route == "shift":
-                sb = 2 * g - 2 + 2 * d
-                for b, count in _sorted_compositions(sb, n):
-                    value = stationary_invariant(g, n, d, b)
-                    if not value:
-                        continue
-                    coeff = prefac * value * count
-                    for bi in b:
-                        coeff *= math.factorial(bi)
-                    m = n + sb
-                    for l in range(order - lead + 1):
-                        out[lead + l] += (
-                            coeff * math.comb(m - 1 + l, l) * Frac((-1) ** l, 2**l)
-                        )
-            elif route == "definition":
-                for k in range(order - lead + 1):
-                    sb = 2 * g - 2 + 2 * d + k
-                    for b, count in _sorted_compositions(sb, n):
-                        value = unit_insertions(g, n, k, d, b)
-                        if not value:
-                            continue
-                        coeff = prefac * value * count
-                        coeff *= Frac((-1) ** k, 2**k * math.factorial(k))
-                        for bi in b:
-                            coeff *= math.factorial(bi)
-                        out[lead + k] += coeff
-            else:
-                raise ExactError(f"unknown route {route!r}")
+            for (_, i), c in blocks[route](g, n, d, order - lead).tail.items():
+                out[i] += prefac * c
         g += 1
     # dimension forces the block to start at w^(2d-1) (constant excepted)
     for j in range(1, 2 * d - 1):

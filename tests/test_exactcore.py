@@ -385,6 +385,15 @@ def test_multiseries_product_respects_orders():
         p.coefficient((4,))
 
 
+def test_multiseries_hash_agrees_with_eq():
+    # equality ignores min_exps, so the hash must too
+    a = MultiSeries(("x",), (0,), (3,), {(1,): 1})
+    b = MultiSeries(("x",), (1,), (3,), {(1,): 1})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_multiseries_json_roundtrip():
     m = MultiSeries(("x1", "x2"), (-1, 0), (2, 2), {(-1, 2): F(3, 4), (0, 0): -2})
     assert MultiSeries.from_json(m.to_json()) == m

@@ -7,6 +7,7 @@ brute-force local expansion without any of the engine's tensor bookkeeping.
 """
 
 import hashlib
+import json
 import math
 from fractions import Fraction as Frac
 
@@ -23,7 +24,9 @@ from p1qcurve.exactcore import (
     local_laurent,
 )
 from p1qcurve.toprec import (
+    CorrelationForm,
     _loc_log_gap,
+    _wgn_x_series,
     ancestor_decomposition,
     ancestor_descendant_check,
     eta_function,
@@ -117,6 +120,38 @@ def test_wgn_terms_frozen_digest(g, n):
     assert hashlib.sha256(canonical.encode()).hexdigest() == WGN_DIGESTS[(g, n)]
 
 
+def _json_digest(series) -> str:
+    return hashlib.sha256(json.dumps(series.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of the sorted-key JSON of fgn_x_expansion(g, n, 8, verify=False) and
+# of _wgn_x_series(W_{g,n}, 10): coefficients, vars, min_exps and orders
+FGN_X_DIGESTS = {
+    (0, 3): "27d472f9faaf8a22e09b3b4e95a4886cd7f2bc56f56400ce01b272043f27f68e",
+    (1, 1): "0fcdaeef4dc9f88d5174f2b79da2bc986b24b86f429530cb2e46c6d86ae1e82f",
+    (0, 4): "fa33eda539cf3064158ca4598e783d24913b80e34e1c98126ef8d272b71058f4",
+    (1, 2): "c3f048d2496d5f53a277320c8c0bdd2477f4b3d7c0b7bed73f8164925a933b72",
+    (2, 1): "866029742056418576d9e8661502bc3a97ec06e6937e04b4aec49c354915e36b",
+}
+WGN_X_DIGESTS = {
+    (0, 3): "8e6031c63b682a49ecb39eb00b70f0eabec34c352cc5a899a182ead8ed7af526",
+    (1, 1): "042c05aab870e0ed135ea1689497a30ed5e5858796e54856dc3828ac96ecdc69",
+    (0, 4): "063dc4e49a7d8361ed520bf0e6842395acfda7747bc05104f9faf8cf9e8d38f7",
+    (1, 2): "313db95848e69067fffd44a3dc15f87b8e6f7a53aa870f207698b0d787c7fb90",
+    (2, 1): "f34ae742116870954eff5499869cb77bf2496e315f3ee93f19c19e5557e7481a",
+}
+
+
+@pytest.mark.parametrize("g,n", STABLE_PAIRS)
+def test_fgn_x_expansion_frozen_digest(g, n):
+    assert _json_digest(fgn_x_expansion(g, n, 8, verify=False)) == FGN_X_DIGESTS[(g, n)]
+
+
+@pytest.mark.parametrize("g,n", STABLE_PAIRS)
+def test_wgn_x_series_frozen_digest(g, n):
+    assert _json_digest(_wgn_x_series(toprec_wgn(g, n), 10)) == WGN_X_DIGESTS[(g, n)]
+
+
 def test_w11_terms_frozen():
     form = toprec_wgn(1, 1)
     expected = {
@@ -141,6 +176,14 @@ def test_wgn_involution_odd(g, n):
     assert all(form.involution_check(k) for k in range(n))
 
 
+def test_involution_check_rejects_perturbed_w11():
+    # a double pole is odd on its own; a higher one is odd only in combination
+    terms = dict(toprec_wgn(1, 1).terms)
+    key = ((Frac(1), 3),)
+    terms[key] += 1
+    assert not CorrelationForm(1, 1, terms).involution_check(0)
+
+
 @pytest.mark.parametrize("g,n", STABLE_PAIRS)
 def test_wgn_pole_orders_within_budget(g, n):
     orders = toprec_wgn(g, n).pole_orders()
@@ -153,7 +196,15 @@ def test_wgn_rejects_unstable_and_overbudget():
     with pytest.raises(ExactError):
         toprec_wgn(0, 1)
     with pytest.raises(ExactError):
-        toprec_wgn(3, 1, bound=4)
+        toprec_wgn(3, 1)
+
+
+def test_wgn_memo_holds_one_entry_per_pair():
+    # the recursion's inner calls must hit the entries of the public calls
+    toprec_wgn.cache_clear()
+    for g, n in STABLE_PAIRS:
+        toprec_wgn(g, n)
+    assert toprec_wgn.cache_info().currsize == len(STABLE_PAIRS)
 
 
 def test_w03_against_bruteforce_residue_oracle():
