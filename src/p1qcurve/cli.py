@@ -13,7 +13,8 @@ Design rules, enforced throughout:
 * a global ``--budget`` flag caps every truncation order; each command
   reports the budget it actually used in its ``parameters`` echo;
 * if the environment variable ``P1QC_CACHE_DIR`` names a directory, value
-  commands replay byte-identical results from it instead of recomputing.
+  commands replay byte-identical results from it instead of recomputing;
+  entries written by another package version are not used.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 
+from . import __version__
 from .exactcore import ExactError, rational_to_json
 from .qcurve import (
     toda_quadratic_check,
@@ -105,7 +107,9 @@ def _emit(result: CommandResult, text: str | None = None) -> None:
 
 
 def _cache_name(command: str, parameters: dict) -> str:
-    key = json.dumps({"command": command, "parameters": parameters},
+    """Entry file name; the key holds the package version, so an entry written
+    by another version is never found."""
+    key = json.dumps({"command": command, "parameters": parameters, "version": __version__},
                      sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(key.encode()).hexdigest()[:32]
     return f"{command}-{digest}.json"

@@ -7,11 +7,15 @@ relevant diagonal operator family, with eigenvalue series
     eps_lam(t) = sum_i (e^{t(lam_i - i + 1/2)} - e^{t(1/2 - i)}) + 1/zeta(t),
 
 where zeta(t) = e^{t/2} - e^{-t/2}.  Disconnected n-point data is the
-squared-dimension-weighted sum of eigenvalue products; connected data is the
-logarithm (equivalently, the set-partition cumulant combination after dividing
-out the vacuum factor e^q).  Both passages are implemented independently and
-cross-checked.  A string-type recursion extends the stationary values to
-insertions of the unit class.
+squared-dimension-weighted sum of eigenvalue products; connected data is its
+logarithm.  Two independent routes compute it and are cross-checked:
+`connected_npoint` builds whole series by the set-partition cumulant
+combination after dividing out the vacuum factor e^q, and
+`connected_coefficient` gets one invariant from an integer moment-cumulant
+recursion over the closed-form coefficients [t^k] eps_lam, with no series
+algebra.  tests/test_wedge.py keeps the multivariate-series logarithm as the
+oracle of the latter.  A string-type recursion extends the stationary values
+to insertions of the unit class.
 """
 
 from __future__ import annotations
@@ -20,13 +24,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .exactcore import (
     ExactError,
     MultiSeries,
     TruncatedSeries,
-    multiseries_log,
     series_log,
 )
 from .partitions import Partition, dimension, is_partition, partitions
@@ -129,11 +132,21 @@ def e0_eigenvalue(lam: Partition, order: int, var: str = "t") -> EigenSeries:
     return EigenSeries(tuple(lam), total)
 
 
-def _eigen_coefficient(lam: Partition, exp: int) -> Frac:
-    """Coefficient of t^exp in eps_lam; exp >= -1."""
-    if exp < -1:
-        return Frac(0)
-    return e0_eigenvalue(tuple(lam), max(exp, 1)).series.coefficient(exp)
+@cache
+def _eigen_coefficient(lam: Partition, k: int) -> Frac:
+    """[t^k] eps_lam in closed form: 1 at k = -1, 0 below, and for k >= 0
+
+        sum_i ((lam_i - i + 1/2)^k - (1/2 - i)^k) / k!  +  [t^k] 1/zeta,
+
+    where 1/zeta = eps_() is the empty partition's series."""
+    if k < 0:
+        return Frac(1) if k == -1 else Frac(0)
+    if not lam:
+        return zeta_reciprocal(max(k, 1)).coefficient(k)
+    num = sum(
+        (2 * (part - i) + 1) ** k - (1 - 2 * i) ** k for i, part in enumerate(lam, start=1)
+    )
+    return Frac(num, 2**k * math.factorial(k)) + _eigen_coefficient((), k)
 
 
 # ---------------------------------------------------------------------------
@@ -265,45 +278,108 @@ def _msum(terms, start: MultiSeries) -> MultiSeries:
     return total
 
 
+def _exponents(b) -> tuple[int, ...]:
+    """b as a tuple of descendant exponents: ints (not bools), each >= -2."""
+    b = tuple(b)
+    if not all(isinstance(bi, int) and not isinstance(bi, bool) for bi in b):
+        raise ExactError(f"descendant exponents must be integers, got {b!r}")
+    if any(bi < -2 for bi in b):
+        raise ExactError("descendant exponents must be >= -2")
+    return b
+
+
 @cache
 def connected_coefficient(d: int, b: tuple[int, ...]) -> Frac:
-    """Single connected invariant by the logarithm route, valid for any number
-    of points: coefficient of q^d prod y_j^{m_j} (times prod m_j!) in the log of
-    the source-deformed vacuum sum
+    """Single connected invariant, valid for any number of points: the
+    coefficient of q^d prod_j y_j^{m_j}/m_j! in the log of the source-deformed
+    vacuum sum
 
         M(q, y) = sum_{d'<=d} q^{d'} sum_{lam |- d'} (dim/d'!)^2
-                  prod_j exp(y_j * [t^{v_j+1}] eps_lam),
+                  prod_j exp(y_j * a_{lam,j}),   a_{lam,j} = [t^{v_j+1}] eps_lam,
 
     where v_1 < ... < v_J are the distinct entries of b and m_j their
     multiplicities.  The empty b gives the connected vacuum, [q^d] q.
+
+    The logarithm is taken by the scalar moment-cumulant recursion
+    (Okounkov-Pandharipande, arXiv:math/0204305).  With the moments
+    mu(d', e) = sum_{lam |- d'} (dim/d'!)^2 prod_j a_{lam,j}^{e_j}, where
+    mu(0, 0) = 1, the cumulants kappa(d', e) of log M solve
+
+        d' mu(d', e) = sum_{k=1..d'} sum_{f<=e} C(e, f) k kappa(k, f) mu(d'-k, e-f)
+
+    for d' >= 1, and the answer is kappa(d, m).  At d = 0, log M is
+    sum_j y_j a_{(),j}, linear in y.  The recursion runs on integers: with D_j
+    the least common denominator of the a_{lam,j}, both
+    M(d', e) = (d'!)^2 D^e mu(d', e) and K(d', e) = (d'!)^3 D^e kappa(d', e)
+    are integers, and
+
+        K(d', e) = d'! M(d', e) - sum_{f<e} C(e, f) K(d', f) M(0, e-f)
+                   - sum_{k<d'} (d'-1)!/(k-1)! C(d', k)^2
+                     sum_{f<=e} C(e, f) K(k, f) M(d'-k, e-f).
+
+    tests/test_wedge.py keeps the multivariate-series logarithm of M as the
+    oracle `_log_route_coefficient`.
     """
     if d < 0:
         raise ExactError("degree must be nonnegative")
-    if any(bi < -2 for bi in b):
-        raise ExactError("descendant exponents must be >= -2")
-    b = tuple(sorted(b))
+    b = tuple(sorted(_exponents(b)))
     if not b:
         return Frac(1) if d == 1 else Frac(0)
+    if d == 0:
+        return _eigen_coefficient((), b[0] + 1) if len(b) == 1 else Frac(0)
     values = sorted(set(b))
     mults = [b.count(v) for v in values]
-    vars = ("q",) + tuple(f"y{j}" for j in range(1, len(values) + 1))
-    orders = (d,) + tuple(mults)
-    zero = MultiSeries.zero(vars, (0,) * len(vars), orders)
-    total = zero
+    coeffs = {
+        lam: [_eigen_coefficient(lam, v + 1) for v in values]
+        for dp in range(d + 1)
+        for lam in partitions(dp)
+    }
+    dens = [math.lcm(*(c.denominator for c in column)) for column in zip(*coeffs.values())]
+    shapes = list(product(*(range(m + 1) for m in mults)))
+    index = {e: i for i, e in enumerate(shapes)}
+    # per shape e: (C(e, f), index of f, index of e - f) for every f <= e
+    splits = [
+        [
+            (
+                math.prod(map(math.comb, e, f)),
+                index[f],
+                index[tuple(x - y for x, y in zip(e, f))],
+            )
+            for f in product(*(range(x + 1) for x in e))
+        ]
+        for e in shapes
+    ]
+    moments = []  # moments[d'][e] = M(d', e)
     for dp in range(d + 1):
-        qfactor = TruncatedSeries.monomial("q", dp, 1, d)
+        row = [0] * len(shapes)
         for lam in partitions(dp):
-            factors = [qfactor]
-            for v, m, j in zip(values, mults, range(1, len(values) + 1)):
-                c = _eigen_coefficient(lam, v + 1)
-                factors.append(_exp_linear(c, m, f"y{j}"))
-            total = total + fock_weight(lam) * MultiSeries.outer_product(factors)
-    log_total = multiseries_log(total)
-    target = (d,) + tuple(mults)
-    out = log_total.coefficient(target)
-    for m in mults:
-        out *= math.factorial(m)
-    return out
+            vec = [dimension(lam) ** 2]
+            for c, den, m in zip(coeffs[lam], dens, mults):
+                a = c.numerator * (den // c.denominator)
+                vec = [x * a**p for x in vec for p in range(m + 1)]
+            for i, x in enumerate(vec):
+                row[i] += x
+        moments.append(row)
+    # cumulants[d'-1][e] = K(d', e); shapes are in lexicographic order, so
+    # every f <= e precedes e
+    cumulants = []
+    for dp in range(1, d + 1):
+        weights = [
+            math.factorial(dp - 1) // math.factorial(k - 1) * math.comb(dp, k) ** 2
+            for k in range(1, dp)
+        ]
+        row = []
+        for i, parts in enumerate(splits):
+            acc = math.factorial(dp) * moments[dp][i]
+            for binom, fi, gi in parts:
+                if fi != i:
+                    acc -= binom * row[fi] * moments[0][gi]
+                for k, w in enumerate(weights, start=1):
+                    acc -= w * binom * cumulants[k - 1][fi] * moments[dp - k][gi]
+            row.append(acc)
+        cumulants.append(row)
+    scale = math.factorial(d) ** 3 * math.prod(den**m for den, m in zip(dens, mults))
+    return Frac(cumulants[-1][-1], scale)
 
 
 # ---------------------------------------------------------------------------
@@ -319,13 +395,11 @@ def stationary_invariant(g: int, n: int, d: int, b, *, explain: bool = False):
     ``(value, flag)`` where flag is ``"dimension-violation"`` when the
     constraint sum(b) = 2g - 2 + 2d fails (value 0) and ``None`` otherwise.
     """
-    b = tuple(int(x) for x in b)
+    b = _exponents(b)
     if len(b) != n:
         raise ExactError(f"expected {n} descendant exponents, got {len(b)}")
     if g < 0 or d < 0:
         raise ExactError("genus and degree must be nonnegative")
-    if any(bi < -2 for bi in b):
-        raise ExactError("descendant exponents must be >= -2")
     if sum(b) != 2 * g - 2 + 2 * d:
         return (Frac(0), "dimension-violation") if explain else Frac(0)
     value = connected_coefficient(d, tuple(sorted(b)))
@@ -374,13 +448,11 @@ def unit_insertions(g: int, n: int, k: int, d: int, b) -> Frac:
     insertions with descendant exponents b, genus g, degree d; computed by
     repeated string-equation reduction to stationary invariants plus the
     degree-0 base case with two units and one point class."""
-    b = tuple(int(x) for x in b)
+    b = _exponents(b)
     if len(b) != n:
         raise ExactError(f"expected {n} descendant exponents, got {len(b)}")
     if g < 0 or d < 0 or k < 0:
         raise ExactError("genus, degree and unit count must be nonnegative")
-    if any(bi < -2 for bi in b):
-        raise ExactError("descendant exponents must be >= -2")
     return _unit_insertions(g, k, d, tuple(sorted(b)))
 
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import p1qcurve
+from p1qcurve import cli
 from p1qcurve.cli import main
 from p1qcurve.toprec import s_matrix
 from p1qcurve.exactcore import rational_to_json
@@ -349,6 +350,35 @@ def test_cache_entry_for_other_parameters_is_a_miss(capsys, tmp_path, monkeypatc
     assert out2 == out1
     assert "999" not in out2
     assert "invalid cache entry" in err
+
+
+def test_cache_entry_from_another_version_is_a_miss(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("P1QC_CACHE_DIR", str(tmp_path))
+    argv = ("gw", "--g", "0", "--n", "1", "--d", "1", "--b", "0")
+    monkeypatch.setattr(cli, "__version__", "0.0.0")
+    _, out_old, _ = run(capsys, *argv)
+    (old_entry,) = tmp_path.glob("gw-*.json")
+    forged = json.loads(old_entry.read_text())
+    forged["payload"]["value"] = "999"
+    old_entry.write_text(json.dumps(forged))
+    assert '"999"' in run(capsys, *argv)[1]  # still replayed by its own version
+
+    monkeypatch.setattr(cli, "__version__", p1qcurve.__version__)
+    code, out1, err = run(capsys, *argv)
+    assert code == 0
+    assert "999" not in out1
+    assert out1 == out_old
+    (entry,) = set(tmp_path.glob("gw-*.json")) - {old_entry}
+    assert entry.read_text() + "\n" == out1
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("a replay must not compute")
+
+    monkeypatch.setattr(cli, "stationary_invariant", no_compute)
+    code, out2, err = run(capsys, *argv)
+    assert code == 0
+    assert out2 == out1
+    assert "invalid cache entry" not in err
 
 
 def test_concurrent_stores_of_one_entry(capsys, tmp_path, monkeypatch):

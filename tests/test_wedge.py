@@ -5,10 +5,17 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from p1qcurve.exactcore import ExactError, TruncatedSeries, series_log
+from p1qcurve import wedge
+from p1qcurve.exactcore import (
+    ExactError,
+    MultiSeries,
+    TruncatedSeries,
+    multiseries_log,
+    series_log,
+)
 from p1qcurve.partitions import dimension, partitions
 from p1qcurve.wedge import (
     catalan_inverse,
@@ -139,6 +146,86 @@ def test_dual_routes_agree_everywhere():
                 assert C.coefficient(exps) == connected_coefficient(d, b), (n, d, exps)
 
 
+def _log_route_coefficient(d, b):
+    """Oracle for connected_coefficient: the coefficient of q^d prod y_j^{m_j}
+    (times prod m_j!) in the multivariate-series logarithm of
+
+        M(q, y) = sum_{d'<=d} q^{d'} sum_{lam |- d'} (dim/d'!)^2
+                  prod_j exp(y_j * [t^{v_j+1}] eps_lam),
+
+    with the eigenvalue coefficients read off the series e0_eigenvalue."""
+    b = tuple(sorted(b))
+    if not b:
+        return F(1) if d == 1 else F(0)
+    values = sorted(set(b))
+    mults = [b.count(v) for v in values]
+    ys = tuple(f"y{j}" for j in range(1, len(values) + 1))
+    orders = (d,) + tuple(mults)
+    total = MultiSeries.zero(("q",) + ys, (0,) * len(orders), orders)
+    for dp in range(d + 1):
+        qfactor = TruncatedSeries.monomial("q", dp, 1, d)
+        for lam in partitions(dp):
+            factors = [qfactor]
+            for v, m, y in zip(values, mults, ys):
+                c = e0_eigenvalue(lam, max(v + 1, 1)).series.coefficient(v + 1)
+                factors.append(TruncatedSeries.from_function(
+                    y, lambda k, c=c: c**k / math.factorial(k), 0, m))
+            total = total + fock_weight(lam) * MultiSeries.outer_product(factors)
+    out = multiseries_log(total).coefficient(orders)
+    for m in mults:
+        out *= math.factorial(m)
+    return out
+
+
+@st.composite
+def degree_and_exponents(draw):
+    """d <= 4 and sorted b of length <= 5 with entries in -2..6; about half
+    are moved onto the dimension constraint sum(b) = 2g - 2 + 2d."""
+    d = draw(st.integers(0, 4))
+    b = draw(st.lists(st.integers(-2, 6), max_size=5))
+    if b and draw(st.booleans()):
+        rest = sum(b[:-1])
+        last = next(2 * g - 2 + 2 * d - rest for g in range(20)
+                    if 2 * g - 2 + 2 * d - rest >= -2)
+        if last <= 6:
+            b[-1] = last
+    return d, tuple(sorted(b))
+
+
+@given(degree_and_exponents())
+@settings(max_examples=150, deadline=None)
+@example((0, (-2,)))
+@example((1, (-2, 0, 0, 2)))
+@example((2, (-1, -1, 0, 2, 2)))
+@example((2, (-2, -1, 0, 0, 3)))
+@example((3, (1, 1, 1, 1, 2)))
+@example((4, (0, 0, 2, 2, 6)))
+@example((4, (3, 3, 3, 3)))
+def test_connected_coefficient_matches_log_route(case):
+    d, b = case
+    assert connected_coefficient(d, b) == _log_route_coefficient(d, b)
+
+
+def test_log_route_oracle_detects_a_perturbed_eigen_coefficient(monkeypatch):
+    d, b = 2, (0, 2)  # genus 0; reads [t^1] and [t^3] of every eps_lam, lam |- d' <= 2
+    assert connected_coefficient.__wrapped__(d, b) == _log_route_coefficient(d, b)
+    closed_form = wedge._eigen_coefficient
+
+    def perturbed(lam, k):
+        return closed_form(lam, k) + (F(1, 7) if (lam, k) == ((1, 1), 3) else 0)
+
+    monkeypatch.setattr(wedge, "_eigen_coefficient", perturbed)
+    assert connected_coefficient.__wrapped__(d, b) != _log_route_coefficient(d, b)
+
+
+def test_closed_form_eigen_coefficients_match_series():
+    for dp in range(7):
+        for lam in partitions(dp):
+            series = e0_eigenvalue(lam, 12).series
+            for k in range(-1, 13):
+                assert wedge._eigen_coefficient(lam, k) == series.coefficient(k), (lam, k)
+
+
 def test_dimension_parity_filter():
     for d in range(4):
         C = connected_npoint(d, 2, 6)
@@ -179,6 +266,27 @@ def test_exponent_validation():
         stationary_invariant(0, 1, 0, (-3,))
     with pytest.raises(ExactError):
         stationary_invariant(0, 2, 0, (-2,))  # n mismatch
+
+
+# Exponent 11 keeps these keys apart from any cached call: the connected_coefficient
+# memo compares keys by value, and False == 0.
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        pytest.param(stationary_invariant, (0, 1, 1, (0.7,)), id="stationary-float"),
+        pytest.param(stationary_invariant, (0, 1, 1, ("0",)), id="stationary-str"),
+        pytest.param(stationary_invariant, (0, 1, 1, (False,)), id="stationary-bool"),
+        pytest.param(stationary_invariant, (0, 2, 1, (0, F(0))), id="stationary-fraction"),
+        pytest.param(unit_insertions, (0, 1, 1, 1, (1.9,)), id="units-float"),
+        pytest.param(unit_insertions, (0, 1, 1, 1, (True,)), id="units-bool"),
+        pytest.param(connected_coefficient, (1, (0.5,)), id="connected-float"),
+        pytest.param(connected_coefficient, (1, ("0",)), id="connected-str"),
+        pytest.param(connected_coefficient, (6, (11, False)), id="connected-bool"),
+    ],
+)
+def test_non_integer_exponents_are_rejected(fn, args):
+    with pytest.raises(ExactError, match="integers"):
+        fn(*args)
 
 
 @given(st.permutations([0, 1, 2, 3]))
