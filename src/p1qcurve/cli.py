@@ -12,9 +12,17 @@ Design rules, enforced throughout:
   empty ranges);
 * a global ``--budget`` flag caps every truncation order; each command
   reports the budget it actually used in its ``parameters`` echo;
-* if the environment variable ``P1QC_CACHE_DIR`` names a directory, value
-  commands replay byte-identical results from it instead of recomputing;
-  entries written by another package version are not used.
+* if the environment variable ``P1QC_CACHE_DIR`` names a directory, the value
+  commands (``xd``, ``gw``, ``wgn``, ``table``, ``fgn``) replay
+  byte-identical results from it instead of recomputing; entries written by
+  another package version are not used.  The verification commands
+  (``verify``, ``psi-check``, ``toda-check``) always recompute and never
+  touch the cache.  The wall time on stderr includes the cache read.
+
+Each subcommand handler checks its arguments and returns either an exit code
+(usage error or budget refusal) or a :class:`_Plan`; :func:`main` runs every
+plan through :func:`_run`, the only place that reads and writes the cache,
+and is itself the only place that writes stdout and picks the exit code.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction as Frac
+from itertools import combinations_with_replacement
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .exactcore import ExactError, rational_to_json
@@ -87,18 +97,23 @@ class CommandResult:
         return json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
 
 
+class _Plan(NamedTuple):
+    """What a handler asks :func:`main` to run: the parameters echo, the
+    computation of ``(status, payload)``, and an optional text renderer of
+    the payload that replaces the JSON document on stdout."""
+
+    parameters: dict
+    compute: Callable[[], tuple[str, dict]]
+    render: Callable[[dict], str] | None = None
+
+
 def _effective(requested: int, budget: int | None) -> int:
     return requested if budget is None else min(requested, budget)
 
 
-def _usage_error(message: str) -> int:
+def _refuse(message: str, code: int = 2) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
-def _emit(result: CommandResult, text: str | None = None) -> None:
-    sys.stdout.write((text if text is not None else result.to_json()) + "\n")
-    print(f"wall-time: {result.wall_time:.3f}s", file=sys.stderr)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +171,23 @@ def _cache_store(path: str | None, result: CommandResult) -> None:
             os.unlink(tmp)
 
 
+def _run(command: str, plan: _Plan, replay: bool) -> CommandResult:
+    """Replay the plan's result from the cache when ``replay`` allows it,
+    otherwise compute it (and store it, for a replayable command); the wall
+    time covers the cache read as well."""
+    t0 = time.perf_counter()
+    path = _cache_path(command, plan.parameters) if replay else None
+    result = _cache_load(path)
+    if result is None:
+        result = CommandResult(command, plan.parameters, *plan.compute())
+        _cache_store(path, result)
+    result.wall_time = time.perf_counter() - t0
+    return result
+
+
 # ---------------------------------------------------------------------------
 # Formatting helpers
 # ---------------------------------------------------------------------------
-
-
-def _rational_function_json(f) -> dict:
-    return f.to_json()
 
 
 def _xd_csv(d: int, payload: dict) -> str:
@@ -187,332 +212,6 @@ def _xd_pretty(payload: dict) -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# Subcommand implementations (each returns the process exit code)
-# ---------------------------------------------------------------------------
-
-
-def cmd_xd(args, budget: int | None) -> int:
-    if args.d < 0:
-        return _usage_error("--d must be nonnegative")
-    parameters = {"d": args.d, "form": args.form, "budget_used": None}
-    cache = _cache_path("xd", parameters)
-    cached = _cache_load(cache)
-    t0 = time.perf_counter()
-    if cached is not None:
-        result = cached
-    else:
-        payload: dict = {"pretty": {}}
-        if args.form in ("partition", "both"):
-            f = x_partition(args.d)
-            payload["partition"] = _rational_function_json(f)
-            payload["pretty"]["partition"] = f.pretty("u")
-        if args.form in ("laguerre", "both"):
-            f = x_laguerre(args.d)
-            payload["laguerre"] = _rational_function_json(f)
-            payload["pretty"]["laguerre"] = f.pretty("u")
-        status = "value"
-        if args.form == "both":
-            equal = payload["partition"] == payload["laguerre"]
-            payload["equal"] = equal
-            status = "pass" if equal else "fail"
-        result = CommandResult("xd", parameters, status, payload)
-        _cache_store(cache, result)
-    result.wall_time = time.perf_counter() - t0
-    if args.format == "csv":
-        _emit(result, _xd_csv(args.d, result.payload))
-    elif args.format == "pretty":
-        _emit(result, _xd_pretty(result.payload))
-    else:
-        _emit(result)
-    return 0 if result.status in ("value", "pass") else 1
-
-
-def _suite_recursion(max_d: int) -> tuple[bool, str | None]:
-    for d in range(1, max_d + 1):
-        if not verify_xd_recursion(d):
-            return False, f"recursion, d={d}"
-    return True, None
-
-
-def _suite_ydzero(max_d: int) -> tuple[bool, str | None]:
-    for d in range(1, max_d + 1):
-        if not y_polynomial(d).is_zero():
-            return False, f"ydzero, d={d}"
-    return True, None
-
-
-def _suite_han(max_d: int) -> tuple[bool, str | None]:
-    for d in range(1, max_d + 1):
-        if not summation_corollary_check(d):
-            return False, f"summation corollary, d={d}"
-    for mu in partitions(min(max_d, 8)):
-        if not hook_refinement_check(mu):
-            return False, f"hook refinement, mu={list(mu)}"
-    return True, None
-
-
-def _suite_toda(max_d: int, order: int) -> tuple[bool, str | None]:
-    for d in range(max_d + 1):
-        for variant in ("full", "one-level"):
-            if not toda_quadratic_check(d, variant):
-                return False, f"quadratic, d={d}, variant={variant}"
-    if not toda_specialization_check(order, min(max_d, 4)):
-        return False, f"specialization, order={order}"
-    return True, None
-
-
-def _suite_theta(max_d: int, order: int) -> tuple[bool, str | None]:
-    for i in (1, 2):
-        for d in range(min(max_d, 4) + 1):
-            if not theta_expansion_check(i, d, order):
-                return False, f"pole primitive, i={i}, d={d}"
-    for g, n, d in _RESUMMATION_BLOCKS:
-        if not theta_resummation_check(g, n, d, min(order, 6)):
-            return False, f"resummation, block=({g},{n},{d})"
-    return True, None
-
-
-def _suite_ns(order: int) -> tuple[bool, str | None]:
-    for g, n in _NS_PAIRS:
-        if not ns_expansion_check(g, n, order):
-            return False, f"expansion, (g,n)=({g},{n})"
-    return True, None
-
-
-def _suite_qce(max_d: int) -> tuple[bool, str | None, dict]:
-    report = qce_verification(max_d)
-    links = {name: ok for name, ok in report.links}
-    return bool(report), report.first_failure, {"links": links}
-
-
-_SUITES = ("recursion", "ydzero", "han", "toda", "theta", "ns", "qce", "all")
-
-
-def cmd_verify(args, budget: int | None) -> int:
-    if args.suite not in _SUITES:
-        return _usage_error(f"unknown suite {args.suite!r}; choose from {', '.join(_SUITES)}")
-    defaults = {
-        "recursion": 20, "ydzero": 20, "han": 12, "toda": 8,
-        "theta": 4, "ns": 10, "qce": 10, "all": 0,
-    }
-    max_n = args.max if args.max is not None else defaults[args.suite]
-    if args.suite != "all":
-        max_n = _effective(max_n, budget)
-        if max_n < 1:
-            return _usage_error(f"--max {args.max} leaves suite {args.suite!r} with an empty range")
-    elif args.max is not None and args.max < 1:
-        return _usage_error(f"--max {args.max} leaves every suite with an empty range")
-
-    def run_one(name: str, n: int) -> tuple[bool, str | None, dict]:
-        if name == "recursion":
-            ok, witness = _suite_recursion(n)
-        elif name == "ydzero":
-            ok, witness = _suite_ydzero(n)
-        elif name == "han":
-            ok, witness = _suite_han(n)
-        elif name == "toda":
-            ok, witness = _suite_toda(n, _effective(8, budget))
-        elif name == "theta":
-            ok, witness = _suite_theta(n, _effective(12, budget))
-        elif name == "ns":
-            ok, witness = _suite_ns(n)
-        else:
-            return _suite_qce(n)
-        return ok, witness, {}
-
-    t0 = time.perf_counter()
-    if args.suite == "all":
-        # --max caps every sub-suite's default depth, exactly as --budget does.
-        caps = {name: _effective(_effective(defaults[name], budget), args.max)
-                for name in _SUITES[:-1]}
-        suites: dict[str, str] = {}
-        witness = None
-        extra: dict = {}
-        all_ok = True
-        for name in _SUITES[:-1]:
-            ok, w, info = run_one(name, caps[name])
-            suites[name] = "pass" if ok else "fail"
-            extra.update(info)
-            if not ok and all_ok:
-                all_ok = False
-                witness = f"{name}: {w}"
-        payload = {"suites": suites, **extra}
-        ok = all_ok
-        used = dict(caps)
-    else:
-        ok, witness, payload = run_one(args.suite, max_n)
-        used = {args.suite: max_n}
-    parameters = {"suite": args.suite, "max": args.max if args.suite == "all" else max_n,
-                  "budget_used": used}
-    if not ok:
-        payload = {**payload, "witness": witness}
-    result = CommandResult("verify", parameters, "pass" if ok else "fail", payload,
-                           time.perf_counter() - t0)
-    _emit(result)
-    return 0 if ok else 1
-
-
-def cmd_gw(args, budget: int | None) -> int:
-    try:
-        b = tuple(int(s) for s in args.b.split(",")) if args.b else ()
-    except ValueError:
-        return _usage_error(f"--b must be a comma-separated integer list, got {args.b!r}")
-    if args.g < 0 or args.d < 0 or args.n < 1:
-        return _usage_error("need --g >= 0, --n >= 1, --d >= 0")
-    if len(b) != args.n:
-        return _usage_error(f"--n {args.n} does not match {len(b)} exponents in --b")
-    if any(bi < -2 for bi in b):
-        return _usage_error("descendant exponents below -2 are not defined")
-    required = sum(max(bi, 0) for bi in b) + args.n
-    if budget is not None and required > budget:
-        print(f"error: order budget exceeded; this invariant requires expansion "
-              f"order {required}", file=sys.stderr)
-        return 1
-    parameters = {"g": args.g, "n": args.n, "d": args.d, "b": list(b),
-                  "budget_used": required}
-    cache = _cache_path("gw", parameters)
-    cached = _cache_load(cache)
-    t0 = time.perf_counter()
-    if cached is not None:
-        result = cached
-    else:
-        value, reason = stationary_invariant(args.g, args.n, args.d, b, explain=True)
-        payload = {"value": rational_to_json(value)}
-        if reason is not None:
-            payload["warning"] = reason
-        result = CommandResult("gw", parameters, "value", payload)
-        _cache_store(cache, result)
-    result.wall_time = time.perf_counter() - t0
-    _emit(result)
-    return 0
-
-
-def cmd_wgn(args, budget: int | None) -> int:
-    if args.g < 0 or args.n < 1:
-        return _usage_error("need --g >= 0 and --n >= 1")
-    if 2 * args.g - 2 + args.n <= 0:
-        return _usage_error("the recursion output is defined on the stable range "
-                            "2g-2+n > 0; the unstable forms have their own closed shapes")
-    complexity = 2 * args.g - 2 + args.n
-    if complexity > WGN_BOUND:
-        print(f"error: complexity 2g-2+n = {complexity} exceeds the configured "
-              f"bound {WGN_BOUND}", file=sys.stderr)
-        return 1
-    order = _effective(args.order, budget)
-    if order < 1:
-        return _usage_error("--order must be at least 1 after budget capping")
-    parameters = {"g": args.g, "n": args.n, "emit": args.emit, "order": order,
-                  "budget_used": order}
-    cache = _cache_path("wgn", parameters)
-    cached = _cache_load(cache)
-    t0 = time.perf_counter()
-    if cached is not None:
-        result = cached
-    else:
-        form = toprec_wgn(args.g, args.n)
-        if args.emit == "form":
-            terms = sorted(
-                (
-                    [[rational_to_json(a), j] for a, j in key],
-                    rational_to_json(c),
-                )
-                for key, c in form.terms.items()
-            )
-            sample = [Frac(k + 2) for k in range(args.n)]
-            payload = {
-                "terms": [{"poles": poles, "coeff": c} for poles, c in terms],
-                "pole_orders": list(form.pole_orders()),
-                "sample": {
-                    "points": [rational_to_json(p) for p in sample],
-                    "value": rational_to_json(form.evaluate(sample)),
-                },
-            }
-        else:
-            payload = {"expansion": _wgn_x_series(form, order).to_json()}
-        result = CommandResult("wgn", parameters, "value", payload)
-        _cache_store(cache, result)
-    result.wall_time = time.perf_counter() - t0
-    _emit(result)
-    return 0
-
-
-def _parse_range(text: str) -> tuple[int, int] | None:
-    try:
-        lo, hi = text.split("..")
-        lo_i, hi_i = int(lo), int(hi)
-    except ValueError:
-        return None
-    if lo_i > hi_i or lo_i < 0:
-        return None
-    return lo_i, hi_i
-
-
-def cmd_table(args, budget: int | None) -> int:
-    parsed = _parse_range(args.range)
-    if parsed is None:
-        return _usage_error(f"--range must look like A..B with 0 <= A <= B, got {args.range!r}")
-    lo, hi = parsed
-    parameters = {"what": args.what, "range": [lo, hi], "budget_used": None}
-    cache = _cache_path("table", parameters)
-    cached = _cache_load(cache)
-    t0 = time.perf_counter()
-    if cached is not None:
-        result = cached
-    else:
-        rows: list = []
-        if args.what == "smatrix":
-            for k in range(lo, hi + 1):
-                m = s_matrix(k)
-                rows.append({
-                    "k": k,
-                    "entries": [[rational_to_json(m.entry(r, c)) for c in (1, 2)]
-                                for r in (1, 2)],
-                })
-        elif args.what == "xd":
-            for d in range(lo, hi + 1):
-                rows.append({"d": d, "x": x_partition(d).to_json()})
-        else:  # invariants
-            for d in range(lo, hi + 1):
-                for g in range(0, 3):
-                    for n in range(1, 4):
-                        total = 2 * g - 2 + 2 * d
-                        if total < 0:
-                            continue
-                        seen = set()
-                        for b in _sorted_tuples(total, n):
-                            if b in seen:
-                                continue
-                            seen.add(b)
-                            value = stationary_invariant(g, n, d, b)
-                            if value:
-                                rows.append({
-                                    "g": g, "n": n, "d": d, "b": list(b),
-                                    "value": rational_to_json(value),
-                                })
-        result = CommandResult("table", parameters, "value", {"rows": rows})
-        _cache_store(cache, result)
-    result.wall_time = time.perf_counter() - t0
-    if args.format == "csv":
-        _emit(result, _table_csv(args.what, result.payload["rows"]))
-    else:
-        _emit(result)
-    return 0
-
-
-def _sorted_tuples(total: int, n: int):
-    """Weakly increasing nonnegative tuples of length n with the given sum."""
-    def rec(rem: int, k: int, floor: int):
-        if k == 1:
-            if rem >= floor:
-                yield (rem,)
-            return
-        for first in range(floor, rem // k + 1):
-            for rest in rec(rem - first, k - 1, first):
-                yield (first,) + rest
-    yield from rec(total, n, 0)
-
-
 def _table_csv(what: str, rows: list) -> str:
     if what == "smatrix":
         lines = ["k,r,c,value"]
@@ -535,94 +234,337 @@ def _table_csv(what: str, rows: list) -> str:
     return "\n".join(lines)
 
 
-def cmd_fgn(args, budget: int | None) -> int:
-    if args.g < 0 or args.n < 1:
-        return _usage_error("need --g >= 0 and --n >= 1")
-    if 2 * args.g - 2 + args.n <= 0:
-        return _usage_error("primitives exist on the stable range 2g-2+n > 0")
-    complexity = 2 * args.g - 2 + args.n
-    if complexity > WGN_BOUND:
-        print(f"error: complexity 2g-2+n = {complexity} exceeds the configured "
-              f"bound {WGN_BOUND}", file=sys.stderr)
-        return 1
-    order = _effective(args.order, budget)
-    if order < 1:
-        return _usage_error("--order must be at least 1 after budget capping")
-    parameters = {"g": args.g, "n": args.n, "order": order, "budget_used": order}
-    cache = _cache_path("fgn", parameters)
-    cached = _cache_load(cache)
-    t0 = time.perf_counter()
-    if cached is not None:
-        result = cached
-    else:
-        series = fgn_x_expansion(args.g, args.n, order)
-        result = CommandResult("fgn", parameters, "value", {"expansion": series.to_json()})
-        _cache_store(cache, result)
-    result.wall_time = time.perf_counter() - t0
-    _emit(result)
-    return 0
+# ---------------------------------------------------------------------------
+# Verification suites: each takes its depth and the global budget and returns
+# the witness of its first failure (None when it passes) and extra payload
+# ---------------------------------------------------------------------------
 
 
-def cmd_psi_check(args, budget: int | None) -> int:
-    d_max = _effective(args.dmax, budget)
-    order = _effective(args.order, budget)
-    if d_max < 1 or order < 1:
-        return _usage_error("--dmax and --order must stay positive after budget capping")
-    t0 = time.perf_counter()
-    report = qce_verification(d_max)
-    links = {name: ok for name, ok in report.links}
-    semi = semiclassical_check()
-    blocks = {}
+def _suite_recursion(max_d: int, budget: int | None) -> tuple[str | None, dict]:
+    for d in range(1, max_d + 1):
+        if not verify_xd_recursion(d):
+            return f"recursion, d={d}", {}
+    return None, {}
+
+
+def _suite_ydzero(max_d: int, budget: int | None) -> tuple[str | None, dict]:
+    for d in range(1, max_d + 1):
+        if not y_polynomial(d).is_zero():
+            return f"ydzero, d={d}", {}
+    return None, {}
+
+
+def _suite_han(max_d: int, budget: int | None) -> tuple[str | None, dict]:
+    for d in range(1, max_d + 1):
+        if not summation_corollary_check(d):
+            return f"summation corollary, d={d}", {}
+    for mu in partitions(min(max_d, 8)):
+        if not hook_refinement_check(mu):
+            return f"hook refinement, mu={list(mu)}", {}
+    return None, {}
+
+
+def _quadratic_witness(d_max: int) -> str | None:
+    """The first quadratic lattice relation that fails for d <= d_max."""
+    for d in range(d_max + 1):
+        for variant in ("full", "one-level"):
+            if not toda_quadratic_check(d, variant):
+                return f"quadratic, d={d}, variant={variant}"
+    return None
+
+
+def _suite_toda(max_d: int, budget: int | None) -> tuple[str | None, dict]:
+    witness = _quadratic_witness(max_d)
+    order = _effective(8, budget)
+    if witness is None and not toda_specialization_check(order, min(max_d, 4)):
+        witness = f"specialization, order={order}"
+    return witness, {}
+
+
+def _suite_theta(max_d: int, budget: int | None) -> tuple[str | None, dict]:
+    order = _effective(12, budget)
+    for i in (1, 2):
+        for d in range(min(max_d, 4) + 1):
+            if not theta_expansion_check(i, d, order):
+                return f"pole primitive, i={i}, d={d}", {}
     for g, n, d in _RESUMMATION_BLOCKS:
-        blocks[f"({g},{n},{d})"] = theta_resummation_check(g, n, d, min(order, 6))
-    ok = bool(report) and semi and all(blocks.values())
-    payload: dict = {
-        "links": links,
-        "semiclassical": semi,
-        "resummation": blocks,
-    }
-    if not ok:
-        witness = report.first_failure or (
-            "semiclassical" if not semi else
-            next(k for k, v in blocks.items() if not v)
-        )
-        payload["witness"] = witness
-    parameters = {"dmax": d_max, "order": order, "budget_used": {"dmax": d_max, "order": order}}
-    result = CommandResult("psi-check", parameters, "pass" if ok else "fail",
-                           payload, time.perf_counter() - t0)
-    _emit(result)
-    return 0 if ok else 1
+        if not theta_resummation_check(g, n, d, min(order, 6)):
+            return f"resummation, block=({g},{n},{d})", {}
+    return None, {}
 
 
-def cmd_toda_check(args, budget: int | None) -> int:
-    order = _effective(args.order, budget)
-    d_max = _effective(args.dmax, budget)
-    if order < 2 or d_max < 0:
-        return _usage_error("--order must be >= 2 and --dmax >= 0 after budget capping")
-    t0 = time.perf_counter()
-    ok = toda_specialization_check(order, d_max)
-    payload: dict = {"order": order, "d_max": d_max}
-    if not ok:
-        # isolate the failing part for the witness
-        witness = None
-        for d in range(d_max + 1):
-            for variant in ("full", "one-level"):
-                if not toda_quadratic_check(d, variant):
-                    witness = f"quadratic, d={d}, variant={variant}"
-                    break
-            if witness:
-                break
-        payload["witness"] = witness or "telescoping/kernel identity"
-    parameters = {"order": order, "dmax": d_max,
-                  "budget_used": {"order": order, "dmax": d_max}}
-    result = CommandResult("toda-check", parameters, "pass" if ok else "fail",
-                           payload, time.perf_counter() - t0)
-    _emit(result)
-    return 0 if ok else 1
+def _suite_ns(order: int, budget: int | None) -> tuple[str | None, dict]:
+    for g, n in _NS_PAIRS:
+        if not ns_expansion_check(g, n, order):
+            return f"expansion, (g,n)=({g},{n})", {}
+    return None, {}
+
+
+def _suite_qce(max_d: int, budget: int | None) -> tuple[str | None, dict]:
+    report = qce_verification(max_d)
+    links = {name: ok for name, ok in report.links}
+    return (None if report else report.first_failure), {"links": links}
+
+
+# name -> (default depth, runner); "all" runs every suite in this order
+_SUITES = {
+    "recursion": (20, _suite_recursion),
+    "ydzero": (20, _suite_ydzero),
+    "han": (12, _suite_han),
+    "toda": (8, _suite_toda),
+    "theta": (4, _suite_theta),
+    "ns": (10, _suite_ns),
+    "qce": (10, _suite_qce),
+}
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Subcommand handlers: each returns an exit code or a _Plan
+# ---------------------------------------------------------------------------
+
+
+def cmd_xd(args, budget: int | None) -> int | _Plan:
+    if args.d < 0:
+        return _refuse("--d must be nonnegative")
+
+    def compute() -> tuple[str, dict]:
+        payload: dict = {"pretty": {}}
+        for name, build in (("partition", x_partition), ("laguerre", x_laguerre)):
+            if args.form in (name, "both"):
+                f = build(args.d)
+                payload[name] = f.to_json()
+                payload["pretty"][name] = f.pretty("u")
+        if args.form != "both":
+            return "value", payload
+        payload["equal"] = payload["partition"] == payload["laguerre"]
+        return ("pass" if payload["equal"] else "fail"), payload
+
+    renderers = {"csv": lambda payload: _xd_csv(args.d, payload), "pretty": _xd_pretty}
+    return _Plan({"d": args.d, "form": args.form, "budget_used": None}, compute,
+                 renderers.get(args.format))
+
+
+def cmd_verify(args, budget: int | None) -> int | _Plan:
+    if args.suite == "all":
+        if args.max is not None and args.max < 1:
+            return _refuse(f"--max {args.max} leaves every suite with an empty range")
+        # --max caps every suite's default depth, exactly as --budget does.
+        depths = {name: _effective(_effective(default, budget), args.max)
+                  for name, (default, _) in _SUITES.items()}
+        max_echo = args.max
+    elif args.suite in _SUITES:
+        max_echo = _effective(args.max if args.max is not None else _SUITES[args.suite][0],
+                              budget)
+        if max_echo < 1:
+            return _refuse(f"--max {args.max} leaves suite {args.suite!r} with an empty range")
+        depths = {args.suite: max_echo}
+    else:
+        return _refuse(f"unknown suite {args.suite!r}; "
+                       f"choose from {', '.join(_SUITES)}, all")
+
+    def compute() -> tuple[str, dict]:
+        payload: dict = {}
+        suites: dict[str, str] = {}
+        witnesses = []
+        for name, depth in depths.items():
+            witness, extra = _SUITES[name][1](depth, budget)
+            payload.update(extra)
+            suites[name] = "pass" if witness is None else "fail"
+            if witness is not None:
+                witnesses.append(f"{name}: {witness}" if args.suite == "all" else witness)
+        if args.suite == "all":
+            payload["suites"] = suites
+        if witnesses:
+            payload["witness"] = witnesses[0]
+        return ("fail" if witnesses else "pass"), payload
+
+    return _Plan({"suite": args.suite, "max": max_echo, "budget_used": depths}, compute)
+
+
+def cmd_gw(args, budget: int | None) -> int | _Plan:
+    try:
+        b = tuple(int(s) for s in args.b.split(",")) if args.b else ()
+    except ValueError:
+        return _refuse(f"--b must be a comma-separated integer list, got {args.b!r}")
+    if args.g < 0 or args.d < 0 or args.n < 1:
+        return _refuse("need --g >= 0, --n >= 1, --d >= 0")
+    if len(b) != args.n:
+        return _refuse(f"--n {args.n} does not match {len(b)} exponents in --b")
+    if any(bi < -2 for bi in b):
+        return _refuse("descendant exponents below -2 are not defined")
+    required = sum(max(bi, 0) for bi in b) + args.n
+    if budget is not None and required > budget:
+        return _refuse("order budget exceeded; this invariant requires expansion "
+                       f"order {required}", 1)
+
+    def compute() -> tuple[str, dict]:
+        value, reason = stationary_invariant(args.g, args.n, args.d, b, explain=True)
+        payload = {"value": rational_to_json(value)}
+        if reason is not None:
+            payload["warning"] = reason
+        return "value", payload
+
+    return _Plan({"g": args.g, "n": args.n, "d": args.d, "b": list(b),
+                  "budget_used": required}, compute)
+
+
+def _refuse_pair(args, order: int, unstable: str) -> int | None:
+    """The exit code refusing ``(--g, --n)`` outside the stable range or
+    above ``WGN_BOUND``, or a capped ``--order`` below 1; None when all hold."""
+    if args.g < 0 or args.n < 1:
+        return _refuse("need --g >= 0 and --n >= 1")
+    complexity = 2 * args.g - 2 + args.n
+    if complexity <= 0:
+        return _refuse(unstable)
+    if complexity > WGN_BOUND:
+        return _refuse(f"complexity 2g-2+n = {complexity} exceeds the configured "
+                       f"bound {WGN_BOUND}", 1)
+    if order < 1:
+        return _refuse("--order must be at least 1 after budget capping")
+    return None
+
+
+def cmd_wgn(args, budget: int | None) -> int | _Plan:
+    order = _effective(args.order, budget)
+    refused = _refuse_pair(args, order, "the recursion output is defined on the stable "
+                           "range 2g-2+n > 0; the unstable forms have their own closed shapes")
+    if refused is not None:
+        return refused
+
+    def compute() -> tuple[str, dict]:
+        form = toprec_wgn(args.g, args.n)
+        if args.emit == "expansion":
+            return "value", {"expansion": _wgn_x_series(form, order).to_json()}
+        terms = sorted(
+            ([[rational_to_json(a), j] for a, j in key], rational_to_json(c))
+            for key, c in form.terms.items()
+        )
+        sample = [Frac(k + 2) for k in range(args.n)]
+        return "value", {
+            "terms": [{"poles": poles, "coeff": c} for poles, c in terms],
+            "pole_orders": list(form.pole_orders()),
+            "sample": {
+                "points": [rational_to_json(p) for p in sample],
+                "value": rational_to_json(form.evaluate(sample)),
+            },
+        }
+
+    return _Plan({"g": args.g, "n": args.n, "emit": args.emit, "order": order,
+                  "budget_used": order}, compute)
+
+
+def _parse_range(text: str) -> tuple[int, int] | None:
+    try:
+        lo, hi = text.split("..")
+        lo_i, hi_i = int(lo), int(hi)
+    except ValueError:
+        return None
+    if lo_i > hi_i or lo_i < 0:
+        return None
+    return lo_i, hi_i
+
+
+def _table_rows(what: str, lo: int, hi: int) -> list:
+    rows: list = []
+    if what == "smatrix":
+        for k in range(lo, hi + 1):
+            m = s_matrix(k)
+            rows.append({
+                "k": k,
+                "entries": [[rational_to_json(m.entry(r, c)) for c in (1, 2)] for r in (1, 2)],
+            })
+        return rows
+    if what == "xd":
+        return [{"d": d, "x": x_partition(d).to_json()} for d in range(lo, hi + 1)]
+    for d in range(lo, hi + 1):
+        for g in range(0, 3):
+            for n in range(1, 4):
+                total = 2 * g - 2 + 2 * d
+                # weakly increasing nonnegative b in lexicographic order; the
+                # range is empty when total < 0
+                for b in combinations_with_replacement(range(total + 1), n):
+                    if sum(b) != total:
+                        continue
+                    value = stationary_invariant(g, n, d, b)
+                    if value:
+                        rows.append({"g": g, "n": n, "d": d, "b": list(b),
+                                     "value": rational_to_json(value)})
+    return rows
+
+
+def cmd_table(args, budget: int | None) -> int | _Plan:
+    parsed = _parse_range(args.range)
+    if parsed is None:
+        return _refuse(f"--range must look like A..B with 0 <= A <= B, got {args.range!r}")
+    lo, hi = parsed
+
+    def render(payload: dict) -> str:
+        return _table_csv(args.what, payload["rows"])
+
+    return _Plan({"what": args.what, "range": [lo, hi], "budget_used": None},
+                 lambda: ("value", {"rows": _table_rows(args.what, lo, hi)}),
+                 render if args.format == "csv" else None)
+
+
+def cmd_fgn(args, budget: int | None) -> int | _Plan:
+    order = _effective(args.order, budget)
+    refused = _refuse_pair(args, order, "primitives exist on the stable range 2g-2+n > 0")
+    if refused is not None:
+        return refused
+
+    def compute() -> tuple[str, dict]:
+        return "value", {"expansion": fgn_x_expansion(args.g, args.n, order).to_json()}
+
+    return _Plan({"g": args.g, "n": args.n, "order": order, "budget_used": order}, compute)
+
+
+def cmd_psi_check(args, budget: int | None) -> int | _Plan:
+    d_max = _effective(args.dmax, budget)
+    order = _effective(args.order, budget)
+    if d_max < 1 or order < 1:
+        return _refuse("--dmax and --order must stay positive after budget capping")
+
+    def compute() -> tuple[str, dict]:
+        report = qce_verification(d_max)
+        semi = semiclassical_check()
+        blocks = {f"({g},{n},{d})": theta_resummation_check(g, n, d, min(order, 6))
+                  for g, n, d in _RESUMMATION_BLOCKS}
+        payload: dict = {
+            "links": {name: ok for name, ok in report.links},
+            "semiclassical": semi,
+            "resummation": blocks,
+        }
+        if bool(report) and semi and all(blocks.values()):
+            return "pass", payload
+        payload["witness"] = report.first_failure or (
+            "semiclassical" if not semi else next(k for k, v in blocks.items() if not v)
+        )
+        return "fail", payload
+
+    return _Plan({"dmax": d_max, "order": order,
+                  "budget_used": {"dmax": d_max, "order": order}}, compute)
+
+
+def cmd_toda_check(args, budget: int | None) -> int | _Plan:
+    order = _effective(args.order, budget)
+    d_max = _effective(args.dmax, budget)
+    if order < 2 or d_max < 0:
+        return _refuse("--order must be >= 2 and --dmax >= 0 after budget capping")
+
+    def compute() -> tuple[str, dict]:
+        payload: dict = {"order": order, "d_max": d_max}
+        if toda_specialization_check(order, d_max):
+            return "pass", payload
+        # isolate the failing part for the witness
+        payload["witness"] = _quadratic_witness(d_max) or "telescoping/kernel identity"
+        return "fail", payload
+
+    return _Plan({"order": order, "dmax": d_max,
+                  "budget_used": {"order": order, "dmax": d_max}}, compute)
+
+
+# ---------------------------------------------------------------------------
+# Parser and entry point
 # ---------------------------------------------------------------------------
 
 
@@ -679,15 +621,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH = {
-    "xd": cmd_xd,
-    "verify": cmd_verify,
-    "gw": cmd_gw,
-    "wgn": cmd_wgn,
-    "table": cmd_table,
-    "fgn": cmd_fgn,
-    "psi-check": cmd_psi_check,
-    "toda-check": cmd_toda_check,
+# subcommand -> (handler, whether its result replays from the cache)
+_COMMANDS = {
+    "xd": (cmd_xd, True),
+    "verify": (cmd_verify, False),
+    "gw": (cmd_gw, True),
+    "wgn": (cmd_wgn, True),
+    "table": (cmd_table, True),
+    "fgn": (cmd_fgn, True),
+    "psi-check": (cmd_psi_check, False),
+    "toda-check": (cmd_toda_check, False),
 }
 
 
@@ -698,12 +641,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.budget is not None and args.budget < 1:
-        return _usage_error("--budget must be a positive integer")
+        return _refuse("--budget must be a positive integer")
+    handler, replay = _COMMANDS[args.subcommand]
     try:
-        return _DISPATCH[args.subcommand](args, args.budget)
+        plan = handler(args, args.budget)
+        if isinstance(plan, int):
+            return plan
+        result = _run(args.subcommand, plan, replay)
     except ExactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refuse(str(exc))
+    text = plan.render(result.payload) if plan.render else result.to_json()
+    sys.stdout.write(text + "\n")
+    print(f"wall-time: {result.wall_time:.3f}s", file=sys.stderr)
+    return 0 if result.status in ("value", "pass") else 1
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ __all__ = [
     "Partition",
     "is_partition",
     "partitions",
-    "enumerate_partitions",
     "padded",
     "conjugate",
     "hook_lengths",
@@ -29,7 +28,6 @@ __all__ = [
     "dimension",
     "boxes_removed",
     "boxes_added",
-    "remove_corners",
     "offset_product",
     "hook_refinement_check",
     "offset_difference_check",
@@ -190,8 +188,3 @@ def summation_corollary_check(d: int) -> bool:
     if not offset_difference_check(d):
         return False
     return all(hook_refinement_check(mu) for mu in partitions(d))
-
-
-# Aliases matching the surface used by the command-line layer.
-enumerate_partitions = partitions
-remove_corners = boxes_removed

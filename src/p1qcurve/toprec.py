@@ -3,11 +3,12 @@
 Stable correlation forms W_{g,n} are finite sums of tensor products of
 single-pole differentials dz/(z -a)^j with a = +-1 and j >= 2; the recursion
 residues are evaluated by exact local Laurent expansion at the two branch
-points.  The branch constant log(-1) is tracked formally and must cancel in
-the kernel gap y(1/z) - y(z) (it does, exactly: log(1/z) and -log z differ by
-twice the branch constant at z = -1).  That cancellation is asserted once, in
-_loc_log_gap, where the constant is introduced; every later product is a
-plain rational series that cannot carry it.
+points.  The branch constant log(-1) cancels in the kernel gap
+y(1/z) - y(z): log(1/z) and -log z differ by twice the branch constant at
+z = -1.  So _loc_log_gap is the closed form -2 log(1 +- t), and every local
+series of the engine is a plain rational series.  tests/test_toprec.py
+checks that closed form against the LocalExpr route, which carries the
+constant formally.
 
 The module also provides the pole-primitive family theta/eta with its
 x-expansion checks against the closed-form transition-matrix entries, the
@@ -30,9 +31,7 @@ from itertools import combinations, permutations, product
 from typing import Mapping, Sequence
 
 from .exactcore import (
-    BranchLogError,
     ExactError,
-    FormalLaurent,
     MultiSeries,
     Polynomial,
     RationalFunction,
@@ -258,31 +257,17 @@ def _loc_jacobian(a: Frac, order: int) -> TruncatedSeries:
 
 @cache
 def _loc_log_gap(a: Frac, order: int) -> TruncatedSeries:
-    """y(1/z) - y(z) as a local series at z = a + t.
+    """y(1/z) - y(z) as a local series at z = a + t: -2 log(1+t) at a = 1
+    and -2 log(1-t) at a = -1.
 
-    Both logarithms carry the same branch constant at a = -1, so the gap is
-    branch-free: it equals -2 log(1+t) at a = 1 and -2 log(1-t) at a = -1.
-    The cancellation is performed with the constant tracked formally and
-    asserted, not assumed.  This is the only place the branch constant enters
-    the engine; everything downstream is a plain rational series.
+    At a = -1, log z = L + log(1-t) and log(1/z) = -log z + 2L (adjacent
+    branch sheets) carry the branch constant L, which cancels in the gap.
     """
-    # log z  =  [L if a = -1 else 0] + log(1 -+ t)-series
     sign = 1 if a == 1 else -1
-    base = TruncatedSeries.from_function(
-        "t", lambda k: Frac((-1) ** (k + 1) * sign**k, k), 1, order
+    # -2 log(1 + sign t) = sum_k -2 (-1)^(k+1) sign^k t^k / k
+    return TruncatedSeries.from_function(
+        "t", lambda k: Frac(-2 * (-1) ** (k + 1) * sign**k, k), 1, order
     )
-    log_z = FormalLaurent.from_series(base)
-    if a == -1:
-        log_z = log_z + FormalLaurent.constant_L(order)
-    # log(1/z) = -log z + 2L at a = -1 (adjacent branch sheets), -log z at a = 1
-    log_z_inv = -log_z
-    if a == -1:
-        two_l = FormalLaurent.constant_L(order) + FormalLaurent.constant_L(order)
-        log_z_inv = log_z_inv + two_l
-    gap = log_z_inv - log_z
-    if not gap.is_branch_free():
-        raise BranchLogError("branch constant failed to cancel in the recursion kernel")
-    return gap.to_series("t")
 
 
 @cache
@@ -404,8 +389,8 @@ def toprec_wgn(g: int, n: int) -> CorrelationForm:
     """The stable correlation form W_{g,n} from the residue recursion.
 
     Residues at both branch points are computed by exact local expansion.
-    The formal branch constant is asserted to cancel once, in the kernel gap
-    (_loc_log_gap); all later local series are branch-free by construction.
+    The branch constant cancels in the kernel gap (_loc_log_gap), so every
+    local series is branch-free.
     """
     if not _stable(g, n):
         raise ExactError("toprec_wgn is defined on the stable range 2g-2+n > 0")
@@ -1091,8 +1076,8 @@ def s0_s1_closed_forms(order: int = 12) -> bool:
     # ---- part (d1'): the series form of the one-point closed form
     zs = _catalan_branch(order + 2)
     one_s = TruncatedSeries.constant("w", 1, zs.order)
-    log_part = series_log(one_s + zs * zs)
-    closed_one = (-2 * zs).truncate(order) + log_part.shift_exponent(-1).truncate(order)
+    log_one_plus = series_log(one_s + zs * zs)  # log(1 + z^2)
+    closed_one = (-2 * zs).truncate(order) + log_one_plus.shift_exponent(-1).truncate(order)
     series_one = TruncatedSeries.zero("w", order)
     d = 1
     while 2 * d - 1 <= order:
@@ -1106,15 +1091,16 @@ def s0_s1_closed_forms(order: int = 12) -> bool:
 
     # ---- part (d2): two-point assembly at coincident points vs closed form
     # sum over unit-dressed pairs equals -log(1-z^2) + log(1+z^2)
-    assembled = TruncatedSeries.zero("w", order)
     # mixed unit/fiber terms: 2 * (-1/2) * (-(2d-1)!) <unit, tau_{2d-1}>
+    cross = TruncatedSeries.zero("w", order)
     d = 1
     while 2 * d <= order:
         u = unit_insertions(0, 1, 1, d, (2 * d - 1,))
-        assembled = assembled + TruncatedSeries.monomial(
+        cross = cross + TruncatedSeries.monomial(
             "w", 2 * d, math.factorial(2 * d - 1) * u, order
         )
         d += 1
+    assembled = cross
     # pure fiber terms: b1! b2! <tau_b1 tau_b2> at the dimension-pinned degree
     for b1 in range(0, order):
         for b2 in range(b1, order):
@@ -1128,22 +1114,12 @@ def s0_s1_closed_forms(order: int = 12) -> bool:
             assembled = assembled + TruncatedSeries.monomial(
                 "w", b1 + b2 + 2, coeff, order
             )
-    closed_two = series_log(one_s + zs * zs).truncate(order) - series_log(
-        one_s - zs * zs
-    ).truncate(order)
+    closed_two = log_one_plus.truncate(order) - series_log(one_s - zs * zs).truncate(order)
     if assembled != closed_two:
         return False
 
-    # ---- part (d3): the cross-series alone matches log(1+z^2)
-    cross = TruncatedSeries.zero("w", order)
-    d = 1
-    while 2 * d <= order:
-        u = unit_insertions(0, 1, 1, d, (2 * d - 1,))
-        cross = cross + TruncatedSeries.monomial(
-            "w", 2 * d, math.factorial(2 * d - 1) * u, order
-        )
-        d += 1
-    if cross != series_log(one_s + zs * zs).truncate(order):
+    # ---- part (d3): the mixed unit/fiber series alone matches log(1+z^2)
+    if cross != log_one_plus.truncate(order):
         return False
 
     # ---- part (e): the unstable two-point primitive

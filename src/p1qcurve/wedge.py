@@ -288,8 +288,7 @@ def _exponents(b) -> tuple[int, ...]:
     return b
 
 
-@cache
-def connected_coefficient(d: int, b: tuple[int, ...]) -> Frac:
+def connected_coefficient(d: int, b) -> Frac:
     """Single connected invariant, valid for any number of points: the
     coefficient of q^d prod_j y_j^{m_j}/m_j! in the log of the source-deformed
     vacuum sum
@@ -319,10 +318,19 @@ def connected_coefficient(d: int, b: tuple[int, ...]) -> Frac:
 
     tests/test_wedge.py keeps the multivariate-series logarithm of M as the
     oracle `_log_route_coefficient`.
+
+    The exponents are checked on every call, before the memo table is read:
+    the table compares keys by value, so 1.0 or True would find the entry
+    of 1.
     """
     if d < 0:
         raise ExactError("degree must be nonnegative")
-    b = tuple(sorted(_exponents(b)))
+    return _connected_coefficient(d, tuple(sorted(_exponents(b))))
+
+
+@cache
+def _connected_coefficient(d: int, b: tuple[int, ...]) -> Frac:
+    """connected_coefficient on checked, sorted exponents."""
     if not b:
         return Frac(1) if d == 1 else Frac(0)
     if d == 0:

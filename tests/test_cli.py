@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line front end: wiring, output canon,
 exit codes, budget capping, and the replay cache."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -404,6 +407,36 @@ def test_concurrent_stores_of_one_entry(capsys, tmp_path, monkeypatch):
     assert "invalid cache entry" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "recursion", "--max", "3"),
+    ("verify", "--suite", "all", "--max", "1"),
+    ("psi-check", "--dmax", "2", "--order", "4"),
+    ("toda-check", "--order", "4", "--dmax", "2"),
+])
+def test_verification_commands_never_touch_the_cache(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("P1QC_CACHE_DIR", str(tmp_path))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert list(tmp_path.iterdir()) == []
+    # an entry under the name the run would key it by is not replayed either
+    doc = json.loads(out)
+    entry = tmp_path / cli._cache_name(doc["command"], doc["parameters"])
+    entry.write_text(json.dumps({**doc, "status": "fail"}))
+    assert run(capsys, *argv)[:2] == (code, out)
+
+
+def test_module_entry_point_matches_in_process_main(capsys):
+    src = str(Path(p1qcurve.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "P1QC_CACHE_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-m", "p1qcurve.cli", "xd", "--d", "2"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "wall-time" in proc.stderr
+    code, out, _ = run(capsys, "xd", "--d", "2")
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
 def test_bad_budget_is_usage_error(capsys):
     code, _, err = run(capsys, "--budget", "0", "xd", "--d", "1")
     assert code == 2
@@ -413,3 +446,161 @@ def test_unknown_flag_exits_two(capsys):
     code = main(["xd", "--d", "1", "--frobnicate"])
     capsys.readouterr()
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# Frozen stdout and exit codes
+# ---------------------------------------------------------------------------
+
+
+def _failing_qce(d_max, *args):
+    links = (("recursion", True), ("conjugation", False), ("degree-graded", True))
+    return p1qcurve.QceReport(d_max, links, "conjugation")
+
+
+# Faults injected into the names cli calls, so that failing verdicts and their
+# witnesses are pinned as well as passing ones.
+_FAULTS = {
+    "recursion": {"verify_xd_recursion": lambda d: d != 1},
+    "specialization": {"toda_specialization_check": lambda order, d_max: False},
+    "quadratic": {"toda_specialization_check": lambda order, d_max: False,
+                  "toda_quadratic_check": lambda d, variant: (d, variant) != (1, "one-level")},
+    "semiclassical": {"semiclassical_check": lambda: False},
+    "qce": {"qce_verification": _failing_qce},
+    "recursion-and-qce": {"verify_xd_recursion": lambda d: d != 1,
+                          "qce_verification": _failing_qce},
+    "laguerre": {"x_laguerre": lambda d: cli.x_partition(d + 1)},
+}
+
+# (argv, fault, sha256 of the exit code and stdout); see _golden_digest
+_GOLDEN = [
+    ("xd --d 3", None, "5551cb01caead67a"),
+    ("xd --d 3 --format csv", None, "5e72551061b29ba5"),
+    ("xd --d 3 --format pretty", None, "4e639259648d323a"),
+    ("xd --d 0 --format pretty", None, "4d9d60952d0f11de"),
+    ("xd --d 3 --form laguerre", None, "f53d05fba3971f07"),
+    ("xd --d 3 --form laguerre --format pretty", None, "b6d059c34999c695"),
+    ("xd --d 3 --form both", None, "f91e5376475d118f"),
+    ("xd --d 3 --form both --format csv", None, "f20cac5415155e9d"),
+    ("xd --d 3 --form both --format pretty", None, "24a5c8ff5d6f3edc"),
+    ("xd --d 3 --form both", "laguerre", "5bbf58a8c4aca972"),
+    ("xd --d 3 --form both --format csv", "laguerre", "9afb32bb47e71995"),
+    ("--budget 2 xd --d 3", None, "5551cb01caead67a"),
+    ("xd --d -1", None, "53c234e5e8472b6a"),
+    ("xd --d 1 --format yaml", None, "53c234e5e8472b6a"),
+    ("xd --d 1 --frobnicate", None, "53c234e5e8472b6a"),
+    ("--budget 0 xd --d 1", None, "53c234e5e8472b6a"),
+    ("nosuch", None, "53c234e5e8472b6a"),
+    ("verify --suite recursion --max 3", None, "c66ffc43f865007f"),
+    ("verify --suite ydzero --max 3", None, "b2d1030b2a4356d7"),
+    ("verify --suite han --max 3", None, "70b68d628079504f"),
+    ("verify --suite toda --max 3", None, "f87ad9d96a377fdc"),
+    ("verify --suite theta --max 1", None, "8bcad890993cc509"),
+    ("verify --suite ns --max 3", None, "723f14846edd7f5b"),
+    ("verify --suite qce --max 3", None, "78c00a1e76b88051"),
+    ("verify --suite all --max 1", None, "1871cfc179c31890"),
+    ("--budget 4 verify --suite all --max 2", None, "715b07993a71f371"),
+    ("--budget 2 verify --suite recursion", None, "8a5d0442d355df80"),
+    ("--budget 3 verify --suite toda --max 5", None, "f87ad9d96a377fdc"),
+    ("--budget 1 verify --suite toda", None, "53c234e5e8472b6a"),
+    ("verify --suite recursion --max 3", "recursion", "40bcb13d6b5737ae"),
+    ("verify --suite all --max 1", "recursion", "967194499612c820"),
+    ("verify --suite all --max 1", "recursion-and-qce", "378a1bd3a6cda0fc"),
+    ("verify --suite toda --max 3", "specialization", "207aaeaa06053784"),
+    ("verify --suite toda --max 3", "quadratic", "fd19387ec9b67054"),
+    ("verify --suite qce --max 3", "qce", "08111f8f74cc80da"),
+    ("verify --suite recursion --max 0", None, "53c234e5e8472b6a"),
+    ("verify --suite all --max 0", None, "53c234e5e8472b6a"),
+    ("verify --suite nonsense", None, "53c234e5e8472b6a"),
+    ("gw --g 0 --n 1 --d 1 --b 0", None, "9d7df60df9a2d08f"),
+    ("gw --g 1 --n 1 --d 1 --b 2", None, "d849c39c2edcb8f3"),
+    ("gw --g 0 --n 3 --d 1 --b 0,0,0", None, "60c0c8a63ae4a9db"),
+    ("gw --g 0 --n 1 --d 0 --b -2", None, "e6556f0e038d1010"),
+    ("gw --g 1 --n 1 --d 1 --b 5", None, "85cd3ffcb995220e"),
+    ("--budget 7 gw --g 2 --n 1 --d 2 --b 6", None, "8e72f95dda982214"),
+    ("--budget 2 gw --g 2 --n 1 --d 2 --b 6", None, "4355a46b19d348dc"),
+    ("gw --g 0 --n 2 --d 1 --b 0", None, "53c234e5e8472b6a"),
+    ("gw --g 0 --n 1 --d 0 --b -3", None, "53c234e5e8472b6a"),
+    ("gw --g 0 --n 1 --d 0 --b x", None, "53c234e5e8472b6a"),
+    ("gw --g -1 --n 1 --d 0 --b 0", None, "53c234e5e8472b6a"),
+    ("wgn --g 0 --n 3", None, "d550e54a06628304"),
+    ("wgn --g 1 --n 1", None, "defe23aeb354fc53"),
+    ("wgn --g 0 --n 3 --emit expansion --order 4", None, "1914e4d82aed84bb"),
+    ("--budget 3 wgn --g 1 --n 1 --emit expansion --order 9", None, "bed8c0dbf165219f"),
+    ("--budget 3 wgn --g 1 --n 1", None, "0e292df4d8a4cca2"),
+    ("wgn --g 5 --n 5", None, "4355a46b19d348dc"),
+    ("wgn --g 0 --n 1", None, "53c234e5e8472b6a"),
+    ("wgn --g -1 --n 1", None, "53c234e5e8472b6a"),
+    ("wgn --g 0 --n 3 --order 0", None, "53c234e5e8472b6a"),
+    ("table --what smatrix --range 0..4", None, "3828555ffc8f062d"),
+    ("table --what smatrix --range 0..4 --format csv", None, "0b06cec84b72ca9e"),
+    ("table --what xd --range 0..3", None, "c6ff93f9342878a7"),
+    ("table --what xd --range 0..3 --format csv", None, "bdd4d958ce7ce1c5"),
+    ("table --what invariants --range 0..2", None, "2afd88e2efdefcf9"),
+    ("table --what invariants --range 0..2 --format csv", None, "5514beca5080396e"),
+    ("table --what xd --range 4..0", None, "53c234e5e8472b6a"),
+    ("table --what xd --range 1..2..3", None, "53c234e5e8472b6a"),
+    ("fgn --g 1 --n 1 --order 4", None, "01d9fa126df7358e"),
+    ("fgn --g 0 --n 3 --order 4", None, "eac8e338c2965d49"),
+    ("--budget 2 fgn --g 0 --n 3", None, "8e82311bbf34d4d0"),
+    ("fgn --g 0 --n 2", None, "53c234e5e8472b6a"),
+    ("fgn --g 3 --n 1", None, "4355a46b19d348dc"),
+    ("fgn --g 1 --n 1 --order 0", None, "53c234e5e8472b6a"),
+    ("psi-check --dmax 2 --order 4", None, "c923fff3cf304532"),
+    ("--budget 2 psi-check", None, "2055106b69c45f54"),
+    ("psi-check --dmax 2 --order 4", "semiclassical", "9d3c3613ea13463d"),
+    ("psi-check --dmax 2 --order 4", "qce", "aee68143291d2367"),
+    ("psi-check --dmax 0", None, "53c234e5e8472b6a"),
+    ("toda-check --order 4 --dmax 2", None, "88c975d6fc9c69b2"),
+    ("--budget 3 toda-check", None, "553efa4ea773f218"),
+    ("toda-check --order 4 --dmax 2", "quadratic", "fadf7a7f2c3b772e"),
+    ("toda-check --order 4 --dmax 2", "specialization", "8abdc98a7c575c00"),
+    ("toda-check --order 1", None, "53c234e5e8472b6a"),
+]
+
+# sha256 of the sorted cache file names the matrix writes, under version "0.1.0"
+_GOLDEN_CACHE_NAMES = "69332173875b1af8"
+
+
+def _golden_digest(code: int, out: str) -> str:
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()[:16]
+
+
+def _golden_run(monkeypatch, argv: str, fault, cache_dir) -> str:
+    """The digest of one run; ``cache_dir`` None runs without a cache."""
+    with monkeypatch.context() as patch:
+        if cache_dir is None:
+            patch.delenv("P1QC_CACHE_DIR", raising=False)
+        else:
+            patch.setenv("P1QC_CACHE_DIR", str(cache_dir))
+        for name, replacement in _FAULTS.get(fault, {}).items():
+            patch.setattr(cli, name, replacement)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv.split())
+    return _golden_digest(code, out.getvalue())
+
+
+def _golden_outcomes(monkeypatch, root: Path) -> tuple[dict, list, str]:
+    """Per case: the digests with no cache, a cold cache and a warm cache;
+    then the cases whose three runs disagree, and the cache-names digest."""
+    monkeypatch.setattr(cli, "__version__", "0.1.0")
+    digests, unstable, names = {}, [], []
+    for i, (argv, fault, _) in enumerate(_GOLDEN):
+        cache_dir = root / str(i)
+        cache_dir.mkdir()
+        runs = [_golden_run(monkeypatch, argv, fault, dir_)
+                for dir_ in (None, cache_dir, cache_dir)]
+        if len(set(runs)) != 1:
+            unstable.append((argv, fault, runs))
+        digests[(argv, fault)] = runs[0]
+        names += (p.name for p in cache_dir.iterdir())
+    names_digest = hashlib.sha256("\n".join(sorted(names)).encode()).hexdigest()[:16]
+    return digests, unstable, names_digest
+
+
+def test_stdout_and_exit_codes_frozen(monkeypatch, tmp_path):
+    digests, unstable, names_digest = _golden_outcomes(monkeypatch, tmp_path)
+    assert unstable == []
+    assert digests == {(argv, fault): digest for argv, fault, digest in _GOLDEN}
+    assert names_digest == _GOLDEN_CACHE_NAMES

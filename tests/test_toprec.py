@@ -256,6 +256,13 @@ def test_log_gap_matches_local_expr_oracle(a):
     assert _loc_log_gap(a, 10) == oracle
 
 
+@pytest.mark.parametrize("a", [Frac(1), Frac(-1)])
+def test_log_gap_oracle_rejects_the_other_branch_sign(a):
+    # negative control: the closed form with the sign of the other branch point
+    oracle = local_laurent(LocalExpr.log_z_reciprocal() - LocalExpr.log_z(), int(a), 10)
+    assert _loc_log_gap(-a, 10) != oracle
+
+
 # ---------------------------------------------------------------------------
 # stationary-invariant cross-checks of the expansions
 # ---------------------------------------------------------------------------

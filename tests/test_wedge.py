@@ -208,14 +208,14 @@ def test_connected_coefficient_matches_log_route(case):
 
 def test_log_route_oracle_detects_a_perturbed_eigen_coefficient(monkeypatch):
     d, b = 2, (0, 2)  # genus 0; reads [t^1] and [t^3] of every eps_lam, lam |- d' <= 2
-    assert connected_coefficient.__wrapped__(d, b) == _log_route_coefficient(d, b)
+    assert wedge._connected_coefficient.__wrapped__(d, b) == _log_route_coefficient(d, b)
     closed_form = wedge._eigen_coefficient
 
     def perturbed(lam, k):
         return closed_form(lam, k) + (F(1, 7) if (lam, k) == ((1, 1), 3) else 0)
 
     monkeypatch.setattr(wedge, "_eigen_coefficient", perturbed)
-    assert connected_coefficient.__wrapped__(d, b) != _log_route_coefficient(d, b)
+    assert wedge._connected_coefficient.__wrapped__(d, b) != _log_route_coefficient(d, b)
 
 
 def test_closed_form_eigen_coefficients_match_series():
@@ -268,8 +268,6 @@ def test_exponent_validation():
         stationary_invariant(0, 2, 0, (-2,))  # n mismatch
 
 
-# Exponent 11 keeps these keys apart from any cached call: the connected_coefficient
-# memo compares keys by value, and False == 0.
 @pytest.mark.parametrize(
     "fn, args",
     [
@@ -287,6 +285,14 @@ def test_exponent_validation():
 def test_non_integer_exponents_are_rejected(fn, args):
     with pytest.raises(ExactError, match="integers"):
         fn(*args)
+
+
+def test_warm_memo_still_rejects_non_integer_exponents():
+    # the memo compares keys by value: 1.0 == True == 1
+    connected_coefficient(1, (1,))
+    for b in ((1.0,), (True,)):
+        with pytest.raises(ExactError, match="integers"):
+            connected_coefficient(1, b)
 
 
 @given(st.permutations([0, 1, 2, 3]))
