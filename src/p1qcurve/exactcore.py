@@ -4,7 +4,11 @@ Everything in this package computes over the rationals, exactly.  This module
 supplies the shared machinery:
 
 * ``Frac``         -- alias of :class:`fractions.Fraction`; the only scalar type.
-* ``Polynomial``   -- dense univariate polynomial, ascending coefficients.
+* ``Polynomial``   -- dense univariate polynomial, stored as a tuple of integer
+  numerators over one positive integer denominator in lowest terms.  Sums,
+  products, Taylor shifts, pseudo-division and the primitive gcd run on the
+  integers; ``coeffs``, ``coefficient()``, ``leading()`` and the JSON wire
+  form are ``Frac`` views built on demand.
 * ``RationalFunction`` -- reduced quotient of polynomials with monic denominator.
 * ``partial_fractions`` -- exact partial-fraction decomposition over rational poles.
 * ``TruncatedSeries``  -- univariate Laurent series with an explicit inclusive
@@ -98,30 +102,42 @@ def rational_from_json(s: str) -> Frac:
 
 
 class Polynomial:
-    """Dense univariate polynomial over Q, coefficients stored ascending.
+    """Dense univariate polynomial over Q.
 
-    The zero polynomial is the empty coefficient tuple and reports
-    ``degree is None`` (a deliberate sentinel: arithmetic on a fake degree of
-    ``-1`` breeds off-by-one bugs).
+    Stored as one integer polynomial over one positive integer: ``_num``
+    holds the integer numerators in ascending order with no trailing zero,
+    ``_den`` the common denominator, in lowest terms
+    (``gcd(_den, *_num) == 1``).  The representation is canonical, so
+    equality and hashing compare the two fields.  ``coeffs``,
+    ``coefficient()`` and ``leading()`` are :class:`Frac` views computed on
+    demand; every arithmetic method works on the integers.
+
+    The zero polynomial is ``_num == ()`` and reports ``degree is None`` (a
+    deliberate sentinel: arithmetic on a fake degree of ``-1`` breeds
+    off-by-one bugs).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):  # ascending
         cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Frac, ...] = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        # over the lcm of reduced denominators the numerators share no factor with it
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        self._num: tuple[int, ...] = tuple(nums)
+        self._den: int = den if nums else 1
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls(())
+        return _poly([])
 
     @classmethod
     def one(cls) -> "Polynomial":
-        return cls((1,))
+        return _poly([1])
 
     @classmethod
     def constant(cls, c: Scalar) -> "Polynomial":
@@ -130,56 +146,73 @@ class Polynomial:
     @classmethod
     def identity(cls) -> "Polynomial":
         """The polynomial ``t``."""
-        return cls((0, 1))
+        return _poly([0, 1])
 
     @classmethod
     def from_roots(cls, roots: Iterable[Scalar]) -> "Polynomial":
-        p = cls.one()
+        """``prod (t - p/q)``, built as ``prod (q t - p)`` over ``prod q``."""
+        cs, den = [1], 1
         for r in roots:
-            p = p * cls((-_frac(r), 1))
-        return p
+            r = _frac(r)
+            p, q = r.numerator, r.denominator
+            cs = [-p * cs[0]] + [q * a - p * b for a, b in zip(cs, cs[1:])] + [q * cs[-1]]
+            den *= q
+        return _poly(cs, den)
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Frac, ...]:
+        """The coefficients as fractions, ascending."""
+        return tuple(Frac(n, self._den) for n in self._num)
+
+    @property
     def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self._num) - 1 if self._num else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def coefficient(self, k: int) -> Frac:
         if k < 0:
             raise IndexError("polynomial coefficients start at exponent 0")
-        return self.coeffs[k] if k < len(self.coeffs) else Frac(0)
+        return Frac(self._num[k], self._den) if k < len(self._num) else Frac(0)
 
     def leading(self) -> Frac:
-        if not self.coeffs:
+        if not self._num:
             raise ExactError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Frac(self._num[-1], self._den)
 
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, (int, Frac)):
-            return Polynomial((other,))
+        if isinstance(other, int):
+            return _poly([other])
+        if isinstance(other, Frac):
+            return _poly([other.numerator], other.denominator)
         return None
 
     def __add__(self, other) -> "Polynomial":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Polynomial(
-            (self.coefficient(k) + o.coefficient(k) for k in range(n))
-        )
+        a, b = self._num, o._num
+        g = math.gcd(self._den, o._den)
+        sa, sb = o._den // g, self._den // g  # bring both over the lcm
+        den = self._den * sa
+        if len(a) < len(b):
+            a, b, sa, sb = b, a, sb, sa
+        out = [x * sa for x in a] if sa != 1 else list(a)
+        for i, y in enumerate(b):
+            out[i] += y * sb
+        return _poly(out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial((-c for c in self.coeffs))
+        return _poly([-x for x in self._num], self._den)
 
     def __sub__(self, other) -> "Polynomial":
         o = self._coerce(other)
@@ -197,16 +230,17 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_zero() or o.is_zero():
+        a, b = self._num, o._num
+        if not a or not b:
             return Polynomial.zero()
-        out = [Frac(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return Polynomial(out)
+        if len(b) == 1:
+            return _poly([x * b[0] for x in a], self._den * o._den)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _poly(out, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -227,18 +261,10 @@ class Polynomial:
         o = self._coerce(other)
         if o is None or o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q: list[Frac] = []
-        r = list(self.coeffs)
-        dn, dd = len(r) - 1, o.degree
-        lead = o.leading()
-        qcs = [Frac(0)] * max(0, dn - dd + 1)
-        for k in range(dn - dd, -1, -1):
-            c = r[dd + k] / lead
-            qcs[k] = c
-            if c:
-                for j, b in enumerate(o.coeffs):
-                    r[k + j] -= c * b
-        return Polynomial(qcs), Polynomial(r[:dd] if dd > 0 else ())
+        # s A = Q B + R over Z gives A/da = (Q db / (s da)) (B/db) + R / (s da)
+        q, r, s = _pseudo_divmod(self._num, o._num)
+        den = s * self._den
+        return _poly([x * o._den for x in q], den), _poly(r, den)
 
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
@@ -250,27 +276,37 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self._num == o._num and self._den == o._den
 
     def __hash__(self) -> int:
-        return hash(("Polynomial", self.coeffs))
+        return hash(("Polynomial", self._num, self._den))
 
     # -- calculus & composition --------------------------------------------
 
     def derivative(self) -> "Polynomial":
-        return Polynomial((k * c for k, c in enumerate(self.coeffs) if k))
+        return _poly([k * x for k, x in enumerate(self._num)][1:], self._den)
 
     def __call__(self, value):
         """Evaluate (Horner).  Accepts scalars, polynomials, rational functions."""
-        if isinstance(value, (int, Frac)):
-            acc = Frac(0)
-            for c in reversed(self.coeffs):
+        if isinstance(value, int):
+            acc = 0
+            for c in reversed(self._num):
                 acc = acc * value + c
-            return acc
-        acc2 = Polynomial.zero() if isinstance(value, Polynomial) else None
+            return Frac(acc, self._den)
+        if isinstance(value, Frac):
+            if not self._num:
+                return Frac(0)
+            # sum c_k p^k q^(n-k) over den q^n: Horner on the homogenised form
+            p, q = value.numerator, value.denominator
+            acc, qk = 0, 1
+            for c in reversed(self._num):
+                acc = acc * p + c * qk
+                qk *= q
+            return Frac(acc, self._den * qk // q)
         if isinstance(value, Polynomial):
+            acc2 = Polynomial.zero()
             for c in reversed(self.coeffs):
-                acc2 = acc2 * value + Polynomial.constant(c)
+                acc2 = acc2 * value + c
             return acc2
         if isinstance(value, RationalFunction):
             accr = RationalFunction.zero()
@@ -280,20 +316,29 @@ class Polynomial:
         raise TypeError(f"cannot evaluate polynomial at {type(value).__name__}")
 
     def shift(self, c: Scalar) -> "Polynomial":
-        """Return ``p(t + c)``."""
-        return self(Polynomial((_frac(c), 1)))
+        """Return ``p(t + c)``, by an integer Taylor shift.
+
+        For ``c = a/b`` and ``p = P/den`` of degree ``k``, the integer
+        polynomial ``m(t) = b^k P(t/b)`` is shifted by the integer ``a``
+        (:func:`_taylor_shift`); then ``p(t + c) = m(b t + a) / (den b^k)``.
+        """
+        c = _frac(c)
+        a, b = c.numerator, c.denominator
+        k = len(self._num) - 1
+        if k < 1 or not a:
+            return self
+        cs = _taylor_shift([x * b ** (k - i) for i, x in enumerate(self._num)], a)
+        return _poly([x * b**i for i, x in enumerate(cs)], self._den * b**k)
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        lead = self.leading()
-        return Polynomial((c / lead for c in self.coeffs))
+        return _poly(list(self._num), self._num[-1])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else Polynomial.zero()
+        """The monic gcd (zero when both are zero)."""
+        g = _primitive_gcd(self._num, other._num)
+        return _poly(list(g), g[-1]) if g else Polynomial.zero()
 
     # -- serialization & display ---------------------------------------------
 
@@ -307,9 +352,10 @@ class Polynomial:
     def pretty(self, var: str = "t") -> str:
         if self.is_zero():
             return "0"
+        coeffs = self.coeffs
         parts: list[str] = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c == 0:
                 continue
             mag = abs(c)
@@ -328,6 +374,84 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({list(map(str, self.coeffs))})"
+
+
+def _poly(nums: list[int], den: int = 1) -> Polynomial:
+    """``sum nums[k] t^k / den`` (``den`` nonzero), brought to lowest terms."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        den = 1
+    elif den != 1:
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+    p = object.__new__(Polynomial)
+    p._num = tuple(nums)
+    p._den = den
+    return p
+
+
+def _taylor_shift(cs: list[int], a: int) -> list[int]:
+    """The integer polynomial ``cs`` (ascending) replaced by ``cs(t + a)``, in
+    place: ``k`` passes of synthetic division by ``t - a``, ``O(k^2)`` integer
+    multiply-adds."""
+    k = len(cs) - 1
+    for i in range(k):
+        for j in range(k - 1, i - 1, -1):
+            cs[j] += a * cs[j + 1]
+    return cs
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """Division of integer polynomials with one scale factor: ``(q, r, s)``
+    with ``s a = q b + r``, ``deg r < deg b`` and ``s > 0``.
+
+    ``s`` divides ``lc(b)^(deg a - deg b + 1)``: the running remainder is
+    scaled only at steps where ``lc(b)`` does not divide its top coefficient,
+    so an exact division (``b | a`` over Z) runs with ``s == 1``.
+    """
+    lead, n = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * max(0, len(a) - n)
+    s = 1
+    for k in range(len(a) - 1 - n, -1, -1):
+        top = r[k + n]
+        if not top:
+            continue
+        if top % lead:
+            f = abs(lead) // math.gcd(top, lead)
+            r = [x * f for x in r]
+            q = [x * f for x in q]
+            s *= f
+            top *= f
+        c = top // lead
+        q[k] = c
+        for j, y in enumerate(b, k):
+            r[j] -= c * y
+    return q, r[:n], s
+
+
+def _primitive(a: Sequence[int]) -> list[int]:
+    """``a`` divided by the gcd of its coefficients."""
+    g = math.gcd(*a)
+    return [x // g for x in a] if g > 1 else list(a)
+
+
+def _primitive_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A gcd over Z of two integer polynomials, primitive, up to sign:
+    Euclid on primitive pseudo-remainders (the primitive PRS)."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        _, r, _ = _pseudo_divmod(a, b)
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, _primitive(r)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +478,16 @@ class RationalFunction:
             self.num = Polynomial.zero()
             self.den = Polynomial.one()
             return
-        g = num.gcd(den)
-        if g.degree not in (None, 0):
-            num = num // g
-            den = den // g
-        lead = den.leading()
-        if lead != 1:
-            num = num * Polynomial.constant(Frac(1) / lead)
-            den = den.monic()
-        self.num = num
-        self.den = den
+        # (N/nd) / (D/dd) with N, D over Z: cancel their gcd exactly over Z
+        # (it is primitive, so Gauss's lemma keeps the quotients integral),
+        # then move the lead of D into the numerator.
+        n, d = num._num, den._num
+        if len(d) > 1:
+            g = _primitive_gcd(n, d)
+            if len(g) > 1:
+                n, d = _pseudo_divmod(n, g)[0], _pseudo_divmod(d, g)[0]
+        self.num = _poly([x * den._den for x in n], num._den * d[-1])
+        self.den = _poly(list(d), d[-1])
 
     # -- constructors -------------------------------------------------------
 
@@ -462,7 +586,7 @@ class RationalFunction:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
-        return hash(("RationalFunction", self.num.coeffs, self.den.coeffs))
+        return hash(("RationalFunction", self.num, self.den))
 
     # -- evaluation, calculus, substitution ------------------------------------
 
@@ -494,15 +618,10 @@ class RationalFunction:
 
     def reciprocal_substitution(self) -> "RationalFunction":
         """Return ``f(1/t)`` as a rational function of ``t``."""
-        d = max(len(self.num.coeffs), len(self.den.coeffs)) - 1
-        if d < 0:
-            return RationalFunction.zero()
+        d = max(len(self.num._num), len(self.den._num))
 
         def rev(p: Polynomial) -> Polynomial:
-            cs = [Frac(0)] * (d + 1)
-            for k, c in enumerate(p.coeffs):
-                cs[d - k] = c
-            return Polynomial(cs)
+            return _poly([0] * (d - len(p._num)) + list(reversed(p._num)), p._den)
 
         return RationalFunction(rev(self.num), rev(self.den))
 
@@ -517,10 +636,9 @@ class RationalFunction:
         v = 0
         while den.coefficient(v) == 0:
             v += 1
-        unit = Polynomial(den.coeffs[v:])
         top = order + v
-        num_series = TruncatedSeries(var, 0, tuple(num.coefficient(k) for k in range(top + 1)), top)
-        unit_series = TruncatedSeries(var, 0, tuple(unit.coefficient(k) for k in range(top + 1)), top)
+        num_series = TruncatedSeries(var, 0, (num.coefficient(k) for k in range(top + 1)), top)
+        unit_series = TruncatedSeries(var, 0, (den.coefficient(v + k) for k in range(top + 1)), top)
         quot = num_series * unit_series.inverse()
         return quot.shift_exponent(-v).truncate(order)
 
@@ -576,9 +694,11 @@ def _rational_roots(p: Polynomial) -> list[Frac]:
     """The distinct rational roots of a nonzero ``p``, ascending; raises
     :class:`FactorError` if ``p`` has an irrational or non-real root.
 
-    With ``s`` the monic square-free part of ``p``, ``k`` its degree and ``a``
-    the lcm of its denominators, ``F(u) = a**k s(u/a)`` is monic over Z, so
-    ``s`` splits over Q iff ``F`` has ``k`` integer roots ``u = a*r``.  Then
+    With ``s`` the monic square-free part of ``p``, ``k`` its degree and
+    ``s = S/a`` its integer form (``a`` is the lcm of the coefficients'
+    denominators and the lead of ``S``), ``F(u) = a**k s(u/a)`` has the
+    integer coefficients ``S_i a**(k-1-i)`` and is monic, so ``s`` splits
+    over Q iff ``F`` has ``k`` integer roots ``u = a*r``.  Then
     ``F`` is real-rooted and the Budan–Fourier count ``V(l) - V(r)`` (sign
     changes of ``F, F', ..., F^(k)`` at a point, zeros dropped) is exactly the
     number of roots in ``(l, r]``.  Bisecting ``(-B, B]``, ``B = 1 + max|F_i|``,
@@ -587,15 +707,11 @@ def _rational_roots(p: Polynomial) -> list[Frac]:
     computed: no integer is factored, as the rational-root test would have to.
     """
     s = (p // p.gcd(p.derivative())).monic()
-    k = s.degree
-    a = math.lcm(*(x.denominator for x in s.coeffs))
-    F = [int(x * a ** (k - i)) for i, x in enumerate(s.coeffs)]
+    k, a = s.degree, s._den
+    F = [x * a ** (k - 1 - i) for i, x in enumerate(s._num[:-1])] + [1]
 
     def variations(x: int) -> int:
-        cs = list(F)  # becomes F(u + x), whose u^j coefficient is F^(j)(x) / j!
-        for i in range(k):
-            for j in range(k - 1, i - 1, -1):
-                cs[j] += x * cs[j + 1]
+        cs = _taylor_shift(list(F), x)  # u^j coefficient F^(j)(x) / j!
         signs = [v > 0 for v in cs if v]
         return sum(u != w for u, w in zip(signs, signs[1:]))
 
@@ -747,7 +863,9 @@ class TruncatedSeries:
             raise TruncationError("cannot extend a series by truncation")
         if new_order >= self.order:
             return self
-        keep = max(0, new_order - self.min_exp + 1)
+        if new_order < self.min_exp:
+            return TruncatedSeries.zero(self.var, new_order)
+        keep = new_order - self.min_exp + 1
         return TruncatedSeries(self.var, self.min_exp, self.coeffs[:keep], new_order)
 
     def shift_exponent(self, delta: int) -> "TruncatedSeries":

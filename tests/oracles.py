@@ -1,0 +1,120 @@
+"""Reference implementations the tests compare fast kernels against.
+
+``FracPolynomial`` is the polynomial kernel as it was before
+``exactcore.Polynomial`` moved to integer numerators over one denominator:
+a tuple of ``Fraction`` coefficients, schoolbook products, long division
+over Q, Euclid over Q and ``shift`` as Horner composition with ``t + c``.
+It is slow and plain on purpose; keep it that way.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as Frac
+
+
+class FracPolynomial:
+    """Dense univariate polynomial over Q, ``Fraction`` coefficients ascending."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):  # ascending
+        cs = [Frac(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs: tuple[Frac, ...] = tuple(cs)
+
+    @classmethod
+    def from_roots(cls, roots) -> "FracPolynomial":
+        p = cls((1,))
+        for r in roots:
+            p = p * cls((-Frac(r), 1))
+        return p
+
+    @property
+    def degree(self) -> int | None:
+        return len(self.coeffs) - 1 if self.coeffs else None
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coefficient(self, k: int) -> Frac:
+        return self.coeffs[k] if k < len(self.coeffs) else Frac(0)
+
+    def leading(self) -> Frac:
+        return self.coeffs[-1]
+
+    def __add__(self, other: "FracPolynomial") -> "FracPolynomial":
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FracPolynomial(self.coefficient(k) + other.coefficient(k) for k in range(n))
+
+    def __neg__(self) -> "FracPolynomial":
+        return FracPolynomial(-c for c in self.coeffs)
+
+    def __sub__(self, other: "FracPolynomial") -> "FracPolynomial":
+        return self + (-other)
+
+    def __mul__(self, other: "FracPolynomial") -> "FracPolynomial":
+        if self.is_zero() or other.is_zero():
+            return FracPolynomial()
+        out = [Frac(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FracPolynomial(out)
+
+    def __divmod__(self, other: "FracPolynomial") -> tuple["FracPolynomial", "FracPolynomial"]:
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        r = list(self.coeffs)
+        dn, dd = len(r) - 1, other.degree
+        lead = other.leading()
+        qcs = [Frac(0)] * max(0, dn - dd + 1)
+        for k in range(dn - dd, -1, -1):
+            c = r[dd + k] / lead
+            qcs[k] = c
+            for j, b in enumerate(other.coeffs):
+                r[k + j] -= c * b
+        return FracPolynomial(qcs), FracPolynomial(r[:dd] if dd > 0 else ())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FracPolynomial) and self.coeffs == other.coeffs
+
+    def __call__(self, value):
+        """Horner evaluation at a scalar or a ``FracPolynomial``."""
+        if isinstance(value, FracPolynomial):
+            acc = FracPolynomial()
+            for c in reversed(self.coeffs):
+                acc = acc * value + FracPolynomial((c,))
+            return acc
+        acc = Frac(0)
+        for c in reversed(self.coeffs):
+            acc = acc * value + c
+        return acc
+
+    def shift(self, c) -> "FracPolynomial":
+        """``p(t + c)`` by composition with ``t + c``."""
+        return self(FracPolynomial((c, 1)))
+
+    def monic(self) -> "FracPolynomial":
+        if self.is_zero():
+            return self
+        lead = self.leading()
+        return FracPolynomial(c / lead for c in self.coeffs)
+
+    def gcd(self, other: "FracPolynomial") -> "FracPolynomial":
+        """Euclid over Q, made monic."""
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, divmod(a, b)[1]
+        return a.monic()
+
+
+def frac_canonical(num: FracPolynomial, den: FracPolynomial) -> tuple[FracPolynomial, FracPolynomial]:
+    """The canonical form of ``num / den``: coprime, denominator monic, and
+    ``(0, 1)`` for zero."""
+    if num.is_zero():
+        return FracPolynomial(), FracPolynomial((1,))
+    g = num.gcd(den)
+    num, den = divmod(num, g)[0], divmod(den, g)[0]
+    lead = den.leading()
+    return FracPolynomial(c / lead for c in num.coeffs), den.monic()

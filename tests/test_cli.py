@@ -120,6 +120,18 @@ def test_verify_budget_caps_range(capsys):
     assert doc["parameters"]["max"] == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("2", "theta"), ("3", "theta"), ("4", "theta"), ("2", "all")],
+    ids=lambda a: f"budget{a[0]}-{a[1]}",
+)
+def test_small_budget_verify_passes(capsys, argv):
+    budget, suite = argv
+    code, doc, _ = run_json(capsys, "--budget", budget, "verify", "--suite", suite)
+    assert code == 0
+    assert doc["status"] == "pass"
+
+
 def test_verify_all_max_caps_every_suite(capsys):
     code, doc, _ = run_json(capsys, "verify", "--suite", "all", "--max", "3")
     assert code == 0

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from p1qcurve.exactcore import (
@@ -31,6 +32,7 @@ from p1qcurve.exactcore import (
     series_exp,
     series_log,
 )
+from oracles import FracPolynomial, frac_canonical
 
 fracs = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -267,6 +269,15 @@ def test_truncation_barrier():
         s.coefficient(3)
 
 
+def test_truncate_below_the_valuation_is_zero():
+    s = TruncatedSeries("t", 3, [1, 2], 4)
+    for new_order in (2, 1, -3):
+        t = s.truncate(new_order)
+        assert t.is_zero() and t.order == new_order
+        assert t == TruncatedSeries.zero("t", new_order)
+    assert s.truncate(3) == TruncatedSeries("t", 3, [1], 3)
+
+
 def test_mul_order_bookkeeping():
     a = TruncatedSeries("t", -1, [1, 0, 0, 0], 2)   # 1/t known through t^2
     b = TruncatedSeries("t", 2, [1], 2)              # t^2 known through t^2
@@ -462,3 +473,103 @@ def test_residue_of_regular_point_is_zero():
     f = z_rational([1], [2, 1])  # 1/(2+z), regular at +-1
     assert residue(f, 1) == 0
     assert residue(f, -1) == 0
+
+
+# ---------------------------------------------------------------------------
+# the integer polynomial kernel against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+wide_fracs = st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**9)
+coeff_lists = st.lists(st.one_of(fracs, wide_fracs), max_size=7)
+nonzero_lists = coeff_lists.filter(any)
+points = st.one_of(st.integers(-7, 7), small_fracs, wide_fracs)
+
+
+def canonical(p: Polynomial) -> Polynomial:
+    """``p`` after checking the integer layout is in lowest terms."""
+    nums, den = p._num, p._den
+    assert den > 0 and all(type(x) is int for x in nums)
+    assert not nums or (nums[-1] != 0 and math.gcd(den, *nums) == 1)
+    assert nums or den == 1
+    return p
+
+
+def same(p: Polynomial, q: FracPolynomial) -> bool:
+    return canonical(p).coeffs == q.coeffs
+
+
+@given(coeff_lists, coeff_lists)
+def test_ring_ops_match_oracle(ac, bc):
+    a, b, oa, ob = poly(ac), poly(bc), FracPolynomial(ac), FracPolynomial(bc)
+    assert same(a, oa)
+    assert same(a + b, oa + ob)
+    assert same(a - b, oa - ob)
+    assert same(a * b, oa * ob)
+    assert same(-a, -oa)
+    assert same(a.derivative(), FracPolynomial(k * c for k, c in enumerate(oa.coeffs) if k))
+
+
+@given(coeff_lists, nonzero_lists)
+def test_divmod_matches_oracle(ac, bc):
+    q, r = divmod(poly(ac), poly(bc))
+    oq, orr = divmod(FracPolynomial(ac), FracPolynomial(bc))
+    assert same(q, oq) and same(r, orr)
+
+
+def _shift_matches_oracle(shift, cs, c) -> None:
+    assert same(shift(poly(cs), c), FracPolynomial(cs).shift(c))
+
+
+@given(coeff_lists, points)
+@example([1, 2, 3, 4], F(1, 2))
+@example([F(1, 3), 0, 0, 5, F(-7, 2)], -3)
+def test_shift_matches_oracle(cs, c):
+    _shift_matches_oracle(Polynomial.shift, cs, c)
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [lambda p, c: p.shift(F(c).numerator), lambda p, c: p.shift(-c)],
+    ids=["denominator-of-c-dropped", "sign-of-c-flipped"],
+)
+def test_shift_property_detects_a_wrong_shift(wrong):
+    """Negative control: the same property with a faulty shift must fail."""
+    check = settings(database=None, phases=[Phase.generate])(
+        given(coeff_lists, points)(lambda cs, c: _shift_matches_oracle(wrong, cs, c))
+    )
+    with pytest.raises(AssertionError):
+        check()
+
+
+@given(coeff_lists, points)
+def test_scalar_evaluation_matches_oracle(cs, x):
+    got = poly(cs)(x)
+    assert type(got) is F and got == FracPolynomial(cs)(F(x))
+
+
+@settings(max_examples=60)
+@given(nonzero_lists, coeff_lists, coeff_lists)
+def test_gcd_and_monic_match_oracle(fc, gc, hc):
+    """gcd of f*g and f*h, so the common factor is at least f."""
+    f, g, h = FracPolynomial(fc), FracPolynomial(gc), FracPolynomial(hc)
+    a, b = poly(fc) * poly(gc), poly(fc) * poly(hc)
+    assert same(a.gcd(b), (f * g).gcd(f * h))
+    assert same(a.monic(), (f * g).monic())
+
+
+@given(st.lists(st.one_of(small_fracs, wide_fracs), max_size=6))
+def test_from_roots_matches_oracle(roots):
+    assert same(Polynomial.from_roots(roots), FracPolynomial.from_roots(roots))
+
+
+@settings(max_examples=60)
+@given(nonzero_lists, coeff_lists, nonzero_lists, nonzero_lists)
+def test_rational_function_canonical_form_matches_oracle(nc, kc, dc, common):
+    """num/den with a shared factor: the canonical form is the oracle's, and
+    equal values compare equal and hash alike."""
+    num, den = FracPolynomial(nc) * FracPolynomial(kc), FracPolynomial(dc) * FracPolynomial(common)
+    f = RationalFunction(poly(nc) * poly(kc), poly(dc) * poly(common))
+    want_num, want_den = frac_canonical(num, den)
+    assert same(f.num, want_num) and same(f.den, want_den)
+    g = RationalFunction(f.num * poly(common), f.den * poly(common))
+    assert g == f and hash(g) == hash(f)

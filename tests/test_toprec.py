@@ -346,6 +346,15 @@ def test_theta_expansion_both_forms(i, d):
     assert theta_expansion_check(i, d, 8)
 
 
+@pytest.mark.parametrize("i", [1, 2])
+def test_theta_expansion_at_low_order_gives_a_verdict(i):
+    """Every order up to 6 gives a verdict, also where d >= order and the
+    truncated expansion is zero, instead of raising."""
+    for order in range(0, 7):
+        for d in range(0, 5):
+            assert theta_expansion_check(i, d, order) is True
+
+
 def test_theta_rejects_bad_index():
     with pytest.raises(ExactError):
         theta(3, 0)
