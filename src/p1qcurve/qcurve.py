@@ -142,13 +142,14 @@ def verify_xd_recursion(d: int) -> bool:
     """
     if d < 1:
         raise ExactError("recursion is stated for d >= 1")
-    xdm1 = x_partition(d - 1)
-    xd = x_partition(d)
+    return _xd_recursion_residual(x_partition(d - 1), x_partition(d)).is_zero()
+
+
+def _xd_recursion_residual(x_prev: RationalFunction, x_d: RationalFunction) -> RationalFunction:
+    """The left side X_{d-1}(u+1)/(u+1) + u (X_d(u-1) - X_d(u)) of the shift
+    recursion for given X_{d-1} and X_d."""
     u = RationalFunction.identity()
-    lhs = xdm1.shift(1) / RationalFunction(Polynomial([1, 1])) + u * (
-        xd.shift(-1) - xd
-    )
-    return lhs.is_zero()
+    return x_prev.shift(1) / RationalFunction(Polynomial([1, 1])) + u * (x_d.shift(-1) - x_d)
 
 
 @cache

@@ -16,9 +16,13 @@ antisymmetrized primitives F_{g,n} with their expansion in stationary
 invariants, the ancestor-coefficient decomposition of W_{g,n}, and the two
 unstable closed forms S_0, S_1.
 
-Every slot-by-slot map of a form -- the large-x expansions of W_{g,n} and
-F_{g,n}, the z -> 1/z pullback, the derivative of F_{g,n}, the ancestor
-reassembly -- is the one contraction _slotwise of per-slot images.
+Every slot-by-slot map of a finished form -- the large-x expansions of
+W_{g,n} and F_{g,n}, the z -> 1/z pullback, the derivative of F_{g,n}, the
+ancestor reassembly -- is the one contraction _slotwise of per-slot images,
+with exact coefficients.  The recursion itself (toprec_wgn) contracts local
+series instead: it merges the recursion pieces that share their outer-slot
+items into one series per branch point and expands that series slot by slot
+in its own loop, reading [t^-1] once per pole label.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, permutations, product
 from typing import Mapping, Sequence
 
@@ -38,6 +42,7 @@ from .exactcore import (
     TruncatedSeries,
     TruncationError,
     partial_fractions,
+    series_compose,
     series_log,
 )
 from .wedge import catalan_inverse, stationary_invariant, unit_insertions
@@ -286,11 +291,10 @@ def _loc_pole(b: Frac, j: int, a: Frac, order: int) -> TruncatedSeries:
 
 @cache
 def _loc_pole_inv(b: Frac, j: int, a: Frac, order: int) -> TruncatedSeries:
-    """1/(1/z - b)^j local at z = a + t (without the d(1/z) jacobian)."""
-    if b == a:
-        return _loc_s(a, order) ** -j
-    # 1/((a - b) + s)^j with a - b = 2a
-    return (_loc_s(a, order) + 2 * a) ** -j
+    """1/(1/z - b)^j d(1/z)/dz local at z = a + t."""
+    s = _loc_s(a, order)
+    # at b != a: 1/((a - b) + s)^j with a - b = 2a
+    return (s if b == a else s + 2 * a) ** -j * _loc_jacobian(a, order)
 
 
 def _loc_bergman_local_pair(a: Frac, order: int) -> TruncatedSeries:
@@ -298,6 +302,33 @@ def _loc_bergman_local_pair(a: Frac, order: int) -> TruncatedSeries:
     -1/z^2 * 1/(z - 1/z)^2."""
     z_series = TruncatedSeries.variable("t", order) + a
     return _loc_jacobian(a, order) * (z_series - _loc_z_inv(a, order)) ** -2
+
+
+@cache
+def _loc_s_power(a: Frac, k: int, order: int) -> TruncatedSeries:
+    """s^k, each power built from the one below."""
+    if k == 0:
+        return TruncatedSeries.constant("t", 1, order)
+    return _loc_s_power(a, k - 1, order) * _loc_s(a, order)
+
+
+@cache
+def _loc_kernel_numerator(a: Frac, m: int, order: int) -> TruncatedSeries:
+    """s^{m-1} - t^{m-1}: the coefficient of 1/(z_1 - a)^m in the kernel
+    numerator 1/(z_1 - z) - 1/(z_1 - 1/z)."""
+    s_power = _loc_s_power(a, m - 1, order)
+    # t^{m-1} is exact: known as far as s^{m-1}, it never limits the order
+    return s_power - TruncatedSeries.monomial("t", m - 1, 1, s_power.order)
+
+
+@cache
+def _loc_bergman(a: Frac, k: int, inv: bool, order: int) -> TruncatedSeries:
+    """The coefficient of 1/(z_i - a)^{k+2} in the Bergman coupling of z_i
+    to z, (k+1) t^k, or to 1/z, (k+1) s^k d(1/z)/dz."""
+    if inv:
+        return (k + 1) * _loc_s_power(a, k, order) * _loc_jacobian(a, order)
+    # t^k is exact: give it at least the order of s^k d(1/z)/dz
+    return TruncatedSeries.monomial("t", k, k + 1, order + k)
 
 
 # ---------------------------------------------------------------------------
@@ -309,88 +340,29 @@ def _stable(g: int, n: int) -> bool:
     return 2 * g - 2 + n > 0
 
 
-def _tensor_insert(key: tuple, slot: int, pole: tuple[Frac, int]) -> tuple:
-    return key + (((slot, pole)),)
-
-
-def _finalize_key(partial: tuple, n: int) -> PoleKey:
-    slots = dict(partial)
-    if len(slots) != n or set(slots) != set(range(1, n + 1)):
-        raise ExactError("incomplete slot assignment in residue engine")
-    return tuple(slots[i] for i in range(1, n + 1))
-
-
-def _residue_of_products(
-    a: Frac,
-    order: int,
-    scalar: TruncatedSeries,
-    coupled: Sequence[tuple[int, str]],
-    fixed: Sequence[tuple[int, tuple[Frac, int]]],
-    n: int,
-    out: dict[PoleKey, Frac],
-    coeff: Frac,
-) -> None:
-    """Accumulate the t^{-1}-extraction of scalar * kernel-numerator * coupled
-    factors into `out`.
-
-    coupled entries are (slot, kind) with kind "bergman_z" or "bergman_inv";
-    slot 1 is always coupled through the kernel numerator.  fixed entries pin
-    (slot, pole) without touching the local series.
-    """
-    if scalar.min_exp > scalar.order:
-        return
-    t_pow = TruncatedSeries.variable("t", order)
-    s_ser = _loc_s(a, order)
-
-    # expansions: list of (partial assignment, local series)
-    state: list[tuple[tuple, TruncatedSeries]] = [((), scalar)]
-
-    # kernel numerator: sum_{m>=2} (s^{m-1} - t^{m-1})/(z_1 - a)^m
-    new_state: list[tuple[tuple, TruncatedSeries]] = []
-    depth = -scalar.min_exp  # maximal pole order available
-    for m in range(2, depth + 2):
-        num = s_ser ** (m - 1) - t_pow ** (m - 1)
-        for key, fl in state:
-            prod = fl * num
-            if prod.min_exp <= -1:
-                new_state.append((_tensor_insert(key, 1, (a, m)), prod))
-    state = new_state
-
-    for slot, kind in coupled:
-        base = s_ser if kind == "bergman_inv" else t_pow
-        new_state = []
-        for key, fl in state:
-            max_k = -fl.min_exp - 1
-            for k in range(0, max(max_k, 0) + 1):
-                prod = fl * base ** k * (k + 1)
-                if prod.min_exp <= -1:
-                    new_state.append((_tensor_insert(key, slot, (a, k + 2)), prod))
-        state = new_state
-
-    for key, fl in state:
-        try:
-            value = fl.coefficient(-1)
-        except TruncationError as exc:
-            raise ExactError(
-                f"local expansion order {order} insufficient at branch point {a}; "
-                "increase the working order"
-            ) from exc
-        if value == 0:
-            continue
-        full = _finalize_key(key + tuple(fixed), n)
-        out[full] = out.get(full, Frac(0)) + coeff * value
-
-
 WGN_BOUND = 4  # the largest complexity 2g-2+n the recursion is run to
+_ORDER_MARGIN = 16  # working order beyond the deepest local pole of a piece
 
 
 @cache
 def toprec_wgn(g: int, n: int) -> CorrelationForm:
     """The stable correlation form W_{g,n} from the residue recursion.
 
-    Residues at both branch points are computed by exact local expansion.
-    The branch constant cancels in the kernel gap (_loc_log_gap), so every
-    local series is branch-free.
+    Residues at both branch points are computed by exact local expansion in
+    z = a + t.  The recursion pieces (_recursion_pieces) whose outer slots
+    2..n carry the same items are summed into one local series first, times
+    the kernel denominator 1/(2 (y(1/z) - y(z)) x'(z)); the branch constant
+    cancels in its gap (_loc_log_gap), so every local series is
+    branch-free.  Each such series is then expanded slot by slot into pole
+    labels: slot 1 through the kernel numerator, a Bergman slot through its
+    coupling, a fixed slot unchanged; partial states with equal labels are
+    merged, and [t^-1] is read once per state.  This loop is the engine's
+    own slot contraction; every other slot map of the module runs through
+    _slotwise.
+
+    The working order is the deepest local pole of a piece plus
+    _ORDER_MARGIN.  A residue beyond the order a series is known to raises
+    ExactError naming the branch point; it never yields a wrong form.
     """
     if not _stable(g, n):
         raise ExactError("toprec_wgn is defined on the stable range 2g-2+n > 0")
@@ -398,35 +370,71 @@ def toprec_wgn(g: int, n: int) -> CorrelationForm:
         raise ExactError(
             f"complexity 2g-2+n = {2*g-2+n} exceeds the configured bound {WGN_BOUND}"
         )
+    pieces = list(_recursion_pieces(g, n))
+    # working order: the kernel inverse costs 4, each local pole its order
+    order = max(sum(j for j, _ in local) for _, local, _ in pieces) + _ORDER_MARGIN
+    terms: dict[PoleKey, Frac] = {}
+    for a in BRANCH_POINTS:
+        grouped: dict[tuple, TruncatedSeries] = {}
+        for coeff, local, items in pieces:
+            series = TruncatedSeries.constant("t", coeff, order)
+            for _, factor in local:
+                series = series * factor(a, order)
+            grouped[items] = grouped[items] + series if items in grouped else series
+        # states (labels of slots done, items of slots left) -> local series
+        state: dict[tuple, TruncatedSeries] = {}
+        for items, series in grouped.items():
+            series = series * _loc_kernel_denominator_inverse(a, order)
+            for m in range(2, 2 - series.min_exp):
+                state[((a, m),), items] = series * _loc_kernel_numerator(a, m, order)
+        for _ in range(n - 1):
+            # a series that starts above t^-1 keeps a zero residue: drop it
+            state = {key: f for key, f in state.items() if f.min_exp <= -1}
+            nxt: dict[tuple, TruncatedSeries] = {}
+            for (done, items), series in state.items():
+                item = items[0]
+                if isinstance(item, bool):  # a Bergman coupling to z or 1/z
+                    branches = [
+                        ((a, k + 2), series * _loc_bergman(a, k, item, order))
+                        for k in range(-series.min_exp)
+                    ]
+                else:  # a fixed pole
+                    branches = [(item, series)]
+                for label, f in branches:
+                    key = (done + (label,), items[1:])
+                    nxt[key] = nxt[key] + f if key in nxt else f
+            state = nxt
+        # slot 1 carries the branch point, so the two never share a key
+        for (done, _), series in state.items():
+            try:
+                value = series.coefficient(-1)
+            except TruncationError as exc:
+                raise ExactError(
+                    f"local expansion order {order} insufficient at branch point {a}; "
+                    "increase the working order"
+                ) from exc
+            if value:
+                terms[done] = value
+    return CorrelationForm(g, n, terms)
 
-    # Bracket terms: list of (coeff-from-subterm, z-locals, inv-locals,
-    # coupled, fixed) where z-locals/inv-locals are (b, j) pole data attached
-    # to the two local slots.
-    out: dict[PoleKey, Frac] = {}
 
-    # working order estimate: kernel inverse costs 4, each local pole costs j
-    max_j = 0
-    pieces: list[tuple[Frac, list, list, list, list]] = []
-
-    def add_piece(coeff, z_locals, inv_locals, coupled, fixed):
-        nonlocal max_j
-        max_j = max(
-            max_j,
-            sum(j for _, j in z_locals) + sum(j for _, j in inv_locals),
-        )
-        pieces.append((coeff, z_locals, inv_locals, coupled, fixed))
-
-    # (g-1, n+1) term with the first two slots at z and 1/z
+def _recursion_pieces(g: int, n: int):
+    """The terms of the recursion integrand of W_{g,n} as (coeff, local,
+    items).  local lists the factors in the integration variable z, each as
+    (pole order, local series as a function of (a, order)); a factor on the
+    1/z side carries d(1/z)/dz.  items holds one item per outer slot 2..n: a
+    fixed pole (b, j), or the Bergman coupling of the slot to z (False) or to
+    1/z (True)."""
     if g >= 1:
+        # W_{g-1,n+1}(z, 1/z, z_2..z_n)
         if _stable(g - 1, n + 1):
-            prev = toprec_wgn(g - 1, n + 1)
-            for key, c in prev.terms.items():
-                (b0, j0), (b1, j1) = key[0], key[1]
-                fixed = [(i, key[i]) for i in range(2, n + 1)]
-                add_piece(c, [(b0, j0)], [(b1, j1)], [], fixed)
+            for key, c in toprec_wgn(g - 1, n + 1).terms.items():
+                (b0, j0), (b1, j1) = key[:2]
+                local = ((j0, partial(_loc_pole, b0, j0)), (j1, partial(_loc_pole_inv, b1, j1)))
+                yield c, local, key[2:]
         elif (g - 1, n + 1) == (0, 2):
             # W_{0,2}(z, 1/z): the Bergman part only; fully local
-            add_piece(Frac(1), [], [], [("local_pair", "pair")], [])
+            yield Frac(1), ((0, _loc_bergman_local_pair),), ()
 
     # stable splittings W_{g1,|I|+1}(z, z_I) * W_{g2,|J|+1}(1/z, z_J)
     others = tuple(range(2, n + 1))
@@ -435,61 +443,26 @@ def toprec_wgn(g: int, n: int) -> CorrelationForm:
         for isize in range(0, len(others) + 1):
             for I in combinations(others, isize):
                 J = tuple(sorted(set(others) - set(I)))
-                if (g1, len(I) + 1) == (0, 1):
+                if (g1, len(I) + 1) == (0, 1) or (g2, len(J) + 1) == (0, 1):
                     continue
-                if (g2, len(J) + 1) == (0, 1):
-                    continue
-                left_terms = _factor_terms(g1, I, "z")
-                right_terms = _factor_terms(g2, J, "inv")
-                for cl, zl, il, cpl, fxl in left_terms:
-                    for cr, zr, ir, cpr, fxr in right_terms:
-                        add_piece(cl * cr, zl + zr, il + ir, cpl + cpr, fxl + fxr)
-
-    order = max_j + 16
-    for a in BRANCH_POINTS:
-        d_inv = _loc_kernel_denominator_inverse(a, order)
-        jac = _loc_jacobian(a, order)
-        for coeff, z_locals, inv_locals, coupled, fixed in pieces:
-            scalar = d_inv
-            for b, j in z_locals:
-                scalar = scalar * _loc_pole(b, j, a, order)
-            for b, j in inv_locals:
-                scalar = scalar * _loc_pole_inv(b, j, a, order) * jac
-            real_coupled = []
-            for slot, kind in coupled:
-                if kind == "pair":
-                    scalar = scalar * _loc_bergman_local_pair(a, order)
-                else:
-                    real_coupled.append((slot, kind))
-                    if kind == "bergman_inv":
-                        scalar = scalar * jac
-            _residue_of_products(
-                a, order, scalar, real_coupled, fixed, n, out, coeff
-            )
-
-    result = CorrelationForm(g, n, {k: v for k, v in out.items() if v})
-    return result
+                for cl, ll, il in _factor_terms(g1, I, False):
+                    for cr, lr, ir in _factor_terms(g2, J, True):
+                        slot_items = dict(il + ir)
+                        yield cl * cr, ll + lr, tuple(slot_items[k] for k in others)
 
 
-def _factor_terms(gf: int, slots: tuple[int, ...], side: str):
-    """Expand one splitting factor W_{gf, len(slots)+1}(local, z_slots) into
-    engine pieces: (coeff, z_locals, inv_locals, coupled, fixed)."""
-    m = len(slots) + 1
-    if (gf, m) == (0, 2):
-        # Bergman coupling between the local slot and one outer slot
-        slot = slots[0]
-        kind = "bergman_z" if side == "z" else "bergman_inv"
-        return [(Frac(1), [], [], [(slot, kind)], [])]
-    form = toprec_wgn(gf, m)
-    out = []
-    for key, c in form.terms.items():
-        local_pole = key[0]
-        fixed = [(slots[k], key[k + 1]) for k in range(len(slots))]
-        if side == "z":
-            out.append((c, [local_pole], [], [], fixed))
-        else:
-            out.append((c, [], [local_pole], [], fixed))
-    return out
+def _factor_terms(gf: int, slots: tuple[int, ...], inv: bool):
+    """Expand one splitting factor W_{gf, len(slots)+1}(local, z_slots), the
+    local point being z or, with inv, 1/z, into (coeff, local, slot items)
+    with slot items as (slot, item) pairs."""
+    if (gf, len(slots) + 1) == (0, 2):
+        # Bergman coupling between the local point and one outer slot
+        return [(Frac(1), (), ((slots[0], inv),))]
+    loc = _loc_pole_inv if inv else _loc_pole
+    return [
+        (c, ((key[0][1], partial(loc, *key[0])),), tuple(zip(slots, key[1:])))
+        for key, c in toprec_wgn(gf, len(slots) + 1).terms.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -500,20 +473,6 @@ def _factor_terms(gf: int, slots: tuple[int, ...], side: str):
 @cache
 def _catalan_branch(order: int) -> TruncatedSeries:
     return catalan_inverse(order, "w")
-
-
-def _poly_on_series(p: Polynomial, s: TruncatedSeries) -> TruncatedSeries:
-    acc = TruncatedSeries.constant(s.var, 0, s.order)
-    for c in reversed(p.coeffs):
-        acc = acc * s + TruncatedSeries.constant(s.var, c, s.order)
-    return acc
-
-
-def _rf_on_series(f: RationalFunction, s: TruncatedSeries) -> TruncatedSeries:
-    """f(s) for a series s with f regular at the constant term of s."""
-    num = _poly_on_series(f.num, s)
-    den = _poly_on_series(f.den, s)
-    return num * den.inverse()
 
 
 @cache
@@ -531,7 +490,7 @@ def _x_expansion(terms: Mapping[PoleKey, Frac], n: int, order: int, slot_series)
     """sum_key c * prod_k slot_series(*key[k]) as a series in w_1..w_n, each
     slot series in w known through the given order.  A slot's lowest exponent
     is the least one over the keys (0 for a zero series)."""
-    series = {pole: slot_series(*pole) for key in terms for pole in key}
+    series = {pole: slot_series(*pole) for pole in {pole for key in terms for pole in key}}
     low = {pole: 0 if s.is_zero() else s.min_exp for pole, s in series.items()}
     return MultiSeries(
         tuple(f"w{k+1}" for k in range(n)),
@@ -736,7 +695,7 @@ def theta_expansion_check(i: int, d: int, order: int) -> bool:
 
     # -- coefficient form
     z = _catalan_branch(order + 2)
-    got = _rf_on_series(eta, z).truncate(order)
+    got = series_compose(eta.laurent_at(0, order + 2, "w"), z).truncate(order)
     expected = TruncatedSeries.zero("w", order)
     if d == 0 and i == 1:
         expected = TruncatedSeries.constant("w", Frac(1, 2), order)
@@ -850,7 +809,9 @@ def fgn_x_expansion(g: int, n: int, order: int, verify: bool = True) -> MultiSer
         prim.terms,
         n,
         order,
-        lambda a, j: _rf_on_series(primitive_slot_function(a, j), z).truncate(order),
+        lambda a, j: series_compose(
+            primitive_slot_function(a, j).laurent_at(0, order + 2, "w"), z
+        ).truncate(order),
     )
     if verify:
         for exps in product(range(order + 1), repeat=n):

@@ -50,7 +50,12 @@ from .exactcore import (
     TruncatedSeries,
     series_exp,
 )
-from .qcurve import toda_quadratic_check, verify_xd_recursion, x_partition
+from .qcurve import (
+    _xd_recursion_residual,
+    toda_quadratic_check,
+    verify_xd_recursion,
+    x_partition,
+)
 from .toprec import s0_s1_closed_forms
 from .wedge import stationary_invariant, unit_insertions
 
@@ -655,29 +660,17 @@ def qce_verification(
     """
     if d_max < 1:
         raise ExactError("d_max must be at least 1")
-    rec_ok = True
-    rec_detail: str | None = None
-    if recursion_perturbation is None:
-        for dd in range(1, d_max + 1):
-            if not verify_xd_recursion(dd):
-                rec_ok = False
-                rec_detail = f"recursion, d={dd}"
-                break
-    else:
-        def perturbed(j: int) -> RationalFunction:
-            base = x_partition(j)
-            extra = recursion_perturbation.get(j)
-            return base + extra if extra is not None else base
 
-        u = RationalFunction.identity()
-        u_plus_one = RationalFunction(Polynomial([1, 1]))
-        for dd in range(1, d_max + 1):
-            xd = perturbed(dd)
-            lhs = perturbed(dd - 1).shift(1) / u_plus_one + u * (xd.shift(-1) - xd)
-            if not lhs.is_zero():
-                rec_ok = False
-                rec_detail = f"recursion, d={dd}"
-                break
+    def recursion_holds(dd: int) -> bool:
+        if recursion_perturbation is None:
+            return verify_xd_recursion(dd)
+        x_prev, x_d = (x_partition(j) + recursion_perturbation.get(j, 0) for j in (dd - 1, dd))
+        return _xd_recursion_residual(x_prev, x_d).is_zero()
+
+    rec_detail = next(
+        (f"recursion, d={dd}" for dd in range(1, d_max + 1) if not recursion_holds(dd)), None
+    )
+    rec_ok = rec_detail is None
     conj_ok = conjugation_check(6, hbar_order=8)
     graded = build_degree_graded_x(min(d_max, 4), 12, strict=False)
     graded_ok = bool(graded)

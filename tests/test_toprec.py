@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p1qcurve import toprec
 from p1qcurve.exactcore import (
     ExactError,
     LocalExpr,
@@ -247,6 +248,22 @@ def test_w03_against_bruteforce_residue_oracle():
         bracket = b_direct(z2) * b_pullback(z3) + b_direct(z3) * b_pullback(z2)
         total += (kern * bracket).coefficient(-1)
     assert total == toprec_wgn(0, 3).evaluate((z1, z2, z3))
+
+
+@pytest.mark.parametrize("g,n", [(1, 2), (2, 1)])
+def test_wgn_too_small_working_order_raises(monkeypatch, g, n):
+    """Below the working order the residues need, the engine names the
+    branch point and the order instead of returning a wrong form."""
+    form = toprec_wgn(g, n)
+    raised = 0
+    for margin in range(-3, 4):
+        monkeypatch.setattr(toprec, "_ORDER_MARGIN", margin)
+        try:
+            assert toprec_wgn.__wrapped__(g, n) == form
+        except ExactError as exc:
+            assert "insufficient at branch point" in str(exc)
+            raised += 1
+    assert raised
 
 
 @pytest.mark.parametrize("a", [Frac(1), Frac(-1)])
