@@ -24,8 +24,6 @@ no floats anywhere):
 
 from .exactcore import (
     ExactError,
-    FormalLaurent,
-    LocalExpr,
     MultiSeries,
     Polynomial,
     RationalFunction,
@@ -88,8 +86,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DegreeGradedX",
     "ExactError",
-    "FormalLaurent",
-    "LocalExpr",
     "LogLaurentForm",
     "MultiSeries",
     "Polynomial",

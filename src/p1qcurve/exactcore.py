@@ -15,11 +15,11 @@ supplies the shared machinery:
   truncation order; reading a coefficient past the order raises
   :class:`TruncationError` instead of silently returning zero.
 * ``MultiSeries``  -- sparse multivariate series with per-variable orders.
-* ``LocalExpr`` / ``local_laurent`` / ``residue`` -- local Laurent expansion of
-  expressions built from rational functions and ``log z`` about the points
-  ``z = +1, -1, 0``.  At ``z = -1`` the branch constant ``log(-1)`` is kept as
-  a formal symbol ``L`` that must cancel before a plain series or a residue is
-  returned.
+* ``FormalLaurent`` -- Laurent series whose coefficients are polynomials in a
+  formal symbol ``L = log(-1)``, the branch constant of ``log z`` about
+  ``z = -1``; ``to_series`` raises :class:`BranchLogError` unless ``L`` has
+  cancelled.  Nothing in the package calls it; it backs the tests'
+  branch-constant oracle.
 
 No floats enter any code path; all comparisons are exact.
 """
@@ -50,9 +50,6 @@ __all__ = [
     "series_log",
     "series_compose",
     "MultiSeries",
-    "LocalExpr",
-    "local_laurent",
-    "residue",
     "rational_to_json",
     "rational_from_json",
 ]
@@ -1325,7 +1322,7 @@ def multiseries_log(m: MultiSeries) -> MultiSeries:
 
 
 # ---------------------------------------------------------------------------
-# Local expansions with a formal branch constant
+# Laurent series with a formal branch constant
 # ---------------------------------------------------------------------------
 
 
@@ -1361,9 +1358,6 @@ class _LPoly:
                 out[k] = out.get(k, Frac(0)) + v1 * v2
         return _LPoly(out)
 
-    def scale(self, s: Frac) -> "_LPoly":
-        return _LPoly({k: s * v for k, v in self.c.items()})
-
     def is_zero(self) -> bool:
         return not self.c
 
@@ -1374,13 +1368,6 @@ class _LPoly:
         if not self.is_scalar():
             raise BranchLogError("formal branch constant log(-1) did not cancel")
         return self.c.get(0, Frac(0))
-
-    def inverse(self) -> "_LPoly":
-        if not self.is_scalar() or self.is_zero():
-            raise BranchLogError(
-                "cannot invert a coefficient carrying the formal branch constant"
-            )
-        return _LPoly(Frac(1) / self.c[0])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _LPoly) and self.c == other.c
@@ -1459,36 +1446,6 @@ class FormalLaurent:
                     out[e - lo] = out[e - lo] + a * b
         return FormalLaurent(lo, out, order)
 
-    def inverse(self) -> "FormalLaurent":
-        if not self.coeffs:
-            raise ExactError("cannot invert a series with no known nonzero coefficient")
-        v = self.min_exp
-        lead = self.coeffs[0]
-        lead_inv = lead.inverse()  # raises BranchLogError when L-laden
-        n = self.order - v
-        inv = [lead_inv]
-        for k in range(1, n + 1):
-            acc = _LPoly(0)
-            for j in range(1, k + 1):
-                aj = self.coeffs[j] if j < len(self.coeffs) else _LPoly(0)
-                if not aj.is_zero():
-                    acc = acc + aj * inv[k - j]
-            inv.append((-acc) * lead_inv)
-        return FormalLaurent(-v, inv, n - v)
-
-    def power(self, n: int) -> "FormalLaurent":
-        if n < 0:
-            return self.inverse().power(-n)
-        result = FormalLaurent(0, [_LPoly(1)] + [_LPoly(0)] * max(self.order, 0), max(self.order, 0))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def is_branch_free(self) -> bool:
         return all(c.is_scalar() for c in self.coeffs)
 
@@ -1498,204 +1455,3 @@ class FormalLaurent:
         return TruncatedSeries(
             var, self.min_exp, [c.scalar() for c in self.coeffs], self.order
         )
-
-
-class LocalExpr:
-    """Expression tree over rational functions of z and the symbol log z.
-
-    Build expressions with the constructors and operators, then expand locally
-    with :func:`local_laurent` or take exact residues with :func:`residue`.
-    The node for ``log z`` composed with the involution ``z -> 1/z`` is kept
-    separate because its expansion about z = -1 differs from ``-log z`` by the
-    formal constant ``2 L`` (the two local branches straddle the cut).
-    """
-
-    __slots__ = ("kind", "payload")
-
-    def __init__(self, kind: str, payload):
-        self.kind = kind
-        self.payload = payload
-
-    # -- constructors --------------------------------------------------------
-
-    @classmethod
-    def rational(cls, f: RationalFunction | Polynomial | Scalar) -> "LocalExpr":
-        if not isinstance(f, RationalFunction):
-            f = RationalFunction(f if isinstance(f, Polynomial) else Polynomial.constant(f))
-        return cls("rat", f)
-
-    @classmethod
-    def log_z(cls) -> "LocalExpr":
-        return cls("log", None)
-
-    @classmethod
-    def log_z_reciprocal(cls) -> "LocalExpr":
-        """The branch-consistent local expansion of ``log(1/z)``."""
-        return cls("log_inv", None)
-
-    # -- operators -------------------------------------------------------------
-
-    def _coerce(self, other) -> "LocalExpr | None":
-        if isinstance(other, LocalExpr):
-            return other
-        if isinstance(other, (int, Frac, Polynomial, RationalFunction)):
-            return LocalExpr.rational(other)
-        return None
-
-    def __add__(self, other) -> "LocalExpr":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LocalExpr("add", (self, o))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LocalExpr":
-        return LocalExpr("mul", (LocalExpr.rational(-1), self))
-
-    def __sub__(self, other) -> "LocalExpr":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "LocalExpr":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other) -> "LocalExpr":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LocalExpr("mul", (self, o))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "LocalExpr":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other) -> "LocalExpr":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
-    def __pow__(self, n: int) -> "LocalExpr":
-        return LocalExpr("pow", (self, int(n)))
-
-    def inv(self) -> "LocalExpr":
-        return LocalExpr("inv", self)
-
-    # -- expansion ------------------------------------------------------------------
-
-    def _expand(self, center: int, order: int) -> FormalLaurent:
-        if self.kind == "rat":
-            f: RationalFunction = self.payload
-            return FormalLaurent.from_series(f.laurent_at(center, order, "t"))
-        if self.kind in ("log", "log_inv"):
-            sign = Frac(1) if self.kind == "log" else Frac(-1)
-            if center == 1:
-                # log z = log(1 + t)
-                s = TruncatedSeries(
-                    "t",
-                    1,
-                    [Frac((-1) ** (k + 1), k) for k in range(1, order + 1)],
-                    order,
-                ) if order >= 1 else TruncatedSeries.zero("t", order)
-                return FormalLaurent.from_series(s * sign)
-            if center == -1:
-                # log z = L + log(-z), -z = 1 - t:   L - sum t^k/k
-                # log(1/z) = L + log(-1/z), -1/z = 1/(1-t):   L + sum t^k/k
-                s = TruncatedSeries(
-                    "t",
-                    1,
-                    [Frac(-1, k) for k in range(1, order + 1)],
-                    order,
-                ) if order >= 1 else TruncatedSeries.zero("t", order)
-                base = FormalLaurent.from_series(s * sign)
-                return base + FormalLaurent.constant_L(order)
-            raise ExactError("log z has no Laurent expansion about z = 0")
-        if self.kind == "add":
-            a, b = self.payload
-            return a._expand(center, order) + b._expand(center, order)
-        if self.kind == "mul":
-            a, b = self.payload
-            # headroom: expanding factors deeper compensates pole orders
-            pad = 8
-            fa = a._expand(center, order + pad)
-            fb = b._expand(center, order + pad)
-            prod = fa * fb
-            if prod.order < order:
-                fa = a._expand(center, order + 2 * pad + 16)
-                fb = b._expand(center, order + 2 * pad + 16)
-                prod = fa * fb
-            if prod.order < order:
-                raise TruncationError("product expansion fell short of requested order")
-            return _fl_truncate(prod, order)
-        if self.kind == "pow":
-            base, n = self.payload
-            pad = 8 + 4 * abs(n)
-            fb = base._expand(center, order + pad)
-            res = fb.power(n)
-            if res.order < order:
-                raise TruncationError("power expansion fell short of requested order")
-            return _fl_truncate(res, order)
-        if self.kind == "inv":
-            pad = 8
-            fb = self.payload._expand(center, order + pad)
-            res = fb.inverse()
-            if res.order < order:
-                fb = self.payload._expand(center, order + 3 * pad)
-                res = fb.inverse()
-            if res.order < order:
-                raise TruncationError("inverse expansion fell short of requested order")
-            return _fl_truncate(res, order)
-        raise ExactError(f"unknown expression node {self.kind}")
-
-
-def _fl_truncate(f: FormalLaurent, order: int) -> FormalLaurent:
-    if order >= f.order:
-        return f
-    keep = max(0, order - f.min_exp + 1)
-    return FormalLaurent(f.min_exp, list(f.coeffs[:keep]), order)
-
-
-def local_laurent(
-    expr: LocalExpr,
-    center: int,
-    order: int,
-    var: str = "t",
-    allow_branch_constant: bool = False,
-):
-    """Laurent expansion of ``expr`` in ``t = z - center`` through ``t**order``.
-
-    ``center`` must be one of +1, -1, 0.  About z = -1 the constant
-    ``L = log(-1)`` of the local branch is formal; if it survives in any
-    coefficient the expansion is returned as a :class:`FormalLaurent` when
-    ``allow_branch_constant`` is set and raises :class:`BranchLogError`
-    otherwise.
-    """
-    if center not in (1, -1, 0):
-        raise ExactError("expansion centers are restricted to +1, -1, 0")
-    raw = expr._expand(center, order)
-    if allow_branch_constant:
-        return raw
-    return raw.to_series(var)
-
-
-def residue(expr: LocalExpr, center: int, depth: int = 16) -> Frac:
-    """Exact residue of ``expr`` at ``center`` (coefficient of 1/(z-center)).
-
-    ``depth`` bounds the pole order probed.  The branch constant must cancel
-    in the 1/t coefficient; otherwise :class:`BranchLogError` propagates.
-    """
-    raw = expr._expand(center, 0)
-    if raw.min_exp < -depth:
-        raise ExactError(f"pole deeper than probe depth {depth} at center {center}")
-    c = raw.lcoefficient(-1)
-    return c.scalar()

@@ -7,8 +7,8 @@ points.  The branch constant log(-1) cancels in the kernel gap
 y(1/z) - y(z): log(1/z) and -log z differ by twice the branch constant at
 z = -1.  So _loc_log_gap is the closed form -2 log(1 +- t), and every local
 series of the engine is a plain rational series.  tests/test_toprec.py
-checks that closed form against the LocalExpr route, which carries the
-constant formally.
+checks that closed form against tests/oracles.formal_log_gap, which expands
+both logs separately and carries the constant formally.
 
 The module also provides the pole-primitive family theta/eta with its
 x-expansion checks against the closed-form transition-matrix entries, the
@@ -45,7 +45,7 @@ from .exactcore import (
     series_compose,
     series_log,
 )
-from .wedge import catalan_inverse, stationary_invariant, unit_insertions
+from .wedge import _one_point_closed_form, catalan_inverse, stationary_invariant, unit_insertions
 
 __all__ = [
     "CorrelationForm",
@@ -1035,10 +1035,6 @@ def s0_s1_closed_forms(order: int = 12) -> bool:
         return False  # log z part (the log(1+z^2) parts cancel identically)
 
     # ---- part (d1'): the series form of the one-point closed form
-    zs = _catalan_branch(order + 2)
-    one_s = TruncatedSeries.constant("w", 1, zs.order)
-    log_one_plus = series_log(one_s + zs * zs)  # log(1 + z^2)
-    closed_one = (-2 * zs).truncate(order) + log_one_plus.shift_exponent(-1).truncate(order)
     series_one = TruncatedSeries.zero("w", order)
     d = 1
     while 2 * d - 1 <= order:
@@ -1047,11 +1043,14 @@ def s0_s1_closed_forms(order: int = 12) -> bool:
             "w", 2 * d - 1, -math.factorial(2 * d - 2) * val, order
         )
         d += 1
-    if closed_one != series_one:
+    if _one_point_closed_form(order) != series_one:
         return False
 
     # ---- part (d2): two-point assembly at coincident points vs closed form
     # sum over unit-dressed pairs equals -log(1-z^2) + log(1+z^2)
+    zs = _catalan_branch(order + 2)
+    one_s = TruncatedSeries.constant("w", 1, zs.order)
+    log_one_plus = series_log(one_s + zs * zs)  # log(1 + z^2)
     # mixed unit/fiber terms: 2 * (-1/2) * (-(2d-1)!) <unit, tau_{2d-1}>
     cross = TruncatedSeries.zero("w", order)
     d = 1
@@ -1083,13 +1082,11 @@ def s0_s1_closed_forms(order: int = 12) -> bool:
     if cross != log_one_plus.truncate(order):
         return False
 
-    # ---- part (e): the unstable two-point primitive
-    # coefficientwise, d1 d2 [-log(1 - z1 z2)] = 1/(1 - z1 z2)^2, and the
-    # closed form vanishes at the origin
-    for a in range(1, order + 1):
-        for b in range(1, order + 1):
-            lhs = Frac(a * b, a) if a == b else Frac(0)  # a*b * [z^a z^b](-log)
-            rhs = Frac(a) if a == b else Frac(0)  # [z1^{a-1} z2^{b-1}] of rhs
-            if lhs != rhs:
-                return False
-    return True
+    # ---- part (e): the unstable two-point primitive f = -log(1 - z1 z2)
+    # d1 d2 f(z1 z2) = (u f'(u))' with u = z1 z2 must be 1/(1 - u)^2, and f
+    # must vanish at the origin; together they pin f down
+    u = TruncatedSeries.variable("u", order)
+    f = -series_log(1 - u)
+    if f.coefficient(0) != 0:
+        return False
+    return (u * f.derivative()).derivative() == ((1 - u) ** -2).truncate(order - 1)

@@ -172,12 +172,15 @@ def disconnected_npoint(d: int, n: int, order: int, max_points: int = 4) -> Mult
         raise ExactError(f"n={n} exceeds the configured point bound {max_points}")
     if d < 0:
         raise ExactError("degree must be nonnegative")
-    vars = _point_vars(n)
-    total = MultiSeries.zero(vars, (-1,) * n, (order,) * n)
+    return _disconnected(d, _point_vars(n), order)
+
+
+def _disconnected(d: int, vars: tuple[str, ...], order: int) -> MultiSeries:
+    """The degree-d disconnected series on the point variables ``vars``."""
+    total = MultiSeries.zero(vars, (-1,) * len(vars), (order,) * len(vars))
     for lam in partitions(d):
         eig = e0_eigenvalue(lam, order).series
-        factors = [eig.rename(v) for v in vars]
-        total = total + fock_weight(lam) * MultiSeries.outer_product(factors)
+        total = total + fock_weight(lam) * MultiSeries.outer_product([eig.rename(v) for v in vars])
     return total
 
 
@@ -228,17 +231,9 @@ def connected_npoint(d: int, n: int, order: int, max_points: int = 4) -> MultiSe
     for size in range(1, n + 1):
         for subset in combinations(points, size):
             svars = tuple(f"x{i}" for i in subset)
-            per_degree = []
-            for m in range(d + 1):
-                total = MultiSeries.zero(svars, (-1,) * size, (order,) * size)
-                for lam in partitions(m):
-                    eig = e0_eigenvalue(lam, order).series
-                    total = total + fock_weight(lam) * MultiSeries.outer_product(
-                        [eig.rename(v) for v in svars]
-                    )
-                per_degree.append(total)
+            per_degree = [_disconnected(m, svars, order) for m in range(d + 1)]
             tilde[subset] = [
-                _msum(
+                sum(
                     (Frac((-1) ** j, math.factorial(j)) * per_degree[m - j] for j in range(m + 1)),
                     MultiSeries.zero(svars, (-1,) * size, (order,) * size),
                 )
@@ -269,13 +264,6 @@ def connected_npoint(d: int, n: int, order: int, max_points: int = 4) -> MultiSe
         return total
 
     return connected(points, d)
-
-
-def _msum(terms, start: MultiSeries) -> MultiSeries:
-    total = start
-    for t in terms:
-        total = total + t
-    return total
 
 
 def _exponents(b) -> tuple[int, ...]:

@@ -5,11 +5,16 @@
 a tuple of ``Fraction`` coefficients, schoolbook products, long division
 over Q, Euclid over Q and ``shift`` as Horner composition with ``t + c``.
 It is slow and plain on purpose; keep it that way.
+
+``formal_logs`` expands ``log z`` and ``log(1/z)`` about ``z = +-1`` with the
+branch constant ``log(-1)`` kept formal.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Frac
+
+from p1qcurve.exactcore import FormalLaurent, TruncatedSeries, series_log
 
 
 class FracPolynomial:
@@ -118,3 +123,24 @@ def frac_canonical(num: FracPolynomial, den: FracPolynomial) -> tuple[FracPolyno
     num, den = divmod(num, g)[0], divmod(den, g)[0]
     lead = den.leading()
     return FracPolynomial(c / lead for c in num.coeffs), den.monic()
+
+
+def formal_logs(a, order: int) -> tuple[FormalLaurent, FormalLaurent]:
+    """``(log z, log(1/z))`` at ``z = a + t`` for ``a = +-1``, through ``t**order``.
+
+    With ``z = a (1 + t/a)``: ``log z = log a + log(1 + t/a)`` and
+    ``log(1/z) = log(1/a) - log(1 + t/a)``.  At ``a = -1`` both ``log a`` and
+    ``log(1/a)`` are the branch constant ``L = log(-1)``, kept formal.
+    """
+    local = FormalLaurent.from_series(
+        series_log(TruncatedSeries("t", 0, [1, Frac(1) / a] + [0] * (order - 1), order))
+    )
+    zero = FormalLaurent.from_series(TruncatedSeries.zero("t", order))
+    branch = FormalLaurent.constant_L(order) if a == -1 else zero
+    return branch + local, branch - local
+
+
+def formal_log_gap(a, order: int) -> TruncatedSeries:
+    """``log(1/z) - log z`` at ``z = a + t``; ``BranchLogError`` if ``L`` survives."""
+    log_z, log_inv = formal_logs(a, order)
+    return (log_inv - log_z).to_series("t")

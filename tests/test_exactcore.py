@@ -12,10 +12,8 @@ from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from p1qcurve.exactcore import (
-    BranchLogError,
     ExactError,
     FactorError,
-    LocalExpr,
     MultiSeries,
     PoleEvaluationError,
     Polynomial,
@@ -23,11 +21,9 @@ from p1qcurve.exactcore import (
     TruncatedSeries,
     TruncationError,
     _rational_roots,
-    local_laurent,
     partial_fractions,
     rational_from_json,
     rational_to_json,
-    residue,
     series_compose,
     series_exp,
     series_log,
@@ -408,71 +404,6 @@ def test_multiseries_hash_agrees_with_eq():
 def test_multiseries_json_roundtrip():
     m = MultiSeries(("x1", "x2"), (-1, 0), (2, 2), {(-1, 2): F(3, 4), (0, 0): -2})
     assert MultiSeries.from_json(m.to_json()) == m
-
-
-# ---------------------------------------------------------------------------
-# local expansions and residues
-# ---------------------------------------------------------------------------
-
-
-def z_rational(num, den):
-    return LocalExpr.rational(RationalFunction(poly(num), poly(den)))
-
-
-def test_known_residue_with_log_factor():
-    # 1/((z-1) log z) about z=1: substitute z=1+t, expand, read the 1/t term.
-    # Brute expansion gives t^-2 + (1/2) t^-1 + ...; frozen oracle value 1/2.
-    e = z_rational([1], [-1, 1]) * LocalExpr.log_z().inv()
-    assert residue(e, 1) == F(1, 2)
-    s = local_laurent(e, 1, 3)
-    assert s.coefficient(-2) == 1
-    assert s.coefficient(-1) == F(1, 2)
-
-
-def test_rational_residues_match_partial_fractions():
-    f = RationalFunction(poly([1, 3]), Polynomial.from_roots([1, -1, -1]))
-    pf = partial_fractions(f).as_dict()
-    assert residue(LocalExpr.rational(f), 1) == pf[(F(1), 1)]
-    assert residue(LocalExpr.rational(f), -1) == pf[(F(-1), 1)]
-
-
-def test_log_branch_constant_cancels_in_involution_difference():
-    # log(1/z) - log z about z = -1 equals -2 log(-z) with no branch constant
-    diff = LocalExpr.log_z_reciprocal() - LocalExpr.log_z()
-    s = local_laurent(diff, -1, 5)
-    assert s.coefficient(1) == 2
-    assert s.coefficient(2) == 1
-    assert s.coefficient(3) == F(2, 3)
-
-
-def test_log_branch_constant_obstructs_lone_log():
-    with pytest.raises(BranchLogError):
-        local_laurent(LocalExpr.log_z(), -1, 2)
-    with pytest.raises(BranchLogError):
-        local_laurent(LocalExpr.log_z().inv(), -1, 2)
-    # residue slot carrying the branch constant: log(z)/(z+1) about z = -1
-    with pytest.raises(BranchLogError):
-        residue(LocalExpr.log_z() * z_rational([1], [1, 1]), -1)
-    # but a log whose branch constant sits away from the 1/t slot is harmless
-    assert residue(LocalExpr.log_z(), -1) == 0
-
-
-def test_log_has_no_expansion_at_zero():
-    with pytest.raises(ExactError):
-        local_laurent(LocalExpr.log_z(), 0, 3)
-
-
-def test_log_expansions_at_plus_one():
-    s = local_laurent(LocalExpr.log_z(), 1, 4)
-    assert [s.coefficient(k) for k in range(1, 5)] == [F(1), F(-1, 2), F(1, 3), F(-1, 4)]
-    r = local_laurent(LocalExpr.log_z_reciprocal(), 1, 4)
-    assert [r.coefficient(k) for k in range(1, 5)] == [F(-1), F(1, 2), F(-1, 3), F(1, 4)]
-
-
-def test_residue_of_regular_point_is_zero():
-    f = z_rational([1], [2, 1])  # 1/(2+z), regular at +-1
-    assert residue(f, 1) == 0
-    assert residue(f, -1) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 
 from p1qcurve import toprec
 from p1qcurve.exactcore import (
+    BranchLogError,
     ExactError,
-    LocalExpr,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
-    local_laurent,
 )
 from p1qcurve.toprec import (
     CorrelationForm,
@@ -44,6 +43,7 @@ from p1qcurve.toprec import (
     w01,
     w02,
 )
+from oracles import formal_log_gap, formal_logs
 
 STABLE_PAIRS = [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]
 
@@ -268,16 +268,28 @@ def test_wgn_too_small_working_order_raises(monkeypatch, g, n):
 
 @pytest.mark.parametrize("a", [Frac(1), Frac(-1)])
 def test_log_gap_matches_local_expr_oracle(a):
-    # the engine's only branch check against the public LocalExpr route
-    oracle = local_laurent(LocalExpr.log_z_reciprocal() - LocalExpr.log_z(), int(a), 10)
+    # the engine's only branch check against the formal-log oracle
+    oracle = formal_log_gap(a, 10)
     assert _loc_log_gap(a, 10) == oracle
 
 
 @pytest.mark.parametrize("a", [Frac(1), Frac(-1)])
 def test_log_gap_oracle_rejects_the_other_branch_sign(a):
     # negative control: the closed form with the sign of the other branch point
-    oracle = local_laurent(LocalExpr.log_z_reciprocal() - LocalExpr.log_z(), int(a), 10)
+    oracle = formal_log_gap(a, 10)
     assert _loc_log_gap(-a, 10) != oracle
+
+
+def test_formal_log_branch_constant_obstructs_lone_log():
+    # negative control for the oracle: log z alone keeps L = log(-1) at z = -1
+    log_z, log_inv = formal_logs(-1, 10)
+    for lone in (log_z, log_inv):
+        with pytest.raises(BranchLogError):
+            lone.to_series("t")
+    # at z = +1 there is no branch constant: log z = log(1 + t)
+    log_z, _ = formal_logs(1, 4)
+    s = log_z.to_series("t")
+    assert [s.coefficient(k) for k in range(5)] == [0, 1, Frac(-1, 2), Frac(1, 3), Frac(-1, 4)]
 
 
 # ---------------------------------------------------------------------------
