@@ -28,7 +28,6 @@ from .exactcore import (
     partial_fractions,
 )
 from .partitions import (
-    Partition,
     hook_product,
     offset_product,
     padded,

@@ -3,12 +3,12 @@
 Stable correlation forms W_{g,n} are finite sums of tensor products of
 single-pole differentials dz/(z -a)^j with a = +-1 and j >= 2; the recursion
 residues are evaluated by exact local Laurent expansion at the two branch
-points.  The branch constant log(-1) cancels in the kernel gap
-y(1/z) - y(z): log(1/z) and -log z differ by twice the branch constant at
-z = -1.  So _loc_log_gap is the closed form -2 log(1 +- t), and every local
-series of the engine is a plain rational series.  tests/test_toprec.py
-checks that closed form against tests/oracles.formal_log_gap, which expands
-both logs separately and carries the constant formally.
+points.  Every local table is a rational function of z expanded in closed
+form (_loc_rational), except the kernel gap y(1/z) - y(z), in which the
+branch constant log(-1) cancels: _loc_log_gap is the closed form
+-2 log(1 +- t).  tests/test_toprec.py checks the gap against
+tests/oracles.formal_log_gap, which carries the constant formally, and the
+tables against the series-inverse chain they replaced (tests/oracles.py).
 
 The module also provides the pole-primitive family theta/eta with its
 x-expansion checks against the closed-form transition-matrix entries, the
@@ -19,10 +19,10 @@ unstable closed forms S_0, S_1.
 Every slot-by-slot map of a finished form -- the large-x expansions of
 W_{g,n} and F_{g,n}, the z -> 1/z pullback, the derivative of F_{g,n}, the
 ancestor reassembly -- is the one contraction _slotwise of per-slot images,
-with exact coefficients.  The recursion itself (toprec_wgn) contracts local
-series instead: it merges the recursion pieces that share their outer-slot
-items into one series per branch point and expands that series slot by slot
-in its own loop, reading [t^-1] once per pole label.
+with exact coefficients; the stationary-invariant check runs it only on the
+total-degree simplex it compares.  The recursion itself (toprec_wgn)
+contracts local series in its own loop, making only the coefficients that
+reach [t^-1]: a transposed residue, read by a dot product in the last slot.
 """
 
 from __future__ import annotations
@@ -80,12 +80,6 @@ _XPRIME = RationalFunction(Polynomial([0, 0, 1]) - Polynomial.one(), Polynomial(
 # x'(z) = 1 - 1/z^2 = (z^2 - 1)/z^2
 
 
-def _rf(num, den=None) -> RationalFunction:
-    if den is None:
-        return RationalFunction(num if isinstance(num, Polynomial) else Polynomial.constant(num))
-    return RationalFunction(num, den)
-
-
 # ---------------------------------------------------------------------------
 # Unstable forms
 # ---------------------------------------------------------------------------
@@ -102,9 +96,8 @@ class W01Form:
         """Pulling back through z -> 1/z flips the sign of the form: the log
         factor is odd while x (hence dx as a form) is invariant."""
         # y(1/z) = -y(z) symbolically; x(1/z) = x(z) exactly:
-        x = _rf(Polynomial([0, 1])) + _rf(Polynomial.one(), Polynomial([0, 1]))
-        x_inv = x.reciprocal_substitution()
-        return x_inv == x
+        x = RationalFunction(_Z) + RationalFunction(1, _Z)
+        return x.reciprocal_substitution() == x
 
 
 @dataclass(frozen=True)
@@ -219,12 +212,12 @@ def _pullback(a: Frac, j: int) -> dict[tuple[Frac, int], Frac]:
     return {(a, j - l): base * math.comb(j - 2, l) * a ** (j - 2 - l) for l in range(j - 1)}
 
 
-def _slotwise(terms: Mapping[tuple, Frac], n: int, slot_map) -> dict[tuple, Frac]:
+def _slotwise(terms: Mapping[tuple, Frac], n: int, slot_map, keep=None) -> dict[tuple, Frac]:
     """sum_key c * prod_k slot_map(k, key[k]) for terms {key: c} of arity n,
     where slot_map gives a slot item's image as a mapping label -> weight;
     the result maps label tuples to nonzero coefficients.  Expanded one slot
     at a time: partial states (labels so far, items left) that agree across
-    keys are merged before the next slot."""
+    keys are merged before the next slot; those failing keep are dropped."""
     state = {((), key): c for key, c in terms.items()}
     for k in range(n):
         images = {item: slot_map(k, item) for item in {rest[0] for _, rest in state}}
@@ -232,7 +225,8 @@ def _slotwise(terms: Mapping[tuple, Frac], n: int, slot_map) -> dict[tuple, Frac
         for (done, rest), c in state.items():
             for label, w in images[rest[0]].items():
                 s = (done + (label,), rest[1:])
-                nxt[s] = nxt.get(s, 0) + c * w
+                if keep is None or keep(*s):
+                    nxt[s] = nxt.get(s, 0) + c * w
         state = {s: c for s, c in nxt.items() if c}
     return {done: c for (done, _), c in state.items()}
 
@@ -243,21 +237,10 @@ def _slotwise(terms: Mapping[tuple, Frac], n: int, slot_map) -> dict[tuple, Frac
 
 
 @cache
-def _loc_z_inv(a: Frac, order: int) -> TruncatedSeries:
-    """1/z = 1/(a+t) as a local series."""
-    return _rf(Polynomial.one(), Polynomial([0, 1])).laurent_at(a, order, "t")
-
-
-@cache
-def _loc_s(a: Frac, order: int) -> TruncatedSeries:
-    """s(t) = 1/z - a, the local coordinate of the involution image."""
-    return _loc_z_inv(a, order) - a
-
-
-@cache
-def _loc_jacobian(a: Frac, order: int) -> TruncatedSeries:
-    """d(1/z)/dz = -1/z^2 as a local series."""
-    return _rf(Polynomial.constant(-1), Polynomial([0, 0, 1])).laurent_at(a, order, "t")
+def _loc_rational(num: Polynomial, den: Polynomial, a: Frac, order: int) -> TruncatedSeries:
+    """num(z)/den(z) at z = a + t through t^order: every local table of the
+    engine but the kernel denominator, in closed form."""
+    return RationalFunction(num, den).laurent_at(a, order, "t")
 
 
 @cache
@@ -281,54 +264,30 @@ def _loc_kernel_denominator_inverse(a: Frac, order: int) -> TruncatedSeries:
     return (2 * _loc_log_gap(a, order) * _XPRIME.laurent_at(a, order, "t")).inverse()
 
 
-@cache
-def _loc_pole(b: Frac, j: int, a: Frac, order: int) -> TruncatedSeries:
-    """1/(z - b)^j local at z = a + t."""
-    if b == a:
-        return TruncatedSeries.monomial("t", -j, 1, order)
-    return _rf(Polynomial.one(), Polynomial.from_roots([b]) ** j).laurent_at(a, order, "t")
-
-
-@cache
-def _loc_pole_inv(b: Frac, j: int, a: Frac, order: int) -> TruncatedSeries:
-    """1/(1/z - b)^j d(1/z)/dz local at z = a + t."""
-    s = _loc_s(a, order)
-    # at b != a: 1/((a - b) + s)^j with a - b = 2a
-    return (s if b == a else s + 2 * a) ** -j * _loc_jacobian(a, order)
+def _loc_pole(b: Frac, j: int, inv: bool, a: Frac, order: int) -> TruncatedSeries:
+    """1/(z - b)^j, or with inv 1/(1/z - b)^j d(1/z)/dz = -z^{j-2}/(1 - bz)^j,
+    local at z = a + t."""
+    if inv:
+        return _loc_rational(-(_Z ** (j - 2)), (1 - b * _Z) ** j, a, order)
+    return _loc_rational(Polynomial.one(), (_Z - b) ** j, a, order)
 
 
 def _loc_bergman_local_pair(a: Frac, order: int) -> TruncatedSeries:
-    """dz d(1/z)/(z - 1/z)^2 reduced to its dz^2-coefficient: the series of
-    -1/z^2 * 1/(z - 1/z)^2."""
-    z_series = TruncatedSeries.variable("t", order) + a
-    return _loc_jacobian(a, order) * (z_series - _loc_z_inv(a, order)) ** -2
+    """dz d(1/z)/(z - 1/z)^2 as a dz^2-coefficient, -1/(z^2 - 1)^2."""
+    return _loc_rational(-Polynomial.one(), (_Z * _Z - 1) ** 2, a, order)
 
 
-@cache
-def _loc_s_power(a: Frac, k: int, order: int) -> TruncatedSeries:
-    """s^k, each power built from the one below."""
-    if k == 0:
-        return TruncatedSeries.constant("t", 1, order)
-    return _loc_s_power(a, k - 1, order) * _loc_s(a, order)
+def _loc_kernel_numerator(a: Frac, k: int, order: int) -> TruncatedSeries:
+    """s^{k+1} - t^{k+1}, s = 1/z - a = (1 - az)/z: the coefficient of
+    1/(z_1 - a)^{k+2} in the kernel numerator 1/(z_1 - z) - 1/(z_1 - 1/z)."""
+    num = (1 - a * _Z) ** (k + 1) - (_Z * (_Z - a)) ** (k + 1)
+    return _loc_rational(num, _Z ** (k + 1), a, order)
 
 
-@cache
-def _loc_kernel_numerator(a: Frac, m: int, order: int) -> TruncatedSeries:
-    """s^{m-1} - t^{m-1}: the coefficient of 1/(z_1 - a)^m in the kernel
-    numerator 1/(z_1 - z) - 1/(z_1 - 1/z)."""
-    s_power = _loc_s_power(a, m - 1, order)
-    # t^{m-1} is exact: known as far as s^{m-1}, it never limits the order
-    return s_power - TruncatedSeries.monomial("t", m - 1, 1, s_power.order)
-
-
-@cache
-def _loc_bergman(a: Frac, k: int, inv: bool, order: int) -> TruncatedSeries:
-    """The coefficient of 1/(z_i - a)^{k+2} in the Bergman coupling of z_i
-    to z, (k+1) t^k, or to 1/z, (k+1) s^k d(1/z)/dz."""
-    if inv:
-        return (k + 1) * _loc_s_power(a, k, order) * _loc_jacobian(a, order)
-    # t^k is exact: give it at least the order of s^k d(1/z)/dz
-    return TruncatedSeries.monomial("t", k, k + 1, order + k)
+def _loc_bergman_inv(a: Frac, k: int, order: int) -> TruncatedSeries:
+    """(k+1) s^k d(1/z)/dz = -(k+1) (1 - az)^k/z^{k+2}: the coefficient of
+    1/(z_i - a)^{k+2} in the Bergman coupling of z_i to 1/z."""
+    return _loc_rational(-(k + 1) * (1 - a * _Z) ** k, _Z ** (k + 2), a, order)
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +309,14 @@ def toprec_wgn(g: int, n: int) -> CorrelationForm:
 
     Residues at both branch points are computed by exact local expansion in
     z = a + t.  The recursion pieces (_recursion_pieces) whose outer slots
-    2..n carry the same items are summed into one local series first, times
-    the kernel denominator 1/(2 (y(1/z) - y(z)) x'(z)); the branch constant
-    cancels in its gap (_loc_log_gap), so every local series is
-    branch-free.  Each such series is then expanded slot by slot into pole
-    labels: slot 1 through the kernel numerator, a Bergman slot through its
-    coupling, a fixed slot unchanged; partial states with equal labels are
-    merged, and [t^-1] is read once per state.  This loop is the engine's
-    own slot contraction; every other slot map of the module runs through
-    _slotwise.
+    2..n carry the same items are summed into one local series, times the
+    kernel denominator 1/(2 (y(1/z) - y(z)) x'(z)), then expanded slot by
+    slot into pole labels: slot 1 through the kernel numerator, a Bergman
+    slot through its coupling, a fixed slot unchanged, equal partial states
+    merged.  Only [t^-1] is read: every slot factor has valuation >= 0, so
+    a state is kept through t^-1 and each closed-form table only as far as
+    its product reads it; a coupling (k+1) t^k to z is an exponent shift,
+    and the last slot's factor is read by a dot product.
 
     The working order is the deepest local pole of a piece plus
     _ORDER_MARGIN.  A residue beyond the order a series is known to raises
@@ -375,47 +333,77 @@ def toprec_wgn(g: int, n: int) -> CorrelationForm:
     order = max(sum(j for j, _ in local) for _, local, _ in pieces) + _ORDER_MARGIN
     terms: dict[PoleKey, Frac] = {}
     for a in BRANCH_POINTS:
-        grouped: dict[tuple, TruncatedSeries] = {}
-        for coeff, local, items in pieces:
-            series = TruncatedSeries.constant("t", coeff, order)
-            for _, factor in local:
-                series = series * factor(a, order)
-            grouped[items] = grouped[items] + series if items in grouped else series
-        # states (labels of slots done, items of slots left) -> local series
-        state: dict[tuple, TruncatedSeries] = {}
-        for items, series in grouped.items():
-            series = series * _loc_kernel_denominator_inverse(a, order)
-            for m in range(2, 2 - series.min_exp):
-                state[((a, m),), items] = series * _loc_kernel_numerator(a, m, order)
-        for _ in range(n - 1):
-            # a series that starts above t^-1 keeps a zero residue: drop it
-            state = {key: f for key, f in state.items() if f.min_exp <= -1}
-            nxt: dict[tuple, TruncatedSeries] = {}
-            for (done, items), series in state.items():
-                item = items[0]
-                if isinstance(item, bool):  # a Bergman coupling to z or 1/z
-                    branches = [
-                        ((a, k + 2), series * _loc_bergman(a, k, item, order))
-                        for k in range(-series.min_exp)
-                    ]
-                else:  # a fixed pole
-                    branches = [(item, series)]
-                for label, f in branches:
-                    key = (done + (label,), items[1:])
-                    nxt[key] = nxt[key] + f if key in nxt else f
-            state = nxt
+        try:
+            residues = _branch_residues(pieces, n, a, order)
+        except TruncationError as exc:
+            raise ExactError(
+                f"local expansion order {order} insufficient at branch point {a}; "
+                "increase the working order"
+            ) from exc
         # slot 1 carries the branch point, so the two never share a key
-        for (done, _), series in state.items():
-            try:
-                value = series.coefficient(-1)
-            except TruncationError as exc:
-                raise ExactError(
-                    f"local expansion order {order} insufficient at branch point {a}; "
-                    "increase the working order"
-                ) from exc
-            if value:
-                terms[done] = value
+        terms.update((key, c) for key, c in residues.items() if c)
     return CorrelationForm(g, n, terms)
+
+
+def _branch_residues(pieces, n: int, a: Frac, order: int) -> dict[PoleKey, Frac]:
+    """[t^-1] at the branch point a of the recursion integrand, summed per
+    pole label tuple of the n slots (see toprec_wgn)."""
+    kinv = _loc_kernel_denominator_inverse(a, order)
+    top = -2 - kinv.min_exp  # a piece times kinv is read through t^-2
+    # states (labels of slots done, items of slots left, None for slot 1) ->
+    # local series; a slot factor is a table or (k, c) for c t^k
+    state: dict[tuple, TruncatedSeries] = {}
+    for coeff, local, items in pieces:
+        # a factor is read through t^top past the poles of the others
+        depth = sum(j for j, _ in local)
+        series = TruncatedSeries.constant("t", coeff, min(order, top + depth))
+        for j, factor in local:
+            series = series * factor(a, min(order, top + depth - j))
+        key = ((), (None,) + items)
+        state[key] = state[key] + series if key in state else series
+    state = {key: _mul_upto(f, kinv, -2) for key, f in state.items()}
+    residues: dict[PoleKey, Frac] = {}
+    for slot in range(n):
+        nxt: dict[tuple, TruncatedSeries] = {}
+        for (done, items), f in state.items():
+            item, reach = items[0], min(order, -1 - f.min_exp)  # a table is read to reach
+            if item is None or item is True:  # the kernel numerator, the coupling to 1/z
+                table = _loc_kernel_numerator if item is None else _loc_bergman_inv
+                factors = [((a, k + 2), table(a, k, reach)) for k in range(-f.min_exp)]
+            elif item is False:  # the Bergman coupling (k+1) t^k to z
+                factors = [((a, k + 2), (k, k + 1)) for k in range(-f.min_exp)]
+            else:  # a fixed pole
+                factors = [(item, (0, 1))]
+            for label, factor in factors:
+                key = done + (label,)
+                if slot == n - 1:
+                    residues[key] = residues.get(key, 0) + _residue_of_product(f, factor)
+                    continue
+                prod = _mul_upto(f, factor, -1)
+                if prod.min_exp <= -1:  # one that starts above t^-1 has no residue
+                    s = (key, items[1:])
+                    nxt[s] = nxt[s] + prod if s in nxt else prod
+        state = nxt
+    return residues
+
+
+def _mul_upto(f: TruncatedSeries, g, top: int) -> TruncatedSeries:
+    """f times a table g through t^top at most, from the coefficients that
+    reach it, or times g = (k, c), c t^k, by an exponent shift."""
+    if isinstance(g, tuple):
+        return f.shift_exponent(g[0]) * g[1]
+    if f.min_exp + g.min_exp > top:  # zero as far as it is read
+        return TruncatedSeries.zero("t", min(top, f.order + g.min_exp, g.order + f.min_exp))
+    return f.truncate(min(f.order, top - g.min_exp)) * g.truncate(min(g.order, top - f.min_exp))
+
+
+def _residue_of_product(f: TruncatedSeries, factor) -> Frac:
+    """[t^-1] of f times (k, c) for c t^k, or times a table as the dot
+    product sum_e f_e factor_{-1-e}; a coefficient beyond its order raises."""
+    if isinstance(factor, tuple):
+        return factor[1] * f.coefficient(-1 - factor[0])
+    e_range = range(f.min_exp, -factor.min_exp)
+    return sum((f.coefficient(e) * factor.coefficient(-1 - e) for e in e_range), Frac(0))
 
 
 def _recursion_pieces(g: int, n: int):
@@ -430,11 +418,12 @@ def _recursion_pieces(g: int, n: int):
         if _stable(g - 1, n + 1):
             for key, c in toprec_wgn(g - 1, n + 1).terms.items():
                 (b0, j0), (b1, j1) = key[:2]
-                local = ((j0, partial(_loc_pole, b0, j0)), (j1, partial(_loc_pole_inv, b1, j1)))
+                local = ((j0, partial(_loc_pole, b0, j0, False)),
+                         (j1, partial(_loc_pole, b1, j1, True)))
                 yield c, local, key[2:]
         elif (g - 1, n + 1) == (0, 2):
             # W_{0,2}(z, 1/z): the Bergman part only; fully local
-            yield Frac(1), ((0, _loc_bergman_local_pair),), ()
+            yield Frac(1), ((2, _loc_bergman_local_pair),), ()
 
     # stable splittings W_{g1,|I|+1}(z, z_I) * W_{g2,|J|+1}(1/z, z_J)
     others = tuple(range(2, n + 1))
@@ -458,9 +447,8 @@ def _factor_terms(gf: int, slots: tuple[int, ...], inv: bool):
     if (gf, len(slots) + 1) == (0, 2):
         # Bergman coupling between the local point and one outer slot
         return [(Frac(1), (), ((slots[0], inv),))]
-    loc = _loc_pole_inv if inv else _loc_pole
     return [
-        (c, ((key[0][1], partial(loc, *key[0])),), tuple(zip(slots, key[1:])))
+        (c, ((key[0][1], partial(_loc_pole, *key[0], inv)),), tuple(zip(slots, key[1:])))
         for key, c in toprec_wgn(gf, len(slots) + 1).terms.items()
     ]
 
@@ -480,9 +468,8 @@ def _slot_w_series(a: Frac, j: int, order: int) -> TruncatedSeries:
     """1/(z(w) - a)^j * dz/dx(z(w)): one tensor slot of W re-expanded at
     large x (w = 1/x), including the change from dz to dx."""
     z = _catalan_branch(order + 2)
-    one = TruncatedSeries.constant("w", 1, z.order)
-    dz_dx = (z * z) * ((z * z - one).inverse())
-    pole = (z - TruncatedSeries.constant("w", a, z.order)).inverse() ** j
+    dz_dx = (z * z) * (z * z - 1).inverse()
+    pole = (z - a).inverse() ** j
     return (pole * dz_dx).truncate(order)
 
 
@@ -504,6 +491,15 @@ def _wgn_x_series(form: CorrelationForm, order: int) -> MultiSeries:
     return _x_expansion(form.terms, form.n, order, lambda a, j: _slot_w_series(a, j, order))
 
 
+def _wgn_x_simplex(form: CorrelationForm, total_order: int) -> dict[tuple[int, ...], Frac]:
+    """The nonzero coefficients of _wgn_x_series(form, total_order) on the
+    simplex sum(e) <= total_order, dropping partial states that must leave it."""
+    series = {pole: _slot_w_series(*pole, total_order) for key in form.terms for pole in key}
+    low = {pole: s.min_exp for pole, s in series.items()}
+    keep = lambda done, rest: sum(done) + sum(low[pole] for pole in rest) <= total_order
+    return _slotwise(form.terms, form.n, lambda _, pole: dict(series[pole].items()), keep)
+
+
 def _expected_w_coefficient(g: int, n: int, exps: Sequence[int]) -> Frac:
     """(b_i+1)!-weighted stationary invariant at the degree fixed by the
     dimension constraint; zero off the constraint or below the pole window."""
@@ -523,10 +519,11 @@ def ns_expansion_check(g: int, n: int, total_order: int = 10) -> bool:
     """Compare the recursion output W_{g,n}, re-expanded at large x, with the
     factorially weighted stationary invariants, for every exponent tuple of
     total degree at most total_order."""
-    form = toprec_wgn(g, n)
-    series = _wgn_x_series(form, total_order)
+    if total_order < 0:
+        raise ExactError("total order must be nonnegative")
+    coeffs = _wgn_x_simplex(toprec_wgn(g, n), total_order)
     return all(
-        series.coefficient(exps) == _expected_w_coefficient(g, n, exps)
+        coeffs.get(exps, 0) == _expected_w_coefficient(g, n, exps)
         for exps in product(range(total_order + 1), repeat=n)
         if sum(exps) <= total_order
     )
@@ -803,6 +800,8 @@ def fgn_x_expansion(g: int, n: int, order: int, verify: bool = True) -> MultiSer
     unit-dressed stationary invariants; the first mismatch raises ExactError
     naming the exponent tuple and both values.
     """
+    if order < 0:
+        raise ExactError("expansion order must be nonnegative")
     prim = primitive_fgn(g, n)
     z = _catalan_branch(order + 2)
     total = _x_expansion(

@@ -8,13 +8,24 @@ It is slow and plain on purpose; keep it that way.
 
 ``formal_logs`` expands ``log z`` and ``log(1/z)`` about ``z = +-1`` with the
 branch constant ``log(-1)`` kept formal.
+
+The ``chain_*`` functions build the local tables of the residue engine at
+``z = a + t`` as they were built before their closed forms: from the series
+of ``1/z`` by ``TruncatedSeries`` sums, inverses and powers, each known only
+as far as that chain of truncated arithmetic carries it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Frac
 
-from p1qcurve.exactcore import FormalLaurent, TruncatedSeries, series_log
+from p1qcurve.exactcore import (
+    FormalLaurent,
+    Polynomial,
+    RationalFunction,
+    TruncatedSeries,
+    series_log,
+)
 
 
 class FracPolynomial:
@@ -144,3 +155,58 @@ def formal_log_gap(a, order: int) -> TruncatedSeries:
     """``log(1/z) - log z`` at ``z = a + t``; ``BranchLogError`` if ``L`` survives."""
     log_z, log_inv = formal_logs(a, order)
     return (log_inv - log_z).to_series("t")
+
+
+def chain_z_inv(a, order: int) -> TruncatedSeries:
+    """``1/z = 1/(a + t)``."""
+    return RationalFunction(Polynomial.one(), Polynomial([0, 1])).laurent_at(a, order, "t")
+
+
+def chain_s(a, order: int) -> TruncatedSeries:
+    """``s = 1/z - a``, the local coordinate of the involution image."""
+    return chain_z_inv(a, order) - a
+
+
+def chain_jacobian(a, order: int) -> TruncatedSeries:
+    """``d(1/z)/dz = -1/z^2``."""
+    jacobian = RationalFunction(Polynomial.constant(-1), Polynomial([0, 0, 1]))
+    return jacobian.laurent_at(a, order, "t")
+
+
+def chain_s_power(a, k: int, order: int) -> TruncatedSeries:
+    """``s^k``, each power built from the one below."""
+    power = TruncatedSeries.constant("t", 1, order)
+    for _ in range(k):
+        power = power * chain_s(a, order)
+    return power
+
+
+def chain_pole(b, j: int, a, order: int) -> TruncatedSeries:
+    """``1/(z - b)^j``: a monomial at ``b = a``."""
+    if b == a:
+        return TruncatedSeries.monomial("t", -j, 1, order)
+    pole = RationalFunction(Polynomial.one(), Polynomial.from_roots([b]) ** j)
+    return pole.laurent_at(a, order, "t")
+
+
+def chain_pole_inv(b, j: int, a, order: int) -> TruncatedSeries:
+    """``1/(1/z - b)^j d(1/z)/dz``, with ``1/z - b = s + (a - b)``."""
+    s = chain_s(a, order)
+    return (s if b == a else s + 2 * a) ** -j * chain_jacobian(a, order)
+
+
+def chain_bergman_local_pair(a, order: int) -> TruncatedSeries:
+    """``-1/z^2 * 1/(z - 1/z)^2``."""
+    z_series = TruncatedSeries.variable("t", order) + a
+    return chain_jacobian(a, order) * (z_series - chain_z_inv(a, order)) ** -2
+
+
+def chain_kernel_numerator(a, k: int, order: int) -> TruncatedSeries:
+    """``s^(k+1) - t^(k+1)``."""
+    s_power = chain_s_power(a, k + 1, order)
+    return s_power - TruncatedSeries.monomial("t", k + 1, 1, s_power.order)
+
+
+def chain_bergman_inv(a, k: int, order: int) -> TruncatedSeries:
+    """``(k+1) s^k d(1/z)/dz``."""
+    return (k + 1) * chain_s_power(a, k, order) * chain_jacobian(a, order)

@@ -5,7 +5,6 @@ a single pass/fail line under ``pytest -v``; bounds and budgets match the
 stated criteria exactly — they are not to be weakened.
 """
 
-import math
 from fractions import Fraction as Frac
 
 from p1qcurve.partitions import (

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p1qcurve.exactcore import ExactError, Polynomial, RationalFunction, partial_fractions
+from p1qcurve.exactcore import ExactError, Polynomial, RationalFunction
 from p1qcurve.partitions import hook_product, partitions
 from p1qcurve.qcurve import (
     laguerre_value,

@@ -8,10 +8,11 @@ brute-force local expansion without any of the engine's tensor bookkeeping.
 
 import hashlib
 import json
-import math
 from fractions import Fraction as Frac
 
 import pytest
+from itertools import product
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +26,13 @@ from p1qcurve.exactcore import (
 )
 from p1qcurve.toprec import (
     CorrelationForm,
+    _loc_bergman_inv,
+    _loc_bergman_local_pair,
+    _loc_kernel_numerator,
     _loc_log_gap,
+    _loc_pole,
     _wgn_x_series,
+    _wgn_x_simplex,
     ancestor_decomposition,
     ancestor_descendant_check,
     eta_function,
@@ -43,7 +49,15 @@ from p1qcurve.toprec import (
     w01,
     w02,
 )
-from oracles import formal_log_gap, formal_logs
+from oracles import (
+    chain_bergman_inv,
+    chain_bergman_local_pair,
+    chain_kernel_numerator,
+    chain_pole,
+    chain_pole_inv,
+    formal_log_gap,
+    formal_logs,
+)
 
 STABLE_PAIRS = [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]
 
@@ -280,6 +294,48 @@ def test_log_gap_oracle_rejects_the_other_branch_sign(a):
     assert _loc_log_gap(-a, 10) != oracle
 
 
+BRANCH = [Frac(1), Frac(-1)]
+TABLE_ORDERS = [10, 18, 26]
+
+
+def _agrees(table: TruncatedSeries, oracle: TruncatedSeries) -> bool:
+    """table equals oracle through the order both are known to."""
+    top = min(table.order, oracle.order)
+    low = min(table.min_exp, oracle.min_exp)
+    return all(table.coefficient(k) == oracle.coefficient(k) for k in range(low, top + 1))
+
+
+@pytest.mark.parametrize("order", TABLE_ORDERS)
+@pytest.mark.parametrize("a", BRANCH)
+def test_closed_form_tables_match_the_series_chain(a, order):
+    """Every closed-form local table equals the chain of series inverses and
+    powers it replaced, through the order that chain knows (the kernel
+    numerator's chain runs past the requested order), and is itself known
+    through the full requested order."""
+    pairs = [(_loc_bergman_local_pair(a, order), chain_bergman_local_pair(a, order))]
+    for b in BRANCH:
+        for j in range(2, 9):
+            pairs.append((_loc_pole(b, j, False, a, order), chain_pole(b, j, a, order)))
+            pairs.append((_loc_pole(b, j, True, a, order), chain_pole_inv(b, j, a, order)))
+    for k in range(0, 9):
+        pairs.append((_loc_kernel_numerator(a, k, order), chain_kernel_numerator(a, k, order)))
+        pairs.append((_loc_bergman_inv(a, k, order), chain_bergman_inv(a, k, order)))
+    for table, oracle in pairs:
+        assert oracle.order >= oracle.min_exp  # the chain knows some coefficient
+        assert table.order == order
+        assert _agrees(table, oracle)
+
+
+@pytest.mark.parametrize("order", TABLE_ORDERS)
+@pytest.mark.parametrize("a", BRANCH)
+def test_closed_form_tables_catch_the_wrong_pole_sign(a, order):
+    # negative control: a pole table at -b never passes for the chain at b
+    for b in BRANCH:
+        for j in range(2, 9):
+            assert not _agrees(_loc_pole(-b, j, False, a, order), chain_pole(b, j, a, order))
+            assert not _agrees(_loc_pole(-b, j, True, a, order), chain_pole_inv(b, j, a, order))
+
+
 def test_formal_log_branch_constant_obstructs_lone_log():
     # negative control for the oracle: log z alone keeps L = log(-1) at z = -1
     log_z, log_inv = formal_logs(-1, 10)
@@ -300,6 +356,43 @@ def test_formal_log_branch_constant_obstructs_lone_log():
 @pytest.mark.parametrize("g,n", STABLE_PAIRS)
 def test_ns_expansion_matches_invariants(g, n):
     assert ns_expansion_check(g, n, 6)
+
+
+@pytest.mark.parametrize("g,n", STABLE_PAIRS)
+def test_ns_simplex_matches_the_box_expansion(g, n):
+    """The simplex the invariant check compares holds exactly the box
+    expansion's coefficients of total degree at most the order."""
+    form = toprec_wgn(g, n)
+    for total in range(4, 11):
+        box = _wgn_x_series(form, total)
+        simplex = _wgn_x_simplex(form, total)
+        window = [e for e in product(range(total + 1), repeat=n) if sum(e) <= total]
+        assert set(simplex) <= set(window)
+        assert all(simplex.get(e, 0) == box.coefficient(e) for e in window)
+    assert simplex  # at total order 10 every pair has a coefficient there
+
+
+@pytest.mark.parametrize("g,n", STABLE_PAIRS)
+def test_ns_expansion_rejects_a_perturbed_form(monkeypatch, g, n):
+    # negative control: one coefficient of W_{g,n} off by 1 fails the check
+    form = toprec_wgn(g, n)
+    terms = dict(form.terms)
+    key = min(terms)
+    terms[key] += 1
+    monkeypatch.setattr(toprec, "toprec_wgn", lambda g, n: CorrelationForm(g, n, terms))
+    assert not ns_expansion_check(g, n, 10)
+    monkeypatch.setattr(toprec, "toprec_wgn", lambda g, n: form)
+    assert ns_expansion_check(g, n, 10)
+
+
+def test_ns_expansion_rejects_a_negative_order():
+    with pytest.raises(ExactError):
+        ns_expansion_check(0, 3, -1)
+
+
+def test_fgn_expansion_rejects_a_negative_order():
+    with pytest.raises(ExactError):
+        fgn_x_expansion(0, 3, -1)
 
 
 # ---------------------------------------------------------------------------

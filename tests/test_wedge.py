@@ -16,7 +16,7 @@ from p1qcurve.exactcore import (
     multiseries_log,
     series_log,
 )
-from p1qcurve.partitions import dimension, partitions
+from p1qcurve.partitions import partitions
 from p1qcurve.wedge import (
     catalan_inverse,
     connected_coefficient,
