@@ -4,7 +4,7 @@ Everything here is computed in exact arithmetic (integers and fractions;
 no floats anywhere):
 
 * :mod:`p1qcurve.exactcore` -- polynomials, rational functions, truncated
-  Laurent/power series, multivariate series, local expansions;
+  Laurent/power series, multivariate series;
 * :mod:`p1qcurve.partitions` -- integer partitions, hooks, dimension
   counts, and the hook-sum identities;
 * :mod:`p1qcurve.qcurve` -- degree-graded partition sums as rational
@@ -52,7 +52,6 @@ from .qcurve import (
 )
 from .wedge import (
     connected_coefficient,
-    connected_npoint,
     stationary_invariant,
     unit_insertions,
     unstable_series_check,
@@ -98,7 +97,6 @@ __all__ = [
     "build_degree_graded_x",
     "conjugation_check",
     "connected_coefficient",
-    "connected_npoint",
     "dimension",
     "fgn_x_expansion",
     "hook_lengths",

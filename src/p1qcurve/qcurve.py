@@ -141,14 +141,10 @@ def verify_xd_recursion(d: int) -> bool:
     """
     if d < 1:
         raise ExactError("recursion is stated for d >= 1")
-    return _xd_recursion_residual(x_partition(d - 1), x_partition(d)).is_zero()
-
-
-def _xd_recursion_residual(x_prev: RationalFunction, x_d: RationalFunction) -> RationalFunction:
-    """The left side X_{d-1}(u+1)/(u+1) + u (X_d(u-1) - X_d(u)) of the shift
-    recursion for given X_{d-1} and X_d."""
+    x_prev, x_d = x_partition(d - 1), x_partition(d)
     u = RationalFunction.identity()
-    return x_prev.shift(1) / RationalFunction(Polynomial([1, 1])) + u * (x_d.shift(-1) - x_d)
+    residual = x_prev.shift(1) / RationalFunction(Polynomial([1, 1])) + u * (x_d.shift(-1) - x_d)
+    return residual.is_zero()
 
 
 @cache

@@ -464,13 +464,23 @@ def _catalan_branch(order: int) -> TruncatedSeries:
 
 
 @cache
+def _branch_dz_dx(order: int) -> TruncatedSeries:
+    """dz/dx = z^2/(z^2 - 1) at z = z(w), from the branch known through order + 2."""
+    z = _catalan_branch(order + 2)
+    return (z * z) * (z * z - 1).inverse()
+
+
+@cache
+def _branch_pole(a: Frac, order: int) -> TruncatedSeries:
+    """1/(z(w) - a), from the branch known through order + 2."""
+    return (_catalan_branch(order + 2) - a).inverse()
+
+
+@cache
 def _slot_w_series(a: Frac, j: int, order: int) -> TruncatedSeries:
     """1/(z(w) - a)^j * dz/dx(z(w)): one tensor slot of W re-expanded at
     large x (w = 1/x), including the change from dz to dx."""
-    z = _catalan_branch(order + 2)
-    dz_dx = (z * z) * (z * z - 1).inverse()
-    pole = (z - a).inverse() ** j
-    return (pole * dz_dx).truncate(order)
+    return (_branch_pole(a, order) ** j * _branch_dz_dx(order)).truncate(order)
 
 
 def _x_expansion(terms: Mapping[PoleKey, Frac], n: int, order: int, slot_series) -> MultiSeries:

@@ -8,46 +8,32 @@ relevant diagonal operator family, with eigenvalue series
 
 where zeta(t) = e^{t/2} - e^{-t/2}.  Disconnected n-point data is the
 squared-dimension-weighted sum of eigenvalue products; connected data is its
-logarithm.  Two independent routes compute it and are cross-checked:
-`connected_npoint` builds whole series by the set-partition cumulant
-combination after dividing out the vacuum factor e^q, and
-`connected_coefficient` gets one invariant from an integer moment-cumulant
-recursion over the closed-form coefficients [t^k] eps_lam, with no series
-algebra.  tests/test_wedge.py keeps the multivariate-series logarithm as the
-oracle of the latter.  A string-type recursion extends the stationary values
-to insertions of the unit class.
+logarithm.  `connected_coefficient` gets one connected invariant from an
+integer moment-cumulant recursion over the closed-form coefficients
+[t^k] eps_lam, with no series algebra.  The tests check it against two
+independent routes: the multivariate-series logarithm, and the set-partition
+cumulant combination of whole n-point series in tests/oracles.py.  A
+string-type recursion extends the stationary values to insertions of the
+unit class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Frac
 from functools import cache
-from itertools import combinations, product
+from itertools import product
 
-from .exactcore import (
-    ExactError,
-    MultiSeries,
-    TruncatedSeries,
-    series_log,
-)
-from .partitions import Partition, dimension, is_partition, partitions
+from .exactcore import ExactError, TruncatedSeries, series_log
+from .partitions import Partition, dimension, partitions
 
 __all__ = [
-    "EigenSeries",
     "catalan_inverse",
     "connected_coefficient",
-    "connected_npoint",
-    "disconnected_npoint",
-    "e0_eigenvalue",
-    "fock_weight",
-    "squared_dimension",
     "stationary_invariant",
     "unit_insertions",
     "unstable_series_check",
     "unstable_series_report",
-    "vacuum_total",
     "zeta_reciprocal",
     "zeta_series",
 ]
@@ -84,54 +70,6 @@ def zeta_reciprocal(order: int, var: str = "t") -> TruncatedSeries:
     return zeta_series(order + 2, var).inverse()
 
 
-def squared_dimension(lam: Partition) -> int:
-    """(number of standard tableaux)^2 for the partition."""
-    return dimension(lam) ** 2
-
-
-def fock_weight(lam: Partition) -> Frac:
-    """(dim lam / d!)^2, the normalized weight of a partition vector."""
-    d = sum(lam)
-    return Frac(squared_dimension(lam), math.factorial(d) ** 2)
-
-
-@dataclass(frozen=True)
-class EigenSeries:
-    """Eigenvalue series of the diagonal point-insertion operator on one
-    partition vector; the series minus 1/zeta is a power series."""
-
-    partition: Partition
-    series: TruncatedSeries
-
-    def __post_init__(self) -> None:
-        tail = self.series - zeta_reciprocal(self.series.order, self.series.var)
-        if not tail.is_zero() and tail.min_exp < 0:
-            raise ExactError("eigenvalue series must equal 1/zeta plus a power series")
-
-
-def _exp_linear(c: Frac, order: int, var: str) -> TruncatedSeries:
-    """e^{c t} truncated at `order`."""
-    return TruncatedSeries.from_function(
-        var, lambda k: Frac(c**k, math.factorial(k)), 0, order
-    )
-
-
-@cache
-def e0_eigenvalue(lam: Partition, order: int, var: str = "t") -> EigenSeries:
-    """Eigenvalue series eps_lam(t) of the diagonal insertion operator:
-
-        sum_{i=1}^{len(lam)} (e^{t(lam_i-i+1/2)} - e^{t(1/2-i)}) + 1/zeta(t).
-    """
-    if not is_partition(lam):
-        raise ExactError(f"not a partition: {lam!r}")
-    total = zeta_reciprocal(order, var)
-    for i, part in enumerate(lam, start=1):
-        a = Frac(2 * (part - i) + 1, 2)
-        bshift = Frac(1 - 2 * i, 2)
-        total = total + _exp_linear(a, order, var) - _exp_linear(bshift, order, var)
-    return EigenSeries(tuple(lam), total)
-
-
 @cache
 def _eigen_coefficient(lam: Partition, k: int) -> Frac:
     """[t^k] eps_lam in closed form: 1 at k = -1, 0 below, and for k >= 0
@@ -150,120 +88,8 @@ def _eigen_coefficient(lam: Partition, k: int) -> Frac:
 
 
 # ---------------------------------------------------------------------------
-# Disconnected and connected n-point series
+# Connected invariants
 # ---------------------------------------------------------------------------
-
-
-def _point_vars(n: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(1, n + 1))
-
-
-def vacuum_total(d: int) -> Frac:
-    """sum over partitions of d of (dim/d!)^2; equals 1/d!."""
-    return sum((fock_weight(lam) for lam in partitions(d)), Frac(0))
-
-
-def disconnected_npoint(d: int, n: int, order: int, max_points: int = 4) -> MultiSeries:
-    """Degree-d disconnected n-point series: sum over partitions of d of
-    (dim/d!)^2 prod_i eps_lam(x_i).  Per-variable min_exp is -1."""
-    if n < 1:
-        raise ExactError("disconnected_npoint needs n >= 1")
-    if n > max_points:
-        raise ExactError(f"n={n} exceeds the configured point bound {max_points}")
-    if d < 0:
-        raise ExactError("degree must be nonnegative")
-    return _disconnected(d, _point_vars(n), order)
-
-
-def _disconnected(d: int, vars: tuple[str, ...], order: int) -> MultiSeries:
-    """The degree-d disconnected series on the point variables ``vars``."""
-    total = MultiSeries.zero(vars, (-1,) * len(vars), (order,) * len(vars))
-    for lam in partitions(d):
-        eig = e0_eigenvalue(lam, order).series
-        total = total + fock_weight(lam) * MultiSeries.outer_product([eig.rename(v) for v in vars])
-    return total
-
-
-def _disjoint_product(a: MultiSeries, b: MultiSeries) -> MultiSeries:
-    """Tensor product of two series on disjoint point-variable sets; per-variable
-    windows carry over from whichever factor owns the variable."""
-    if set(a.vars) & set(b.vars):
-        raise ExactError("factors must live on disjoint variable sets")
-    vars = tuple(sorted(a.vars + b.vars, key=lambda v: int(v[1:])))
-    pos_a = [vars.index(v) for v in a.vars]
-    pos_b = [vars.index(v) for v in b.vars]
-    mins = [0] * len(vars)
-    orders = [0] * len(vars)
-    for p, m, o in zip(pos_a, a.min_exps, a.orders):
-        mins[p], orders[p] = m, o
-    for p, m, o in zip(pos_b, b.min_exps, b.orders):
-        mins[p], orders[p] = m, o
-    data: dict[tuple[int, ...], Frac] = {}
-    for ea, ca in a.data.items():
-        for eb, cb in b.data.items():
-            full = [0] * len(vars)
-            for p, e in zip(pos_a, ea):
-                full[p] = e
-            for p, e in zip(pos_b, eb):
-                full[p] = e
-            key = tuple(full)
-            data[key] = data.get(key, Frac(0)) + ca * cb
-    return MultiSeries(vars, tuple(mins), tuple(orders), data)
-
-
-def connected_npoint(d: int, n: int, order: int, max_points: int = 4) -> MultiSeries:
-    """Degree-d connected n-point series, by vacuum division followed by the
-    set-partition cumulant combination over the marked points with degree
-    compositions.  Coefficient of prod x_i^{b_i+1} is the connected invariant
-    (genus resolved by the dimension constraint)."""
-    if n < 1:
-        raise ExactError("connected_npoint needs n >= 1")
-    if n > max_points:
-        raise ExactError(f"n={n} exceeds the configured point bound {max_points}")
-    if d < 0:
-        raise ExactError("degree must be nonnegative")
-
-    # Disconnected data per nonempty subset of points and per degree, each on
-    # the subset's own variables; then divide by the vacuum factor e^q:
-    # tilde_m = sum_j (-1)^j/j! * disc_{m-j}.
-    points = tuple(range(1, n + 1))
-    tilde: dict[tuple[int, ...], list[MultiSeries]] = {}
-    for size in range(1, n + 1):
-        for subset in combinations(points, size):
-            svars = tuple(f"x{i}" for i in subset)
-            per_degree = [_disconnected(m, svars, order) for m in range(d + 1)]
-            tilde[subset] = [
-                sum(
-                    (Frac((-1) ** j, math.factorial(j)) * per_degree[m - j] for j in range(m + 1)),
-                    MultiSeries.zero(svars, (-1,) * size, (order,) * size),
-                )
-                for m in range(d + 1)
-            ]
-
-    # Cumulant recursion pinned at the least point of each subset.
-    conn: dict[tuple[tuple[int, ...], int], MultiSeries] = {}
-
-    def connected(subset: tuple[int, ...], m: int) -> MultiSeries:
-        key = (subset, m)
-        if key in conn:
-            return conn[key]
-        first, rest = subset[0], subset[1:]
-        total = tilde[subset][m]
-        for size in range(0, len(rest)):
-            for extra in combinations(rest, size):
-                block = tuple(sorted((first,) + extra))
-                if block == subset:
-                    continue
-                comp = tuple(sorted(set(subset) - set(block)))
-                for a in range(m + 1):
-                    right = tilde[comp][m - a]
-                    if right.is_zero():
-                        continue
-                    total = total - _disjoint_product(connected(block, a), right)
-        conn[key] = total
-        return total
-
-    return connected(points, d)
 
 
 def _exponents(b) -> tuple[int, ...]:
@@ -479,19 +305,22 @@ def _one_point_closed_form(order: int, var: str = "w") -> TruncatedSeries:
     return (-2) * z.truncate(order) + log_part.shift_exponent(-1).truncate(order)
 
 
-def _two_point_closed_form(order: int, v1: str = "w1", v2: str = "w2") -> MultiSeries:
-    """-log(1 - z(x1) z(x2)) as a series in w_i = 1/x_i."""
-    z1 = catalan_inverse(order, v1)
-    z2 = catalan_inverse(order, v2)
-    total = MultiSeries.zero((v1, v2), (0, 0), (order, order))
-    k = 1
-    while k <= order:
-        total = total + Frac(1, k) * MultiSeries.outer_product([z1**k, z2**k])
-        k += 1
-    return total
+def _two_point_closed_form(order: int) -> dict[tuple[int, int], Frac]:
+    """The nonzero [w1^e1 w2^e2] coefficients, e1, e2 <= order, of
+    -log(1 - z(x1) z(x2)) = sum_k z(x1)^k z(x2)^k / k in w_i = 1/x_i."""
+    z = catalan_inverse(order)
+    out: dict[tuple[int, int], Frac] = {}
+    power = z
+    for k in range(1, order + 1):
+        terms = list(power.items())
+        for e1, c1 in terms:
+            for e2, c2 in terms:
+                out[(e1, e2)] = out.get((e1, e2), Frac(0)) + c1 * c2 / k
+        power = (power * z).truncate(order)
+    return out
 
 
-def unstable_series_report(order: int, perturb=None) -> tuple[bool, str | None]:
+def unstable_series_report(order: int) -> tuple[bool, str | None]:
     """Compare the degree-summed engine series against the closed forms.
 
     One-point side: -sum_d (2d-2)! <tau_{2d-2}>_{0,1}^d x^{-(2d-1)} must equal
@@ -499,23 +328,18 @@ def unstable_series_report(order: int, perturb=None) -> tuple[bool, str | None]:
     sum b_1! b_2! <tau_{b_1} tau_{b_2}>_{0,2}^d x_1^{-(b_1+1)} x_2^{-(b_2+1)}
     must equal -log(1 - z_1 z_2).  Both compared through x^{-order}.
 
-    `perturb` optionally maps ("01", d) or ("02", b1, b2) to a rational shift
-    of the corresponding engine invariant (negative-control hook).  Returns
-    (ok, None) on success or (False, message) naming the first mismatching
-    exponent.
+    Returns (ok, None) on success or (False, message) naming the first
+    mismatching exponent.
     """
     if order < 1:
         raise ExactError("unstable_series_check needs order >= 1")
-    perturb = perturb or {}
 
     rhs1 = _one_point_closed_form(order)
     for dd in range(1, order + 2):
         exp = 2 * dd - 1
         if exp > order:
             break
-        value = stationary_invariant(0, 1, dd, (2 * dd - 2,))
-        value += perturb.get(("01", dd), Frac(0))
-        lhs = -math.factorial(2 * dd - 2) * value
+        lhs = -math.factorial(2 * dd - 2) * stationary_invariant(0, 1, dd, (2 * dd - 2,))
         if lhs != rhs1.coefficient(exp):
             return False, (
                 f"one-point series mismatch at exponent x^-{exp}: "
@@ -532,14 +356,14 @@ def unstable_series_report(order: int, perturb=None) -> tuple[bool, str | None]:
             if (b1 + b2) % 2 == 0:
                 dd = (b1 + b2 + 2) // 2
                 value = stationary_invariant(0, 2, dd, (b1, b2))
-                value += perturb.get(("02", b1, b2), Frac(0))
                 lhs = math.factorial(b1) * math.factorial(b2) * value
             else:
                 lhs = Frac(0)
-            if lhs != rhs2.coefficient((e1, e2)):
+            rhs = rhs2.get((e1, e2), Frac(0))
+            if lhs != rhs:
                 return False, (
                     f"two-point series mismatch at exponent x1^-{e1} x2^-{e2}: "
-                    f"engine {lhs}, closed form {rhs2.coefficient((e1, e2))}"
+                    f"engine {lhs}, closed form {rhs}"
                 )
     return True, None
 

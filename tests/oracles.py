@@ -13,19 +13,34 @@ The ``chain_*`` functions build the local tables of the residue engine at
 ``z = a + t`` as they were built before their closed forms: from the series
 of ``1/z`` by ``TruncatedSeries`` sums, inverses and powers, each known only
 as far as that chain of truncated arithmetic carries it.
+
+``connected_npoint`` is the set-partition route of the Fock-space engine:
+whole n-point series from the eigenvalue series ``e0_eigenvalue``, divided by
+the vacuum factor and combined into cumulants over the subsets of the marked
+points.  It shares no code with ``wedge.connected_coefficient``, which it
+checks.  ``multiseries_two_point_closed_form`` is the two-point closed form as
+it was summed before ``wedge._two_point_closed_form`` read it off the powers
+of ``catalan_inverse``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Frac
+from functools import cache
+from itertools import combinations
 
 from p1qcurve.exactcore import (
+    ExactError,
     FormalLaurent,
+    MultiSeries,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
     series_log,
 )
+from p1qcurve.partitions import dimension, is_partition, partitions
+from p1qcurve.wedge import catalan_inverse, zeta_reciprocal
 
 
 class FracPolynomial:
@@ -210,3 +225,162 @@ def chain_kernel_numerator(a, k: int, order: int) -> TruncatedSeries:
 def chain_bergman_inv(a, k: int, order: int) -> TruncatedSeries:
     """``(k+1) s^k d(1/z)/dz``."""
     return (k + 1) * chain_s_power(a, k, order) * chain_jacobian(a, order)
+
+
+# ---------------------------------------------------------------------------
+# The set-partition n-point route of the Fock-space engine
+# ---------------------------------------------------------------------------
+
+
+def squared_dimension(lam) -> int:
+    """(number of standard tableaux)^2 for the partition."""
+    return dimension(lam) ** 2
+
+
+def fock_weight(lam) -> Frac:
+    """(dim lam / d!)^2, the normalized weight of a partition vector."""
+    return Frac(squared_dimension(lam), math.factorial(sum(lam)) ** 2)
+
+
+def vacuum_total(d: int) -> Frac:
+    """sum over partitions of d of (dim/d!)^2; equals 1/d!."""
+    return sum((fock_weight(lam) for lam in partitions(d)), Frac(0))
+
+
+def _exp_linear(c: Frac, order: int, var: str) -> TruncatedSeries:
+    """e^{c t} truncated at `order`."""
+    return TruncatedSeries.from_function(var, lambda k: Frac(c**k, math.factorial(k)), 0, order)
+
+
+@cache
+def e0_eigenvalue(lam, order: int, var: str = "t") -> TruncatedSeries:
+    """Eigenvalue series eps_lam(t) of the diagonal insertion operator:
+
+        sum_{i=1}^{len(lam)} (e^{t(lam_i-i+1/2)} - e^{t(1/2-i)}) + 1/zeta(t),
+
+    built by series sums, with no closed-form coefficients."""
+    if not is_partition(lam):
+        raise ExactError(f"not a partition: {lam!r}")
+    total = zeta_reciprocal(order, var)
+    for i, part in enumerate(lam, start=1):
+        a = Frac(2 * (part - i) + 1, 2)
+        bshift = Frac(1 - 2 * i, 2)
+        total = total + _exp_linear(a, order, var) - _exp_linear(bshift, order, var)
+    return total
+
+
+def _point_vars(n: int) -> tuple[str, ...]:
+    return tuple(f"x{i}" for i in range(1, n + 1))
+
+
+def disconnected_npoint(d: int, n: int, order: int) -> MultiSeries:
+    """Degree-d disconnected n-point series: sum over partitions of d of
+    (dim/d!)^2 prod_i eps_lam(x_i).  Per-variable min_exp is -1."""
+    if n < 1 or d < 0:
+        raise ExactError("need n >= 1 and d >= 0")
+    return _disconnected(d, _point_vars(n), order)
+
+
+def _disconnected(d: int, vars: tuple[str, ...], order: int) -> MultiSeries:
+    """The degree-d disconnected series on the point variables ``vars``."""
+    total = MultiSeries.zero(vars, (-1,) * len(vars), (order,) * len(vars))
+    for lam in partitions(d):
+        eig = e0_eigenvalue(lam, order)
+        total = total + fock_weight(lam) * MultiSeries.outer_product([eig.rename(v) for v in vars])
+    return total
+
+
+def _disjoint_product(a: MultiSeries, b: MultiSeries) -> MultiSeries:
+    """Tensor product of two series on disjoint point-variable sets; per-variable
+    windows carry over from whichever factor owns the variable."""
+    if set(a.vars) & set(b.vars):
+        raise ExactError("factors must live on disjoint variable sets")
+    vars = tuple(sorted(a.vars + b.vars, key=lambda v: int(v[1:])))
+    pos_a = [vars.index(v) for v in a.vars]
+    pos_b = [vars.index(v) for v in b.vars]
+    mins = [0] * len(vars)
+    orders = [0] * len(vars)
+    for p, m, o in zip(pos_a, a.min_exps, a.orders):
+        mins[p], orders[p] = m, o
+    for p, m, o in zip(pos_b, b.min_exps, b.orders):
+        mins[p], orders[p] = m, o
+    data: dict[tuple[int, ...], Frac] = {}
+    for ea, ca in a.data.items():
+        for eb, cb in b.data.items():
+            full = [0] * len(vars)
+            for p, e in zip(pos_a, ea):
+                full[p] = e
+            for p, e in zip(pos_b, eb):
+                full[p] = e
+            key = tuple(full)
+            data[key] = data.get(key, Frac(0)) + ca * cb
+    return MultiSeries(vars, tuple(mins), tuple(orders), data)
+
+
+def connected_npoint(d: int, n: int, order: int) -> MultiSeries:
+    """Degree-d connected n-point series, by vacuum division followed by the
+    set-partition cumulant combination over the marked points with degree
+    compositions.  Coefficient of prod x_i^{b_i+1} is the connected invariant
+    (genus resolved by the dimension constraint)."""
+    if n < 1 or d < 0:
+        raise ExactError("need n >= 1 and d >= 0")
+
+    # Disconnected data per nonempty subset of points and per degree, each on
+    # the subset's own variables; then divide by the vacuum factor e^q:
+    # tilde_m = sum_j (-1)^j/j! * disc_{m-j}.
+    points = tuple(range(1, n + 1))
+    tilde: dict[tuple[int, ...], list[MultiSeries]] = {}
+    for size in range(1, n + 1):
+        for subset in combinations(points, size):
+            svars = tuple(f"x{i}" for i in subset)
+            per_degree = [_disconnected(m, svars, order) for m in range(d + 1)]
+            tilde[subset] = [
+                sum(
+                    (Frac((-1) ** j, math.factorial(j)) * per_degree[m - j] for j in range(m + 1)),
+                    MultiSeries.zero(svars, (-1,) * size, (order,) * size),
+                )
+                for m in range(d + 1)
+            ]
+
+    # Cumulant recursion pinned at the least point of each subset.
+    conn: dict[tuple[tuple[int, ...], int], MultiSeries] = {}
+
+    def connected(subset: tuple[int, ...], m: int) -> MultiSeries:
+        key = (subset, m)
+        if key in conn:
+            return conn[key]
+        first, rest = subset[0], subset[1:]
+        total = tilde[subset][m]
+        for size in range(0, len(rest)):
+            for extra in combinations(rest, size):
+                block = tuple(sorted((first,) + extra))
+                comp = tuple(sorted(set(subset) - set(block)))
+                for a in range(m + 1):
+                    right = tilde[comp][m - a]
+                    if right.is_zero():
+                        continue
+                    total = total - _disjoint_product(connected(block, a), right)
+        conn[key] = total
+        return total
+
+    return connected(points, d)
+
+
+def slot_w_series(a, j: int, order: int) -> TruncatedSeries:
+    """1/(z(w) - a)^j * dz/dx(z(w)) with dz/dx and 1/(z - a) rebuilt for
+    every slot, as ``toprec._slot_w_series`` did before it read them from
+    per-order tables."""
+    z = catalan_inverse(order + 2, "w")
+    dz_dx = (z * z) * (z * z - 1).inverse()
+    return ((z - a).inverse() ** j * dz_dx).truncate(order)
+
+
+def multiseries_two_point_closed_form(order: int) -> MultiSeries:
+    """-log(1 - z(x1) z(x2)) = sum_k z(x1)^k z(x2)^k / k as a ``MultiSeries``
+    in w_i = 1/x_i, summed term by term through ``order`` in each variable."""
+    z1 = catalan_inverse(order, "w1")
+    z2 = catalan_inverse(order, "w2")
+    total = MultiSeries.zero(("w1", "w2"), (0, 0), (order, order))
+    for k in range(1, order + 1):
+        total = total + Frac(1, k) * MultiSeries.outer_product([z1**k, z2**k])
+    return total

@@ -1,0 +1,53 @@
+"""The public names of the package: every exported name resolves, and the
+test-only routes and knobs stay out of ``src/``."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import p1qcurve
+
+MODULES = ["p1qcurve"] + [f"p1qcurve.{m.name}" for m in pkgutil.iter_modules(p1qcurve.__path__)]
+
+# the set-partition n-point route, kept in tests/oracles.py as the oracle of
+# wedge.connected_coefficient
+ORACLE_ONLY = {
+    "EigenSeries",
+    "connected_npoint",
+    "disconnected_npoint",
+    "_disconnected",
+    "_disjoint_product",
+    "e0_eigenvalue",
+    "_exp_linear",
+    "_point_vars",
+    "vacuum_total",
+    "fock_weight",
+    "squared_dimension",
+}
+
+# parameters that only selected negative controls or alternative routes
+REMOVED_PARAMETERS = {"max_points", "perturb", "recursion_perturbation", "route", "strict"}
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert module.__all__ and len(set(module.__all__)) == len(module.__all__)
+    assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_test_only_routes_and_knobs_stay_out_of_the_package(name):
+    module = importlib.import_module(name)
+    assert ORACLE_ONLY.isdisjoint(vars(module))
+    for attr in module.__all__:
+        obj = getattr(module, attr)
+        routines = vars(obj).values() if inspect.isclass(obj) else [obj]
+        for fn in filter(inspect.isfunction, map(inspect.unwrap, routines)):
+            assert REMOVED_PARAMETERS.isdisjoint(inspect.signature(fn).parameters), attr
+
+
+def test_degree_graded_report_reads_disagreements_directly():
+    assert not hasattr(p1qcurve.DegreeGradedX, "mismatches")

@@ -31,6 +31,7 @@ from p1qcurve.toprec import (
     _loc_kernel_numerator,
     _loc_log_gap,
     _loc_pole,
+    _slot_w_series,
     _wgn_x_series,
     _wgn_x_simplex,
     ancestor_decomposition,
@@ -57,6 +58,7 @@ from oracles import (
     chain_pole_inv,
     formal_log_gap,
     formal_logs,
+    slot_w_series,
 )
 
 STABLE_PAIRS = [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]
@@ -165,6 +167,14 @@ def test_fgn_x_expansion_frozen_digest(g, n):
 @pytest.mark.parametrize("g,n", STABLE_PAIRS)
 def test_wgn_x_series_frozen_digest(g, n):
     assert _json_digest(_wgn_x_series(toprec_wgn(g, n), 10)) == WGN_X_DIGESTS[(g, n)]
+
+
+@pytest.mark.parametrize("order", [8, 10, 12])
+def test_slot_w_series_match_the_unshared_form(order):
+    poles = {pole for g, n in STABLE_PAIRS for key in toprec_wgn(g, n).terms for pole in key}
+    assert len(poles) == 18
+    for a, j in sorted(poles):
+        assert _slot_w_series(a, j, order) == slot_w_series(a, j, order), (a, j)
 
 
 def test_w11_terms_frozen():

@@ -329,7 +329,7 @@ def test_theta_resummation_two_point_block():
 def test_build_degree_graded_x_small():
     result = build_degree_graded_x(2, 8)
     assert bool(result) is True
-    assert result.mismatches() == ()
+    assert result.disagreements == ()
     x1 = result.entries[1].geometric
     # u/(u+1) = 1 - 1/u + 1/u^2 - ...
     for j in range(9):
@@ -352,9 +352,16 @@ def test_build_degree_graded_x_leading_values():
             assert result.entries[d].geometric.coefficient(j) == expansion.coefficient(j)
 
 
-def test_build_degree_graded_x_routes_agree():
-    shift = build_degree_graded_x(3, 9, route="shift")
-    definition = build_degree_graded_x(3, 9, route="definition")
+def test_build_degree_graded_x_routes_agree(monkeypatch):
+    # the blocks built from unit insertions give the same geometric side as
+    # the resummed half-step shifts the production path reads
+    from p1qcurve import wavefunction as wf
+
+    shift = build_degree_graded_x(3, 9)
+    wf._degree_block.cache_clear()
+    monkeypatch.setattr(wf, "_theta_shifted", wf._theta_definition)
+    definition = build_degree_graded_x(3, 9)
+    wf._degree_block.cache_clear()
     for a, b in zip(shift.entries, definition.entries):
         assert a.geometric == b.geometric
 
@@ -365,13 +372,7 @@ def test_build_degree_graded_x_reports_disagreement():
     entry = XEntry(1, TruncatedSeries("uinv", 0, [1, 1], 1), x_partition(1))
     bad = DegreeGradedX(1, (entry,), ((1, 1, Frac(1), Frac(-1)),))
     assert bool(bad) is False
-    assert bad.mismatches()[0][0] == 1
-
-
-def test_build_degree_graded_x_strict_raises_on_fault():
-    # injected fault: route name typo must raise, not silently pass
-    with pytest.raises(ExactError):
-        build_degree_graded_x(1, 4, route="nonsense")
+    assert bad.disagreements[0][0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +391,15 @@ def test_qce_verification_small():
     }
 
 
-def test_qce_verification_negative_control():
-    u_plus_one = RationalFunction(Polynomial([1, 1]))
-    report = qce_verification(3, recursion_perturbation={3: RationalFunction.one() / u_plus_one})
+def test_qce_verification_negative_control(monkeypatch):
+    # perturb X_3 where the recursion link reads it; the degree-graded link
+    # reads its own reference to x_partition and must stay intact
+    from p1qcurve import qcurve
+
+    exact = qcurve.x_partition
+    extra = RationalFunction.one() / RationalFunction(Polynomial([1, 1]))
+    monkeypatch.setattr(qcurve, "x_partition", lambda d: exact(d) + extra if d == 3 else exact(d))
+    report = qce_verification(3)
     assert bool(report) is False
     assert report.first_failure == "recursion, d=3"
     links = dict(report.links)

@@ -20,18 +20,21 @@ from p1qcurve.partitions import partitions
 from p1qcurve.wedge import (
     catalan_inverse,
     connected_coefficient,
-    connected_npoint,
-    disconnected_npoint,
-    e0_eigenvalue,
-    fock_weight,
-    squared_dimension,
     stationary_invariant,
     unit_insertions,
     unstable_series_check,
     unstable_series_report,
-    vacuum_total,
     zeta_reciprocal,
     zeta_series,
+)
+from oracles import (
+    connected_npoint,
+    disconnected_npoint,
+    e0_eigenvalue,
+    fock_weight,
+    multiseries_two_point_closed_form,
+    squared_dimension,
+    vacuum_total,
 )
 
 
@@ -71,12 +74,12 @@ def test_zeta_times_reciprocal_is_one():
 
 
 def test_eigenvalue_empty_partition_is_reciprocal_zeta():
-    eig = e0_eigenvalue((), 8).series
+    eig = e0_eigenvalue((), 8)
     assert (eig - zeta_reciprocal(8)).is_zero()
 
 
 def test_eigenvalue_single_box_is_zeta_plus_reciprocal():
-    eig = e0_eigenvalue((1,), 8).series
+    eig = e0_eigenvalue((1,), 8)
     expected = zeta_series(8) + zeta_reciprocal(8)
     assert (eig - expected).is_zero()
     assert eig.coefficient(1) == F(23, 24)
@@ -85,7 +88,7 @@ def test_eigenvalue_single_box_is_zeta_plus_reciprocal():
 def test_eigenvalue_tail_is_power_series():
     for d in range(5):
         for lam in partitions(d):
-            tail = e0_eigenvalue(lam, 6).series - zeta_reciprocal(6)
+            tail = e0_eigenvalue(lam, 6) - zeta_reciprocal(6)
             assert tail.is_zero() or tail.min_exp >= 0
 
 
@@ -128,14 +131,6 @@ def test_connected_two_point_degree1():
     assert connected_npoint(1, 2, 4).coefficient((1, 1)) == 1
 
 
-def test_point_bound_enforced():
-    with pytest.raises(ExactError):
-        disconnected_npoint(1, 5, 3)
-    with pytest.raises(ExactError):
-        connected_npoint(1, 5, 3)
-    disconnected_npoint(1, 5, 3, max_points=5)  # configurable
-
-
 def test_dual_routes_agree_everywhere():
     # Moebius/cumulant route vs single-coefficient logarithm route
     for n, order in ((1, 8), (2, 6), (3, 4)):
@@ -167,7 +162,7 @@ def _log_route_coefficient(d, b):
         for lam in partitions(dp):
             factors = [qfactor]
             for v, m, y in zip(values, mults, ys):
-                c = e0_eigenvalue(lam, max(v + 1, 1)).series.coefficient(v + 1)
+                c = e0_eigenvalue(lam, max(v + 1, 1)).coefficient(v + 1)
                 factors.append(TruncatedSeries.from_function(
                     y, lambda k, c=c: c**k / math.factorial(k), 0, m))
             total = total + fock_weight(lam) * MultiSeries.outer_product(factors)
@@ -221,7 +216,7 @@ def test_log_route_oracle_detects_a_perturbed_eigen_coefficient(monkeypatch):
 def test_closed_form_eigen_coefficients_match_series():
     for dp in range(7):
         for lam in partitions(dp):
-            series = e0_eigenvalue(lam, 12).series
+            series = e0_eigenvalue(lam, 12)
             for k in range(-1, 13):
                 assert wedge._eigen_coefficient(lam, k) == series.coefficient(k), (lam, k)
 
@@ -400,8 +395,29 @@ def test_unstable_series_check_small_orders():
     assert unstable_series_check(9)
 
 
-def test_unstable_series_negative_controls():
-    ok, msg = unstable_series_report(5, perturb={("01", 2): F(1, 7)})
-    assert not ok and "x^-3" in msg
-    ok, msg = unstable_series_report(5, perturb={("02", 1, 1): F(1, 3)})
-    assert not ok and "x1^-2" in msg and "x2^-2" in msg
+def test_unstable_series_negative_controls(monkeypatch):
+    # shift one engine invariant; the report names the exponent it feeds
+    exact = wedge.stationary_invariant
+    for args, shift, marks in (
+        ((0, 1, 2, (2,)), F(1, 7), ("x^-3",)),
+        ((0, 2, 2, (1, 1)), F(1, 3), ("x1^-2", "x2^-2")),
+    ):
+        monkeypatch.setattr(
+            wedge,
+            "stationary_invariant",
+            lambda *call, args=args, shift=shift: exact(*call) + (shift if call == args else 0),
+        )
+        ok, msg = unstable_series_report(5)
+        assert not ok and all(mark in msg for mark in marks), msg
+
+
+@pytest.mark.parametrize("order", range(1, 16))
+def test_two_point_closed_form_matches_the_series_sum(order):
+    assert wedge._two_point_closed_form(order) == multiseries_two_point_closed_form(order).data
+
+
+def test_two_point_closed_form_reference_detects_a_changed_coefficient():
+    order = 9
+    reference = dict(multiseries_two_point_closed_form(order).data)
+    reference[(3, 5)] += F(1, 11)
+    assert wedge._two_point_closed_form(order) != reference
