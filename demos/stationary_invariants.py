@@ -27,9 +27,8 @@ print("three points, degree 1:", stationary_invariant(0, 3, 1, (0, 0, 0)))
 print("genus 1, degree 1:", stationary_invariant(1, 1, 1, (2,)))        # 1/24
 print("genus 2, degree 1:", stationary_invariant(2, 1, 1, (4,)))
 
-# Off the diagonal the gate returns zero, with a reason when asked:
-value, reason = stationary_invariant(0, 1, 1, (3,), explain=True)
-print("off-dimension:", value, f"({reason})")
+# Off the diagonal the gate returns zero:
+print("off-dimension:", stationary_invariant(0, 1, 1, (3,)))
 
 # The unstable range has exact closed-form conventions, e.g. a negative
 # descendant exponent at degree zero:

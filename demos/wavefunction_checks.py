@@ -30,9 +30,9 @@ from p1qcurve import (
 # ---------------------------------------------------------------------------
 
 prefactor = bernoulli_operator(8)
-print("prefactor tail (hbar^p coefficient of x^-i):")
-for (p, i), c in sorted(prefactor.tail.items()):
-    print(f"   p={p}, i={i}: {c}")
+print("prefactor monomials (coefficient of hbar^p x^-i (log x)^l):")
+for (p, i, l), c in sorted(prefactor.terms.items()):
+    print(f"   p={p}, i={i}, l={l}: {c}")
 
 # ---------------------------------------------------------------------------
 # Conjugating the unit shifts by exp(prefactor) produces the weighted
@@ -42,9 +42,8 @@ for (p, i), c in sorted(prefactor.tail.items()):
 # ---------------------------------------------------------------------------
 
 delta_up = shift_form(prefactor, 1, 8) - prefactor
-print("up-shift difference, log part:", delta_up.log)
-print("up-shift difference, first tail terms:",
-      {k: str(v) for k, v in sorted(delta_up.tail.items())[:4]})
+print("up-shift difference, first monomials:",
+      {k: str(v) for k, v in sorted(delta_up.terms.items())[:5]})
 print("conjugation identities on x^0..x^6:", conjugation_check(6))
 
 # ---------------------------------------------------------------------------

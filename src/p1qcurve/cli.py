@@ -398,10 +398,9 @@ def cmd_gw(args, budget: int | None) -> int | _Plan:
                        f"order {required}", 1)
 
     def compute() -> tuple[str, dict]:
-        value, reason = stationary_invariant(args.g, args.n, args.d, b, explain=True)
-        payload = {"value": rational_to_json(value)}
-        if reason is not None:
-            payload["warning"] = reason
+        payload = {"value": rational_to_json(stationary_invariant(args.g, args.n, args.d, b))}
+        if sum(b) != 2 * args.g - 2 + 2 * args.d:
+            payload["warning"] = "dimension-violation"
         return "value", payload
 
     return _Plan({"g": args.g, "n": args.n, "d": args.d, "b": list(b),

@@ -976,6 +976,8 @@ def ancestor_descendant_check(m_max: int = 8) -> bool:
     """The one-point genus-one ancestors, smeared with the transition
     matrices, reproduce the stationary descendants computed independently by
     the operator formalism."""
+    if m_max < 0:
+        raise ExactError("m_max must be nonnegative")
     anc = ancestor_decomposition(1, 1)
     for m in range(m_max + 1):
         total = Frac(0)

@@ -1,15 +1,16 @@
 """Wave-function assembly and the difference-operator consistency checks.
 
 The stationary invariants computed by :mod:`p1qcurve.wedge` assemble into the
-logarithm of a wave function.  Every ingredient of that assembly lives in a
-small bigraded space: finite combinations of
+logarithm of a wave function.  Every ingredient of that assembly is a finite
+combination of the monomials
 
-    (x - x log x)/hbar,     log x,      hbar^p * x^{-i}   (i >= -1),
+    hbar^p * x^{-i} * (log x)^l      (i >= -1, l in {0, 1}),
 
-each carrying an explicit power of hbar.  The space is closed under the
-substitution t -> -hbar d/dx applied to log x (for any Laurent series a(t)
-with minimal exponent -1), under x-differentiation, and therefore under the
-shift operators exp(m hbar d/dx) realized as truncated Taylor expansions.
+so (x - x log x)/hbar is two monomials at p = -1.  The span is closed under
+the substitution t -> -hbar d/dx applied to log x (for any Laurent series
+a(t) with minimal exponent -1), under x-differentiation, and therefore under
+the shift operators exp(m hbar d/dx), m rational, realized as truncated
+Taylor expansions; the half-step shift x -> x + hbar/2 is one of them.
 
 On top of that calculus the module verifies, all in exact arithmetic:
 
@@ -94,56 +95,36 @@ def bernoulli_number(m: int) -> Frac:
 
 
 # ---------------------------------------------------------------------------
-# The bigraded log-Laurent space
+# The log-Laurent monomial space
 # ---------------------------------------------------------------------------
 
 
-def _clean_map(items: Mapping) -> dict:
-    return {k: Frac(v) for k, v in items.items() if v}
-
-
 class LogLaurentForm:
-    """Finite combination of (x - x log x)/hbar, log x, and hbar^p x^{-i}.
+    """Finite combination of monomials hbar^p x^{-i} (log x)^l.
 
-    ``anti`` maps an hbar-power p to the coefficient of
-    hbar^p * (x - x log x)/hbar; ``log`` maps p to the coefficient of
-    hbar^p * log x; ``tail`` maps (p, i) with i >= -1 to the coefficient of
-    hbar^p * x^{-i}.  ``order`` is the hbar-order through which the tail is
-    complete; arithmetic keeps the minimum of the operands' orders.
+    ``terms`` maps (p, i, l), with i >= -1 and l in {0, 1}, to the
+    coefficient of hbar^p * x^{-i} * (log x)^l; (x - x log x)/hbar is
+    ``{(-1, -1, 0): 1, (-1, -1, 1): -1}``.  ``order`` is the hbar-order
+    through which the form is complete; arithmetic keeps the minimum of the
+    operands' orders.
     """
 
-    __slots__ = ("anti", "log", "tail", "order")
+    __slots__ = ("terms", "order")
 
-    def __init__(
-        self,
-        anti: Mapping[int, Frac],
-        log: Mapping[int, Frac],
-        tail: Mapping[tuple[int, int], Frac],
-        order: int,
-    ):
-        self.anti = _clean_map(anti)
-        self.log = _clean_map(log)
-        self.tail = _clean_map(tail)
-        for _, i in self.tail:
-            if i < -1:
-                raise ExactError("tail exponents are restricted to x^{-i}, i >= -1")
+    def __init__(self, terms: Mapping[tuple[int, int, int], Frac], order: int):
+        self.terms = {k: Frac(v) for k, v in terms.items() if v}
+        for _, i, l in self.terms:
+            if i < -1 or l not in (0, 1):
+                raise ExactError("monomials x^{-i} (log x)^l need i >= -1 and l in {0, 1}")
         self.order = order
 
-    @classmethod
-    def zero(cls, order: int) -> "LogLaurentForm":
-        return cls({}, {}, {}, order)
-
     def is_zero(self) -> bool:
-        return not (self.anti or self.log or self.tail)
+        return not self.terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogLaurentForm):
             return NotImplemented
-        return (
-            self.anti == other.anti
-            and self.log == other.log
-            and self.tail == other.tail
-        )
+        return self.terms == other.terms
 
     def __hash__(self):
         raise TypeError("LogLaurentForm is mutable-by-convention; not hashable")
@@ -151,16 +132,10 @@ class LogLaurentForm:
     def __add__(self, other: "LogLaurentForm") -> "LogLaurentForm":
         if not isinstance(other, LogLaurentForm):
             return NotImplemented
-        anti = dict(self.anti)
-        for p, c in other.anti.items():
-            anti[p] = anti.get(p, Frac(0)) + c
-        log = dict(self.log)
-        for p, c in other.log.items():
-            log[p] = log.get(p, Frac(0)) + c
-        tail = dict(self.tail)
-        for key, c in other.tail.items():
-            tail[key] = tail.get(key, Frac(0)) + c
-        return LogLaurentForm(anti, log, tail, min(self.order, other.order))
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, Frac(0)) + c
+        return LogLaurentForm(terms, min(self.order, other.order))
 
     def __neg__(self) -> "LogLaurentForm":
         return self.scaled(Frac(-1))
@@ -170,75 +145,51 @@ class LogLaurentForm:
 
     def scaled(self, c) -> "LogLaurentForm":
         c = Frac(c)
-        return LogLaurentForm(
-            {p: c * v for p, v in self.anti.items()},
-            {p: c * v for p, v in self.log.items()},
-            {k: c * v for k, v in self.tail.items()},
-            self.order,
-        )
+        return LogLaurentForm({k: c * v for k, v in self.terms.items()}, self.order)
 
     def __repr__(self) -> str:
-        bits = []
-        for p, c in sorted(self.anti.items()):
-            bits.append(f"{c}*h^{p}*(x-xlogx)/h")
-        for p, c in sorted(self.log.items()):
-            bits.append(f"{c}*h^{p}*logx")
-        for (p, i), c in sorted(self.tail.items()):
-            bits.append(f"{c}*h^{p}*x^{-i}")
+        bits = [
+            f"{c}*h^{p}*x^{-i}" + ("*logx" if l else "")
+            for (p, i, l), c in sorted(self.terms.items())
+        ]
         body = " + ".join(bits) if bits else "0"
         return f"LogLaurentForm({body}; order={self.order})"
 
 
 def form_derivative(form: LogLaurentForm) -> LogLaurentForm:
-    """d/dx on the bigraded space:
+    """d/dx on the monomial basis:
 
-        d/dx (x - x log x)/hbar = -(log x)/hbar,
-        d/dx log x = x^{-1},
-        d/dx x^{-i} = -i x^{-(i+1)}.
+        d/dx x^{-i} (log x)^l = -i x^{-i-1} (log x)^l + l x^{-i-1} (log x)^{l-1}.
     """
-    log: dict[int, Frac] = {}
-    tail: dict[tuple[int, int], Frac] = {}
-    for p, c in form.anti.items():
-        log[p - 1] = log.get(p - 1, Frac(0)) - c
-    for p, c in form.log.items():
-        key = (p, 1)
-        tail[key] = tail.get(key, Frac(0)) + c
-    for (p, i), c in form.tail.items():
-        if i == 0:
-            continue
-        key = (p, i + 1)
-        tail[key] = tail.get(key, Frac(0)) - i * c
-    return LogLaurentForm({}, log, tail, form.order)
+    terms: dict[tuple[int, int, int], Frac] = {}
+    for (p, i, l), c in form.terms.items():
+        for key, weight in (((p, i + 1, l), -i), ((p, i + 1, l - 1), l)):
+            if weight:
+                terms[key] = terms.get(key, Frac(0)) + weight * c
+    return LogLaurentForm(terms, form.order)
 
 
-def _grade_shift(form: LogLaurentForm, j: int, order: int) -> LogLaurentForm:
-    """Multiply by hbar^j, dropping content above the working hbar-order."""
-    return LogLaurentForm(
-        {p + j: c for p, c in form.anti.items() if p + j <= order},
-        {p + j: c for p, c in form.log.items() if p + j <= order},
-        {(p + j, i): c for (p, i), c in form.tail.items() if p + j <= order},
-        order,
-    )
-
-
-def shift_form(form: LogLaurentForm, m: int, order: int | None = None) -> LogLaurentForm:
-    """The shifted form f(x + m*hbar) as a truncated Taylor expansion
+def shift_form(form: LogLaurentForm, m, order: int) -> LogLaurentForm:
+    """The shifted form f(x + m*hbar), m rational, as a truncated Taylor
+    expansion
 
         f(x + m hbar) = sum_{j>=0} (m hbar)^j / j! * f^{(j)}(x),
 
-    exact through the working hbar-order.  On the log x piece this realizes
-    the rewrite log(x + m hbar) = log x + sum_j (-1)^{j+1} (m hbar/x)^j / j.
+    exact through hbar-order ``order``.  On log x this realizes the rewrite
+    log(x + m hbar) = log x + sum_j (-1)^{j+1} (m hbar/x)^j / j.
     """
-    if order is None:
-        order = form.order
-    total = LogLaurentForm(form.anti, form.log, form.tail, order)
+    m = Frac(m)
+    total = LogLaurentForm(form.terms, order)
     deriv = form
     for j in range(1, order + 2):
         deriv = form_derivative(deriv)
         if deriv.is_zero():
             break
-        term = _grade_shift(deriv, j, order).scaled(Frac(m**j, math.factorial(j)))
-        total = total + term
+        weight = m**j / math.factorial(j)
+        total = total + LogLaurentForm(
+            {(p + j, i, l): weight * c for (p, i, l), c in deriv.terms.items() if p + j <= order},
+            order,
+        )
     return total
 
 
@@ -257,20 +208,13 @@ def apply_laurent_operator(a: TruncatedSeries, order: int) -> LogLaurentForm:
     if a.min_exp < -1:
         raise ExactError("operator series must not go below 1/t")
     upto = min(order, a.order)
-    anti: dict[int, Frac] = {}
-    log: dict[int, Frac] = {}
-    tail: dict[tuple[int, int], Frac] = {}
     c = a.coefficient(-1) if a.min_exp <= -1 else Frac(0)
-    if c:
-        anti[0] = c
-    c = a.coefficient(0) if a.min_exp <= 0 <= upto else Frac(0)
-    if c:
-        log[0] = c
+    terms = {(-1, -1, 0): c, (-1, -1, 1): -c}
+    if a.min_exp <= 0 <= upto:
+        terms[(0, 0, 1)] = a.coefficient(0)
     for i in range(1, upto + 1):
-        c = a.coefficient(i)
-        if c:
-            tail[(i, i)] = -c * math.factorial(i - 1)
-    return LogLaurentForm(anti, log, tail, upto)
+        terms[(i, i, 0)] = -a.coefficient(i) * math.factorial(i - 1)
+    return LogLaurentForm(terms, upto)
 
 
 def bernoulli_operator(order: int) -> LogLaurentForm:
@@ -310,31 +254,25 @@ def _binomial_series(exponent: int, m: int, order: int) -> TruncatedSeries:
     )
 
 
-def _diagonal_series(form: LogLaurentForm, order: int) -> TruncatedSeries:
-    """Read a form with no (x - x log x)/hbar part and purely diagonal tail
-    (hbar-power equal to 1/x-power) as a series in r = hbar/x."""
-    if form.anti:
-        raise ExactError("form still contains the antiderivative piece")
-    out = [Frac(0)] * (order + 1)
-    for (p, i), c in form.tail.items():
-        if p != i:
-            raise ExactError(f"tail is not diagonal at {(p, i)}")
-        if 0 <= p <= order:
-            out[p] = c
-    return TruncatedSeries("r", 0, out, order)
-
-
 def _exp_of_difference(delta: LogLaurentForm, order: int) -> tuple[int, TruncatedSeries]:
-    """Exponentiate a form of the shape c*log x + (diagonal tail with zero
-    constant term); returns (c, exp(tail)) with c required integral, so that
-    the exponential is x^c times a series in r = hbar/x."""
-    if set(delta.log) - {0}:
-        raise ExactError("log x appears at a nonzero hbar-power")
-    c = delta.log.get(0, Frac(0))
+    """Exponentiate a form c*log x + sum_{p>=1} a_p (hbar/x)^p; returns
+    (c, exp of the sum as a series in r = hbar/x) with c required integral,
+    so that the exponential is x^c times that series."""
+    c = Frac(0)
+    out = [Frac(0)] * (order + 1)
+    for (p, i, l), v in delta.terms.items():
+        if l:
+            if (p, i) != (0, 0):
+                raise ExactError(f"log x appears off hbar^0 x^0, at {(p, i, l)}")
+            c = v
+        elif p != i or p < 0:
+            raise ExactError(f"term is not a power of hbar/x at {(p, i, l)}")
+        elif p <= order:
+            out[p] = v
     if c.denominator != 1:
         raise ExactError("log x coefficient must be an integer to exponentiate")
     # series_exp rejects a nonzero constant term
-    return int(c), series_exp(_diagonal_series(delta, order))
+    return int(c), series_exp(TruncatedSeries("r", 0, out, order))
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +345,15 @@ def _theta_definition(g: int, n: int, d: int, order: int) -> LogLaurentForm:
         sum_k sum_b <tau_0(1)^k prod tau_{b_i}(omega)>_{g,n+k}^d
               * (-hbar/2)^k / k! * prod b_i! / x^{n + sum b},
 
-    with the two closed extra terms -(x - x log x) * hbar^0 ... for the
-    unstable (0, 1, 0) block, which starts -x + x log x + (hbar/2) log x.
-    Nonzero terms are asserted to sit on the diagonal
+    with the closed terms -x + x log x + (hbar/2) log x for the unstable
+    (0, 1, 0) block.  Nonzero terms are asserted to sit on the diagonal
     (1/x-power) - (hbar-power) = 2g - 2 + n + 2d: the genus grading is checked,
     not assumed.
     """
-    anti: dict[int, Frac] = {}
-    log: dict[int, Frac] = {}
-    tail: dict[tuple[int, int], Frac] = {}
+    terms: dict[tuple[int, int, int], Frac] = {}
     offset = 2 * g - 2 + n + 2 * d
     if (g, n, d) == (0, 1, 0):
-        anti[1] = Frac(-1)
-        log[1] = Frac(1, 2)
+        terms = {(0, -1, 0): Frac(-1), (0, -1, 1): Frac(1), (1, 0, 1): Frac(1, 2)}
     for k in range(order + 1):
         for sb in range(0, offset + k - n + 1):
             for b, count in _sorted_compositions(sb, n):
@@ -434,53 +368,32 @@ def _theta_definition(g: int, n: int, d: int, order: int) -> LogLaurentForm:
                 coeff = value * Frac((-1) ** k * count, 2**k * math.factorial(k))
                 for bi in b:
                     coeff *= math.factorial(bi)
-                key = (k, n + sb)
+                key = (k, n + sb, 0)
                 assert key[1] - key[0] == offset
-                tail[key] = tail.get(key, Frac(0)) + coeff
-    return LogLaurentForm(anti, log, tail, order)
+                terms[key] = terms.get(key, Frac(0)) + coeff
+    return LogLaurentForm(terms, order)
 
 
 def _theta_shifted(g: int, n: int, d: int, order: int) -> LogLaurentForm:
     """The same block after resummation: no unit-class insertions, but every
-    x replaced by x + hbar/2, expanded back into the bigraded truncation.
+    x replaced by x + hbar/2 through :func:`shift_form`.
 
-    For (0, 1, 0) this is -(x + hbar/2) + (x + hbar/2) log(x + hbar/2);
-    otherwise sum_b <prod tau_{b_i}(omega)>_{g,n}^d prod b_i! /
-    (x + hbar/2)^{n + sum b}.
+    The unshifted block is -x + x log x for (0, 1, 0); otherwise
+    sum_b <prod tau_{b_i}(omega)>_{g,n}^d prod b_i! / x^{n + sum b}.
     """
-    anti: dict[int, Frac] = {}
-    log: dict[int, Frac] = {}
-    tail: dict[tuple[int, int], Frac] = {}
     if (g, n, d) == (0, 1, 0):
-        # -(x + h/2) + (x + h/2)(log x + log(1 + h/(2x)))
-        anti[1] = Frac(-1)
-        log[1] = Frac(1, 2)
-        tail[(1, 0)] = Frac(-1, 2)
-        for j in range(1, order + 1):
-            c = Frac((-1) ** (j + 1), j * 2**j)
-            key = (j, j - 1)
-            tail[key] = tail.get(key, Frac(0)) + c  # x * log(1 + h/(2x))
-            if j + 1 <= order:
-                key = (j + 1, j)
-                tail[key] = tail.get(key, Frac(0)) + c / 2  # (h/2) * same log
-        return LogLaurentForm(anti, log, tail, order)
-    sb = 2 * g - 2 + 2 * d
-    if sb < 0:
-        return LogLaurentForm({}, {}, {}, order)
-    for b, count in _sorted_compositions(sb, n):
-        value = stationary_invariant(g, n, d, b)
-        if not value:
-            continue
-        coeff = value * count
-        for bi in b:
-            coeff *= math.factorial(bi)
-        m = n + sb
-        # (x + hbar/2)^{-m} = sum_l C(m-1+l, l) (-1/2)^l hbar^l x^{-(m+l)}
-        for l in range(order + 1):
-            key = (l, m + l)
-            c = coeff * math.comb(m - 1 + l, l) * Frac((-1) ** l, 2**l)
-            tail[key] = tail.get(key, Frac(0)) + c
-    return LogLaurentForm(anti, log, tail, order)
+        block = {(0, -1, 0): Frac(-1), (0, -1, 1): Frac(1)}
+    else:
+        sb = 2 * g - 2 + 2 * d
+        value = sum(
+            (
+                stationary_invariant(g, n, d, b) * count * math.prod(map(math.factorial, b))
+                for b, count in _sorted_compositions(sb, n)
+            ),
+            Frac(0),
+        )
+        block = {(0, n + sb, 0): value}
+    return shift_form(LogLaurentForm(block, order), Frac(1, 2), order)
 
 
 def theta_resummation_check(g: int, n: int, d: int, order: int) -> bool:
@@ -519,10 +432,10 @@ def _degree_block(d: int, order: int) -> tuple[Frac, ...]:
             lead = 2 * g - 2 + n + 2 * d
             if lead > order:
                 break
-            # a tail term hbar^p x^-i of the block sits at w^i with i = lead + p,
+            # a term hbar^p x^-i of the block sits at w^i with i = lead + p,
             # so the block's hbar-order order - lead fills the window
             prefac = Frac((-1) ** n, math.factorial(n))
-            for (_, i), c in _theta_shifted(g, n, d, order - lead).tail.items():
+            for (_, i, _), c in _theta_shifted(g, n, d, order - lead).terms.items():
                 out[i] += prefac * c
         g += 1
     # dimension forces the block to start at w^(2d-1) (constant excepted)
@@ -701,8 +614,8 @@ def toda_specialization_check(order: int = 8, d_max: int = 4) -> bool:
     (c) the kernel identity behind (a): (e^{t/2} - e^{-t/2})^2 * t/(e^t - 1)
         = t (1 - e^{-t}), checked as truncated series.
     """
-    if order < 2:
-        raise ExactError("order must be at least 2")
+    if order < 2 or d_max < 0:
+        raise ExactError("need order >= 2 and d_max >= 0")
     prefactor = bernoulli_operator(order)
     second_difference = (
         (shift_form(prefactor, 1, order) - prefactor)

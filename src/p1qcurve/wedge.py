@@ -209,23 +209,18 @@ def _connected_coefficient(d: int, b: tuple[int, ...]) -> Frac:
 # ---------------------------------------------------------------------------
 
 
-def stationary_invariant(g: int, n: int, d: int, b, *, explain: bool = False):
+def stationary_invariant(g: int, n: int, d: int, b) -> Frac:
     """The connected invariant with n point classes and descendant exponents b
-    (each >= -2) at genus g and degree d.
-
-    Returns the exact rational value; with ``explain=True`` returns
-    ``(value, flag)`` where flag is ``"dimension-violation"`` when the
-    constraint sum(b) = 2g - 2 + 2d fails (value 0) and ``None`` otherwise.
-    """
+    (each >= -2) at genus g and degree d, as an exact rational; 0 when the
+    dimension constraint sum(b) = 2g - 2 + 2d fails."""
     b = _exponents(b)
     if len(b) != n:
         raise ExactError(f"expected {n} descendant exponents, got {len(b)}")
     if g < 0 or d < 0:
         raise ExactError("genus and degree must be nonnegative")
     if sum(b) != 2 * g - 2 + 2 * d:
-        return (Frac(0), "dimension-violation") if explain else Frac(0)
-    value = connected_coefficient(d, tuple(sorted(b)))
-    return (value, None) if explain else value
+        return Frac(0)
+    return connected_coefficient(d, tuple(sorted(b)))
 
 
 _STRING_BASE: dict[tuple[int, int, tuple[int, ...]], Frac] = {

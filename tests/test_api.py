@@ -28,7 +28,9 @@ ORACLE_ONLY = {
 }
 
 # parameters that only selected negative controls or alternative routes
-REMOVED_PARAMETERS = {"max_points", "perturb", "recursion_perturbation", "route", "strict"}
+REMOVED_PARAMETERS = {
+    "explain", "max_points", "perturb", "recursion_perturbation", "route", "strict",
+}
 
 
 @pytest.mark.parametrize("name", MODULES)

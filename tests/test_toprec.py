@@ -581,6 +581,12 @@ def test_ancestor_descendant_relation():
     assert ancestor_descendant_check(10)
 
 
+def test_ancestor_descendant_check_rejects_empty_range():
+    # m_max < 0 would compare nothing and pass vacuously
+    with pytest.raises(ExactError):
+        ancestor_descendant_check(-1)
+
+
 # ---------------------------------------------------------------------------
 # unstable closed forms
 # ---------------------------------------------------------------------------

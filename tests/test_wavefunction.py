@@ -4,9 +4,9 @@ Oracles used here:
 
 * the Bernoulli prefactor is recomputed by inverting the series
   (e^t - 1)/t = sum t^m/(m+1)! independently of the recurrence;
-* shifted forms are recomputed from the literal rewrite
-  log(x + m*hbar) = log x + sum_j (-1)^(j+1) (m hbar/x)^j / j together with
-  binomial expansions of (x + m*hbar)^(-i), independently of the Taylor
+* shifted forms are recomputed monomial by monomial from the literal
+  rewrite log(x + m*hbar) = log x + sum_j (-1)^(j+1) (m hbar/x)^j / j together
+  with binomial expansions of (x + m*hbar)^(-i), independently of the Taylor
   engine;
 * the unit-insertion reduction is tested against the multinomial kernel
   sum over distributions (property test);
@@ -74,16 +74,13 @@ def test_bernoulli_numbers_match_series_inversion():
 def test_apply_laurent_operator_single_terms():
     # a = 1/t -> (x - x log x)/hbar
     a = TruncatedSeries("t", -1, [1, 0, 0, 0], 2)
-    form = apply_laurent_operator(a, 2)
-    assert form.anti == {0: 1} and not form.log and not form.tail
+    assert apply_laurent_operator(a, 2).terms == {(-1, -1, 0): 1, (-1, -1, 1): -1}
     # a = 1 -> log x
     a = TruncatedSeries("t", -1, [0, 1, 0, 0], 2)
-    form = apply_laurent_operator(a, 2)
-    assert form.log == {0: 1} and not form.anti and not form.tail
+    assert apply_laurent_operator(a, 2).terms == {(0, 0, 1): 1}
     # a = t^2 -> -1! hbar^2 / x^2
     a = TruncatedSeries("t", -1, [0, 0, 0, 1], 2)
-    form = apply_laurent_operator(a, 2)
-    assert form.tail == {(2, 2): -1} and not form.anti and not form.log
+    assert apply_laurent_operator(a, 2).terms == {(2, 2, 0): -1}
 
 
 def test_apply_laurent_operator_rejects_deep_poles():
@@ -93,16 +90,16 @@ def test_apply_laurent_operator_rejects_deep_poles():
 
 
 def test_bernoulli_operator_expansion():
-    form = bernoulli_operator(8)
-    assert form.anti == {0: 1}
-    assert form.log == {0: Frac(-1, 2)}
-    assert form.tail[(1, 1)] == Frac(-1, 12)
-    assert (2, 2) not in form.tail
-    assert form.tail[(3, 3)] == Frac(1, 360)
-    assert (4, 4) not in form.tail
-    assert form.tail[(5, 5)] == Frac(-1, 1260)
-    # every tail key sits on the hbar = 1/x diagonal
-    assert all(p == i for (p, i) in form.tail)
+    terms = bernoulli_operator(8).terms
+    assert {k: c for k, c in terms.items() if k[1] == -1} == {(-1, -1, 0): 1, (-1, -1, 1): -1}
+    assert {k: c for k, c in terms.items() if k[1] != -1 and k[2]} == {(0, 0, 1): Frac(-1, 2)}
+    assert terms[(1, 1, 0)] == Frac(-1, 12)
+    assert (2, 2, 0) not in terms
+    assert terms[(3, 3, 0)] == Frac(1, 360)
+    assert (4, 4, 0) not in terms
+    assert terms[(5, 5, 0)] == Frac(-1, 1260)
+    # every other monomial sits on the hbar = 1/x diagonal
+    assert all(p == i for (p, i, l) in terms if i != -1 and not l)
 
 
 def test_bernoulli_operator_against_direct_coefficients():
@@ -110,7 +107,7 @@ def test_bernoulli_operator_against_direct_coefficients():
     form = bernoulli_operator(order)
     for i in range(1, order + 1):
         expected = -Frac(bernoulli_number(i + 1), math.factorial(i + 1)) * math.factorial(i - 1)
-        assert form.tail.get((i, i), Frac(0)) == expected
+        assert form.terms.get((i, i, 0), Frac(0)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -119,91 +116,76 @@ def test_bernoulli_operator_against_direct_coefficients():
 
 
 def test_form_derivative_rules():
-    form = LogLaurentForm({0: Frac(1)}, {2: Frac(3)}, {(1, 4): Frac(5), (0, -1): Frac(7)}, 6)
-    d = form_derivative(form)
-    assert d.anti == {}
-    assert d.log == {-1: -1}
-    # log x at hbar^2 -> 3/x at hbar^2; x^{-4} -> -20 x^{-5}; 7x -> 7
-    assert d.tail == {(2, 1): 3, (1, 5): -20, (0, 0): 7}
+    # (x - x log x)/hbar + 3 hbar^2 log x + 5 hbar x^{-4} + 7x
+    form = LogLaurentForm(
+        {(-1, -1, 0): 1, (-1, -1, 1): -1, (2, 0, 1): 3, (1, 4, 0): 5, (0, -1, 0): 7}, 6
+    )
+    # -(log x)/hbar; log x at hbar^2 -> 3/x at hbar^2; x^{-4} -> -20 x^{-5}; 7x -> 7
+    assert form_derivative(form).terms == {
+        (-1, 0, 1): -1, (2, 1, 0): 3, (1, 5, 0): -20, (0, 0, 0): 7,
+    }
 
 
-def _shift_oracle(form: LogLaurentForm, m: int, order: int) -> LogLaurentForm:
+def _shift_oracle(form: LogLaurentForm, m, order: int) -> LogLaurentForm:
     """Shift by literal substitution, independent of the Taylor engine.
 
-    Writing lambda = log(1 + m hbar/x) = sum_j lam_j hbar^j x^{-j} with
-    lam_j = (-1)^(j+1) m^j / j, the three basis families shift as
+    Each monomial hbar^p x^{-i} (log x)^l becomes hbar^p (x + m hbar)^{-i}
+    (log x + lambda)^l, with the binomial expansion
 
-        (x+mh - (x+mh)log(x+mh))/h
-            = (x - x log x)/h - m log x
-              - sum_{j>=2} lam_j h^{j-1} x^{-(j-1)} - m sum_j lam_j h^j x^{-j}
-        (the +m constant from (x+mh)/h cancels the j=1 term of (x/h)*lambda),
-        log(x+mh) = log x + lambda,
-        (x+mh)^{-i} = sum_l C(i-1+l, l) (-m)^l h^l x^{-(i+l)}.
+        (x + m hbar)^{-i} = sum_k C(i-1+k, k) (-m)^k hbar^k x^{-(i+k)}
+
+    (x + m hbar and 1 for i = -1 and 0) and
+    lambda = log(1 + m hbar/x) = sum_j (-1)^(j+1) (m hbar/x)^j / j.
     """
-    anti: dict[int, Frac] = {}
-    log: dict[int, Frac] = {}
-    tail: dict[tuple[int, int], Frac] = {}
-
-    def add_tail(p: int, i: int, c: Frac):
-        if p <= order and c:
-            tail[(p, i)] = tail.get((p, i), Frac(0)) + c
-
-    lam = {j: Frac((-1) ** (j + 1) * m**j, j) for j in range(1, order + 2)}
-    for p, c in form.anti.items():
-        anti[p] = anti.get(p, Frac(0)) + c
-        log[p] = log.get(p, Frac(0)) - m * c
-        add_tail(p, 0, m * c)
-        for j, lj in lam.items():
-            add_tail(p + j - 1, j - 1, -c * lj)
-            add_tail(p + j, j, -c * m * lj)
-    for p, c in form.log.items():
-        log[p] = log.get(p, Frac(0)) + c
-        for j, lj in lam.items():
-            add_tail(p + j, j, c * lj)
-    for (p, i), c in form.tail.items():
-        if i == 0:
-            add_tail(p, 0, c)
-            continue
-        if i == -1:
-            add_tail(p, -1, c)
-            add_tail(p + 1, 0, m * c)
-            continue
-        for l in range(order - p + 1):
-            add_tail(p + l, i + l, c * math.comb(i - 1 + l, l) * Frac((-m) ** l))
-    return LogLaurentForm(anti, log, tail, order)
+    m = Frac(m)
+    out: dict[tuple[int, int, int], Frac] = {}
+    for (p, i, l), c in form.terms.items():
+        room = order - p
+        if i <= 0:
+            power = {(0, -1): Frac(1), (1, 0): m} if i else {(0, 0): Frac(1)}
+        else:
+            power = {(k, i + k): math.comb(i - 1 + k, k) * (-m) ** k for k in range(room + 1)}
+        log_part = {(0, 0, l): Frac(1)}
+        if l:
+            log_part.update({(j, j, 0): (-1) ** (j + 1) * m**j / j for j in range(1, room + 1)})
+        for (dp, di), a in power.items():
+            for (ep, ei, el), b in log_part.items():
+                key = (p + dp + ep, di + ei, el)
+                if key[0] <= order:
+                    out[key] = out.get(key, Frac(0)) + c * a * b
+    return LogLaurentForm(out, order)
 
 
-@pytest.mark.parametrize("m", [1, -1, 2])
+@pytest.mark.parametrize("m", [1, -1, 2, Frac(1, 2)])
 def test_shift_form_matches_literal_substitution(m):
     order = 8
-    form = bernoulli_operator(order)
-    got = shift_form(form, m, order)
-    want = _shift_oracle(form, m, order)
-    assert got.anti == want.anti
-    assert got.log == want.log
-    assert got.tail == want.tail
+    for form in (
+        bernoulli_operator(order),
+        LogLaurentForm({(0, -1, 0): -1, (0, -1, 1): 1}, order),  # the (0,1,0) block
+    ):
+        assert shift_form(form, m, order).terms == _shift_oracle(form, m, order).terms
 
 
 @pytest.mark.parametrize("m", [1, -1, 3])
 def test_shift_form_on_pure_tail(m):
     # f = x^{-2} at hbar^0: shift must match the binomial expansion
     order = 7
-    form = LogLaurentForm({}, {}, {(0, 2): Frac(1)}, order)
+    form = LogLaurentForm({(0, 2, 0): Frac(1)}, order)
     got = shift_form(form, m, order)
     for l in range(order + 1):
-        assert got.tail.get((l, 2 + l), Frac(0)) == math.comb(1 + l, l) * Frac((-m) ** l)
+        assert got.terms.get((l, 2 + l, 0), Frac(0)) == math.comb(1 + l, l) * Frac((-m) ** l)
 
 
 def test_shift_difference_is_diagonal_with_log():
     order = 8
     form = bernoulli_operator(order)
     for m in (1, -1):
-        delta = shift_form(form, m, order) - form
-        assert delta.anti == {}
-        assert delta.log == {0: -m}
-        assert all(p == i for (p, i) in delta.tail)
+        terms = (shift_form(form, m, order) - form).terms
+        assert all(i != -1 for (_, i, _) in terms)
+        assert {k: c for k, c in terms.items() if k[2]} == {(0, 0, 1): -m}
+        assert all(p == i for (p, i, l) in terms if not l)
         # no constant term survives at hbar^0
-        assert (0, 0) not in delta.tail
+        assert (0, 0, 0) not in terms
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +233,10 @@ def test_theta_010_block_values():
     from p1qcurve.wavefunction import _theta_definition, _theta_shifted
 
     block = _theta_definition(0, 1, 0, 6)
-    assert block.anti == {1: -1}
-    assert block.log == {1: Frac(1, 2)}
-    assert block.tail[(2, 1)] == Frac(1, 8)
-    assert block.tail[(3, 2)] == Frac(-1, 48)
+    assert {k: c for k, c in block.terms.items() if k[1] == -1} == {(0, -1, 0): -1, (0, -1, 1): 1}
+    assert {k: c for k, c in block.terms.items() if k[1] != -1 and k[2]} == {(1, 0, 1): Frac(1, 2)}
+    assert block.terms[(2, 1, 0)] == Frac(1, 8)
+    assert block.terms[(3, 2, 0)] == Frac(-1, 48)
     assert _theta_shifted(0, 1, 0, 6) == block
 
 
@@ -263,9 +245,9 @@ def test_theta_011_shifted_is_geometric():
     from p1qcurve.wavefunction import _theta_shifted
 
     block = _theta_shifted(0, 1, 1, 8)
-    assert not block.anti and not block.log
+    assert all(i != -1 and not l for (_, i, l) in block.terms)
     for l in range(9):
-        assert block.tail.get((l, 1 + l), Frac(0)) == Frac((-1) ** l, 2**l)
+        assert block.terms.get((l, 1 + l, 0), Frac(0)) == Frac((-1) ** l, 2**l)
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,6 +401,12 @@ def test_semiclassical_check():
 
 def test_toda_specialization_check():
     assert toda_specialization_check(8, d_max=4) is True
+
+
+def test_toda_specialization_check_rejects_empty_degree_range():
+    # d_max < 0 would skip every quadratic relation and pass vacuously
+    with pytest.raises(ExactError):
+        toda_specialization_check(8, d_max=-1)
 
 
 def test_toda_kernel_series_identity():

@@ -250,10 +250,9 @@ def test_one_point_genus0_values_are_inverse_square_factorials():
 
 
 def test_dimension_violation_flag():
-    value, flag = stationary_invariant(0, 1, 1, (5,), explain=True)
-    assert value == 0 and flag == "dimension-violation"
-    value, flag = stationary_invariant(0, 1, 1, (0,), explain=True)
-    assert value == 1 and flag is None
+    # off the constraint the value is 0; the CLI adds the warning itself
+    assert stationary_invariant(0, 1, 1, (5,)) == 0
+    assert stationary_invariant(0, 1, 1, (0,)) == 1
 
 
 def test_exponent_validation():
