@@ -83,6 +83,12 @@ def _frac(x: Scalar) -> Frac:
     raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
 
 
+def _over_lcm(cs) -> tuple[list[int], int]:
+    """Exact scalars as integer numerators over the lcm of their denominators."""
+    den = math.lcm(*(c.denominator for c in cs))
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
 def rational_to_json(x: Frac) -> str:
     """Render a rational as ``"p/q"`` in lowest terms, ``"p"`` when q == 1."""
     return str(Frac(x))
@@ -117,10 +123,8 @@ class Polynomial:
     __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):  # ascending
-        cs = [_frac(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs))
         # over the lcm of reduced denominators the numerators share no factor with it
-        nums = [c.numerator * (den // c.denominator) for c in cs]
+        nums, den = _over_lcm([_frac(c) for c in coeffs])
         while nums and not nums[-1]:
             nums.pop()
         self._num: tuple[int, ...] = tuple(nums)
@@ -912,6 +916,10 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "TruncatedSeries":
+        """The product, known through ``min(o1 + m2, o2 + m1)``.  Two series
+        are convolved on integer numerators: each operand's coefficients over
+        their lcm denominator, only the entries below the product's order,
+        then one division per product coefficient."""
         if isinstance(other, (int, Frac)):
             c = _frac(other)
             if c == 0:
@@ -925,17 +933,16 @@ class TruncatedSeries:
             return TruncatedSeries.zero(self.var, order)
         order = min(self.order + other.min_exp, other.order + self.min_exp)
         lo = self.min_exp + other.min_exp
-        out = [Frac(0)] * (order - lo + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            e1 = self.min_exp + i
-            jmax = min(len(other.coeffs) - 1, order - e1 - other.min_exp)
-            for j in range(jmax + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[e1 + other.min_exp + j - lo] += a * b
-        return TruncatedSeries(self.var, lo, out, order)
+        size = order - lo + 1  # no operand entry at or past this index is read
+        a, da = _over_lcm(self.coeffs[:size])
+        b, db = _over_lcm(other.coeffs[:size])
+        out = [0] * size
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b[: size - i]):
+                    out[i + j] += x * y
+        den = da * db
+        return TruncatedSeries(self.var, lo, [Frac(c, den) for c in out], order)
 
     __rmul__ = __mul__
 

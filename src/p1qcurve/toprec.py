@@ -18,9 +18,12 @@ unstable closed forms S_0, S_1.
 
 Every slot-by-slot map of a finished form -- the large-x expansions of
 W_{g,n} and F_{g,n}, the z -> 1/z pullback, the derivative of F_{g,n}, the
-ancestor reassembly -- is the one contraction _slotwise of per-slot images,
-with exact coefficients; the stationary-invariant check runs it only on the
-total-degree simplex it compares.  The recursion itself (toprec_wgn)
+ancestor reassembly -- is the one contraction _slotwise of per-slot images.
+It runs on integer numerators over one denominator per slot and makes one
+Fraction per output coefficient; the stationary-invariant check runs it only
+on the total-degree simplex it compares.  Branch labels a = +-1 are ints,
+and a power of one to a negative exponent is taken of a Fraction, so every
+coefficient stays exact.  The recursion itself (toprec_wgn)
 contracts local series in its own loop, making only the coefficients that
 reach [t^-1]: a transposed residue, read by a dot product in the last slot.
 """
@@ -73,7 +76,7 @@ __all__ = [
 ]
 
 
-BRANCH_POINTS = (Frac(1), Frac(-1))
+BRANCH_POINTS = (1, -1)
 
 _Z = Polynomial.identity()          # the coordinate z
 _XPRIME = RationalFunction(Polynomial([0, 0, 1]) - Polynomial.one(), Polynomial([0, 0, 1]))
@@ -140,7 +143,12 @@ def w02() -> W02Form:
 # Stable correlation forms
 # ---------------------------------------------------------------------------
 
-PoleKey = tuple[tuple[Frac, int], ...]  # ((a, j) per slot)
+PoleKey = tuple[tuple[int, int], ...]  # ((a, j) per slot, a = +-1)
+
+
+def _exact(x) -> bool:
+    """An int or a Fraction, not a bool."""
+    return isinstance(x, (int, Frac)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -156,9 +164,11 @@ class CorrelationForm:
         for key, c in self.terms.items():
             if len(key) != self.n:
                 raise ExactError("pole key arity mismatch")
+            if not _exact(c):
+                raise ExactError(f"coefficient {c!r} is not an int or a Fraction")
             for a, j in key:
-                if a not in (1, -1) or j < 2:
-                    raise ExactError(f"illegal pole datum ({a},{j})")
+                if not (_exact(a) and a in (1, -1)) or type(j) is not int or j < 2:
+                    raise ExactError(f"illegal pole datum ({a!r},{j!r})")
 
     def pole_orders(self) -> tuple[int, ...]:
         """Maximal pole order seen in each slot."""
@@ -174,7 +184,7 @@ class CorrelationForm:
             raise ExactError("point arity mismatch")
         total = Frac(0)
         for key, c in self.terms.items():
-            prod = c
+            prod = Frac(c)
             for (a, j), p in zip(key, points):
                 prod /= (p - a) ** j
             total += prod
@@ -204,11 +214,12 @@ class CorrelationForm:
 
 
 @cache
-def _pullback(a: Frac, j: int) -> dict[tuple[Frac, int], Frac]:
+def _pullback(a: int, j: int) -> dict[tuple[int, int], Frac]:
     """dz/(z-a)^j pulled back through z -> 1/z, in the pole basis at the same a:
     d(1/z)/(1/z - a)^j = -(-a)^{-j} z^{j-2} dz/(z-a)^j (as 1/a = a), with
-    z^{j-2} expanded binomially around a."""
-    base = -((-a) ** (-j))
+    z^{j-2} expanded binomially around a.  The power is taken of a Fraction:
+    an int to a negative power would be a float."""
+    base = -(Frac(-a) ** (-j))
     return {(a, j - l): base * math.comb(j - 2, l) * a ** (j - 2 - l) for l in range(j - 1)}
 
 
@@ -217,18 +228,30 @@ def _slotwise(terms: Mapping[tuple, Frac], n: int, slot_map, keep=None) -> dict[
     where slot_map gives a slot item's image as a mapping label -> weight;
     the result maps label tuples to nonzero coefficients.  Expanded one slot
     at a time: partial states (labels so far, items left) that agree across
-    keys are merged before the next slot; those failing keep are dropped."""
-    state = {((), key): c for key, c in terms.items()}
+    keys are merged before the next slot; those failing keep are dropped.
+
+    The contraction runs on integer numerators: the term coefficients over
+    their lcm denominator, each slot's image weights over one lcm
+    denominator per slot, so a state update is an int multiply-add and
+    each output coefficient is one Fraction over the product of them."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    state = {((), key): c.numerator * (den // c.denominator) for key, c in terms.items()}
     for k in range(n):
         images = {item: slot_map(k, item) for item in {rest[0] for _, rest in state}}
-        nxt: dict[tuple, Frac] = {}
+        slot_den = math.lcm(*(w.denominator for image in images.values() for w in image.values()))
+        images = {
+            item: [(label, w.numerator * (slot_den // w.denominator)) for label, w in image.items()]
+            for item, image in images.items()
+        }
+        den *= slot_den
+        nxt: dict[tuple, int] = {}
         for (done, rest), c in state.items():
-            for label, w in images[rest[0]].items():
+            for label, w in images[rest[0]]:
                 s = (done + (label,), rest[1:])
                 if keep is None or keep(*s):
                     nxt[s] = nxt.get(s, 0) + c * w
         state = {s: c for s, c in nxt.items() if c}
-    return {done: c for (done, _), c in state.items()}
+    return {done: Frac(c, den) for (done, _), c in state.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +260,14 @@ def _slotwise(terms: Mapping[tuple, Frac], n: int, slot_map, keep=None) -> dict[
 
 
 @cache
-def _loc_rational(num: Polynomial, den: Polynomial, a: Frac, order: int) -> TruncatedSeries:
+def _loc_rational(num: Polynomial, den: Polynomial, a: int, order: int) -> TruncatedSeries:
     """num(z)/den(z) at z = a + t through t^order: every local table of the
     engine but the kernel denominator, in closed form."""
     return RationalFunction(num, den).laurent_at(a, order, "t")
 
 
 @cache
-def _loc_log_gap(a: Frac, order: int) -> TruncatedSeries:
+def _loc_log_gap(a: int, order: int) -> TruncatedSeries:
     """y(1/z) - y(z) as a local series at z = a + t: -2 log(1+t) at a = 1
     and -2 log(1-t) at a = -1.
 
@@ -259,12 +282,12 @@ def _loc_log_gap(a: Frac, order: int) -> TruncatedSeries:
 
 
 @cache
-def _loc_kernel_denominator_inverse(a: Frac, order: int) -> TruncatedSeries:
+def _loc_kernel_denominator_inverse(a: int, order: int) -> TruncatedSeries:
     """Reciprocal of 2*(y(1/z) - y(z))*x'(z), local at a."""
     return (2 * _loc_log_gap(a, order) * _XPRIME.laurent_at(a, order, "t")).inverse()
 
 
-def _loc_pole(b: Frac, j: int, inv: bool, a: Frac, order: int) -> TruncatedSeries:
+def _loc_pole(b: int, j: int, inv: bool, a: int, order: int) -> TruncatedSeries:
     """1/(z - b)^j, or with inv 1/(1/z - b)^j d(1/z)/dz = -z^{j-2}/(1 - bz)^j,
     local at z = a + t."""
     if inv:
@@ -272,19 +295,19 @@ def _loc_pole(b: Frac, j: int, inv: bool, a: Frac, order: int) -> TruncatedSerie
     return _loc_rational(Polynomial.one(), (_Z - b) ** j, a, order)
 
 
-def _loc_bergman_local_pair(a: Frac, order: int) -> TruncatedSeries:
+def _loc_bergman_local_pair(a: int, order: int) -> TruncatedSeries:
     """dz d(1/z)/(z - 1/z)^2 as a dz^2-coefficient, -1/(z^2 - 1)^2."""
     return _loc_rational(-Polynomial.one(), (_Z * _Z - 1) ** 2, a, order)
 
 
-def _loc_kernel_numerator(a: Frac, k: int, order: int) -> TruncatedSeries:
+def _loc_kernel_numerator(a: int, k: int, order: int) -> TruncatedSeries:
     """s^{k+1} - t^{k+1}, s = 1/z - a = (1 - az)/z: the coefficient of
     1/(z_1 - a)^{k+2} in the kernel numerator 1/(z_1 - z) - 1/(z_1 - 1/z)."""
     num = (1 - a * _Z) ** (k + 1) - (_Z * (_Z - a)) ** (k + 1)
     return _loc_rational(num, _Z ** (k + 1), a, order)
 
 
-def _loc_bergman_inv(a: Frac, k: int, order: int) -> TruncatedSeries:
+def _loc_bergman_inv(a: int, k: int, order: int) -> TruncatedSeries:
     """(k+1) s^k d(1/z)/dz = -(k+1) (1 - az)^k/z^{k+2}: the coefficient of
     1/(z_i - a)^{k+2} in the Bergman coupling of z_i to 1/z."""
     return _loc_rational(-(k + 1) * (1 - a * _Z) ** k, _Z ** (k + 2), a, order)
@@ -345,7 +368,7 @@ def toprec_wgn(g: int, n: int) -> CorrelationForm:
     return CorrelationForm(g, n, terms)
 
 
-def _branch_residues(pieces, n: int, a: Frac, order: int) -> dict[PoleKey, Frac]:
+def _branch_residues(pieces, n: int, a: int, order: int) -> dict[PoleKey, Frac]:
     """[t^-1] at the branch point a of the recursion integrand, summed per
     pole label tuple of the n slots (see toprec_wgn)."""
     kinv = _loc_kernel_denominator_inverse(a, order)
@@ -471,13 +494,13 @@ def _branch_dz_dx(order: int) -> TruncatedSeries:
 
 
 @cache
-def _branch_pole(a: Frac, order: int) -> TruncatedSeries:
+def _branch_pole(a: int, order: int) -> TruncatedSeries:
     """1/(z(w) - a), from the branch known through order + 2."""
     return (_catalan_branch(order + 2) - a).inverse()
 
 
 @cache
-def _slot_w_series(a: Frac, j: int, order: int) -> TruncatedSeries:
+def _slot_w_series(a: int, j: int, order: int) -> TruncatedSeries:
     """1/(z(w) - a)^j * dz/dx(z(w)): one tensor slot of W re-expanded at
     large x (w = 1/x), including the change from dz to dx."""
     return (_branch_pole(a, order) ** j * _branch_dz_dx(order)).truncate(order)
@@ -732,7 +755,7 @@ def theta_expansion_check(i: int, d: int, order: int) -> bool:
 
 
 @cache
-def primitive_slot_function(a: Frac, j: int) -> RationalFunction:
+def primitive_slot_function(a: int, j: int) -> RationalFunction:
     """The antisymmetrized antiderivative of dz/(z-a)^j: h(z) with
     h'(z) dz recovering the pole form after summation over a stable form's
     terms, h(1/z) = -h(z), and h regular at 0 and infinity."""

@@ -14,6 +14,10 @@ The ``chain_*`` functions build the local tables of the residue engine at
 of ``1/z`` by ``TruncatedSeries`` sums, inverses and powers, each known only
 as far as that chain of truncated arithmetic carries it.
 
+``slotwise`` and ``series_mul`` are ``toprec._slotwise`` and the product of
+two ``TruncatedSeries`` as they were before both moved to integer numerators
+over one denominator: one ``Fraction`` multiply-add per update.
+
 ``connected_npoint`` is the set-partition route of the Fock-space engine:
 whole n-point series from the eigenvalue series ``e0_eigenvalue``, divided by
 the vacuum factor and combined into cumulants over the subsets of the marked
@@ -384,3 +388,38 @@ def multiseries_two_point_closed_form(order: int) -> MultiSeries:
     for k in range(1, order + 1):
         total = total + Frac(1, k) * MultiSeries.outer_product([z1**k, z2**k])
     return total
+
+
+def slotwise(terms, n: int, slot_map, keep=None) -> dict:
+    """sum_key c * prod_k slot_map(k, key[k]) for terms {key: c} of arity n,
+    expanded slot by slot with merged partial states, on ``Fraction``s."""
+    state = {((), key): c for key, c in terms.items()}
+    for k in range(n):
+        images = {item: slot_map(k, item) for item in {rest[0] for _, rest in state}}
+        nxt: dict = {}
+        for (done, rest), c in state.items():
+            for label, w in images[rest[0]].items():
+                s = (done + (label,), rest[1:])
+                if keep is None or keep(*s):
+                    nxt[s] = nxt.get(s, 0) + c * w
+        state = {s: c for s, c in nxt.items() if c}
+    return {done: c for (done, _), c in state.items()}
+
+
+def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """f * g through min(o1 + m2, o2 + m1), convolved on ``Fraction``s."""
+    order = min(f.order + g.min_exp, g.order + f.min_exp)
+    if f.is_zero() or g.is_zero():
+        return TruncatedSeries.zero(f.var, order)
+    lo = f.min_exp + g.min_exp
+    out = [Frac(0)] * (order - lo + 1)
+    for i, a in enumerate(f.coeffs):
+        if a == 0:
+            continue
+        e1 = f.min_exp + i
+        jmax = min(len(g.coeffs) - 1, order - e1 - g.min_exp)
+        for j in range(jmax + 1):
+            b = g.coeffs[j]
+            if b:
+                out[e1 + g.min_exp + j - lo] += a * b
+    return TruncatedSeries(f.var, lo, out, order)

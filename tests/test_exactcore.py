@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
+import textwrap
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +13,7 @@ import sympy
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
+from p1qcurve import exactcore
 from p1qcurve.exactcore import (
     ExactError,
     FactorError,
@@ -28,7 +31,7 @@ from p1qcurve.exactcore import (
     series_exp,
     series_log,
 )
-from oracles import FracPolynomial, frac_canonical
+from oracles import FracPolynomial, frac_canonical, series_mul
 
 fracs = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -365,6 +368,44 @@ def test_truncation_soundness_vs_doubled_order(ac, bc):
 def test_series_json_roundtrip():
     s = TruncatedSeries("t", -1, [F(1, 3), 0, 2, F(-5, 7)], 2)
     assert TruncatedSeries.from_json(s.to_json()) == s
+
+
+@st.composite
+def series(draw, coeffs=st.one_of(st.integers(-5, 5), fracs)):
+    """A series in t from -3 on, zero ones and long ones included."""
+    min_exp = draw(st.integers(-3, 3))
+    cs = draw(st.lists(coeffs, max_size=9))
+    return TruncatedSeries("t", min_exp, cs, min_exp + len(cs) - 1)
+
+
+def _product_matches_oracle(mul, f, g) -> None:
+    got = mul(f, g)
+    assert all(type(c) is F for c in got.coeffs)
+    assert got == series_mul(f, g)
+
+
+@given(series(), series())
+@example(TruncatedSeries("t", -2, [F(1, 3), 0, F(-5, 4)] + [F(1, 7)] * 12, 12),
+         TruncatedSeries("t", 1, [F(2, 9), 4], 2))
+@example(TruncatedSeries.zero("t", 3), TruncatedSeries("t", -1, [F(1, 2), 1], 0))
+def test_series_product_matches_the_fraction_oracle(f, g):
+    _product_matches_oracle(TruncatedSeries.__mul__, f, g)
+
+
+def test_series_property_detects_a_wrong_product():
+    """Negative control: a product that drops the second operand's
+    denominator must fail the same property."""
+    source = textwrap.dedent(inspect.getsource(TruncatedSeries.__mul__))
+    assert source.count("den = da * db") == 1
+    namespace = dict(vars(exactcore))
+    exec(source.replace("den = da * db", "den = da"), namespace)
+    check = settings(database=None, phases=[Phase.generate])(
+        given(series(), series())(
+            lambda f, g: _product_matches_oracle(namespace["__mul__"], f, g)
+        )
+    )
+    with pytest.raises(AssertionError):
+        check()
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ brute-force local expansion without any of the engine's tensor bookkeeping.
 """
 
 import hashlib
+import inspect
 import json
 from fractions import Fraction as Frac
 
 import pytest
 from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from p1qcurve import toprec
@@ -25,13 +26,17 @@ from p1qcurve.exactcore import (
     TruncatedSeries,
 )
 from p1qcurve.toprec import (
+    BRANCH_POINTS,
+    WGN_BOUND,
     CorrelationForm,
     _loc_bergman_inv,
     _loc_bergman_local_pair,
     _loc_kernel_numerator,
     _loc_log_gap,
     _loc_pole,
+    _pullback,
     _slot_w_series,
+    _slotwise,
     _wgn_x_series,
     _wgn_x_simplex,
     ancestor_decomposition,
@@ -59,6 +64,7 @@ from oracles import (
     formal_log_gap,
     formal_logs,
     slot_w_series,
+    slotwise,
 )
 
 STABLE_PAIRS = [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]
@@ -222,6 +228,29 @@ def test_wgn_rejects_unstable_and_overbudget():
         toprec_wgn(0, 1)
     with pytest.raises(ExactError):
         toprec_wgn(3, 1)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {((1.0, 2),): Frac(1, 2)},  # float label
+        {((True, 2),): Frac(1, 2)},  # bool label
+        {((Frac(1, 2), 2),): 1},  # label off the branch points
+        {((1, 2.0),): 1},  # float pole order
+        {((1, True),): 1},  # bool pole order
+        {((1, 2),): 0.5},  # float coefficient
+        {((1, 2),): True},  # bool coefficient
+    ],
+)
+def test_correlation_form_rejects_inexact_data(terms):
+    with pytest.raises(ExactError):
+        CorrelationForm(0, 1, terms)
+
+
+def test_correlation_form_evaluates_exactly():
+    for label in (1, Frac(1)):
+        value = CorrelationForm(0, 1, {((label, 2),): 1}).evaluate([3])
+        assert type(value) is Frac and value == Frac(1, 4)
 
 
 def test_wgn_memo_holds_one_entry_per_pair():
@@ -549,6 +578,102 @@ def test_fgn_expansion_verified_coefficients():
 @pytest.mark.parametrize("g,n,order", [(0, 3, 5), (0, 4, 4), (1, 2, 5), (2, 1, 8)])
 def test_fgn_expansion_runs_verified(g, n, order):
     fgn_x_expansion(g, n, order)  # raises on any mismatch
+
+
+# ---------------------------------------------------------------------------
+# integer contraction and exact types
+# ---------------------------------------------------------------------------
+
+
+def _exact_scalar(x) -> bool:
+    return type(x) in (int, Frac)
+
+
+def test_branch_labels_and_coefficients_stay_exact():
+    """Checked by type: an int label to a negative power is a float, and a
+    float compares equal to the Fraction it approximates."""
+    assert all(type(a) is int for a in BRANCH_POINTS)
+    for a in BRANCH_POINTS:
+        for j in range(2, 11):
+            for (b, k), w in _pullback(a, j).items():
+                assert type(b) is int and type(k) is int and _exact_scalar(w), (a, j)
+    pairs = [(g, n) for g in range(WGN_BOUND // 2 + 2) for n in range(1, WGN_BOUND + 3)
+             if 0 < 2 * g - 2 + n <= WGN_BOUND]
+    assert len(pairs) == 10
+    for g, n in pairs:
+        for key, c in toprec_wgn(g, n).terms.items():
+            assert all(type(a) is int and type(j) is int for a, j in key), (g, n, key)
+            assert _exact_scalar(c), (g, n, key)
+    for g, n in STABLE_PAIRS:
+        data = fgn_x_expansion(g, n, 6, verify=False).data
+        assert data and all(_exact_scalar(c) for c in data.values()), (g, n)
+
+
+slot_scalars = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-40, max_value=40, max_denominator=30),
+)
+
+
+@st.composite
+def slotwise_inputs(draw):
+    """(terms, n, images, bound): terms of arity 1..4 over items 0..2 with
+    mixed-denominator, integer and zero coefficients, and an image map
+    (slot, item) -> {label: weight} that may hold zero weights."""
+    n = draw(st.integers(1, 4))
+    items = st.integers(0, 2)
+    terms = draw(st.dictionaries(st.tuples(*[items] * n), slot_scalars, max_size=8))
+    images = {
+        (k, item): draw(st.dictionaries(st.integers(-2, 3), slot_scalars, min_size=1, max_size=4))
+        for k in range(n)
+        for item in range(3)
+    }
+    return terms, n, images, draw(st.none() | st.integers(-4, 8))
+
+
+def _slotwise_matches_oracle(kernel, inputs) -> None:
+    terms, n, images, bound = inputs
+    slot_map = lambda k, item: images[(k, item)]
+    keep = None if bound is None else (lambda done, rest: sum(done) <= bound)
+    got = kernel(terms, n, slot_map, keep)
+    assert all(_exact_scalar(c) and c for c in got.values())
+    assert got == slotwise(terms, n, slot_map, keep)
+
+
+@given(slotwise_inputs())
+@settings(max_examples=150, deadline=None)
+@example(({(0, 1): Frac(1, 6), (1, 1): Frac(-3, 4), (2, 0): 0}, 2,
+          {(k, i): {0: Frac(2, 3), 1: 0, 2: Frac(-5, 2)} for k in range(2) for i in range(3)},
+          None))
+def test_slotwise_matches_the_fraction_oracle(inputs):
+    _slotwise_matches_oracle(_slotwise, inputs)
+
+
+def _slotwise_mutant(old: str, new: str):
+    """_slotwise with one line of its source replaced."""
+    source = inspect.getsource(_slotwise)
+    assert source.count(old) == 1
+    namespace = dict(vars(toprec))
+    exec(source.replace(old, new), namespace)
+    return namespace["_slotwise"]
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("c.numerator * (den // c.denominator)", "c.numerator"),
+        ("den *= slot_den", "den *= slot_den if k else 1"),
+    ],
+    ids=["term-rescale-skipped", "first-slot-denominator-dropped"],
+)
+def test_slotwise_property_detects_a_wrong_kernel(old, new):
+    """Negative control: the same property with a faulty kernel must fail."""
+    wrong = _slotwise_mutant(old, new)
+    check = settings(database=None, phases=[Phase.generate], deadline=None)(
+        given(slotwise_inputs())(lambda inputs: _slotwise_matches_oracle(wrong, inputs))
+    )
+    with pytest.raises(AssertionError):
+        check()
 
 
 # ---------------------------------------------------------------------------
