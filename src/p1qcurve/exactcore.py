@@ -684,11 +684,18 @@ class PartialFractions:
         return dict(self.terms)
 
     def reassemble(self) -> RationalFunction:
-        total = RationalFunction(self.poly_part)
+        """The rational function, summed over one common denominator
+        ``D = prod (t - root)**(highest mult at root)``: the numerator is
+        ``poly_part D + sum c D / (t - root)**mult`` (exact divisions), and the
+        quotient is normalised once."""
+        top: dict[Frac, int] = {}
+        for (root, mult), _ in self.terms:
+            top[root] = max(top.get(root, 0), mult)
+        den = Polynomial.from_roots([root for root, mult in top.items() for _ in range(mult)])
+        num = self.poly_part * den
         for (root, mult), coeff in self.terms:
-            denom = Polynomial((-root, 1)) ** mult
-            total = total + RationalFunction(Polynomial.constant(coeff), denom)
-        return total
+            num = num + coeff * (den // Polynomial.from_roots([root] * mult))
+        return RationalFunction(num, den)
 
 
 def _rational_roots(p: Polynomial) -> list[Frac]:
@@ -889,16 +896,13 @@ class TruncatedSeries:
         self._check_var(other)
         order = min(self.order, other.order)
         lo = min(self.min_exp, other.min_exp, order + 1)
-        return TruncatedSeries(
-            self.var,
-            lo,
-            (
-                (self.coefficient(k) if k >= self.min_exp and k <= self.order else Frac(0))
-                + (other.coefficient(k) if k >= other.min_exp and k <= other.order else Frac(0))
-                for k in range(lo, order + 1)
-            ),
-            order,
-        )
+        # merge the stored tuples at their exponent offsets, through ``order``
+        out = [Frac(0)] * (order - lo + 1)
+        for s in (self, other):
+            start = s.min_exp - lo
+            for k, c in enumerate(s.coeffs[: max(0, order - s.min_exp + 1)], start):
+                out[k] = out[k] + c if out[k] else c
+        return TruncatedSeries(self.var, lo, out, order)
 
     __radd__ = __add__
 

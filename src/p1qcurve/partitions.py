@@ -4,7 +4,8 @@ Partitions are plain tuples of weakly decreasing positive integers; the empty
 partition is ``()``.  The module provides the combinatorial layer used by the
 partition-sum side of the package: enumeration, hook lengths, irreducible
 dimensions, box addition/removal, and the polynomial built from the shifted
-parts ``y + p[i] - (i+1)`` that drives the summation identities.
+parts ``y + p[i] - (i+1)`` that drives the summation identities, and its
+hook-weighted sum over the partitions of one size, summed on integers.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "boxes_removed",
     "boxes_added",
     "offset_product",
+    "offset_sum",
     "hook_refinement_check",
     "offset_difference_check",
     "summation_corollary_check",
@@ -159,24 +161,63 @@ def hook_refinement_check(mu: Partition) -> bool:
     return total == Frac(1, hook_product(mu))
 
 
+def _degree(d) -> int:
+    """``d`` as a partition size: an int, not a bool or a float."""
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ExactError(f"degree must be an integer, got {d!r}")
+    return d
+
+
+def _times_linear(cs: list[int], c: int) -> list[int]:
+    """The integer polynomial ``cs`` (ascending) times ``y + c``."""
+    return [c * cs[0]] + [c * a + b for a, b in zip(cs[1:], cs)] + [cs[-1]]
+
+
+def offset_sum(d: int) -> Polynomial:
+    """``G_d(y) = sum_{|lam| = d} P_lam(y) / H_lam^2`` with ``P`` the
+    :func:`offset_product` and ``H`` the :func:`hook_product`.
+
+    Summed once on integers: every ``1 / H_lam^2`` goes over
+    ``L = lcm H_lam^2``.  A partition of length ``l`` adds
+    ``(L / H_lam^2) prod_{i <= l} (y + lam_i - i)``, one multiply-add pass per
+    factor, into the length-``l`` sum ``S_l``.  The zero parts' factors
+    ``prod_{i > l} (y - i)`` are shared by every partition of length ``l`` and
+    are applied once, by Horner over the lengths:
+    ``acc <- acc (y - l) + S_l``.  The result is one polynomial over ``L``.
+    """
+    if _degree(d) < 0:
+        raise ExactError("cannot partition a negative integer")
+    weighted = [(lam, hook_product(lam) ** 2) for lam in partitions(d)]
+    den = math.lcm(*(h2 for _, h2 in weighted))
+    sums = [[0] * (length + 1) for length in range(d + 1)]
+    for lam, h2 in weighted:
+        cs = [den // h2]
+        for i, part in enumerate(lam, 1):
+            cs = _times_linear(cs, part - i)
+        s = sums[len(lam)]
+        for k, x in enumerate(cs):
+            s[k] += x
+    acc = sums[0]
+    for length in range(1, d + 1):
+        acc = _times_linear(acc, -length)
+        for k, x in enumerate(sums[length]):
+            acc[k] += x
+    return Polynomial(Frac(x, den) for x in acc)
+
+
 def offset_difference_check(d: int) -> bool:
     """Polynomial identity tying weight d+1 to weight d:
 
     ``sum_{|lam| = d+1} (P_lam(y+1) - P_lam(y)) / H_lam^2
       == sum_{|mu| = d} P_mu(y) / H_mu^2``
 
-    where ``P`` is :func:`offset_product`.  Verified as an exact identity of
-    polynomials with rational coefficients.
+    where ``P`` is :func:`offset_product`; that is ``G_{d+1}(y+1) - G_{d+1}(y)
+    == G_d(y)`` for the :func:`offset_sum` ``G``, by linearity, so each side is
+    summed once and the difference takes one shift.  Verified as an exact
+    identity of polynomials with rational coefficients.
     """
-    lhs = Polynomial.zero()
-    for lam in partitions(d + 1):
-        g = offset_product(lam)
-        diff = g.shift(1) - g
-        lhs = lhs + diff * Frac(1, hook_product(lam) ** 2)
-    rhs = Polynomial.zero()
-    for mu in partitions(d):
-        rhs = rhs + offset_product(mu) * Frac(1, hook_product(mu) ** 2)
-    return lhs == rhs
+    g = offset_sum(d + 1)
+    return g.shift(1) - g == offset_sum(d)
 
 
 def summation_corollary_check(d: int) -> bool:

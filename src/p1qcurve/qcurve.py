@@ -11,7 +11,12 @@ polynomial built from the offset products, and the quadratic lattice
 relations the family satisfies degree by degree.
 
 Shifts of x by multiples of hbar act as integer shifts of u, so everything
-here is univariate exact rational-function arithmetic.
+here is univariate exact rational-function arithmetic.  The partition sums
+are taken once, on integer numerators over one common denominator
+(:func:`partitions.offset_sum`), and each result is normalised once; the
+shifts act on the summed polynomial, never on one partition's term.  Degrees
+are ints and scalars are ints or fractions: a float or a bool raises
+:class:`ExactError` before any memo table is read.
 """
 
 from __future__ import annotations
@@ -28,9 +33,10 @@ from .exactcore import (
     partial_fractions,
 )
 from .partitions import (
+    _degree,
     hook_product,
     offset_product,
-    padded,
+    offset_sum,
     partitions,
 )
 
@@ -46,25 +52,37 @@ __all__ = [
 ]
 
 
-@cache
+def _scalar(x) -> Frac:
+    """``x`` as an exact scalar: an int or a fraction, not a bool or a float."""
+    if not isinstance(x, (int, Frac)) or isinstance(x, bool):
+        raise ExactError(f"expected an exact scalar (int or Fraction), got {x!r}")
+    return Frac(x)
+
+
+def _pole_product(d: int) -> Polynomial:
+    """``(u+1)(u+2)...(u+d)``."""
+    return Polynomial.from_roots(range(-d, 0))
+
+
 def x_partition(d: int) -> RationalFunction:
     """The degree-d partition sum as a reduced rational function of u.
 
-    ``X_0 = 1``; the denominator divides ``(u+1)(u+2)...(u+d)``.
+    ``X_0 = 1``; the denominator divides ``(u+1)(u+2)...(u+d)``.  Over that
+    product the numerator is ``sum_p H_p^-2 prod_i (u + i - p_i)``, which is
+    ``(-1)^d G_d(-u)`` for the offset sum ``G_d`` of
+    :func:`partitions.offset_sum`: one integer sum over ``lcm H_p^2``, one
+    normalisation of the quotient.
     """
-    if d < 0:
+    if _degree(d) < 0:
         raise ExactError("degree must be nonnegative")
-    if d == 0:
-        return RationalFunction.one()
-    den = Polynomial.from_roots([-i for i in range(1, d + 1)])
-    num = Polynomial.zero()
-    for lam in partitions(d):
-        parts = padded(lam, d)
-        prod = Polynomial.one()
-        for i in range(1, d + 1):
-            prod = prod * Polynomial([i - parts[i - 1], 1])
-        num = num + prod * Frac(1, hook_product(lam) ** 2)
-    return RationalFunction(num, den)
+    return _x_partition(d)
+
+
+@cache
+def _x_partition(d: int) -> RationalFunction:
+    g = offset_sum(d)
+    num = Polynomial([c if (d + k) % 2 == 0 else -c for k, c in enumerate(g.coeffs)])
+    return RationalFunction(num, _pole_product(d))
 
 
 PolyOrFrac = Union[Polynomial, Frac, int]
@@ -76,50 +94,58 @@ def laguerre_value(n: int, alpha: PolyOrFrac, z: Frac | int) -> PolyOrFrac:
         L_n^(alpha)(z) = sum_{i=0}^{n} (-1)^i  C(n+alpha, n-i)  z^i / i!
 
     ``alpha`` may be an exact scalar or a polynomial variable, in which case
-    the result is a polynomial in that variable of degree n.
+    the result is a polynomial in that variable of degree n.  The falling
+    products ``k! C(n+alpha, k) = prod_{j<k} (alpha + n - j)`` are built as
+    one prefix product, one factor per k.
     """
-    if n < 0:
+    if _degree(n) < 0:
         raise ExactError("Laguerre index must be nonnegative")
-    symbolic = isinstance(alpha, Polynomial)
-    total: PolyOrFrac = Polynomial.zero() if symbolic else Frac(0)
-    z = Frac(z)
-    for i in range(n + 1):
-        k = n - i
-        # C(n + alpha, k) = prod_{j=0}^{k-1} (alpha + n - j) / k!
-        if symbolic:
-            binom: PolyOrFrac = Polynomial.one()
-            for j in range(k):
-                binom = binom * (alpha + Polynomial.constant(n - j))
-        else:
-            binom = Frac(1)
-            for j in range(k):
-                binom = binom * (Frac(alpha) + n - j)
-        term = binom * Frac((-1) ** i * z.numerator**i, z.denominator**i * math.factorial(i) * math.factorial(k))
-        total = total + term
+    if isinstance(alpha, Polynomial):
+        falling: PolyOrFrac = Polynomial.one()
+        total: PolyOrFrac = Polynomial.zero()
+    else:
+        alpha = _scalar(alpha)
+        falling, total = Frac(1), Frac(0)
+    z = _scalar(z)
+    for k in range(n + 1):
+        if k:
+            falling = falling * (alpha + (n - k + 1))
+        i = n - k
+        total = total + falling * Frac(
+            (-1) ** i * z.numerator**i, z.denominator**i * math.factorial(i) * math.factorial(k)
+        )
     return total
 
 
-@cache
 def x_laguerre(d: int) -> RationalFunction:
     """The degree-d function from Laguerre data, computed two ways.
 
     Pole-sum form:   (1/d!) (1 - sum_{m=1}^{d} L_{d-m}^{(m)}(1) / (m-1)! / (u+m))
     Ratio form:      L_d^{(u)}(1) / (d! L_d^{(u)}(0))  with u symbolic.
 
-    Both are computed and must agree exactly; a mismatch raises, since it can
-    only come from an arithmetic defect.
+    The pole sum is taken over ``D = prod_m (u+m)`` as
+    ``(D - sum_m c_m D/(u+m)) / (d! D)``, ``c_m`` the pole coefficients, and
+    normalised once.  Both forms are computed and must agree exactly; a
+    mismatch raises, since it can only come from an arithmetic defect.
     """
-    if d < 0:
+    if _degree(d) < 0:
         raise ExactError("degree must be nonnegative")
-    # pole-sum form
-    pole_sum = RationalFunction.one()
+    return _x_laguerre(d)
+
+
+def _laguerre_pole_sum(d: int) -> RationalFunction:
+    """The pole-sum form of :func:`x_laguerre` over ``D = prod_m (u+m)``."""
+    den = _pole_product(d)
+    num = den
     for m in range(1, d + 1):
-        lag = laguerre_value(d - m, Frac(m), 1)
-        coeff = Frac(lag, 1) / math.factorial(m - 1)
-        pole_sum = pole_sum - RationalFunction(
-            Polynomial.constant(coeff), Polynomial([m, 1])
-        )
-    pole_sum = pole_sum * Frac(1, math.factorial(d))
+        coeff = laguerre_value(d - m, m, 1) / math.factorial(m - 1)
+        num = num - coeff * (den // Polynomial([m, 1]))
+    return RationalFunction(num * Frac(1, math.factorial(d)), den)
+
+
+@cache
+def _x_laguerre(d: int) -> RationalFunction:
+    pole_sum = _laguerre_pole_sum(d)
     # ratio form with symbolic parameter
     u = Polynomial.identity()
     num = laguerre_value(d, u, 1)
@@ -139,7 +165,7 @@ def verify_xd_recursion(d: int) -> bool:
 
         (1/(u+1)) X_{d-1}(u+1) + u (X_d(u-1) - X_d(u)) = 0   for d >= 1.
     """
-    if d < 1:
+    if _degree(d) < 1:
         raise ExactError("recursion is stated for d >= 1")
     x_prev, x_d = x_partition(d - 1), x_partition(d)
     u = RationalFunction.identity()
@@ -147,34 +173,35 @@ def verify_xd_recursion(d: int) -> bool:
     return residual.is_zero()
 
 
-@cache
 def y_polynomial(d: int) -> Polynomial:
     """The weight-d vanishing polynomial
 
         Y_d(y) = sum over p of d of
                  [ (d - y) G_p(y+1) + (y - 1) G_p(y) + G_p(y-1) ] / H_p^2
 
-    with ``G_p`` the offset product.  Expected to be identically zero; the
+    with ``G_p`` the offset product.  The bracket is linear in ``G_p``, so the
+    weighted sum ``G = sum_p G_p / H_p^2`` (:func:`partitions.offset_sum`) is
+    taken first and shifted after: ``Y_d = (d - y) G(y+1) + (y - 1) G +
+    G(y-1)``, two Taylor shifts in all.  Expected to be identically zero; the
     caller asserts that, this function just builds the sum.
     """
-    if d < 1:
+    if _degree(d) < 1:
         raise ExactError("vanishing polynomial is stated for d >= 1")
-    total = Polynomial.zero()
-    d_minus_y = Polynomial([d, -1])
-    y_minus_1 = Polynomial([-1, 1])
-    for lam in partitions(d):
-        g = offset_product(lam)
-        term = d_minus_y * g.shift(1) + y_minus_1 * g + g.shift(-1)
-        total = total + term * Frac(1, hook_product(lam) ** 2)
-    return total
+    return _y_polynomial(d)
+
+
+@cache
+def _y_polynomial(d: int) -> Polynomial:
+    g = offset_sum(d)
+    return Polynomial([d, -1]) * g.shift(1) + Polynomial([-1, 1]) * g + g.shift(-1)
 
 
 def y_evaluate(d: int, y0: Frac | int) -> Frac:
     """Evaluate the weight-d vanishing sum at a point without expanding the
     polynomial first (used to probe the root at y0 = d directly)."""
-    if d < 1:
+    if _degree(d) < 1:
         raise ExactError("vanishing polynomial is stated for d >= 1")
-    y0 = Frac(y0)
+    y0 = _scalar(y0)
     total = Frac(0)
     for lam in partitions(d):
         g = offset_product(lam)
@@ -193,7 +220,7 @@ def toda_quadratic_check(d: int, variant: str = "full") -> bool:
         sum_{a+b=d+1} ( X_a(u) X_b(u-1) - X_a(u-1) X_b(u-1) )
             = (1/u^2) sum_{a+b=d+1} X_a(u) X_b(u) (a-b)^2 / 2
     """
-    if d < 0:
+    if _degree(d) < 0:
         raise ExactError("degree must be nonnegative")
     if variant not in ("full", "one-level"):
         raise ExactError(f"unknown variant {variant!r}")

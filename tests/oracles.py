@@ -18,6 +18,16 @@ as far as that chain of truncated arithmetic carries it.
 two ``TruncatedSeries`` as they were before both moved to integer numerators
 over one denominator: one ``Fraction`` multiply-add per update.
 
+``x_partition_termwise``, ``offset_sum_termwise``, ``y_polynomial_termwise``,
+``laguerre_value_termwise``, ``laguerre_pole_sum_termwise`` and
+``reassemble_termwise`` are the partition-sum tower of ``qcurve`` and
+``PartialFractions.reassemble`` as they were before the sums moved to integer
+numerators over one common denominator: one ``Polynomial`` per linear factor,
+per partition and per pole, the shifts taken on every partition's term, the
+Laguerre binomial rebuilt for every ``k``, and one ``RationalFunction``
+normalisation per term.  ``series_add`` is the sum of two ``TruncatedSeries``
+read coefficient by coefficient.
+
 ``connected_npoint`` is the set-partition route of the Fock-space engine:
 whole n-point series from the eigenvalue series ``e0_eigenvalue``, divided by
 the vacuum factor and combined into cumulants over the subsets of the marked
@@ -38,12 +48,13 @@ from p1qcurve.exactcore import (
     ExactError,
     FormalLaurent,
     MultiSeries,
+    PartialFractions,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
     series_log,
 )
-from p1qcurve.partitions import dimension, is_partition, partitions
+from p1qcurve.partitions import dimension, hook_product, is_partition, offset_product, padded, partitions
 from p1qcurve.wedge import catalan_inverse, zeta_reciprocal
 
 
@@ -423,3 +434,93 @@ def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
             if b:
                 out[e1 + g.min_exp + j - lo] += a * b
     return TruncatedSeries(f.var, lo, out, order)
+
+
+def series_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """f + g through min(o1, o2), each coefficient read from both operands."""
+    order = min(f.order, g.order)
+    lo = min(f.min_exp, g.min_exp, order + 1)
+    return TruncatedSeries(
+        f.var,
+        lo,
+        (
+            (f.coefficient(k) if f.min_exp <= k <= f.order else Frac(0))
+            + (g.coefficient(k) if g.min_exp <= k <= g.order else Frac(0))
+            for k in range(lo, order + 1)
+        ),
+        order,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the partition-sum tower, term by term
+# ---------------------------------------------------------------------------
+
+
+def x_partition_termwise(d: int) -> RationalFunction:
+    """sum_p H_p^-2 prod_{i<=d} (u + i - p_i) / (u + i): one ``Polynomial``
+    product per linear factor, one ``Polynomial`` sum per partition."""
+    if d == 0:
+        return RationalFunction.one()
+    den = Polynomial.from_roots([-i for i in range(1, d + 1)])
+    num = Polynomial.zero()
+    for lam in partitions(d):
+        parts = padded(lam, d)
+        prod = Polynomial.one()
+        for i in range(1, d + 1):
+            prod = prod * Polynomial([i - parts[i - 1], 1])
+        num = num + prod * Frac(1, hook_product(lam) ** 2)
+    return RationalFunction(num, den)
+
+
+def offset_sum_termwise(d: int) -> Polynomial:
+    """sum_p offset_product(p) / H_p^2, one ``Polynomial`` sum per partition."""
+    total = Polynomial.zero()
+    for lam in partitions(d):
+        total = total + offset_product(lam) * Frac(1, hook_product(lam) ** 2)
+    return total
+
+
+def y_polynomial_termwise(d: int) -> Polynomial:
+    """sum_p [(d - y) G_p(y+1) + (y - 1) G_p(y) + G_p(y-1)] / H_p^2, the
+    shifts taken on every partition's offset product."""
+    total = Polynomial.zero()
+    d_minus_y = Polynomial([d, -1])
+    y_minus_1 = Polynomial([-1, 1])
+    for lam in partitions(d):
+        g = offset_product(lam)
+        term = d_minus_y * g.shift(1) + y_minus_1 * g + g.shift(-1)
+        total = total + term * Frac(1, hook_product(lam) ** 2)
+    return total
+
+
+def laguerre_value_termwise(n: int, alpha, z):
+    """sum_i (-1)^i C(n+alpha, n-i) z^i / i!, the binomial rebuilt for every i."""
+    symbolic = isinstance(alpha, Polynomial)
+    total = Polynomial.zero() if symbolic else Frac(0)
+    z = Frac(z)
+    for i in range(n + 1):
+        k = n - i
+        binom = Polynomial.one() if symbolic else Frac(1)
+        for j in range(k):
+            binom = binom * (alpha + (n - j))
+        total = total + binom * Frac((-1) ** i * z**i / (math.factorial(i) * math.factorial(k)))
+    return total
+
+
+def laguerre_pole_sum_termwise(d: int) -> RationalFunction:
+    """(1/d!) (1 - sum_m L_{d-m}^{(m)}(1) / (m-1)! / (u+m)), one pole
+    subtracted at a time."""
+    pole_sum = RationalFunction.one()
+    for m in range(1, d + 1):
+        coeff = laguerre_value_termwise(d - m, Frac(m), 1) / math.factorial(m - 1)
+        pole_sum = pole_sum - RationalFunction(Polynomial.constant(coeff), Polynomial([m, 1]))
+    return pole_sum * Frac(1, math.factorial(d))
+
+
+def reassemble_termwise(pf: PartialFractions) -> RationalFunction:
+    """poly_part + sum c / (t - root)**mult, one ``RationalFunction`` per term."""
+    total = RationalFunction(pf.poly_part)
+    for (root, mult), coeff in pf.terms:
+        total = total + RationalFunction(Polynomial.constant(coeff), Polynomial((-root, 1)) ** mult)
+    return total

@@ -18,6 +18,7 @@ from p1qcurve.exactcore import (
     ExactError,
     FactorError,
     MultiSeries,
+    PartialFractions,
     PoleEvaluationError,
     Polynomial,
     RationalFunction,
@@ -31,7 +32,7 @@ from p1qcurve.exactcore import (
     series_exp,
     series_log,
 )
-from oracles import FracPolynomial, frac_canonical, series_mul
+from oracles import FracPolynomial, frac_canonical, reassemble_termwise, series_add, series_mul
 
 fracs = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -168,6 +169,24 @@ def test_partial_fractions_poly_part():
     pf = partial_fractions(f)
     assert pf.reassemble() == f
     assert not pf.poly_part.is_zero()
+
+
+@st.composite
+def partial_fraction_data(draw):
+    """Up to three distinct roots, each with some of the multiplicities 1..3
+    and any coefficient (zero included), over an optional polynomial part."""
+    roots = draw(st.lists(small_fracs, unique=True, max_size=3))
+    terms = tuple(
+        ((root, mult), draw(small_fracs))
+        for root in roots
+        for mult in sorted(draw(st.sets(st.integers(1, 3), min_size=1)))
+    )
+    return PartialFractions(Polynomial(draw(st.lists(small_fracs, max_size=3))), terms)
+
+
+@given(partial_fraction_data())
+def test_reassemble_matches_the_termwise_oracle(pf):
+    assert pf.reassemble() == reassemble_termwise(pf)
 
 
 @pytest.mark.parametrize(
@@ -376,6 +395,18 @@ def series(draw, coeffs=st.one_of(st.integers(-5, 5), fracs)):
     min_exp = draw(st.integers(-3, 3))
     cs = draw(st.lists(coeffs, max_size=9))
     return TruncatedSeries("t", min_exp, cs, min_exp + len(cs) - 1)
+
+
+@given(series(), series())
+@example(TruncatedSeries("t", -2, [F(1, 3), 2, 5], 0),
+         TruncatedSeries("t", -2, [F(-1, 3), -2, 1, 7], 1))  # leading cancellation
+@example(TruncatedSeries.zero("t", 3), TruncatedSeries("t", -1, [F(1, 2), 1], 0))
+@example(TruncatedSeries("t", 2, [1, 2, 3], 4), TruncatedSeries("t", -1, [F(1, 2), 1], 0))
+def test_series_sum_matches_the_coefficientwise_oracle(f, g):
+    got = f + g
+    assert all(type(c) is F for c in got.coeffs)
+    assert got == series_add(f, g)
+    assert f - g == series_add(f, -g)
 
 
 def _product_matches_oracle(mul, f, g) -> None:

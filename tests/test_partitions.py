@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import math
+import textwrap
 from fractions import Fraction as F
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from p1qcurve.exactcore import ExactError, Polynomial
@@ -22,9 +25,12 @@ from p1qcurve.partitions import (
     is_partition,
     offset_difference_check,
     offset_product,
+    offset_sum,
     padded,
     partitions,
 )
+
+from oracles import offset_sum_termwise
 
 
 def test_enumeration_order_and_counts():
@@ -138,3 +144,28 @@ def test_offset_difference_identity_small():
 @settings(max_examples=8, deadline=None)
 def test_offset_difference_identity_property(d):
     assert offset_difference_check(d)
+
+
+def _sum_matches_oracle(kernel, d) -> None:
+    assert kernel(d) == offset_sum_termwise(d)
+
+
+@given(st.integers(0, 9))
+@settings(max_examples=10, deadline=None)
+def test_offset_sum_matches_the_termwise_oracle(d):
+    _sum_matches_oracle(offset_sum, d)
+
+
+def test_offset_sum_property_detects_a_dropped_rescale():
+    """Negative control: a kernel that adds every offset product with weight
+    1 over L, not L / H^2, must fail the same property."""
+    module = importlib.import_module("p1qcurve.partitions")
+    source = textwrap.dedent(inspect.getsource(offset_sum))
+    assert source.count("cs = [den // h2]") == 1
+    namespace = dict(vars(module))
+    exec(source.replace("cs = [den // h2]", "cs = [1]"), namespace)
+    check = settings(database=None, phases=[Phase.generate], deadline=None)(
+        given(st.integers(0, 9))(lambda d: _sum_matches_oracle(namespace["offset_sum"], d))
+    )
+    with pytest.raises(AssertionError):
+        check()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 from fractions import Fraction as F
 
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p1qcurve import qcurve
 from p1qcurve.exactcore import ExactError, Polynomial, RationalFunction
-from p1qcurve.partitions import hook_product, partitions
+from p1qcurve.partitions import hook_product, offset_sum, partitions
 from p1qcurve.qcurve import (
     laguerre_value,
     toda_quadratic_check,
@@ -21,6 +23,16 @@ from p1qcurve.qcurve import (
     y_evaluate,
     y_polynomial,
 )
+
+from oracles import (
+    laguerre_pole_sum_termwise,
+    laguerre_value_termwise,
+    x_partition_termwise,
+    y_polynomial_termwise,
+)
+
+partitions_module = importlib.import_module("p1qcurve.partitions")
+fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 
 
 def rf(num, den) -> RationalFunction:
@@ -147,3 +159,96 @@ def test_degree_bounds():
         f = x_partition(d)
         assert f.num.degree <= f.den.degree
         assert f.den.degree == d
+
+
+# ---------------------------------------------------------------------------
+# exact inputs only
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda: laguerre_value(1, 0.1, 1),
+    lambda: laguerre_value(1, 1, 0.5),
+    lambda: laguerre_value(1, True, 1),
+    lambda: laguerre_value(2.0, 1, 1),
+    lambda: laguerre_value(True, Polynomial.identity(), 1),
+    lambda: y_evaluate(2, 0.1),
+    lambda: y_evaluate(2, True),
+    lambda: y_evaluate(2.0, 2),
+    lambda: x_partition(2.0),
+    lambda: x_partition(True),
+    lambda: x_laguerre(2.0),
+    lambda: y_polynomial(2.0),
+    lambda: verify_xd_recursion(2.0),
+    lambda: verify_xd_recursion(True),
+    lambda: xd_pole_report(2.0),
+    lambda: toda_quadratic_check(2.0),
+    lambda: offset_sum(2.0),
+], ids=[
+    "alpha-float", "z-float", "alpha-bool", "index-float", "index-bool",
+    "y0-float", "y0-bool", "y-degree-float", "x_partition-float", "x_partition-bool",
+    "x_laguerre-float", "y_polynomial-float", "recursion-float", "recursion-bool",
+    "pole-report-float", "toda-float", "offset_sum-float",
+])
+def test_floats_and_bools_are_refused(call):
+    with pytest.raises(ExactError):
+        call()
+
+
+def test_a_refused_degree_takes_no_memo_entry():
+    x_partition(1)
+    y_polynomial(1)
+    x_laguerre(1)
+    tables = (qcurve._x_partition, qcurve._y_polynomial, qcurve._x_laguerre)
+    sizes = [t.cache_info().currsize for t in tables]
+    for build in (x_partition, y_polynomial, x_laguerre):
+        with pytest.raises(ExactError):
+            build(True)
+    assert [t.cache_info().currsize for t in tables] == sizes
+
+
+# ---------------------------------------------------------------------------
+# the summed kernels against the termwise routes they replaced
+# ---------------------------------------------------------------------------
+
+
+@given(st.integers(0, 8))
+@settings(max_examples=9, deadline=None)
+def test_partition_sums_match_the_termwise_oracles(d):
+    assert x_partition(d) == x_partition_termwise(d)
+    assert qcurve._laguerre_pole_sum(d) == laguerre_pole_sum_termwise(d)
+    if d:
+        # Y_d vanishes on both sides; the unshifted sum is compared in
+        # test_partitions.test_offset_sum_matches_the_termwise_oracle
+        assert y_polynomial(d) == y_polynomial_termwise(d)
+
+
+@given(
+    st.integers(0, 7),
+    st.one_of(fracs, st.lists(fracs, min_size=1, max_size=3).map(Polynomial)),
+    fracs,
+)
+def test_laguerre_value_matches_the_termwise_oracle(n, alpha, z):
+    assert laguerre_value(n, alpha, z) == laguerre_value_termwise(n, alpha, z)
+
+
+@pytest.fixture
+def fresh_tower():
+    """Empty partition-sum memo tables before and after the test."""
+    tables = (qcurve._x_partition, qcurve._y_polynomial)
+    for t in tables:
+        t.cache_clear()
+    yield
+    for t in tables:
+        t.cache_clear()
+
+
+def test_a_wrong_hook_weight_breaks_both_checks(monkeypatch, fresh_tower):
+    """Negative control: with one hook product doubled, the partition sum
+    leaves the Laguerre form and Y_d stops vanishing."""
+    exact = partitions_module.hook_product
+    monkeypatch.setattr(
+        partitions_module, "hook_product", lambda lam: 2 * exact(lam) if lam == (2, 1, 1) else exact(lam)
+    )
+    assert x_partition(4) != x_laguerre(4)
+    assert not y_polynomial(4).is_zero()
