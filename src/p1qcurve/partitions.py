@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Frac
-from functools import cache
+from functools import cache, wraps
 
 from .exactcore import ExactError, Polynomial
 
@@ -38,9 +38,10 @@ __all__ = [
 
 
 def is_partition(p) -> bool:
+    """A tuple of weakly decreasing positive ints, none of them a bool."""
     return (
         isinstance(p, tuple)
-        and all(isinstance(x, int) and x > 0 for x in p)
+        and all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in p)
         and all(p[i] >= p[i + 1] for i in range(len(p) - 1))
     )
 
@@ -50,7 +51,34 @@ def _validate(p: Partition) -> None:
         raise ExactError(f"not a partition: {p!r}")
 
 
-@cache
+def _degree(d) -> int:
+    """``d`` as a partition size: an int, not a bool or a float."""
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ExactError(f"degree must be an integer, got {d!r}")
+    return d
+
+
+def _memo_checked(check):
+    """Memoise a one-argument function behind ``check``, which raises
+    ``ExactError`` on a bad argument before the memo table is read: the table
+    compares keys by value, so ``True`` or ``2.0`` would find the entry of
+    ``1`` or ``2``, and ``(True,)`` that of ``(1,)``.  The table keeps the
+    function's name and is reached as ``__wrapped__``."""
+
+    def decorate(fn):
+        table = cache(fn)
+
+        @wraps(table)
+        def checked(arg):
+            check(arg)
+            return table(arg)
+
+        return checked
+
+    return decorate
+
+
+@_memo_checked(_degree)
 def partitions(d: int) -> tuple[Partition, ...]:
     """All partitions of ``d`` in decreasing lexicographic order."""
     if d < 0:
@@ -84,16 +112,14 @@ def conjugate(p: Partition) -> Partition:
 
 def hook_lengths(p: Partition) -> tuple[tuple[int, ...], ...]:
     """Hook length of every box, row by row."""
-    _validate(p)
-    conj = conjugate(p)
+    conj = conjugate(p)  # validates p
     return tuple(
         tuple(p[i] - j + conj[j] - i - 1 for j in range(p[i])) for i in range(len(p))
     )
 
 
-@cache
+@_memo_checked(_validate)
 def hook_product(p: Partition) -> int:
-    _validate(p)
     out = 1
     for row in hook_lengths(p):
         for h in row:
@@ -101,11 +127,10 @@ def hook_product(p: Partition) -> int:
     return out
 
 
-@cache
+@_memo_checked(_validate)
 def dimension(p: Partition) -> int:
     """Number of standard fillings of the diagram (boxes 1..n increasing
     along rows and columns), via the hook product."""
-    _validate(p)
     n = sum(p)
     num = math.factorial(n)
     h = hook_product(p)
@@ -143,11 +168,10 @@ def boxes_added(p: Partition) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-@cache
+@_memo_checked(_validate)
 def offset_product(p: Partition) -> Polynomial:
     """The monic polynomial ``prod_{i=1}^{n} (y + p_i - i)`` with ``n = sum(p)``
     boxes and the parts padded by zeros to length ``n``."""
-    _validate(p)
     n = sum(p)
     parts = padded(p, n)
     return Polynomial.from_roots([-(parts[i] - (i + 1)) for i in range(n)])
@@ -159,13 +183,6 @@ def hook_refinement_check(mu: Partition) -> bool:
     _validate(mu)
     total = sum(Frac(1, hook_product(lam)) for lam in boxes_added(mu))
     return total == Frac(1, hook_product(mu))
-
-
-def _degree(d) -> int:
-    """``d`` as a partition size: an int, not a bool or a float."""
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ExactError(f"degree must be an integer, got {d!r}")
-    return d
 
 
 def _times_linear(cs: list[int], c: int) -> list[int]:

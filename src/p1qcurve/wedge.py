@@ -8,10 +8,15 @@ relevant diagonal operator family, with eigenvalue series
 
 where zeta(t) = e^{t/2} - e^{-t/2}.  Disconnected n-point data is the
 squared-dimension-weighted sum of eigenvalue products; connected data is its
-logarithm.  `connected_coefficient` gets one connected invariant from an
-integer moment-cumulant recursion over the closed-form coefficients
-[t^k] eps_lam, with no series algebra.  The tests check it against two
-independent routes: the multivariate-series logarithm, and the set-partition
+logarithm.  Each coefficient [t^k] eps_lam is N_{lam,k} / (2^k k!) + z_k,
+with N_{lam,k} an integer and z_k = [t^k] 1/zeta the same for every lam, so
+the disconnected sum factors as exp(sum_j y_j z_{k_j}) times the sum on the
+N alone, and the two logarithms have the same q^d coefficients for d >= 1.
+`connected_coefficient` gets one connected invariant from an integer
+moment-cumulant recursion on the N, with no series algebra; as the empty
+partition has N = 0, the recursion carries no degree-0 term.  The tests
+check it against three independent routes: the recursion on the whole
+coefficients, the multivariate-series logarithm, and the set-partition
 cumulant combination of whole n-point series in tests/oracles.py.  A
 string-type recursion extends the stationary values to insertions of the
 unit class.
@@ -22,7 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Frac
 from functools import cache
-from itertools import product
+from itertools import chain, product
 
 from .exactcore import ExactError, TruncatedSeries, series_log
 from .partitions import Partition, dimension, partitions
@@ -71,25 +76,26 @@ def zeta_reciprocal(order: int, var: str = "t") -> TruncatedSeries:
 
 
 @cache
-def _eigen_coefficient(lam: Partition, k: int) -> Frac:
-    """[t^k] eps_lam in closed form: 1 at k = -1, 0 below, and for k >= 0
+def _eigen_numerator(lam: Partition, k: int) -> int:
+    """The integer N_{lam,k} = sum_i ((2(lam_i - i) + 1)^k - (1 - 2i)^k), k >= 0.
 
-        sum_i ((lam_i - i + 1/2)^k - (1/2 - i)^k) / k!  +  [t^k] 1/zeta,
-
-    where 1/zeta = eps_() is the empty partition's series."""
-    if k < 0:
-        return Frac(1) if k == -1 else Frac(0)
-    if not lam:
-        return zeta_reciprocal(max(k, 1)).coefficient(k)
-    num = sum(
+    [t^k] eps_lam = N_{lam,k} / (2^k k!) + [t^k] 1/zeta for k >= 0; the
+    empty partition and k = 0 give N = 0."""
+    return sum(
         (2 * (part - i) + 1) ** k - (1 - 2 * i) ** k for i, part in enumerate(lam, start=1)
     )
-    return Frac(num, 2**k * math.factorial(k)) + _eigen_coefficient((), k)
 
 
 # ---------------------------------------------------------------------------
 # Connected invariants
 # ---------------------------------------------------------------------------
+
+
+def _integers(**counts) -> None:
+    """Each named count must be an int, not a bool, a float or a Fraction."""
+    for what, x in counts.items():
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ExactError(f"{what} must be an integer, got {x!r}")
 
 
 def _exponents(b) -> tuple[int, ...]:
@@ -108,38 +114,72 @@ def connected_coefficient(d: int, b) -> Frac:
     vacuum sum
 
         M(q, y) = sum_{d'<=d} q^{d'} sum_{lam |- d'} (dim/d'!)^2
-                  prod_j exp(y_j * a_{lam,j}),   a_{lam,j} = [t^{v_j+1}] eps_lam,
+                  prod_j exp(y_j * a_{lam,j}),   a_{lam,j} = [t^{k_j}] eps_lam,
 
-    where v_1 < ... < v_J are the distinct entries of b and m_j their
-    multiplicities.  The empty b gives the connected vacuum, [q^d] q.
+    where k_j = v_j + 1, v_1 < ... < v_J are the distinct entries of b and
+    m_j their multiplicities.  The empty b gives the connected vacuum,
+    [q^d] q.
 
-    The logarithm is taken by the scalar moment-cumulant recursion
-    (Okounkov-Pandharipande, arXiv:math/0204305).  With the moments
-    mu(d', e) = sum_{lam |- d'} (dim/d'!)^2 prod_j a_{lam,j}^{e_j}, where
-    mu(0, 0) = 1, the cumulants kappa(d', e) of log M solve
+    Every coefficient splits as a_{lam,j} = N_{lam,k_j} / D_j + z_{k_j}, with
+    the integer N_{lam,k} of `_eigen_numerator`, D_j = 2^{k_j} k_j! and
+    z_k = [t^k] 1/zeta, which does not depend on lam.  So
+    M = exp(sum_j y_j z_{k_j}) M~, where M~ is M with every z dropped, and
+    for d >= 1 the q^d coefficients of log M and log M~ agree.  At d = 0,
+    log M = sum_j y_j z_{k_j}, linear in y.  Exponents -2 and -1 give N = 0:
+    M~ does not depend on their y_j, and the invariant vanishes for d >= 1.
 
-        d' mu(d', e) = sum_{k=1..d'} sum_{f<=e} C(e, f) k kappa(k, f) mu(d'-k, e-f)
+    The logarithm of M~ is taken by the scalar moment-cumulant recursion
+    (Okounkov-Pandharipande, arXiv:math/0204305), on integers.  The moments
+    M(d', e) = sum_{lam |- d'} dim^2 prod_j N_{lam,k_j}^{e_j} are
+    (d'!)^2 D^e times those of M~, and M(0, e) is 1 at e = 0 and 0 otherwise,
+    since the empty partition has N = 0.  The cumulants
+    K(d', e) = (d'!)^3 D^e kappa(d', e) of log M~ then solve
 
-    for d' >= 1, and the answer is kappa(d, m).  At d = 0, log M is
-    sum_j y_j a_{(),j}, linear in y.  The recursion runs on integers: with D_j
-    the least common denominator of the a_{lam,j}, both
-    M(d', e) = (d'!)^2 D^e mu(d', e) and K(d', e) = (d'!)^3 D^e kappa(d', e)
-    are integers, and
+        K(d', e) = d'! M(d', e) - sum_{k<d'} (d'-1)!/(k-1)! C(d', k)^2
+                   sum_{f<=e} C(e, f) K(k, f) M(d'-k, e-f),
 
-        K(d', e) = d'! M(d', e) - sum_{f<e} C(e, f) K(d', f) M(0, e-f)
-                   - sum_{k<d'} (d'-1)!/(k-1)! C(d', k)^2
-                     sum_{f<=e} C(e, f) K(k, f) M(d'-k, e-f).
+    with no d' = 0 term, and the answer is K(d, m) / ((d!)^3 D^m).  At the
+    top degree only K(d, m) and M(d, m) are formed; at d = 1 the answer is
+    M(1, m) / D^m.
 
     tests/test_wedge.py keeps the multivariate-series logarithm of M as the
-    oracle `_log_route_coefficient`.
+    oracle `_log_route_coefficient`; tests/oracles.py keeps the recursion on
+    the unshifted coefficients a_{lam,j}, with its d' = 0 term, as
+    `connected_coefficient_unshifted`.
 
-    The exponents are checked on every call, before the memo table is read:
-    the table compares keys by value, so 1.0 or True would find the entry
-    of 1.
+    The degree and the exponents are checked on every call, before the memo
+    table is read: the table compares keys by value, so 1.0 or True would
+    find the entry of 1.
     """
+    _integers(degree=d)
     if d < 0:
         raise ExactError("degree must be nonnegative")
     return _connected_coefficient(d, tuple(sorted(_exponents(b))))
+
+
+@cache
+def _fock_weights(d: int) -> tuple[tuple[Partition, int], ...]:
+    """(lam, dim(lam)^2) for every partition lam of d."""
+    return tuple((lam, dimension(lam) ** 2) for lam in partitions(d))
+
+
+@cache
+def _splits(mults: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """For every multi-index e <= mults, in lexicographic order, the flat
+    tuple (C(e, f), index of f, ...) over all f <= e.  The lexicographic
+    index is linear in e, so e - f has the index of e minus that of f; flat
+    pairs keep the table at two ints per split."""
+    shapes = list(product(*(range(m + 1) for m in mults)))
+    index = {e: i for i, e in enumerate(shapes)}
+    return tuple(
+        tuple(
+            chain.from_iterable(
+                (math.prod(map(math.comb, e, f)), index[f])
+                for f in product(*(range(x + 1) for x in e))
+            )
+        )
+        for e in shapes
+    )
 
 
 @cache
@@ -148,59 +188,54 @@ def _connected_coefficient(d: int, b: tuple[int, ...]) -> Frac:
     if not b:
         return Frac(1) if d == 1 else Frac(0)
     if d == 0:
-        return _eigen_coefficient((), b[0] + 1) if len(b) == 1 else Frac(0)
+        return zeta_reciprocal(max(b[0] + 1, 1)).coefficient(b[0] + 1) if len(b) == 1 else Frac(0)
+    if b[0] < 0:
+        return Frac(0)  # N = 0 at k <= 0: M~ does not depend on that y
     values = sorted(set(b))
-    mults = [b.count(v) for v in values]
-    coeffs = {
-        lam: [_eigen_coefficient(lam, v + 1) for v in values]
-        for dp in range(d + 1)
-        for lam in partitions(dp)
-    }
-    dens = [math.lcm(*(c.denominator for c in column)) for column in zip(*coeffs.values())]
-    shapes = list(product(*(range(m + 1) for m in mults)))
-    index = {e: i for i, e in enumerate(shapes)}
-    # per shape e: (C(e, f), index of f, index of e - f) for every f <= e
-    splits = [
-        [
-            (
-                math.prod(map(math.comb, e, f)),
-                index[f],
-                index[tuple(x - y for x, y in zip(e, f))],
-            )
-            for f in product(*(range(x + 1) for x in e))
-        ]
-        for e in shapes
-    ]
-    moments = []  # moments[d'][e] = M(d', e)
-    for dp in range(d + 1):
-        row = [0] * len(shapes)
-        for lam in partitions(dp):
-            vec = [dimension(lam) ** 2]
-            for c, den, m in zip(coeffs[lam], dens, mults):
-                a = c.numerator * (den // c.denominator)
-                vec = [x * a**p for x in vec for p in range(m + 1)]
+    ks = [v + 1 for v in values]
+    mults = tuple(b.count(v) for v in values)
+    scale = math.factorial(d) ** 3 * math.prod(
+        (2**k * math.factorial(k)) ** m for k, m in zip(ks, mults)
+    )
+    top = sum(
+        w * math.prod(_eigen_numerator(lam, k) ** m for k, m in zip(ks, mults))
+        for lam, w in _fock_weights(d)
+    )  # M(d, m)
+    if d == 1:
+        return Frac(top, scale)
+    splits = _splits(mults)
+    moments = [None]  # moments[d'][e] = M(d', e), for 1 <= d' < d
+    for dp in range(1, d):
+        row = [0] * len(splits)
+        for lam, w in _fock_weights(dp):
+            vec = [w]
+            for k, m in zip(ks, mults):
+                a = _eigen_numerator(lam, k)
+                powers = [a**p for p in range(m + 1)]
+                vec = [x * y for x in vec for y in powers]
             for i, x in enumerate(vec):
                 row[i] += x
         moments.append(row)
-    # cumulants[d'-1][e] = K(d', e); shapes are in lexicographic order, so
-    # every f <= e precedes e
-    cumulants = []
+    last = len(splits) - 1
+    cumulants = [None]  # cumulants[d'][e] = K(d', e); the top row holds K(d, m) alone
     for dp in range(1, d + 1):
-        weights = [
-            math.factorial(dp - 1) // math.factorial(k - 1) * math.comb(dp, k) ** 2
+        terms = [
+            (
+                math.factorial(dp - 1) // math.factorial(k - 1) * math.comb(dp, k) ** 2,
+                cumulants[k],
+                moments[dp - k],
+            )
             for k in range(1, dp)
         ]
+        shapes = enumerate(zip(moments[dp], splits)) if dp < d else [(last, (top, splits[last]))]
         row = []
-        for i, parts in enumerate(splits):
-            acc = math.factorial(dp) * moments[dp][i]
-            for binom, fi, gi in parts:
-                if fi != i:
-                    acc -= binom * row[fi] * moments[0][gi]
-                for k, w in enumerate(weights, start=1):
-                    acc -= w * binom * cumulants[k - 1][fi] * moments[dp - k][gi]
+        for i, (x, parts) in shapes:
+            acc = math.factorial(dp) * x
+            for w, kk, mm in terms:
+                pairs = iter(parts)
+                acc -= w * sum(c * kk[f] * mm[i - f] for c, f in zip(pairs, pairs))
             row.append(acc)
         cumulants.append(row)
-    scale = math.factorial(d) ** 3 * math.prod(den**m for den, m in zip(dens, mults))
     return Frac(cumulants[-1][-1], scale)
 
 
@@ -212,7 +247,9 @@ def _connected_coefficient(d: int, b: tuple[int, ...]) -> Frac:
 def stationary_invariant(g: int, n: int, d: int, b) -> Frac:
     """The connected invariant with n point classes and descendant exponents b
     (each >= -2) at genus g and degree d, as an exact rational; 0 when the
-    dimension constraint sum(b) = 2g - 2 + 2d fails."""
+    dimension constraint sum(b) = 2g - 2 + 2d fails.  g, n and d must be ints
+    (not bools), as the exponents must."""
+    _integers(genus=g, points=n, degree=d)
     b = _exponents(b)
     if len(b) != n:
         raise ExactError(f"expected {n} descendant exponents, got {len(b)}")
@@ -264,7 +301,9 @@ def unit_insertions(g: int, n: int, k: int, d: int, b) -> Frac:
     """The connected invariant with k unit-class insertions and n point-class
     insertions with descendant exponents b, genus g, degree d; computed by
     repeated string-equation reduction to stationary invariants plus the
-    degree-0 base case with two units and one point class."""
+    degree-0 base case with two units and one point class.  g, n, k and d
+    are checked as ints (not bools) before the memo table is read."""
+    _integers(genus=g, points=n, units=k, degree=d)
     b = _exponents(b)
     if len(b) != n:
         raise ExactError(f"expected {n} descendant exponents, got {len(b)}")

@@ -32,7 +32,11 @@ read coefficient by coefficient.
 whole n-point series from the eigenvalue series ``e0_eigenvalue``, divided by
 the vacuum factor and combined into cumulants over the subsets of the marked
 points.  It shares no code with ``wedge.connected_coefficient``, which it
-checks.  ``multiseries_two_point_closed_form`` is the two-point closed form as
+checks.  ``connected_coefficient_unshifted`` is ``connected_coefficient`` as
+it was before the lam-independent 1/zeta term was factored out of its
+moments: ``Fraction`` eigenvalue coefficients ``_eigen_coefficient``, lcm
+denominators and the d' = 0 correction of the cumulant recursion.
+``multiseries_two_point_closed_form`` is the two-point closed form as
 it was summed before ``wedge._two_point_closed_form`` read it off the powers
 of ``catalan_inverse``.
 """
@@ -42,7 +46,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Frac
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 from p1qcurve.exactcore import (
     ExactError,
@@ -379,6 +383,95 @@ def connected_npoint(d: int, n: int, order: int) -> MultiSeries:
         return total
 
     return connected(points, d)
+
+
+@cache
+def _eigen_coefficient(lam, k: int) -> Frac:
+    """[t^k] eps_lam in closed form: 1 at k = -1, 0 below, and for k >= 0
+
+        sum_i ((lam_i - i + 1/2)^k - (1/2 - i)^k) / k!  +  [t^k] 1/zeta,
+
+    where 1/zeta = eps_() is the empty partition's series."""
+    if k < 0:
+        return Frac(1) if k == -1 else Frac(0)
+    if not lam:
+        return zeta_reciprocal(max(k, 1)).coefficient(k)
+    num = sum(
+        (2 * (part - i) + 1) ** k - (1 - 2 * i) ** k for i, part in enumerate(lam, start=1)
+    )
+    return Frac(num, 2**k * math.factorial(k)) + _eigen_coefficient((), k)
+
+
+def connected_coefficient_unshifted(d: int, b, coefficient=_eigen_coefficient) -> Frac:
+    """``wedge.connected_coefficient`` as it was before the 1/zeta term was
+    factored out: the integer moment-cumulant recursion on the whole
+    coefficients a_{lam,j} = [t^{v_j+1}] eps_lam of ``_eigen_coefficient``,
+    every column put over the lcm of its denominators, with the d' = 0 term
+
+        K(d', e) = d'! M(d', e) - sum_{f<e} C(e, f) K(d', f) M(0, e-f)
+                   - sum_{k<d'} (d'-1)!/(k-1)! C(d', k)^2
+                     sum_{f<=e} C(e, f) K(k, f) M(d'-k, e-f)
+
+    and every split table rebuilt on each call.  ``coefficient(lam, k)`` gives
+    [t^k] eps_lam; a test may pass a perturbed one."""
+    b = tuple(sorted(b))
+    if not b:
+        return Frac(1) if d == 1 else Frac(0)
+    if d == 0:
+        return coefficient((), b[0] + 1) if len(b) == 1 else Frac(0)
+    values = sorted(set(b))
+    mults = [b.count(v) for v in values]
+    coeffs = {
+        lam: [coefficient(lam, v + 1) for v in values]
+        for dp in range(d + 1)
+        for lam in partitions(dp)
+    }
+    dens = [math.lcm(*(c.denominator for c in column)) for column in zip(*coeffs.values())]
+    shapes = list(product(*(range(m + 1) for m in mults)))
+    index = {e: i for i, e in enumerate(shapes)}
+    # per shape e: (C(e, f), index of f, index of e - f) for every f <= e
+    splits = [
+        [
+            (
+                math.prod(map(math.comb, e, f)),
+                index[f],
+                index[tuple(x - y for x, y in zip(e, f))],
+            )
+            for f in product(*(range(x + 1) for x in e))
+        ]
+        for e in shapes
+    ]
+    moments = []  # moments[d'][e] = M(d', e)
+    for dp in range(d + 1):
+        row = [0] * len(shapes)
+        for lam in partitions(dp):
+            vec = [dimension(lam) ** 2]
+            for c, den, m in zip(coeffs[lam], dens, mults):
+                a = c.numerator * (den // c.denominator)
+                vec = [x * a**p for x in vec for p in range(m + 1)]
+            for i, x in enumerate(vec):
+                row[i] += x
+        moments.append(row)
+    # cumulants[d'-1][e] = K(d', e); shapes are in lexicographic order, so
+    # every f <= e precedes e
+    cumulants = []
+    for dp in range(1, d + 1):
+        weights = [
+            math.factorial(dp - 1) // math.factorial(k - 1) * math.comb(dp, k) ** 2
+            for k in range(1, dp)
+        ]
+        row = []
+        for i, parts in enumerate(splits):
+            acc = math.factorial(dp) * moments[dp][i]
+            for binom, fi, gi in parts:
+                if fi != i:
+                    acc -= binom * row[fi] * moments[0][gi]
+                for k, w in enumerate(weights, start=1):
+                    acc -= w * binom * cumulants[k - 1][fi] * moments[dp - k][gi]
+            row.append(acc)
+        cumulants.append(row)
+    scale = math.factorial(d) ** 3 * math.prod(den**m for den, m in zip(dens, mults))
+    return Frac(cumulants[-1][-1], scale)
 
 
 def slot_w_series(a, j: int, order: int) -> TruncatedSeries:

@@ -50,6 +50,34 @@ def test_validation():
         hook_product((1, 2))
 
 
+@pytest.mark.parametrize(
+    "fn, arg, exact",
+    [
+        pytest.param(partitions, True, 1, id="partitions-bool"),
+        pytest.param(partitions, 2.0, 2, id="partitions-float"),
+        pytest.param(partitions, F(3), 3, id="partitions-fraction"),
+        pytest.param(hook_product, (True,), (1,), id="hook-bool-part"),
+        pytest.param(hook_product, (2.0, 1), (2, 1), id="hook-float-part"),
+        pytest.param(dimension, (True, 1), (1, 1), id="dimension-bool-part"),
+        pytest.param(offset_product, (2, 1.0), (2, 1), id="offset-float-part"),
+    ],
+)
+def test_non_integer_degrees_and_parts_are_refused_before_the_memo(fn, arg, exact):
+    # each table compares keys by value, so (True,) would find the entry of (1,)
+    fn(exact)
+    table = fn.__wrapped__
+    size = table.cache_info().currsize
+    with pytest.raises(ExactError):
+        fn(arg)
+    assert table.cache_info().currsize == size
+
+
+def test_is_partition_refuses_bool_parts():
+    assert not is_partition((True,))
+    assert not is_partition((2, False))
+    assert is_partition((2, 1))
+
+
 def test_conjugate_involution():
     assert conjugate((3, 1)) == (2, 1, 1)
     for d in range(9):

@@ -27,7 +27,9 @@ from p1qcurve.wedge import (
     zeta_reciprocal,
     zeta_series,
 )
+import oracles
 from oracles import (
+    connected_coefficient_unshifted,
     connected_npoint,
     disconnected_npoint,
     e0_eigenvalue,
@@ -201,24 +203,88 @@ def test_connected_coefficient_matches_log_route(case):
     assert connected_coefficient(d, b) == _log_route_coefficient(d, b)
 
 
+@st.composite
+def degree_and_repeated_exponents(draw):
+    """d <= 6 and sorted b of length <= 5 drawn from a pool of at most three
+    values in -2..8, so that most b repeat a value; about half are moved onto
+    the dimension constraint sum(b) = 2g - 2 + 2d."""
+    d = draw(st.integers(0, 6))
+    pool = draw(st.lists(st.integers(-2, 8), min_size=1, max_size=3, unique=True))
+    b = draw(st.lists(st.sampled_from(pool), max_size=5))
+    if b and draw(st.booleans()):
+        rest = sum(b[:-1])
+        last = next(2 * g - 2 + 2 * d - rest for g in range(40)
+                    if 2 * g - 2 + 2 * d - rest >= -2)
+        if last <= 8:
+            b[-1] = last
+    return d, tuple(sorted(b))
+
+
+@given(degree_and_repeated_exponents())
+@settings(max_examples=60, deadline=None)
+@example((6, (0, 0, 2, 2, 6)))
+@example((6, (2, 2, 2, 2, 2)))
+@example((5, (-1, 3, 3, 3, 4)))
+@example((6, (-2, 1, 1, 8, 8)))
+@example((1, (8, 8)))
+@example((0, (7,)))
+def test_shifted_engine_matches_the_unshifted_recursion_and_the_log_route(case):
+    d, b = case
+    value = connected_coefficient(d, b)
+    assert value == connected_coefficient_unshifted(d, b)
+    assert value == _log_route_coefficient(d, b)
+
+
 def test_log_route_oracle_detects_a_perturbed_eigen_coefficient(monkeypatch):
     d, b = 2, (0, 2)  # genus 0; reads [t^1] and [t^3] of every eps_lam, lam |- d' <= 2
     assert wedge._connected_coefficient.__wrapped__(d, b) == _log_route_coefficient(d, b)
-    closed_form = wedge._eigen_coefficient
+    numerator = wedge._eigen_numerator
 
     def perturbed(lam, k):
-        return closed_form(lam, k) + (F(1, 7) if (lam, k) == ((1, 1), 3) else 0)
+        # a_{lam,k} + 1/7, on the numerator over D = 2^k k!
+        shift = F(2**k * math.factorial(k), 7) if (lam, k) == ((1, 1), 3) else 0
+        return numerator(lam, k) + shift
 
-    monkeypatch.setattr(wedge, "_eigen_coefficient", perturbed)
+    monkeypatch.setattr(wedge, "_eigen_numerator", perturbed)
     assert wedge._connected_coefficient.__wrapped__(d, b) != _log_route_coefficient(d, b)
 
 
 def test_closed_form_eigen_coefficients_match_series():
+    # [t^k] eps_lam = N_{lam,k} / (2^k k!) + [t^k] 1/zeta, with N = 0 at k = -1
+    zr = zeta_reciprocal(12)
     for dp in range(7):
         for lam in partitions(dp):
             series = e0_eigenvalue(lam, 12)
             for k in range(-1, 13):
-                assert wedge._eigen_coefficient(lam, k) == series.coefficient(k), (lam, k)
+                shifted = (
+                    F(wedge._eigen_numerator(lam, k), 2**k * math.factorial(k)) if k >= 0 else 0
+                )
+                assert shifted + zr.coefficient(k) == series.coefficient(k), (lam, k)
+
+
+@given(
+    degree_and_exponents().filter(lambda case: case[1]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool),
+    st.integers(0, 4),
+)
+@settings(max_examples=60, deadline=None)
+@example((2, (0, 2)), F(1, 7), 1)
+@example((4, (0, 0, 2, 2, 6)), F(-3), 0)
+def test_a_lam_independent_column_constant_leaves_positive_degrees_unchanged(case, c, pick):
+    # the identity the engine rests on: M(q, y) = exp(sum_j y_j z_j) M~(q, y),
+    # so any constant added to one column of a_{lam,j}, for every lam, the
+    # empty one included, moves log M only at q^0
+    d, b = case
+    k = sorted(set(b))[pick % len(set(b))] + 1
+
+    def shifted(lam, j):
+        return oracles._eigen_coefficient(lam, j) + (c if j == k else 0)
+
+    if d >= 1:
+        assert connected_coefficient_unshifted(d, b, shifted) == connected_coefficient(d, b)
+    assert connected_coefficient_unshifted(0, (k - 1,), shifted) == (
+        connected_coefficient(0, (k - 1,)) + c
+    )
 
 
 def test_dimension_parity_filter():
@@ -287,6 +353,34 @@ def test_warm_memo_still_rejects_non_integer_exponents():
     for b in ((1.0,), (True,)):
         with pytest.raises(ExactError, match="integers"):
             connected_coefficient(1, b)
+
+
+@pytest.mark.parametrize(
+    "fn, args, exact",
+    [
+        pytest.param(connected_coefficient, (1.0, (0,)), (1, (0,)), id="connected-float-degree"),
+        pytest.param(connected_coefficient, (True, (0,)), (1, (0,)), id="connected-bool-degree"),
+        pytest.param(connected_coefficient, (F(2), (1, 1)), (2, (1, 1)),
+                     id="connected-fraction-degree"),
+        pytest.param(stationary_invariant, (1, 1, 1.0, (2,)), (1, 1, 1, (2,)),
+                     id="stationary-float-degree"),
+        pytest.param(stationary_invariant, (True, 1, 1, (2,)), (1, 1, 1, (2,)),
+                     id="stationary-bool-genus"),
+        pytest.param(stationary_invariant, (0, 1.0, 1, (0,)), (0, 1, 1, (0,)),
+                     id="stationary-float-points"),
+        pytest.param(unit_insertions, (0, 1, 1.0, 1, (3,)), (0, 1, 1, 1, (3,)),
+                     id="units-float-count"),
+        pytest.param(unit_insertions, (0, True, 1, 1, (1,)), (0, 1, 1, 1, (1,)),
+                     id="units-bool-points"),
+        pytest.param(unit_insertions, (0, 1, 1, 2.0, (3,)), (0, 1, 1, 2, (3,)),
+                     id="units-float-degree"),
+    ],
+)
+def test_non_integer_counts_are_rejected_even_with_a_warm_memo(fn, args, exact):
+    # the memo tables compare keys by value: 1.0 == True == F(1) == 1
+    fn(*exact)
+    with pytest.raises(ExactError, match="must be an integer"):
+        fn(*args)
 
 
 @given(st.permutations([0, 1, 2, 3]))
