@@ -23,6 +23,11 @@ Each subcommand handler checks its arguments and returns either an exit code
 (usage error or budget refusal) or a :class:`_Plan`; :func:`main` runs every
 plan through :func:`_run`, the only place that reads and writes the cache,
 and is itself the only place that writes stdout and picks the exit code.
+
+The argument parser is built once per process, on the first call to
+:func:`main`, and reused by every later call; it holds the command grammar
+and no results.  A fresh ``p1qc`` process builds it once either way; callers
+that run several invocations in one process skip the rebuild.
 """
 
 from __future__ import annotations
@@ -633,10 +638,22 @@ _COMMANDS = {
 }
 
 
+# the parser of this process, built by the first call to main, not at import,
+# so that importing the module does not pay for it
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one ``p1qc`` invocation and return its exit code.
+
+    The argument parser is built on the first call and kept for the rest of
+    the process; it holds only the command grammar, no results, so a later
+    call parses exactly as a fresh parser would."""
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.budget is not None and args.budget < 1:

@@ -6,6 +6,11 @@ partition-sum side of the package: enumeration, hook lengths, irreducible
 dimensions, box addition/removal, and the polynomial built from the shifted
 parts ``y + p[i] - (i+1)`` that drives the summation identities, and its
 hook-weighted sum over the partitions of one size, summed on integers.
+
+The hook product ``H`` is read from the parts, not from the hook lengths:
+with ``l = len(p)`` and the strictly decreasing ``l_i = p_i + l - 1 - i``
+(``i = 0..l-1``), ``H = prod_i l_i! / prod_{i<j} (l_i - l_j)``, and the
+dimension is ``|p|! / H``.
 """
 
 from __future__ import annotations
@@ -118,25 +123,33 @@ def hook_lengths(p: Partition) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _hook_product(p: Partition) -> int:
+    """:func:`hook_product` on a checked partition, from the parts alone:
+    with ``l = len(p)`` and ``l_i = p_i + l - 1 - i`` (0-based ``i``), the
+    hooks of row ``i`` multiply to ``l_i! / prod_{j > i} (l_i - l_j)``."""
+    n = len(p)
+    num = den = 1
+    for i in range(n):
+        li = p[i] + n - 1 - i
+        num *= math.factorial(li)
+        for j in range(i + 1, n):
+            den *= li - (p[j] + n - 1 - j)
+    return num // den
+
+
 @_memo_checked(_validate)
 def hook_product(p: Partition) -> int:
-    out = 1
-    for row in hook_lengths(p):
-        for h in row:
-            out *= h
-    return out
+    """The product ``H`` of all hook lengths of ``p``, in closed form: with
+    ``l = len(p)`` and ``l_i = p_i + l - 1 - i`` for ``i = 0..l-1``,
+    ``H = prod_i l_i! / prod_{i<j} (l_i - l_j)``."""
+    return _hook_product(p)
 
 
 @_memo_checked(_validate)
 def dimension(p: Partition) -> int:
     """Number of standard fillings of the diagram (boxes 1..n increasing
-    along rows and columns), via the hook product."""
-    n = sum(p)
-    num = math.factorial(n)
-    h = hook_product(p)
-    if num % h:
-        raise ExactError(f"hook product {h} does not divide {n}! for {p}")
-    return num // h
+    along rows and columns): ``n! / H`` by the hook length formula."""
+    return math.factorial(sum(p)) // _hook_product(p)
 
 
 def boxes_removed(p: Partition) -> tuple[Partition, ...]:

@@ -438,8 +438,9 @@ def _degree_block(d: int, order: int) -> tuple[Frac, ...]:
             for (_, i, _), c in _theta_shifted(g, n, d, order - lead).terms.items():
                 out[i] += prefac * c
         g += 1
-    # dimension forces the block to start at w^(2d-1) (constant excepted)
-    for j in range(1, 2 * d - 1):
+    # dimension forces the block to start at w^(2d-1) (constant excepted);
+    # only the window w^0..w^order is checked
+    for j in range(1, min(2 * d - 1, order + 1)):
         if out[j]:
             raise ExactError(f"degree-{d} block has unexpected support at 1/u^{j}")
     return tuple(out)

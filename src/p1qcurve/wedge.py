@@ -30,7 +30,7 @@ from functools import cache
 from itertools import chain, product
 
 from .exactcore import ExactError, TruncatedSeries, series_log
-from .partitions import Partition, dimension, partitions
+from .partitions import Partition, _hook_product, partitions
 
 __all__ = [
     "catalan_inverse",
@@ -159,8 +159,10 @@ def connected_coefficient(d: int, b) -> Frac:
 
 @cache
 def _fock_weights(d: int) -> tuple[tuple[Partition, int], ...]:
-    """(lam, dim(lam)^2) for every partition lam of d."""
-    return tuple((lam, dimension(lam) ** 2) for lam in partitions(d))
+    """(lam, dim(lam)^2) for every partition lam of d, with dim(lam) = d! / H
+    read from the hook product of partitions' own, unchecked output."""
+    top = math.factorial(d)
+    return tuple((lam, (top // _hook_product(lam)) ** 2) for lam in partitions(d))
 
 
 @cache

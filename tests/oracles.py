@@ -39,6 +39,10 @@ denominators and the d' = 0 correction of the cumulant recursion.
 ``multiseries_two_point_closed_form`` is the two-point closed form as
 it was summed before ``wedge._two_point_closed_form`` read it off the powers
 of ``catalan_inverse``.
+
+``hook_lengths_product`` is ``partitions.hook_product`` as it was before it
+was read from the parts in closed form: the product of every box's hook
+length, box by box.
 """
 
 from __future__ import annotations
@@ -58,7 +62,15 @@ from p1qcurve.exactcore import (
     TruncatedSeries,
     series_log,
 )
-from p1qcurve.partitions import dimension, hook_product, is_partition, offset_product, padded, partitions
+from p1qcurve.partitions import (
+    dimension,
+    hook_lengths,
+    hook_product,
+    is_partition,
+    offset_product,
+    padded,
+    partitions,
+)
 from p1qcurve.wedge import catalan_inverse, zeta_reciprocal
 
 
@@ -548,6 +560,11 @@ def series_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # the partition-sum tower, term by term
 # ---------------------------------------------------------------------------
+
+
+def hook_lengths_product(p) -> int:
+    """The product of the hook lengths of every box of ``p``."""
+    return math.prod(h for row in hook_lengths(p) for h in row)
 
 
 def x_partition_termwise(d: int) -> RationalFunction:

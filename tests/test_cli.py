@@ -460,6 +460,44 @@ def test_unknown_flag_exits_two(capsys):
     assert code == 2
 
 
+_PARSER_SEQUENCE = (
+    ["gw", "--g", "1", "--n", "2", "--d", "2", "--b", "1,3"],
+    ["xd", "--d", "1", "--frobnicate"],
+    ["--help"],
+    ["--budget", "0", "xd", "--d", "1"],
+    [],
+    ["gw", "--g", "1", "--n", "2", "--d", "2", "--b", "1,3"],
+)
+
+
+def _without_wall_time(err: str) -> str:
+    return "".join(line for line in err.splitlines(keepends=True)
+                   if not line.startswith("wall-time:"))
+
+
+def test_reused_parser_matches_a_fresh_parser(capsys, monkeypatch):
+    """One parser serves a whole in-process sequence, usage errors and help
+    included, with the same exit codes and bytes as a fresh parser per call."""
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    fresh = []
+    for argv in _PARSER_SEQUENCE:
+        monkeypatch.setattr(cli, "_parser", None)
+        code, out, err = run(capsys, *argv)
+        fresh.append((code, out, _without_wall_time(err)))
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 2, 2, 0]
+
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = []
+    for argv in _PARSER_SEQUENCE:
+        code, out, err = run(capsys, *argv)
+        reused.append((code, out, _without_wall_time(err)))
+    assert reused == fresh
+    assert len(builds) == 1
+
+
 # ---------------------------------------------------------------------------
 # Frozen stdout and exit codes
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from p1qcurve.partitions import (
     partitions,
 )
 
-from oracles import offset_sum_termwise
+from oracles import hook_lengths_product, offset_sum_termwise
 
 
 def test_enumeration_order_and_counts():
@@ -92,6 +92,55 @@ def test_hook_lengths_known_shape():
     assert hook_product(()) == 1
 
 
+def test_hook_product_matches_the_hook_lengths_oracle_through_14():
+    for d in range(15):
+        for p in partitions(d):
+            assert hook_product(p) == hook_lengths_product(p), p
+
+
+# weakly decreasing tuples of positive parts, () included
+_partition_strategy = st.lists(st.integers(1, 12), max_size=12).map(
+    lambda parts: tuple(sorted(parts, reverse=True))
+)
+
+
+def _hook_matches_oracle(kernel, p) -> None:
+    assert kernel(p) == hook_lengths_product(p)
+
+
+@given(_partition_strategy)
+@settings(max_examples=60, deadline=None)
+def test_hook_product_closed_form_property(p):
+    _hook_matches_oracle(hook_product, p)
+    assert dimension(p) * hook_lengths_product(p) == math.factorial(sum(p))
+
+
+def test_hook_product_property_detects_l_shifted_by_one():
+    """Negative control: the closed form with every l_i shifted by one,
+    built from the real source, must fail the same property."""
+    module = importlib.import_module("p1qcurve.partitions")
+    source = textwrap.dedent(inspect.getsource(module._hook_product))
+    assert source.count("li = p[i] + n - 1 - i") == 1
+    namespace = dict(vars(module))
+    exec(source.replace("li = p[i] + n - 1 - i", "li = p[i] + n - i"), namespace)
+    check = settings(database=None, phases=[Phase.generate], deadline=None)(
+        given(_partition_strategy)(lambda p: _hook_matches_oracle(namespace["_hook_product"], p))
+    )
+    with pytest.raises(AssertionError):
+        check()
+
+
+def test_a_cold_dimension_validates_its_partition_once(monkeypatch):
+    module = importlib.import_module("p1qcurve.partitions")
+    seen = []
+    check = module.is_partition
+    monkeypatch.setattr(module, "is_partition", lambda p: seen.append(p) or check(p))
+    for fn in (dimension, hook_product):
+        fn.__wrapped__.cache_clear()
+    assert dimension((3, 2, 2, 1)) == 70
+    assert seen == [(3, 2, 2, 1)]
+
+
 def test_hook_product_conjugation_invariant():
     for d in range(10):
         for p in partitions(d):
@@ -114,7 +163,7 @@ def test_dimension_matches_chain_counting():
 
 
 def test_dimension_squares_sum_to_factorial():
-    for d in range(9):
+    for d in range(15):
         assert sum(dimension(p) ** 2 for p in partitions(d)) == math.factorial(d)
 
 

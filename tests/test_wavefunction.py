@@ -348,6 +348,17 @@ def test_build_degree_graded_x_routes_agree(monkeypatch):
         assert a.geometric == b.geometric
 
 
+def test_build_degree_graded_x_with_blocks_past_the_order():
+    # the degree-8 block starts at 1/u^15, past order 12: it is zero in the
+    # window, and the support check reads only the window
+    result = build_degree_graded_x(8, 12)
+    assert bool(result) is True
+    assert len(result.entries) == 9
+    from p1qcurve import wavefunction as wf
+
+    assert not any(wf._degree_block(8, 12))
+
+
 def test_build_degree_graded_x_reports_disagreement():
     from p1qcurve.wavefunction import DegreeGradedX, XEntry
 

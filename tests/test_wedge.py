@@ -1,5 +1,6 @@
 """Tests for the partition-eigenvalue engine for stationary invariants."""
 
+import importlib
 import itertools
 import math
 from fractions import Fraction as F
@@ -99,6 +100,19 @@ def test_fock_weight_and_vacuum_normalization():
     assert fock_weight((2, 1)) == F(4, 36)
     for d in range(13):
         assert vacuum_total(d) == F(1, math.factorial(d))
+
+
+def test_cold_fock_weights_validate_none_of_their_partitions(monkeypatch):
+    partitions_module = importlib.import_module("p1qcurve.partitions")
+    seen = []
+    check = partitions_module.is_partition
+    monkeypatch.setattr(partitions_module, "is_partition", lambda p: seen.append(p) or check(p))
+    for table in (wedge._fock_weights, partitions.__wrapped__):
+        table.cache_clear()
+    weights = wedge._fock_weights(6)
+    assert seen == []
+    assert [lam for lam, _ in weights] == list(partitions(6))
+    assert [w for _, w in weights] == [squared_dimension(lam) for lam in partitions(6)]
 
 
 # ---------------------------------------------------------------------------
