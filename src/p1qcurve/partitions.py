@@ -64,19 +64,19 @@ def _degree(d) -> int:
 
 
 def _memo_checked(check):
-    """Memoise a one-argument function behind ``check``, which raises
-    ``ExactError`` on a bad argument before the memo table is read: the table
-    compares keys by value, so ``True`` or ``2.0`` would find the entry of
-    ``1`` or ``2``, and ``(True,)`` that of ``(1,)``.  The table keeps the
+    """Memoise a function behind ``check``, which takes the same arguments
+    and raises ``ExactError`` on a bad one before the memo table is read: the
+    table compares keys by value, so ``True`` or ``2.0`` would find the entry
+    of ``1`` or ``2``, and ``(True,)`` that of ``(1,)``.  The table keeps the
     function's name and is reached as ``__wrapped__``."""
 
     def decorate(fn):
         table = cache(fn)
 
         @wraps(table)
-        def checked(arg):
-            check(arg)
-            return table(arg)
+        def checked(*args, **kwargs):
+            check(*args, **kwargs)
+            return table(*args, **kwargs)
 
         return checked
 

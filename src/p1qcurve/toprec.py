@@ -2,19 +2,22 @@
 
 Stable correlation forms W_{g,n} are finite sums of tensor products of
 single-pole differentials dz/(z -a)^j with a = +-1 and j >= 2; the recursion
-residues are evaluated by exact local Laurent expansion at the two branch
-points.  Every local table is a rational function of z expanded in closed
-form (_loc_rational), except the kernel gap y(1/z) - y(z), in which the
-branch constant log(-1) cancels: _loc_log_gap is the closed form
--2 log(1 +- t).  tests/test_toprec.py checks the gap against
-tests/oracles.formal_log_gap, which carries the constant formally, and the
-tables against the series-inverse chain they replaced (tests/oracles.py).
+residues are evaluated by exact local Laurent expansion at z = 1 only, and
+those at z = -1 by branch parity: z -> -z maps x to -x and swaps the branch
+points, so flipping every label of a key multiplies its coefficient by
+(-1)^(sum of its pole orders) (arXiv:1703.03307).  Every local table is a
+rational function of z expanded in closed form (_loc_rational), except the
+kernel gap y(1/z) - y(z), in which the branch constant log(-1) cancels:
+_loc_log_gap is the closed form -2 log(1 +- t).  tests/test_toprec.py
+checks the gap against tests/oracles.formal_log_gap, which carries the
+constant formally, and the tables against the series-inverse chain they
+replaced (tests/oracles.py).
 
 The module also provides the pole-primitive family theta/eta with its
 x-expansion checks against the closed-form transition-matrix entries, the
 antisymmetrized primitives F_{g,n} with their expansion in stationary
-invariants, the ancestor-coefficient decomposition of W_{g,n}, and the two
-unstable closed forms S_0, S_1.
+invariants (slot series in closed form, _slot_f_series), the ancestor
+decomposition of W_{g,n}, and the two unstable closed forms S_0, S_1.
 
 Every slot-by-slot map of a finished form -- the large-x expansions of
 W_{g,n} and F_{g,n}, the z -> 1/z pullback, the derivative of F_{g,n}, the
@@ -40,6 +43,7 @@ from typing import Mapping, Sequence
 from .exactcore import (
     ExactError,
     MultiSeries,
+    PoleEvaluationError,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
@@ -48,7 +52,14 @@ from .exactcore import (
     series_compose,
     series_log,
 )
-from .wedge import _one_point_closed_form, catalan_inverse, stationary_invariant, unit_insertions
+from .partitions import _memo_checked
+from .wedge import (
+    _integers,
+    _one_point_closed_form,
+    catalan_inverse,
+    stationary_invariant,
+    unit_insertions,
+)
 
 __all__ = [
     "CorrelationForm",
@@ -79,7 +90,7 @@ __all__ = [
 BRANCH_POINTS = (1, -1)
 
 _Z = Polynomial.identity()          # the coordinate z
-_XPRIME = RationalFunction(Polynomial([0, 0, 1]) - Polynomial.one(), Polynomial([0, 0, 1]))
+_XPRIME = RationalFunction(_Z * _Z - 1, _Z * _Z)
 # x'(z) = 1 - 1/z^2 = (z^2 - 1)/z^2
 
 
@@ -180,22 +191,12 @@ class CorrelationForm:
 
     def evaluate(self, points: Sequence[Frac]) -> Frac:
         """The dz_1...dz_n-coefficient at a rational sample point."""
-        if len(points) != self.n:
-            raise ExactError("point arity mismatch")
-        total = Frac(0)
-        for key, c in self.terms.items():
-            prod = Frac(c)
-            for (a, j), p in zip(key, points):
-                prod /= (p - a) ** j
-            total += prod
-        return total
+        return _evaluate(self, points, lambda a, j, p: Frac(1, (p - a) ** j))
 
     def permuted(self, perm: Sequence[int]) -> "CorrelationForm":
-        out: dict[PoleKey, Frac] = {}
-        for key, c in self.terms.items():
-            nk = tuple(key[p] for p in perm)
-            out[nk] = out.get(nk, Frac(0)) + c
-        return CorrelationForm(self.g, self.n, {k: v for k, v in out.items() if v})
+        # a permutation maps distinct keys to distinct keys
+        terms = {tuple(key[p] for p in perm): c for key, c in self.terms.items() if c}
+        return CorrelationForm(self.g, self.n, terms)
 
     def is_symmetric(self) -> bool:
         for perm in permutations(range(self.n)):
@@ -211,6 +212,19 @@ class CorrelationForm:
             self.terms, self.n, lambda k, pole: _pullback(*pole) if k == slot else {pole: 1}
         )
         return out == {k: -v for k, v in self.terms.items()}
+
+
+def _evaluate(form, points: Sequence[Frac], slot_function) -> Frac:
+    """sum_key c * prod_k slot_function(*key[k], points[k]) at an exact point,
+    contracted by _slotwise, which evaluates each distinct (slot, pole) once;
+    a point on a pole raises PoleEvaluationError."""
+    if len(points) != form.n or not all(map(_exact, points)):
+        raise ExactError(f"{points!r} is not a point of {form.n} ints or Fractions")
+    poles = {(k, a) for key in form.terms for k, (a, _) in enumerate(key)}
+    if any(points[k] == a for k, a in poles):
+        raise PoleEvaluationError(f"evaluation at a pole: {points!r}")
+    value = _slotwise(form.terms, form.n, lambda k, pole: {(): slot_function(*pole, points[k])})
+    return value.get(((),) * form.n, Frac(0))
 
 
 @cache
@@ -326,27 +340,33 @@ WGN_BOUND = 4  # the largest complexity 2g-2+n the recursion is run to
 _ORDER_MARGIN = 16  # working order beyond the deepest local pole of a piece
 
 
-@cache
+def _pair(g: int, n: int) -> None:
+    _integers(genus=g, points=n)
+
+
+@_memo_checked(_pair)
 def toprec_wgn(g: int, n: int) -> CorrelationForm:
     """The stable correlation form W_{g,n} from the residue recursion.
 
-    Residues at both branch points are computed by exact local expansion in
-    z = a + t.  The recursion pieces (_recursion_pieces) whose outer slots
-    2..n carry the same items are summed into one local series, times the
-    kernel denominator 1/(2 (y(1/z) - y(z)) x'(z)), then expanded slot by
-    slot into pole labels: slot 1 through the kernel numerator, a Bergman
-    slot through its coupling, a fixed slot unchanged, equal partial states
-    merged.  Only [t^-1] is read: every slot factor has valuation >= 0, so
-    a state is kept through t^-1 and each closed-form table only as far as
-    its product reads it; a coupling (k+1) t^k to z is an exponent shift,
-    and the last slot's factor is read by a dot product.
+    Residues at the branch point a = 1 are computed by exact local expansion
+    in z = a + t, and those at a = -1 filled by branch parity, c(-key) =
+    (-1)^(sum of the pole orders) c(key).  The recursion pieces
+    (_recursion_pieces) whose outer slots 2..n carry the same items are
+    summed into one local series, times the kernel denominator
+    1/(2 (y(1/z) - y(z)) x'(z)), then expanded slot by slot into pole
+    labels: slot 1 through the kernel numerator, a Bergman slot through its
+    coupling, a fixed slot unchanged, equal partial states merged.  Only
+    [t^-1] is read: every slot factor has valuation >= 0, so a state is kept
+    through t^-1 and each closed-form table only as far as its product reads
+    it; a coupling (k+1) t^k to z is an exponent shift, and the last slot's
+    factor is read by a dot product.
 
     The working order is the deepest local pole of a piece plus
     _ORDER_MARGIN.  A residue beyond the order a series is known to raises
     ExactError naming the branch point; it never yields a wrong form.
     """
-    if not _stable(g, n):
-        raise ExactError("toprec_wgn is defined on the stable range 2g-2+n > 0")
+    if g < 0 or n < 1 or not _stable(g, n):
+        raise ExactError("toprec_wgn is defined for g >= 0, n >= 1 and 2g-2+n > 0")
     if 2 * g - 2 + n > WGN_BOUND:
         raise ExactError(
             f"complexity 2g-2+n = {2*g-2+n} exceeds the configured bound {WGN_BOUND}"
@@ -354,17 +374,17 @@ def toprec_wgn(g: int, n: int) -> CorrelationForm:
     pieces = list(_recursion_pieces(g, n))
     # working order: the kernel inverse costs 4, each local pole its order
     order = max(sum(j for j, _ in local) for _, local, _ in pieces) + _ORDER_MARGIN
-    terms: dict[PoleKey, Frac] = {}
-    for a in BRANCH_POINTS:
-        try:
-            residues = _branch_residues(pieces, n, a, order)
-        except TruncationError as exc:
-            raise ExactError(
-                f"local expansion order {order} insufficient at branch point {a}; "
-                "increase the working order"
-            ) from exc
-        # slot 1 carries the branch point, so the two never share a key
-        terms.update((key, c) for key, c in residues.items() if c)
+    try:
+        residues = _branch_residues(pieces, n, 1, order)
+    except TruncationError as exc:
+        raise ExactError(
+            f"local expansion order {order} insufficient at branch point 1; "
+            "increase the working order"
+        ) from exc
+    terms = {key: c for key, c in residues.items() if c}
+    # slot 1 carries the branch point, so a key and its flip are distinct
+    terms.update([(tuple((-a, j) for a, j in key), (-1) ** sum(j for _, j in key) * c)
+                  for key, c in terms.items()])
     return CorrelationForm(g, n, terms)
 
 
@@ -506,6 +526,16 @@ def _slot_w_series(a: int, j: int, order: int) -> TruncatedSeries:
     return (_branch_pole(a, order) ** j * _branch_dz_dx(order)).truncate(order)
 
 
+@cache
+def _slot_f_series(a: int, j: int, order: int) -> TruncatedSeries:
+    """primitive_slot_function(a, j) at z = z(w), through w^order: with
+    P = 1/(z - a) and k = j - 1 it is -P^k (1 - (-a z)^k)/(2k), as
+    1/z - a = -a z/P for a = +-1."""
+    k = j - 1
+    z = _catalan_branch(order + 2)
+    return (_branch_pole(a, order) ** k * (1 - (-a * z) ** k) * Frac(-1, 2 * k)).truncate(order)
+
+
 def _x_expansion(terms: Mapping[PoleKey, Frac], n: int, order: int, slot_series) -> MultiSeries:
     """sum_key c * prod_k slot_series(*key[k]) as a series in w_1..w_n, each
     slot series in w known through the given order.  A slot's lowest exponent
@@ -552,6 +582,7 @@ def ns_expansion_check(g: int, n: int, total_order: int = 10) -> bool:
     """Compare the recursion output W_{g,n}, re-expanded at large x, with the
     factorially weighted stationary invariants, for every exponent tuple of
     total degree at most total_order."""
+    _integers(genus=g, points=n, order=total_order)
     if total_order < 0:
         raise ExactError("total order must be nonnegative")
     coeffs = _wgn_x_simplex(toprec_wgn(g, n), total_order)
@@ -610,9 +641,7 @@ def s_matrix(k: int) -> SMatrix:
 # Pole primitives (eta / theta family)
 # ---------------------------------------------------------------------------
 
-_DZ_TO_DX = RationalFunction(
-    Polynomial([0, 0, 1]), Polynomial([0, 0, 1]) - Polynomial.one()
-)  # dz/dx = z^2/(z^2 - 1)
+_DZ_TO_DX = RationalFunction(_XPRIME.den, _XPRIME.num)  # dz/dx = z^2/(z^2 - 1)
 
 
 @cache
@@ -623,13 +652,13 @@ def eta_function(mu: int, d: int) -> RationalFunction:
         raise ExactError("basis index must be 1 or 2")
     if d < 0:
         raise ExactError("level must be nonnegative")
-    one_minus = Polynomial.one() - Polynomial([0, 0, 1])
+    one_minus = 1 - _Z * _Z
     if d == 0:
         if mu == 1:
             return RationalFunction(Polynomial.one(), one_minus) - RationalFunction.constant(
                 Frac(1, 2)
             )
-        return RationalFunction(Polynomial([0, 1]), one_minus)
+        return RationalFunction(_Z, one_minus)
     prev = eta_function(mu, d - 1)
     return -(_DZ_TO_DX * prev.derivative())
 
@@ -681,22 +710,20 @@ def theta_condition_check(i: int, d: int) -> bool:
     th = theta(i, d)
     # closed level-0 forms
     one = Polynomial.one()
-    z = Polynomial([0, 1])
     if i == 1:
-        base = RationalFunction(one, one - z) - RationalFunction.constant(Frac(1, 2))
+        base = RationalFunction(one, one - _Z) - RationalFunction.constant(Frac(1, 2))
         if theta(1, 0).real != base or not theta(1, 0).imag.is_zero():
             return False
-        if base.derivative() != RationalFunction(one, (one - z) ** 2):
+        if base.derivative() != RationalFunction(one, (one - _Z) ** 2):
             return False
     else:
-        base = -RationalFunction(one, one + z) + RationalFunction.constant(Frac(1, 2))
+        base = -RationalFunction(one, one + _Z) + RationalFunction.constant(Frac(1, 2))
         if theta(2, 0).imag != base or not theta(2, 0).real.is_zero():
             return False
-        if base.derivative() != RationalFunction(one, (one + z) ** 2):
+        if base.derivative() != RationalFunction(one, (one + _Z) ** 2):
             return False
     # d-fold chain from level 0
-    part0 = theta(i, 0).real if i == 1 else theta(i, 0).imag
-    chained = part0
+    chained = theta(i, 0).real if i == 1 else theta(i, 0).imag
     for _ in range(d):
         chained = _chain_step(chained)
     part_d = th.real if i == 1 else th.imag
@@ -737,7 +764,7 @@ def theta_expansion_check(i: int, d: int, order: int) -> bool:
         return False
 
     # -- residue form
-    x_rf = RationalFunction(Polynomial([1, 0, 1]), Polynomial([0, 1]))
+    x_rf = RationalFunction(_Z * _Z + 1, _Z)
     for m in range(0, order):
         integrand = (x_rf**m) * eta * _XPRIME
         res = integrand.laurent_at(Frac(0), 1).coefficient(-1)
@@ -780,25 +807,20 @@ class FgnPrimitive:
     terms: Mapping[PoleKey, Frac]
 
     def evaluate(self, points: Sequence[Frac]) -> Frac:
-        if len(points) != self.n:
-            raise ExactError("point arity mismatch")
-        total = Frac(0)
-        for key, c in self.terms.items():
-            prod = c
-            for (a, j), p in zip(key, points):
-                prod *= primitive_slot_function(a, j)(p)
-            total += prod
-        return total
+        return _evaluate(self, points, lambda a, j, p: primitive_slot_function(a, j)(p))
 
     def origin_vanishes(self) -> bool:
         return self.evaluate([Frac(0)] * self.n) == 0
 
     def odd_under_involution(self, samples: Sequence[Sequence[Frac]]) -> bool:
         for pts in samples:
+            value = self.evaluate(pts)
+            if 0 in pts:
+                raise ExactError("z -> 1/z takes 0 to infinity, where F is not evaluated")
             for k in range(self.n):
                 flipped = list(pts)
-                flipped[k] = 1 / flipped[k]
-                if self.evaluate(flipped) != -self.evaluate(pts):
+                flipped[k] = 1 / Frac(pts[k])
+                if self.evaluate(flipped) != -value:
                     return False
         return True
 
@@ -815,7 +837,7 @@ class FgnPrimitive:
         return _slotwise(self.terms, self.n, derivative) == dict(toprec_wgn(self.g, self.n).terms)
 
 
-@cache
+@_memo_checked(_pair)
 def primitive_fgn(g: int, n: int) -> FgnPrimitive:
     """The multilinear primitive of W_{g,n}: slotwise antiderivatives,
     antisymmetrized under z -> 1/z, pinned to vanish at the origin."""
@@ -829,21 +851,16 @@ def primitive_fgn(g: int, n: int) -> FgnPrimitive:
 def fgn_x_expansion(g: int, n: int, order: int, verify: bool = True) -> MultiSeries:
     """Large-x expansion of the primitive F_{g,n} as a series in w_i = 1/x_i.
 
-    With verify=True every coefficient in the window is compared against the
-    unit-dressed stationary invariants; the first mismatch raises ExactError
-    naming the exponent tuple and both values.
+    Each slot series is the closed form _slot_f_series, read from the
+    cached branch tables.  With verify=True every coefficient in the window
+    is compared against the unit-dressed stationary invariants; the first
+    mismatch raises ExactError naming the exponent tuple and both values.
     """
+    _integers(genus=g, points=n, order=order)
     if order < 0:
         raise ExactError("expansion order must be nonnegative")
-    prim = primitive_fgn(g, n)
-    z = _catalan_branch(order + 2)
     total = _x_expansion(
-        prim.terms,
-        n,
-        order,
-        lambda a, j: series_compose(
-            primitive_slot_function(a, j).laurent_at(0, order + 2, "w"), z
-        ).truncate(order),
+        primitive_fgn(g, n).terms, n, order, lambda a, j: _slot_f_series(a, j, order)
     )
     if verify:
         for exps in product(range(order + 1), repeat=n):
@@ -903,8 +920,6 @@ def _solve_exact(
         [matrix.get((r, c), Frac(0)) for c in cols] + [b.get(r, Frac(0)) for b in rhs]
         for r in rows
     ]
-    width = k + len(rhs)
-    pivot_rows: list[int] = []
     row = 0
     for col in range(k):
         sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
@@ -917,7 +932,6 @@ def _solve_exact(
             if r != row and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [v - f * w for v, w in zip(aug[r], aug[row])]
-        pivot_rows.append(row)
         row += 1
     for r in range(row, m):
         if any(aug[r][k + t] != 0 for t in range(len(rhs))):
@@ -925,15 +939,10 @@ def _solve_exact(
                 "pole data is outside the span of the primitive basis; the "
                 "decomposition does not close"
             )
-    out = []
-    for t in range(len(rhs)):
-        sol: dict[tuple[int, int], Frac] = {}
-        for idx, c in enumerate(cols):
-            v = aug[idx][k + t]
-            if v:
-                sol[c] = v
-        out.append(sol)
-    return out
+    return [
+        {c: aug[idx][k + t] for idx, c in enumerate(cols) if aug[idx][k + t]}
+        for t in range(len(rhs))
+    ]
 
 
 @cache
@@ -965,21 +974,19 @@ def ancestor_decomposition(
                 rows_set.add(r)
         for key in tensor:
             rows_set.add(key[slot])
-        rows = sorted(rows_set, key=lambda rj: (rj[0], rj[1]))
+        rows = sorted(rows_set)
 
+        # (rest, slot item) and (rest, basis column) each name one key
         fibers: dict[tuple, dict[tuple[Frac, int], Frac]] = {}
         for key, c in tensor.items():
-            rest = key[:slot] + key[slot + 1 :]
-            fibers.setdefault(rest, {})
-            fibers[rest][key[slot]] = fibers[rest].get(key[slot], Frac(0)) + c
+            fibers.setdefault(key[:slot] + key[slot + 1 :], {})[key[slot]] = c
         rests = sorted(fibers, key=repr)
         sols = _solve_exact(rows, cols, mat, [fibers[r] for r in rests])
-        new_tensor: dict[tuple, Frac] = {}
-        for rest, sol in zip(rests, sols):
-            for col, v in sol.items():
-                nk = rest[:slot] + (col,) + rest[slot:]
-                new_tensor[nk] = new_tensor.get(nk, Frac(0)) + v
-        tensor = new_tensor
+        tensor = {
+            rest[:slot] + (col,) + rest[slot:]: v
+            for rest, sol in zip(rests, sols)
+            for col, v in sol.items()
+        }
 
     sign = Frac((-1) ** n)
     result = {k: sign * v for k, v in tensor.items() if v}

@@ -14,6 +14,10 @@ The ``chain_*`` functions build the local tables of the residue engine at
 of ``1/z`` by ``TruncatedSeries`` sums, inverses and powers, each known only
 as far as that chain of truncated arithmetic carries it.
 
+``slot_f_series`` is the x-expansion of a primitive slot function by a
+Laurent expansion and a series composition per pole; ``evaluate_termwise``
+evaluates a form's slots term by term.
+
 ``slotwise`` and ``series_mul`` are ``toprec._slotwise`` and the product of
 two ``TruncatedSeries`` as they were before both moved to integer numerators
 over one denominator: one ``Fraction`` multiply-add per update.
@@ -60,6 +64,7 @@ from p1qcurve.exactcore import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
+    series_compose,
     series_log,
 )
 from p1qcurve.partitions import (
@@ -71,6 +76,7 @@ from p1qcurve.partitions import (
     padded,
     partitions,
 )
+from p1qcurve.toprec import primitive_slot_function
 from p1qcurve.wedge import catalan_inverse, zeta_reciprocal
 
 
@@ -493,6 +499,29 @@ def slot_w_series(a, j: int, order: int) -> TruncatedSeries:
     z = catalan_inverse(order + 2, "w")
     dz_dx = (z * z) * (z * z - 1).inverse()
     return ((z - a).inverse() ** j * dz_dx).truncate(order)
+
+
+def slot_f_series(a, j: int, order: int) -> TruncatedSeries:
+    """The primitive slot function h_{a,j} at z = z(w), as
+    ``toprec.fgn_x_expansion`` built it before ``toprec._slot_f_series``:
+    the Laurent expansion of the rational function at 0, composed with the
+    branch series."""
+    h = primitive_slot_function(a, j).laurent_at(0, order + 2, "w")
+    return series_compose(h, catalan_inverse(order + 2, "w")).truncate(order)
+
+
+def evaluate_termwise(form, points, slot_value) -> Frac:
+    """sum_key c * prod_k slot_value(*key[k], points[k]), every slot of every
+    term evaluated anew, as ``CorrelationForm.evaluate`` and
+    ``FgnPrimitive.evaluate`` did before they shared one value per (slot,
+    pole)."""
+    total = Frac(0)
+    for key, c in form.terms.items():
+        prod = Frac(c)
+        for (a, j), p in zip(key, points):
+            prod *= slot_value(a, j, p)
+        total += prod
+    return total
 
 
 def multiseries_two_point_closed_form(order: int) -> MultiSeries:

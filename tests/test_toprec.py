@@ -10,6 +10,7 @@ import hashlib
 import inspect
 import json
 from fractions import Fraction as Frac
+from functools import cache
 
 import pytest
 from itertools import product
@@ -21,6 +22,7 @@ from p1qcurve import toprec
 from p1qcurve.exactcore import (
     BranchLogError,
     ExactError,
+    PoleEvaluationError,
     Polynomial,
     RationalFunction,
     TruncatedSeries,
@@ -29,12 +31,14 @@ from p1qcurve.toprec import (
     BRANCH_POINTS,
     WGN_BOUND,
     CorrelationForm,
+    _branch_residues,
     _loc_bergman_inv,
     _loc_bergman_local_pair,
     _loc_kernel_numerator,
     _loc_log_gap,
     _loc_pole,
     _pullback,
+    _slot_f_series,
     _slot_w_series,
     _slotwise,
     _wgn_x_series,
@@ -61,13 +65,28 @@ from oracles import (
     chain_kernel_numerator,
     chain_pole,
     chain_pole_inv,
+    evaluate_termwise,
     formal_log_gap,
     formal_logs,
+    slot_f_series,
     slot_w_series,
     slotwise,
 )
 
 STABLE_PAIRS = [(0, 3), (1, 1), (0, 4), (1, 2), (2, 1)]
+# every stable pair the recursion runs to
+BOUNDED_PAIRS = [(g, n) for g in range(WGN_BOUND // 2 + 2) for n in range(1, WGN_BOUND + 3)
+                 if 0 < 2 * g - 2 + n <= WGN_BOUND]
+
+
+def _mutant(fn, old: str, new: str):
+    """A toprec function with one piece of its source replaced, defined in a
+    copy of the module's namespace."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1
+    namespace = dict(vars(toprec))
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +194,25 @@ def test_wgn_x_series_frozen_digest(g, n):
     assert _json_digest(_wgn_x_series(toprec_wgn(g, n), 10)) == WGN_X_DIGESTS[(g, n)]
 
 
+SLOT_POLES = [(a, j) for a in BRANCH_POINTS for j in range(2, 13)]
+
+
+@pytest.mark.parametrize("order", range(13))
+def test_slot_f_series_match_the_composed_route(order):
+    for a, j in SLOT_POLES:
+        series = _slot_f_series(a, j, order)
+        assert series.order == order and series == slot_f_series(a, j, order), (a, j)
+
+
+def test_slot_f_series_check_catches_the_sign_of_a():
+    """Negative control: (a z)^k in place of (-a z)^k differs for every odd
+    k = j - 1 once the order reaches w^k."""
+    wrong = _mutant(_slot_f_series, "(-a * z)", "(a * z)")
+    for a, j in SLOT_POLES:
+        if j % 2 == 0:
+            assert wrong(a, j, 12) != slot_f_series(a, j, 12), (a, j)
+
+
 @pytest.mark.parametrize("order", [8, 10, 12])
 def test_slot_w_series_match_the_unshared_form(order):
     poles = {pole for g, n in STABLE_PAIRS for key in toprec_wgn(g, n).terms for pole in key}
@@ -254,11 +292,125 @@ def test_correlation_form_evaluates_exactly():
 
 
 def test_wgn_memo_holds_one_entry_per_pair():
-    # the recursion's inner calls must hit the entries of the public calls
-    toprec_wgn.cache_clear()
+    # the recursion's inner calls must hit the entries of the public calls;
+    # the table sits behind the argument check
+    table = toprec_wgn.__wrapped__
+    table.cache_clear()
     for g, n in STABLE_PAIRS:
         toprec_wgn(g, n)
-    assert toprec_wgn.cache_info().currsize == len(STABLE_PAIRS)
+    assert table.cache_info().currsize == len(STABLE_PAIRS)
+
+
+BAD_PAIRS = [(True, 1), (1.0, 1), (Frac(1), 1), (False, 3), (0, 3.0), (0, Frac(3)), (1, True)]
+
+
+@pytest.mark.parametrize("g,n", BAD_PAIRS)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_inexact_genus_or_count_raises_before_the_memo_table(g, n, warm):
+    """A bool, float or Fraction equals an int key of the memo table; it must
+    neither find that entry nor leave an entry of its own."""
+    for fn in (toprec_wgn, primitive_fgn):
+        fn.__wrapped__.cache_clear()
+        if warm:
+            fn(1, 1), fn(0, 3)
+        with pytest.raises(ExactError):
+            fn(g, n)
+        assert all(type(form.g) is int and type(form.n) is int
+                   for form in (fn(1, 1), fn(0, 3), fn(1, 3)))
+
+
+@pytest.mark.parametrize("order", [True, 8.0, Frac(8)])
+def test_inexact_expansion_order_raises(order):
+    with pytest.raises(ExactError):
+        fgn_x_expansion(0, 3, order, verify=False)
+    with pytest.raises(ExactError):
+        ns_expansion_check(1, 1, order)
+    for g, n in BAD_PAIRS:
+        with pytest.raises(ExactError):
+            fgn_x_expansion(g, n, 4, verify=False)
+        with pytest.raises(ExactError):
+            ns_expansion_check(g, n, 4)
+
+
+@pytest.mark.parametrize("g,n", [(-1, 5), (-1, 6), (2, 0), (3, 0)])
+def test_wgn_rejects_a_negative_genus_or_no_points(g, n):
+    # each pair has 0 < 2g - 2 + n <= WGN_BOUND
+    with pytest.raises(ExactError):
+        toprec_wgn(g, n)
+
+
+@pytest.mark.parametrize("g,n", BOUNDED_PAIRS)
+def test_evaluation_matches_the_termwise_oracle(g, n):
+    points = [Frac(1, 3), 2, Frac(-2, 7), Frac(5, 2), -3, Frac(7, 4)][:n]
+    form = toprec_wgn(g, n)
+    value = form.evaluate(points)
+    assert type(value) is Frac
+    assert value == evaluate_termwise(form, points, lambda a, j, p: 1 / Frac(p - a) ** j)
+    if (g, n) in STABLE_PAIRS:
+        prim = primitive_fgn(g, n)
+        slot = lambda a, j, p: primitive_slot_function(a, j)(p)
+        assert prim.evaluate(points) == evaluate_termwise(prim, points, slot)
+
+
+def test_evaluation_rejects_inexact_points_and_poles():
+    form, prim = toprec_wgn(1, 2), primitive_fgn(1, 2)
+    for points in ([0.5, Frac(1, 3)], [Frac(1, 3), True], [Frac(1, 3)]):
+        for f in (form, prim):
+            with pytest.raises(ExactError):
+                f.evaluate(points)
+    for pole in (1, -1, Frac(-1)):
+        for f in (form, prim):
+            with pytest.raises(PoleEvaluationError):
+                f.evaluate([Frac(1, 3), pole])
+
+
+def test_odd_under_involution_rejects_the_origin_and_takes_ints():
+    prim = primitive_fgn(0, 3)
+    with pytest.raises(ExactError):
+        prim.odd_under_involution([[Frac(1, 2), 0, Frac(1, 3)]])
+    with pytest.raises(ExactError):
+        prim.odd_under_involution([[Frac(1, 2), 0.25, Frac(1, 3)]])
+    assert prim.odd_under_involution([[2, 3, -5]])
+
+
+# ---------------------------------------------------------------------------
+# branch parity: the a = -1 residues are filled from a = 1
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _direct_minus_one_residues(g: int, n: int) -> dict:
+    """The nonzero residues of W_{g,n} at a = -1 from _branch_residues, at
+    the engine's working order."""
+    pieces = list(toprec._recursion_pieces(g, n))
+    order = max(sum(j for j, _ in local) for _, local, _ in pieces) + toprec._ORDER_MARGIN
+    return {key: c for key, c in _branch_residues(pieces, n, -1, order).items() if c}
+
+
+def _minus_one_terms(form: CorrelationForm) -> dict:
+    return {key: c for key, c in form.terms.items() if key[0][0] == -1}
+
+
+@pytest.mark.parametrize("g,n", BOUNDED_PAIRS)
+def test_parity_fill_matches_the_direct_residues(g, n):
+    direct = _direct_minus_one_residues(g, n)
+    assert direct and _minus_one_terms(toprec_wgn(g, n)) == direct
+    assert len(toprec_wgn(g, n).terms) == 2 * len(direct)
+
+
+@pytest.mark.parametrize("flipped", [2, 3])
+def test_parity_check_catches_one_flipped_pole_order(flipped):
+    """Negative control: a parity fill that flips the sign of one pole order
+    in slot 1 differs from the direct residues wherever that order occurs."""
+    wrong = _mutant(toprec_wgn, "(-1) ** sum(j for _, j in key)",
+                    f"(-1) ** (sum(j for _, j in key) + (key[0][1] == {flipped}))")
+    caught = 0
+    for g, n in STABLE_PAIRS:
+        direct = _direct_minus_one_residues(g, n)
+        if any(key[0][1] == flipped for key in direct):
+            assert _minus_one_terms(wrong(g, n)) != direct, (g, n)
+            caught += 1
+    assert caught >= 3
 
 
 def test_w03_against_bruteforce_residue_oracle():
@@ -312,7 +464,7 @@ def test_wgn_too_small_working_order_raises(monkeypatch, g, n):
     for margin in range(-3, 4):
         monkeypatch.setattr(toprec, "_ORDER_MARGIN", margin)
         try:
-            assert toprec_wgn.__wrapped__(g, n) == form
+            assert toprec_wgn.__wrapped__.__wrapped__(g, n) == form  # check, table, engine
         except ExactError as exc:
             assert "insufficient at branch point" in str(exc)
             raised += 1
@@ -649,15 +801,6 @@ def test_slotwise_matches_the_fraction_oracle(inputs):
     _slotwise_matches_oracle(_slotwise, inputs)
 
 
-def _slotwise_mutant(old: str, new: str):
-    """_slotwise with one line of its source replaced."""
-    source = inspect.getsource(_slotwise)
-    assert source.count(old) == 1
-    namespace = dict(vars(toprec))
-    exec(source.replace(old, new), namespace)
-    return namespace["_slotwise"]
-
-
 @pytest.mark.parametrize(
     "old,new",
     [
@@ -668,7 +811,7 @@ def _slotwise_mutant(old: str, new: str):
 )
 def test_slotwise_property_detects_a_wrong_kernel(old, new):
     """Negative control: the same property with a faulty kernel must fail."""
-    wrong = _slotwise_mutant(old, new)
+    wrong = _mutant(_slotwise, old, new)
     check = settings(database=None, phases=[Phase.generate], deadline=None)(
         given(slotwise_inputs())(lambda inputs: _slotwise_matches_oracle(wrong, inputs))
     )
