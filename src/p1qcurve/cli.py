@@ -40,7 +40,6 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -52,7 +51,7 @@ from .qcurve import (
     x_partition,
     y_polynomial,
 )
-from .partitions import hook_refinement_check, partitions, summation_corollary_check
+from .partitions import _sorted_tuples, hook_refinement_check, partitions, summation_corollary_check
 from .toprec import (
     fgn_x_expansion,
     ns_expansion_check,
@@ -484,11 +483,8 @@ def _table_rows(what: str, lo: int, hi: int) -> list:
         for g in range(0, 3):
             for n in range(1, 4):
                 total = 2 * g - 2 + 2 * d
-                # weakly increasing nonnegative b in lexicographic order; the
-                # range is empty when total < 0
-                for b in combinations_with_replacement(range(total + 1), n):
-                    if sum(b) != total:
-                        continue
+                # weakly increasing nonnegative b in lexicographic order
+                for b in _sorted_tuples(total, n):
                     value = stationary_invariant(g, n, d, b)
                     if value:
                         rows.append({"g": g, "n": n, "d": d, "b": list(b),

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Frac
 from functools import cache, wraps
+from typing import Iterator
 
 from .exactcore import ExactError, Polynomial
 
@@ -106,6 +107,22 @@ def padded(p: Partition, n: int) -> tuple[int, ...]:
     if n < len(p):
         raise ExactError(f"cannot pad {p} to shorter length {n}")
     return p + (0,) * (n - len(p))
+
+
+def _sorted_tuples(total: int, n: int, low: int = 0) -> Iterator[tuple[int, ...]]:
+    """The weakly increasing n-tuples of integers >= low with the given sum,
+    in lexicographic order: with low = 0, the tuples of
+    combinations_with_replacement(range(total + 1), n) that sum to total."""
+    if n == 0:
+        if total == 0:
+            yield ()
+    elif n == 1:
+        if total >= low:
+            yield (total,)
+    else:
+        for first in range(low, total // n + 1):
+            for rest in _sorted_tuples(total - first, n - 1, first):
+                yield (first,) + rest
 
 
 def conjugate(p: Partition) -> Partition:

@@ -2,16 +2,21 @@
 
 Stable correlation forms W_{g,n} are finite sums of tensor products of
 single-pole differentials dz/(z -a)^j with a = +-1 and j >= 2; the recursion
-residues are evaluated by exact local Laurent expansion at z = 1 only, and
-those at z = -1 by branch parity: z -> -z maps x to -x and swaps the branch
-points, so flipping every label of a key multiplies its coefficient by
-(-1)^(sum of its pole orders) (arXiv:1703.03307).  Every local table is a
-rational function of z expanded in closed form (_loc_rational), except the
-kernel gap y(1/z) - y(z), in which the branch constant log(-1) cancels:
-_loc_log_gap is the closed form -2 log(1 +- t).  tests/test_toprec.py
-checks the gap against tests/oracles.formal_log_gap, which carries the
-constant formally, and the tables against the series-inverse chain they
-replaced (tests/oracles.py).
+residues are taken at z = 1 only, and those at z = -1 filled by branch
+parity: z -> -z maps x to -x and swaps the branch points, so flipping every
+label of a key multiplies its coefficient by (-1)^(sum of its pole orders)
+(arXiv:1703.03307).  At a branch point a, with z = a + t and w = z + a,
+1 - az = -at and 1 + az = aw, so every factor of the recursion integrand --
+a pole of an inner form, the Bergman pair, the kernel numerator and each
+Bergman coupling of an outer slot -- is a monomial c t^m z^p w^q.  The
+engine (toprec_wgn) carries one scalar per partial state and reads each
+residue as one coefficient of a cached series S_{p,q}: z^{p+2} w^{q-1}
+times t over twice the kernel gap y(1/z) - y(z), in which the branch
+constant log(-1) cancels (_loc_log_gap is the closed form -2 log(1 +- t)).
+tests/test_toprec.py checks the gap against tests/oracles.formal_log_gap,
+which carries the constant formally, the monomials against the series-inverse
+chains, and the engine against the series route it replaced
+(tests/oracles.series_branch_residues).
 
 The module also provides the pole-primitive family theta/eta with its
 x-expansion checks against the closed-form transition-matrix entries, the
@@ -26,9 +31,7 @@ It runs on integer numerators over one denominator per slot and makes one
 Fraction per output coefficient; the stationary-invariant check runs it only
 on the total-degree simplex it compares.  Branch labels a = +-1 are ints,
 and a power of one to a negative exponent is taken of a Fraction, so every
-coefficient stays exact.  The recursion itself (toprec_wgn)
-contracts local series in its own loop, making only the coefficients that
-reach [t^-1]: a transposed residue, read by a dot product in the last slot.
+coefficient stays exact.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from functools import cache, partial
+from functools import cache
 from itertools import combinations, permutations, product
 from typing import Mapping, Sequence
 
@@ -269,15 +272,11 @@ def _slotwise(terms: Mapping[tuple, Frac], n: int, slot_map, keep=None) -> dict[
 
 
 # ---------------------------------------------------------------------------
-# Local expansion helpers (z = a + t at a branch point a)
+# Local monomials (z = a + t and w = z + a = 2a + t at a branch point a)
 # ---------------------------------------------------------------------------
-
-
-@cache
-def _loc_rational(num: Polynomial, den: Polynomial, a: int, order: int) -> TruncatedSeries:
-    """num(z)/den(z) at z = a + t through t^order: every local table of the
-    engine but the kernel denominator, in closed form."""
-    return RationalFunction(num, den).laurent_at(a, order, "t")
+# As a^2 = 1: z - a = t, z + a = w, 1 - az = -at and 1 + az = aw, so every
+# factor of the recursion integrand is a monomial c t^m z^p w^q, written
+# (c, m, p, q).
 
 
 @cache
@@ -295,36 +294,54 @@ def _loc_log_gap(a: int, order: int) -> TruncatedSeries:
     )
 
 
-@cache
-def _loc_kernel_denominator_inverse(a: int, order: int) -> TruncatedSeries:
-    """Reciprocal of 2*(y(1/z) - y(z))*x'(z), local at a."""
-    return (2 * _loc_log_gap(a, order) * _XPRIME.laurent_at(a, order, "t")).inverse()
-
-
-def _loc_pole(b: int, j: int, inv: bool, a: int, order: int) -> TruncatedSeries:
+def _loc_pole(b: int, j: int, inv: bool, a: int) -> tuple:
     """1/(z - b)^j, or with inv 1/(1/z - b)^j d(1/z)/dz = -z^{j-2}/(1 - bz)^j,
-    local at z = a + t."""
+    as a monomial at z = a + t."""
     if inv:
-        return _loc_rational(-(_Z ** (j - 2)), (1 - b * _Z) ** j, a, order)
-    return _loc_rational(Polynomial.one(), (_Z - b) ** j, a, order)
+        return (-((-a) ** j), -j, j - 2, 0) if b == a else (-(a**j), 0, j - 2, -j)
+    return (1, -j, 0, 0) if b == a else (1, 0, 0, -j)
 
 
-def _loc_bergman_local_pair(a: int, order: int) -> TruncatedSeries:
-    """dz d(1/z)/(z - 1/z)^2 as a dz^2-coefficient, -1/(z^2 - 1)^2."""
-    return _loc_rational(-Polynomial.one(), (_Z * _Z - 1) ** 2, a, order)
+def _loc_bergman_local_pair(a: int) -> tuple:
+    """dz d(1/z)/(z - 1/z)^2 as a dz^2-coefficient, -1/(z^2 - 1)^2 = -t^-2 w^-2."""
+    return (-1, -2, 0, -2)
 
 
-def _loc_kernel_numerator(a: int, k: int, order: int) -> TruncatedSeries:
-    """s^{k+1} - t^{k+1}, s = 1/z - a = (1 - az)/z: the coefficient of
-    1/(z_1 - a)^{k+2} in the kernel numerator 1/(z_1 - z) - 1/(z_1 - 1/z)."""
-    num = (1 - a * _Z) ** (k + 1) - (_Z * (_Z - a)) ** (k + 1)
-    return _loc_rational(num, _Z ** (k + 1), a, order)
+def _loc_slot(a: int, item, k: int) -> tuple:
+    """The factor of the pole label (a, k+2) in a slot, as monomials, with
+    s = 1/z - a = -at/z: the kernel numerator s^{k+1} - t^{k+1} in slot 1
+    (item None), the Bergman coupling (k+1) s^k d(1/z)/dz to 1/z (True) and
+    (k+1) t^k to z (False)."""
+    if item is None:
+        return ((-a) ** (k + 1), k + 1, -(k + 1), 0), (-1, k + 1, 0, 0)
+    if item:
+        return ((-(k + 1) * (-a) ** k, k, -(k + 2), 0),)
+    return ((k + 1, k, 0, 0),)
 
 
-def _loc_bergman_inv(a: int, k: int, order: int) -> TruncatedSeries:
-    """(k+1) s^k d(1/z)/dz = -(k+1) (1 - az)^k/z^{k+2}: the coefficient of
-    1/(z_i - a)^{k+2} in the Bergman coupling of z_i to 1/z."""
-    return _loc_rational(-(k + 1) * (1 - a * _Z) ** k, _Z ** (k + 2), a, order)
+@cache
+def _binomial(base: int, e: int, order: int) -> TruncatedSeries:
+    """(base + t)^e through t^order, e in Z."""
+    return TruncatedSeries.from_function(
+        "t",
+        lambda l: math.prod(range(e - l + 1, e + 1)) // math.factorial(l) * Frac(base) ** (e - l),
+        0,
+        order,
+    )
+
+
+@cache
+def _loc_residue_series(a: int, p: int, q: int, order: int) -> TruncatedSeries:
+    """S_{p,q} = z^{p+2} w^{q-1} t/(2 (y(1/z) - y(z))) at z = a + t through
+    t^order.  The kernel denominator is 1/(2 (y(1/z) - y(z)) x'(z)) with
+    x' = tw/z^2, so [t^-1] of c t^m z^p w^q times it is c [t^{1-m}] S_{p,q}.
+    S_{p,q} is z^{p+2} S_{-2,q}, and S_{-2,q} is w^{q-1} S_{-2,1}: one series
+    inverse per branch point and order."""
+    if p != -2:
+        return _binomial(a, p + 2, order) * _loc_residue_series(a, -2, q, order)
+    if q != 1:
+        return _binomial(2 * a, q - 1, order) * _loc_residue_series(a, -2, 1, order)
+    return (2 * _loc_log_gap(a, order + 1)).shift_exponent(-1).inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +365,21 @@ def _pair(g: int, n: int) -> None:
 def toprec_wgn(g: int, n: int) -> CorrelationForm:
     """The stable correlation form W_{g,n} from the residue recursion.
 
-    Residues at the branch point a = 1 are computed by exact local expansion
-    in z = a + t, and those at a = -1 filled by branch parity, c(-key) =
-    (-1)^(sum of the pole orders) c(key).  The recursion pieces
-    (_recursion_pieces) whose outer slots 2..n carry the same items are
-    summed into one local series, times the kernel denominator
-    1/(2 (y(1/z) - y(z)) x'(z)), then expanded slot by slot into pole
-    labels: slot 1 through the kernel numerator, a Bergman slot through its
-    coupling, a fixed slot unchanged, equal partial states merged.  Only
-    [t^-1] is read: every slot factor has valuation >= 0, so a state is kept
-    through t^-1 and each closed-form table only as far as its product reads
-    it; a coupling (k+1) t^k to z is an exponent shift, and the last slot's
-    factor is read by a dot product.
+    Residues at the branch point a = 1 are computed in the local coordinate
+    z = a + t, and those at a = -1 filled by branch parity, c(-key) =
+    (-1)^(sum of the pole orders) c(key).  Every factor of a recursion piece
+    (_recursion_pieces) is a monomial c t^m z^p w^q with w = z + a, and so is
+    every slot factor: the kernel numerator in slot 1, a Bergman coupling in
+    an outer slot, 1 for a fixed pole.  The pieces are expanded slot by slot
+    into pole labels, with one scalar per partial state (labels done, items
+    left, m, p, q); slot factors only raise m, so a state past t^1 has no
+    residue and is dropped.  The residue of a finished state against the
+    kernel denominator is one coefficient [t^{1-m}] of the cached series
+    S_{p,q} (_loc_residue_series).
 
     The working order is the deepest local pole of a piece plus
-    _ORDER_MARGIN.  A residue beyond the order a series is known to raises
-    ExactError naming the branch point; it never yields a wrong form.
+    _ORDER_MARGIN.  A residue read beyond it raises ExactError naming the
+    branch point; it never yields a wrong form.
     """
     if g < 0 or n < 1 or not _stable(g, n):
         raise ExactError("toprec_wgn is defined for g >= 0, n >= 1 and 2g-2+n > 0")
@@ -372,7 +388,6 @@ def toprec_wgn(g: int, n: int) -> CorrelationForm:
             f"complexity 2g-2+n = {2*g-2+n} exceeds the configured bound {WGN_BOUND}"
         )
     pieces = list(_recursion_pieces(g, n))
-    # working order: the kernel inverse costs 4, each local pole its order
     order = max(sum(j for j, _ in local) for _, local, _ in pieces) + _ORDER_MARGIN
     try:
         residues = _branch_residues(pieces, n, 1, order)
@@ -390,83 +405,59 @@ def toprec_wgn(g: int, n: int) -> CorrelationForm:
 
 def _branch_residues(pieces, n: int, a: int, order: int) -> dict[PoleKey, Frac]:
     """[t^-1] at the branch point a of the recursion integrand, summed per
-    pole label tuple of the n slots (see toprec_wgn)."""
-    kinv = _loc_kernel_denominator_inverse(a, order)
-    top = -2 - kinv.min_exp  # a piece times kinv is read through t^-2
-    # states (labels of slots done, items of slots left, None for slot 1) ->
-    # local series; a slot factor is a table or (k, c) for c t^k
-    state: dict[tuple, TruncatedSeries] = {}
+    pole label tuple of the n slots (see toprec_wgn).  The states carry
+    integer numerators over the lcm denominator of the piece coefficients."""
+    den = math.lcm(*(coeff.denominator for coeff, _, _ in pieces))
+    # states (labels of slots done, items of slots left, None for slot 1,
+    # m, p, q) -> the numerator of c in c t^m z^p w^q
+    state: dict[tuple, int] = {}
     for coeff, local, items in pieces:
-        # a factor is read through t^top past the poles of the others
-        depth = sum(j for j, _ in local)
-        series = TruncatedSeries.constant("t", coeff, min(order, top + depth))
-        for j, factor in local:
-            series = series * factor(a, min(order, top + depth - j))
-        key = ((), (None,) + items)
-        state[key] = state[key] + series if key in state else series
-    state = {key: _mul_upto(f, kinv, -2) for key, f in state.items()}
+        c, m, p, q = coeff.numerator * (den // coeff.denominator), 0, 0, 0
+        for _, factor in local:
+            fc, dm, dp, dq = _loc_pole(*factor, a) if factor else _loc_bergman_local_pair(a)
+            c, m, p, q = c * fc, m + dm, p + dp, q + dq
+        key = ((), (None,) + items, m, p, q)
+        state[key] = state.get(key, 0) + c
+    for _ in range(n):
+        nxt: dict[tuple, int] = {}
+        for (done, items, m, p, q), c in state.items():
+            item = items[0]
+            if isinstance(item, tuple):  # a fixed pole
+                factors = [(item, ((1, 0, 0, 0),))]
+            else:
+                factors = [((a, k + 2), _loc_slot(a, item, k)) for k in range(2 - m)]
+            for label, monomials in factors:
+                for fc, dm, dp, dq in monomials:
+                    if m + dm <= 1:
+                        s = (done + (label,), items[1:], m + dm, p + dp, q + dq)
+                        nxt[s] = nxt.get(s, 0) + c * fc
+        state = {s: c for s, c in nxt.items() if c}
     residues: dict[PoleKey, Frac] = {}
-    for slot in range(n):
-        nxt: dict[tuple, TruncatedSeries] = {}
-        for (done, items), f in state.items():
-            item, reach = items[0], min(order, -1 - f.min_exp)  # a table is read to reach
-            if item is None or item is True:  # the kernel numerator, the coupling to 1/z
-                table = _loc_kernel_numerator if item is None else _loc_bergman_inv
-                factors = [((a, k + 2), table(a, k, reach)) for k in range(-f.min_exp)]
-            elif item is False:  # the Bergman coupling (k+1) t^k to z
-                factors = [((a, k + 2), (k, k + 1)) for k in range(-f.min_exp)]
-            else:  # a fixed pole
-                factors = [(item, (0, 1))]
-            for label, factor in factors:
-                key = done + (label,)
-                if slot == n - 1:
-                    residues[key] = residues.get(key, 0) + _residue_of_product(f, factor)
-                    continue
-                prod = _mul_upto(f, factor, -1)
-                if prod.min_exp <= -1:  # one that starts above t^-1 has no residue
-                    s = (key, items[1:])
-                    nxt[s] = nxt[s] + prod if s in nxt else prod
-        state = nxt
-    return residues
-
-
-def _mul_upto(f: TruncatedSeries, g, top: int) -> TruncatedSeries:
-    """f times a table g through t^top at most, from the coefficients that
-    reach it, or times g = (k, c), c t^k, by an exponent shift."""
-    if isinstance(g, tuple):
-        return f.shift_exponent(g[0]) * g[1]
-    if f.min_exp + g.min_exp > top:  # zero as far as it is read
-        return TruncatedSeries.zero("t", min(top, f.order + g.min_exp, g.order + f.min_exp))
-    return f.truncate(min(f.order, top - g.min_exp)) * g.truncate(min(g.order, top - f.min_exp))
-
-
-def _residue_of_product(f: TruncatedSeries, factor) -> Frac:
-    """[t^-1] of f times (k, c) for c t^k, or times a table as the dot
-    product sum_e f_e factor_{-1-e}; a coefficient beyond its order raises."""
-    if isinstance(factor, tuple):
-        return factor[1] * f.coefficient(-1 - factor[0])
-    e_range = range(f.min_exp, -factor.min_exp)
-    return sum((f.coefficient(e) * factor.coefficient(-1 - e) for e in e_range), Frac(0))
+    for (done, _, m, p, q), c in state.items():
+        if 1 - m > order:
+            raise TruncationError(f"[t^{1 - m}] read past the working order {order}")
+        value = c * _loc_residue_series(a, p, q, order).coefficient(1 - m)
+        residues[done] = residues.get(done, 0) + value
+    return {key: c / den for key, c in residues.items()}
 
 
 def _recursion_pieces(g: int, n: int):
     """The terms of the recursion integrand of W_{g,n} as (coeff, local,
-    items).  local lists the factors in the integration variable z, each as
-    (pole order, local series as a function of (a, order)); a factor on the
-    1/z side carries d(1/z)/dz.  items holds one item per outer slot 2..n: a
-    fixed pole (b, j), or the Bergman coupling of the slot to z (False) or to
-    1/z (True)."""
+    items).  local lists the factors in the integration variable z as (pole
+    order, data): (b, j, inv) for 1/(z - b)^j, or with inv the same pole on
+    the 1/z side including d(1/z)/dz, and None for the Bergman pair of
+    W_{0,2}(z, 1/z).  items holds one item per outer slot 2..n: a fixed pole
+    (b, j), or the Bergman coupling of the slot to z (False) or to 1/z
+    (True)."""
     if g >= 1:
         # W_{g-1,n+1}(z, 1/z, z_2..z_n)
         if _stable(g - 1, n + 1):
             for key, c in toprec_wgn(g - 1, n + 1).terms.items():
                 (b0, j0), (b1, j1) = key[:2]
-                local = ((j0, partial(_loc_pole, b0, j0, False)),
-                         (j1, partial(_loc_pole, b1, j1, True)))
-                yield c, local, key[2:]
+                yield c, ((j0, (b0, j0, False)), (j1, (b1, j1, True))), key[2:]
         elif (g - 1, n + 1) == (0, 2):
             # W_{0,2}(z, 1/z): the Bergman part only; fully local
-            yield Frac(1), ((2, _loc_bergman_local_pair),), ()
+            yield Frac(1), ((2, None),), ()
 
     # stable splittings W_{g1,|I|+1}(z, z_I) * W_{g2,|J|+1}(1/z, z_J)
     others = tuple(range(2, n + 1))
@@ -491,7 +482,7 @@ def _factor_terms(gf: int, slots: tuple[int, ...], inv: bool):
         # Bergman coupling between the local point and one outer slot
         return [(Frac(1), (), ((slots[0], inv),))]
     return [
-        (c, ((key[0][1], partial(_loc_pole, *key[0], inv)),), tuple(zip(slots, key[1:])))
+        (c, ((key[0][1], (*key[0], inv)),), tuple(zip(slots, key[1:])))
         for key, c in toprec_wgn(gf, len(slots) + 1).terms.items()
     ]
 
@@ -807,7 +798,11 @@ class FgnPrimitive:
     terms: Mapping[PoleKey, Frac]
 
     def evaluate(self, points: Sequence[Frac]) -> Frac:
-        return _evaluate(self, points, lambda a, j, p: primitive_slot_function(a, j)(p))
+        """The value at an exact point, each slot's h_{a,j}(p) in the closed
+        form -P^k (1 - (-a p)^k)/(2k), P = 1/(p - a), k = j - 1 (as in
+        _slot_f_series)."""
+        return _evaluate(self, points, lambda a, j, p: (
+            -(1 - (-a * p) ** (j - 1)) / (2 * (j - 1) * Frac(p - a) ** (j - 1))))
 
     def origin_vanishes(self) -> bool:
         return self.evaluate([Frac(0)] * self.n) == 0

@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 from functools import cache
-from itertools import combinations_with_replacement
 from typing import Iterator, Mapping
 
 from .exactcore import (
@@ -51,8 +50,9 @@ from .exactcore import (
     TruncatedSeries,
     series_exp,
 )
+from .partitions import _sorted_tuples
 from .qcurve import toda_quadratic_check, verify_xd_recursion, x_partition
-from .toprec import s0_s1_closed_forms
+from .toprec import _binomial, s0_s1_closed_forms
 from .wedge import stationary_invariant, unit_insertions, zeta_series
 
 __all__ = [
@@ -243,17 +243,6 @@ def bernoulli_operator(order: int) -> LogLaurentForm:
 # ---------------------------------------------------------------------------
 
 
-def _binomial_series(exponent: int, m: int, order: int) -> TruncatedSeries:
-    """(1 + m*r)^exponent as a series in r, exponent in Z."""
-    return TruncatedSeries.from_function(
-        "r",
-        lambda l: math.prod(range(exponent - l + 1, exponent + 1))
-        * Frac(m**l, math.factorial(l)),
-        0,
-        order,
-    )
-
-
 def _exp_of_difference(delta: LogLaurentForm, order: int) -> tuple[int, TruncatedSeries]:
     """Exponentiate a form c*log x + sum_{p>=1} a_p (hbar/x)^p; returns
     (c, exp of the sum as a series in r = hbar/x) with c required integral,
@@ -305,14 +294,16 @@ def conjugation_check(k_max: int, hbar_order: int = 8) -> bool:
     # the exponentials must carry the weights 1/x and x respectively
     if xpow_up != -1 or xpow_down != 1:
         return False
+    # (base + r)^e; (1 - r)^k is (-1)^k (-1 + r)^k, and the sign cancels
+    binomial = lambda base, e: _binomial(base, e, order).rename("r")
     for k in range(k_max + 1):
         # first identity applied to x^k: both sides are x^{k-1} times a
         # series in r = hbar/x
-        if exp_up * _binomial_series(k, 1, order) != _binomial_series(k - 1, 1, order):
+        if exp_up * binomial(1, k) != binomial(1, k - 1):
             return False
         # second identity applied to x^k: both sides are x^{k+1} times a
         # series in r
-        if exp_down * _binomial_series(k, -1, order) != _binomial_series(k, -1, order):
+        if exp_down * binomial(-1, k) != binomial(-1, k):
             return False
         # third identity: the prefactor exponentials are multiplication
         # operators, so conjugating x by them leaves x^{k+1} unchanged --
@@ -328,11 +319,7 @@ def conjugation_check(k_max: int, hbar_order: int = 8) -> bool:
 def _sorted_compositions(total: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Weakly increasing exponent tuples with the given sum, together with the
     number of ordered rearrangements of each."""
-    if total < 0:
-        return
-    for tup in combinations_with_replacement(range(total + 1), n):
-        if sum(tup) != total:
-            continue
+    for tup in _sorted_tuples(total, n):
         count = math.factorial(n)
         for v in set(tup):
             count //= math.factorial(tup.count(v))
@@ -624,7 +611,7 @@ def toda_specialization_check(order: int = 8, d_max: int = 4) -> bool:
     )
     xpow, expanded = _exp_of_difference(second_difference, order)
     # x/(x + hbar) = x^0 * (1 + r)^{-1} in r = hbar/x
-    if xpow != 0 or expanded != _binomial_series(-1, 1, order):
+    if xpow != 0 or expanded != _binomial(1, -1, order).rename("r"):
         return False
     # kernel identity as series in t; zeta has valuation 1, so zeta*zeta*bern
     # is known through t^(order+1)

@@ -14,6 +14,11 @@ The ``chain_*`` functions build the local tables of the residue engine at
 of ``1/z`` by ``TruncatedSeries`` sums, inverses and powers, each known only
 as far as that chain of truncated arithmetic carries it.
 
+``series_branch_residues`` is the residue engine as it was before every
+local factor became a monomial ``c t^m z^p w^q``: tables expanded from pole
+data by ``RationalFunction.laurent_at``, one truncated-series product per
+state, and the gap of the kernel denominator from ``formal_log_gap``.
+
 ``slot_f_series`` is the x-expansion of a primitive slot function by a
 Laurent expansion and a series composition per pole; ``evaluate_termwise``
 evaluates a form's slots term by term.
@@ -262,6 +267,117 @@ def chain_kernel_numerator(a, k: int, order: int) -> TruncatedSeries:
 def chain_bergman_inv(a, k: int, order: int) -> TruncatedSeries:
     """``(k+1) s^k d(1/z)/dz``."""
     return (k + 1) * chain_s_power(a, k, order) * chain_jacobian(a, order)
+
+
+# ---------------------------------------------------------------------------
+# The series route of the residue engine
+# ---------------------------------------------------------------------------
+
+
+_Z = Polynomial([0, 1])
+
+
+@cache
+def _local_table(num: Polynomial, den: Polynomial, a, order: int) -> TruncatedSeries:
+    """``num(z)/den(z)`` at ``z = a + t`` through ``t**order``."""
+    return RationalFunction(num, den).laurent_at(a, order, "t")
+
+
+def _local_factor(factor, a, order: int) -> TruncatedSeries:
+    """A local factor of a recursion piece from its data: ``(b, j, inv)`` is
+    ``1/(z - b)^j``, or with ``inv`` ``1/(1/z - b)^j d(1/z)/dz =
+    -z^(j-2)/(1 - bz)^j``; ``None`` is the Bergman pair ``-1/(z^2 - 1)^2``."""
+    if factor is None:
+        return _local_table(-Polynomial.one(), (_Z * _Z - 1) ** 2, a, order)
+    b, j, inv = factor
+    if inv:
+        return _local_table(-(_Z ** (j - 2)), (1 - b * _Z) ** j, a, order)
+    return _local_table(Polynomial.one(), (_Z - b) ** j, a, order)
+
+
+@cache
+def _kernel_denominator_inverse(a, order: int) -> TruncatedSeries:
+    """``1/(2 (y(1/z) - y(z)) x'(z))`` at ``z = a + t``, the gap from
+    ``formal_log_gap``."""
+    x_prime = RationalFunction(_Z * _Z - 1, _Z * _Z).laurent_at(a, order, "t")
+    return (2 * formal_log_gap(a, order) * x_prime).inverse()
+
+
+def _kernel_numerator(a, k: int, order: int) -> TruncatedSeries:
+    """``s^(k+1) - t^(k+1)`` with ``s = 1/z - a``: the coefficient of
+    ``1/(z_1 - a)^(k+2)`` in ``1/(z_1 - z) - 1/(z_1 - 1/z)``."""
+    num = (1 - a * _Z) ** (k + 1) - (_Z * (_Z - a)) ** (k + 1)
+    return _local_table(num, _Z ** (k + 1), a, order)
+
+
+def _bergman_inv(a, k: int, order: int) -> TruncatedSeries:
+    """``(k+1) s^k d(1/z)/dz = -(k+1) (1 - az)^k/z^(k+2)``: the coefficient of
+    ``1/(z_i - a)^(k+2)`` in the Bergman coupling of ``z_i`` to ``1/z``."""
+    return _local_table(-(k + 1) * (1 - a * _Z) ** k, _Z ** (k + 2), a, order)
+
+
+def _mul_upto(f: TruncatedSeries, g, top: int) -> TruncatedSeries:
+    """f times a table g through t^top at most, from the coefficients that
+    reach it, or times g = (k, c), c t^k, by an exponent shift."""
+    if isinstance(g, tuple):
+        return f.shift_exponent(g[0]) * g[1]
+    if f.min_exp + g.min_exp > top:  # zero as far as it is read
+        return TruncatedSeries.zero("t", min(top, f.order + g.min_exp, g.order + f.min_exp))
+    return f.truncate(min(f.order, top - g.min_exp)) * g.truncate(min(g.order, top - f.min_exp))
+
+
+def _residue_of_product(f: TruncatedSeries, factor) -> Frac:
+    """[t^-1] of f times (k, c) for c t^k, or times a table as the dot
+    product sum_e f_e factor_{-1-e}; a coefficient beyond its order raises."""
+    if isinstance(factor, tuple):
+        return factor[1] * f.coefficient(-1 - factor[0])
+    e_range = range(f.min_exp, -factor.min_exp)
+    return sum((f.coefficient(e) * factor.coefficient(-1 - e) for e in e_range), Frac(0))
+
+
+def series_branch_residues(pieces, n: int, a, order: int) -> dict:
+    """``toprec._branch_residues`` as it was before the engine moved to
+    monomials: each piece's local factors expanded as series from their pole
+    data and multiplied, the sum times the kernel denominator, then expanded
+    slot by slot, every partial state a truncated series read only as far
+    as [t^-1] needs it."""
+    kinv = _kernel_denominator_inverse(a, order)
+    top = -2 - kinv.min_exp  # a piece times kinv is read through t^-2
+    # states (labels of slots done, items of slots left, None for slot 1) ->
+    # local series; a slot factor is a table or (k, c) for c t^k
+    state: dict = {}
+    for coeff, local, items in pieces:
+        # a factor is read through t^top past the poles of the others
+        depth = sum(j for j, _ in local)
+        series = TruncatedSeries.constant("t", coeff, min(order, top + depth))
+        for j, factor in local:
+            series = series * _local_factor(factor, a, min(order, top + depth - j))
+        key = ((), (None,) + items)
+        state[key] = state[key] + series if key in state else series
+    state = {key: _mul_upto(f, kinv, -2) for key, f in state.items()}
+    residues: dict = {}
+    for slot in range(n):
+        nxt: dict = {}
+        for (done, items), f in state.items():
+            item, reach = items[0], min(order, -1 - f.min_exp)  # a table is read to reach
+            if item is None or item is True:  # the kernel numerator, the coupling to 1/z
+                table = _kernel_numerator if item is None else _bergman_inv
+                factors = [((a, k + 2), table(a, k, reach)) for k in range(-f.min_exp)]
+            elif item is False:  # the Bergman coupling (k+1) t^k to z
+                factors = [((a, k + 2), (k, k + 1)) for k in range(-f.min_exp)]
+            else:  # a fixed pole
+                factors = [(item, (0, 1))]
+            for label, factor in factors:
+                key = done + (label,)
+                if slot == n - 1:
+                    residues[key] = residues.get(key, 0) + _residue_of_product(f, factor)
+                    continue
+                prod = _mul_upto(f, factor, -1)
+                if prod.min_exp <= -1:  # one that starts above t^-1 has no residue
+                    s = (key, items[1:])
+                    nxt[s] = nxt[s] + prod if s in nxt else prod
+        state = nxt
+    return residues
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import math
 import textwrap
 from fractions import Fraction as F
 from functools import cache
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from p1qcurve.exactcore import ExactError, Polynomial
 from p1qcurve.partitions import (
+    _sorted_tuples,
     boxes_added,
     boxes_removed,
     conjugate,
@@ -182,6 +184,14 @@ def test_padded():
     assert padded((2, 1), 4) == (2, 1, 0, 0)
     with pytest.raises(ExactError):
         padded((2, 1), 1)
+
+
+def test_sorted_tuples_are_the_filtered_combinations_in_order():
+    for total in range(-2, 19):
+        for n in range(0, 6):
+            filtered = [b for b in combinations_with_replacement(range(total + 1), n)
+                        if sum(b) == total]
+            assert list(_sorted_tuples(total, n)) == filtered, (total, n)
 
 
 def test_offset_product_small_cases():

@@ -32,11 +32,11 @@ from p1qcurve.toprec import (
     WGN_BOUND,
     CorrelationForm,
     _branch_residues,
-    _loc_bergman_inv,
     _loc_bergman_local_pair,
-    _loc_kernel_numerator,
     _loc_log_gap,
     _loc_pole,
+    _loc_residue_series,
+    _loc_slot,
     _pullback,
     _slot_f_series,
     _slot_w_series,
@@ -68,6 +68,7 @@ from oracles import (
     evaluate_termwise,
     formal_log_gap,
     formal_logs,
+    series_branch_residues,
     slot_f_series,
     slot_w_series,
     slotwise,
@@ -150,10 +151,15 @@ WGN_DIGESTS = {
     (0, 4): "05f1477a0e84552720924beaea7efc98fb683a3fe1937eb0eb00ec7905e326eb",
     (1, 2): "b1e10bb2d7cd58b398c6ace9d8a70e04fa9ff256cae5ae5834aeda503750ebc1",
     (2, 1): "b77a2a2fe156c69dab225e7ec66ae7a75977acc38d333f62be99fe8d4b194761",
+    (1, 3): "52304ae870add5397c71818b475a8447195e45d32d24743e4eb87be1fe55398d",
+    (0, 5): "b198e9d622ad7f67ef82dc57f0cc2eff66c2b0ef55a28a9178fe814ec4cd699f",
+    (2, 2): "dc4118ff64c6bac55504eac814d6b9ee419a527079af4b79716deb86fe2a4536",
+    (1, 4): "4014a0980cfc56f6bb5bbe23bda310147dbe8e80b3873aa1b9d7783f57d0ea93",
+    (0, 6): "b1f5a6ba5f25e9f737feb4b7662ac5161cdc7ee3448371225423425bc1bac23a",
 }
 
 
-@pytest.mark.parametrize("g,n", STABLE_PAIRS)
+@pytest.mark.parametrize("g,n", WGN_DIGESTS)
 def test_wgn_terms_frozen_digest(g, n):
     canonical = "\n".join(
         ",".join(f"{a}:{j}" for a, j in key) + "=" + str(c)
@@ -379,12 +385,22 @@ def test_odd_under_involution_rejects_the_origin_and_takes_ints():
 
 
 @cache
+def _pieces_and_order(g: int, n: int) -> tuple[list, int]:
+    """The recursion pieces of W_{g,n} and the engine's working order."""
+    pieces = list(toprec._recursion_pieces(g, n))
+    return pieces, max(sum(j for j, _ in local) for _, local, _ in pieces) + toprec._ORDER_MARGIN
+
+
+def _nonzero(residues: dict) -> dict:
+    return {key: c for key, c in residues.items() if c}
+
+
+@cache
 def _direct_minus_one_residues(g: int, n: int) -> dict:
     """The nonzero residues of W_{g,n} at a = -1 from _branch_residues, at
     the engine's working order."""
-    pieces = list(toprec._recursion_pieces(g, n))
-    order = max(sum(j for j, _ in local) for _, local, _ in pieces) + toprec._ORDER_MARGIN
-    return {key: c for key, c in _branch_residues(pieces, n, -1, order).items() if c}
+    pieces, order = _pieces_and_order(g, n)
+    return _nonzero(_branch_residues(pieces, n, -1, order))
 
 
 def _minus_one_terms(form: CorrelationForm) -> dict:
@@ -411,6 +427,39 @@ def test_parity_check_catches_one_flipped_pole_order(flipped):
             assert _minus_one_terms(wrong(g, n)) != direct, (g, n)
             caught += 1
     assert caught >= 3
+
+
+# ---------------------------------------------------------------------------
+# the monomial engine against the series route it replaced
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _series_route_residues(g: int, n: int) -> dict:
+    pieces, order = _pieces_and_order(g, n)
+    return _nonzero(series_branch_residues(pieces, n, 1, order))
+
+
+@pytest.mark.parametrize("g,n", BOUNDED_PAIRS)
+def test_monomial_engine_matches_the_series_route(g, n):
+    pieces, order = _pieces_and_order(g, n)
+    expected = _series_route_residues(g, n)
+    assert expected and _nonzero(_branch_residues(pieces, n, 1, order)) == expected
+
+
+@pytest.mark.parametrize("fn,old,new", [
+    (toprec._loc_slot, "(-a) ** (k + 1)", "a ** (k + 1)"),
+    (toprec._loc_residue_series, "q - 1", "q"),
+])
+def test_engine_comparison_catches_a_wrong_monomial(monkeypatch, fn, old, new):
+    """Negative controls: the sign of s = -at/z dropped from the kernel
+    numerator, or one factor w too many in S_{p,q}, leaves the series route."""
+    monkeypatch.setattr(toprec, fn.__name__, _mutant(fn, old, new))
+    wrong = 0
+    for g, n in STABLE_PAIRS:
+        pieces, order = _pieces_and_order(g, n)
+        wrong += _nonzero(_branch_residues(pieces, n, 1, order)) != _series_route_residues(g, n)
+    assert wrong >= 3
 
 
 def test_w03_against_bruteforce_residue_oracle():
@@ -455,13 +504,14 @@ def test_w03_against_bruteforce_residue_oracle():
     assert total == toprec_wgn(0, 3).evaluate((z1, z2, z3))
 
 
-@pytest.mark.parametrize("g,n", [(1, 2), (2, 1)])
+@pytest.mark.parametrize("g,n", STABLE_PAIRS)
 def test_wgn_too_small_working_order_raises(monkeypatch, g, n):
     """Below the working order the residues need, the engine names the
-    branch point and the order instead of returning a wrong form."""
+    branch point and the order instead of returning a wrong form, also at a
+    working order of zero or below."""
     form = toprec_wgn(g, n)
     raised = 0
-    for margin in range(-3, 4):
+    for margin in range(-6, 4):
         monkeypatch.setattr(toprec, "_ORDER_MARGIN", margin)
         try:
             assert toprec_wgn.__wrapped__.__wrapped__(g, n) == form  # check, table, engine
@@ -496,22 +546,33 @@ def _agrees(table: TruncatedSeries, oracle: TruncatedSeries) -> bool:
     return all(table.coefficient(k) == oracle.coefficient(k) for k in range(low, top + 1))
 
 
+def _expand(monomials, a, order: int) -> TruncatedSeries:
+    """sum of c t^m (a + t)^p (2a + t)^q over monomials (c, m, p, q), through
+    t^order."""
+    total = TruncatedSeries.zero("t", order)
+    for c, m, p, q in monomials:
+        t = TruncatedSeries.variable("t", order - m)
+        total = total + (c * (t + a) ** p * (t + 2 * a) ** q).shift_exponent(m)
+    return total
+
+
 @pytest.mark.parametrize("order", TABLE_ORDERS)
 @pytest.mark.parametrize("a", BRANCH)
 def test_closed_form_tables_match_the_series_chain(a, order):
-    """Every closed-form local table equals the chain of series inverses and
-    powers it replaced, through the order that chain knows (the kernel
-    numerator's chain runs past the requested order), and is itself known
-    through the full requested order."""
-    pairs = [(_loc_bergman_local_pair(a, order), chain_bergman_local_pair(a, order))]
+    """Every local monomial, expanded as c t^m (a + t)^p (2a + t)^q, equals
+    the chain of series inverses and powers the tables were once built by,
+    through the order that chain knows (the kernel numerator's chain runs
+    past the requested order)."""
+    pairs = [([_loc_bergman_local_pair(a)], chain_bergman_local_pair(a, order))]
     for b in BRANCH:
         for j in range(2, 9):
-            pairs.append((_loc_pole(b, j, False, a, order), chain_pole(b, j, a, order)))
-            pairs.append((_loc_pole(b, j, True, a, order), chain_pole_inv(b, j, a, order)))
+            pairs.append(([_loc_pole(b, j, False, a)], chain_pole(b, j, a, order)))
+            pairs.append(([_loc_pole(b, j, True, a)], chain_pole_inv(b, j, a, order)))
     for k in range(0, 9):
-        pairs.append((_loc_kernel_numerator(a, k, order), chain_kernel_numerator(a, k, order)))
-        pairs.append((_loc_bergman_inv(a, k, order), chain_bergman_inv(a, k, order)))
-    for table, oracle in pairs:
+        pairs.append((_loc_slot(a, None, k), chain_kernel_numerator(a, k, order)))
+        pairs.append((_loc_slot(a, True, k), chain_bergman_inv(a, k, order)))
+    for monomials, oracle in pairs:
+        table = _expand(monomials, a, order)
         assert oracle.order >= oracle.min_exp  # the chain knows some coefficient
         assert table.order == order
         assert _agrees(table, oracle)
@@ -520,11 +581,28 @@ def test_closed_form_tables_match_the_series_chain(a, order):
 @pytest.mark.parametrize("order", TABLE_ORDERS)
 @pytest.mark.parametrize("a", BRANCH)
 def test_closed_form_tables_catch_the_wrong_pole_sign(a, order):
-    # negative control: a pole table at -b never passes for the chain at b
+    # negative control: a pole monomial at -b never passes for the chain at b
     for b in BRANCH:
         for j in range(2, 9):
-            assert not _agrees(_loc_pole(-b, j, False, a, order), chain_pole(b, j, a, order))
-            assert not _agrees(_loc_pole(-b, j, True, a, order), chain_pole_inv(b, j, a, order))
+            assert not _agrees(_expand([_loc_pole(-b, j, False, a)], a, order),
+                               chain_pole(b, j, a, order))
+            assert not _agrees(_expand([_loc_pole(-b, j, True, a)], a, order),
+                               chain_pole_inv(b, j, a, order))
+
+
+@pytest.mark.parametrize("a", BRANCH)
+def test_residue_series_is_the_residue_against_the_kernel(a):
+    """[t^{1-m}] S_{p,q} is [t^-1] of t^m z^p w^q over 2 (y(1/z) - y(z)) x'(z),
+    with the gap from the formal-log oracle and x' from laurent_at."""
+    order = 14
+    x_prime = RationalFunction(Polynomial([-1, 0, 1]), Polynomial([0, 0, 1]))
+    x_prime = x_prime.laurent_at(a, order, "t")
+    kernel = (2 * formal_log_gap(a, order) * x_prime).inverse()
+    for p, q in product(range(-9, 5), range(-6, 3)):
+        s = _loc_residue_series(a, p, q, order)
+        integrand = _expand([(1, 0, p, q)], a, order) * kernel  # [t^-1] of t^m times it
+        assert s.order == order
+        assert all(s.coefficient(1 - m) == integrand.coefficient(-1 - m) for m in range(-8, 2))
 
 
 def test_formal_log_branch_constant_obstructs_lone_log():
