@@ -28,10 +28,12 @@ Every slot-by-slot map of a finished form -- the large-x expansions of
 W_{g,n} and F_{g,n}, the z -> 1/z pullback, the derivative of F_{g,n}, the
 ancestor reassembly -- is the one contraction _slotwise of per-slot images.
 It runs on integer numerators over one denominator per slot and makes one
-Fraction per output coefficient; the stationary-invariant check runs it only
-on the total-degree simplex it compares.  Branch labels a = +-1 are ints,
-and a power of one to a negative exponent is taken of a Fraction, so every
-coefficient stays exact.
+Fraction per output coefficient.  The x-expansions of the slot-symmetric
+W_{g,n} and F_{g,n} contract only the sorted exponent tuples and share each
+coefficient with the tuple's permutations, and the stationary-invariant
+check runs on the total-degree simplex it compares.  Branch labels a = +-1
+are ints, and a power of one to a negative exponent is taken of a Fraction,
+so every coefficient stays exact.
 """
 
 from __future__ import annotations
@@ -196,16 +198,8 @@ class CorrelationForm:
         """The dz_1...dz_n-coefficient at a rational sample point."""
         return _evaluate(self, points, lambda a, j, p: Frac(1, (p - a) ** j))
 
-    def permuted(self, perm: Sequence[int]) -> "CorrelationForm":
-        # a permutation maps distinct keys to distinct keys
-        terms = {tuple(key[p] for p in perm): c for key, c in self.terms.items() if c}
-        return CorrelationForm(self.g, self.n, terms)
-
     def is_symmetric(self) -> bool:
-        for perm in permutations(range(self.n)):
-            if self.permuted(perm).terms != dict(self.terms):
-                return False
-        return True
+        return _slot_symmetric(self.terms, self.n)
 
     def involution_check(self, slot: int) -> bool:
         """Pullback z_slot -> 1/z_slot (including the d(1/z) factor) equals the
@@ -240,17 +234,41 @@ def _pullback(a: int, j: int) -> dict[tuple[int, int], Frac]:
     return {(a, j - l): base * math.comb(j - 2, l) * a ** (j - 2 - l) for l in range(j - 1)}
 
 
-def _slotwise(terms: Mapping[tuple, Frac], n: int, slot_map, keep=None) -> dict[tuple, Frac]:
+def _slot_symmetric(terms: Mapping[tuple, Frac], n: int) -> bool:
+    """Whether the nonzero terms of arity n are invariant under every
+    permutation of the slots: tested on the swap of slots 1, 2 and on the
+    n-cycle, which generate S_n."""
+    nonzero = {key: c for key, c in terms.items() if c}
+    return n < 2 or all(
+        {tuple(key[i] for i in perm): c for key, c in nonzero.items()} == nonzero
+        for perm in ((1, 0, *range(2, n)), (*range(1, n), 0))
+    )
+
+
+def _slotwise(
+    terms: Mapping[tuple, Frac], n: int, slot_map, *,
+    symmetric: bool = False, total: int | None = None,
+) -> dict[tuple, Frac]:
     """sum_key c * prod_k slot_map(k, key[k]) for terms {key: c} of arity n,
     where slot_map gives a slot item's image as a mapping label -> weight;
     the result maps label tuples to nonzero coefficients.  Expanded one slot
     at a time: partial states (labels so far, items left) that agree across
-    keys are merged before the next slot; those failing keep are dropped.
+    keys are merged before the next slot.
+
+    With symmetric, the term map must be invariant under every permutation
+    of its slots (_slot_symmetric; ExactError otherwise), slot_map must not
+    depend on the slot, and labels are ints, so the result is symmetric too.
+    Only states whose labels are non-decreasing are kept -- with total, also
+    only those whose labels left, each at least the last one, can keep the
+    label sum within total -- and each sorted tuple's coefficient is then
+    shared by all of its distinct permutations.
 
     The contraction runs on integer numerators: the term coefficients over
     their lcm denominator, each slot's image weights over one lcm
     denominator per slot, so a state update is an int multiply-add and
     each output coefficient is one Fraction over the product of them."""
+    if symmetric and not _slot_symmetric(terms, n):
+        raise ExactError("term map is not symmetric in its slots")
     den = math.lcm(*(c.denominator for c in terms.values()))
     state = {((), key): c.numerator * (den // c.denominator) for key, c in terms.items()}
     for k in range(n):
@@ -263,12 +281,19 @@ def _slotwise(terms: Mapping[tuple, Frac], n: int, slot_map, keep=None) -> dict[
         den *= slot_den
         nxt: dict[tuple, int] = {}
         for (done, rest), c in state.items():
+            if symmetric:
+                lo = done[-1] if done else -math.inf
+                hi = math.inf if total is None else (total - sum(done)) // (n - k)
             for label, w in images[rest[0]]:
+                if symmetric and not lo <= label <= hi:
+                    continue
                 s = (done + (label,), rest[1:])
-                if keep is None or keep(*s):
-                    nxt[s] = nxt.get(s, 0) + c * w
+                nxt[s] = nxt.get(s, 0) + c * w
         state = {s: c for s, c in nxt.items() if c}
-    return {done: Frac(c, den) for (done, _), c in state.items()}
+    out = {done: Frac(c, den) for (done, _), c in state.items()}
+    if symmetric:
+        out = {perm: c for done, c in out.items() for perm in set(permutations(done))}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +457,15 @@ def _branch_residues(pieces, n: int, a: int, order: int) -> dict[PoleKey, Frac]:
                         s = (done + (label,), items[1:], m + dm, p + dp, q + dq)
                         nxt[s] = nxt.get(s, 0) + c * fc
         state = {s: c for s, c in nxt.items() if c}
-    residues: dict[PoleKey, Frac] = {}
-    for (done, _, m, p, q), c in state.items():
+    # each S_{p,q} is built only through the deepest coefficient read from it
+    depth: dict[tuple[int, int], int] = {}
+    for _, _, m, p, q in state:
         if 1 - m > order:
             raise TruncationError(f"[t^{1 - m}] read past the working order {order}")
-        value = c * _loc_residue_series(a, p, q, order).coefficient(1 - m)
+        depth[p, q] = max(depth.get((p, q), 0), 1 - m)
+    residues: dict[PoleKey, Frac] = {}
+    for (done, _, m, p, q), c in state.items():
+        value = c * _loc_residue_series(a, p, q, depth[p, q]).coefficient(1 - m)
         residues[done] = residues.get(done, 0) + value
     return {key: c / den for key, c in residues.items()}
 
@@ -530,14 +559,18 @@ def _slot_f_series(a: int, j: int, order: int) -> TruncatedSeries:
 def _x_expansion(terms: Mapping[PoleKey, Frac], n: int, order: int, slot_series) -> MultiSeries:
     """sum_key c * prod_k slot_series(*key[k]) as a series in w_1..w_n, each
     slot series in w known through the given order.  A slot's lowest exponent
-    is the least one over the keys (0 for a zero series)."""
+    is the least one over the keys (0 for a zero series).
+
+    The term map must be symmetric in its slots (ExactError otherwise), as
+    every W_{g,n} is: _slotwise contracts only the sorted exponent tuples and
+    copies each coefficient to the tuple's permutations."""
     series = {pole: slot_series(*pole) for pole in {pole for key in terms for pole in key}}
     low = {pole: 0 if s.is_zero() else s.min_exp for pole, s in series.items()}
     return MultiSeries(
         tuple(f"w{k+1}" for k in range(n)),
         tuple(min((low[key[k]] for key in terms), default=0) for k in range(n)),
         (order,) * n,
-        _slotwise(terms, n, lambda _, pole: dict(series[pole].items())),
+        _slotwise(terms, n, lambda _, pole: dict(series[pole].items()), symmetric=True),
     )
 
 
@@ -547,11 +580,13 @@ def _wgn_x_series(form: CorrelationForm, order: int) -> MultiSeries:
 
 def _wgn_x_simplex(form: CorrelationForm, total_order: int) -> dict[tuple[int, ...], Frac]:
     """The nonzero coefficients of _wgn_x_series(form, total_order) on the
-    simplex sum(e) <= total_order, dropping partial states that must leave it."""
+    simplex sum(e) <= total_order.  As in _x_expansion the form must be
+    symmetric: _slotwise contracts only the sorted tuples, drops a partial
+    state once its labels left, each at least its last one, must leave the
+    simplex, and copies each coefficient to the tuple's permutations."""
     series = {pole: _slot_w_series(*pole, total_order) for key in form.terms for pole in key}
-    low = {pole: s.min_exp for pole, s in series.items()}
-    keep = lambda done, rest: sum(done) + sum(low[pole] for pole in rest) <= total_order
-    return _slotwise(form.terms, form.n, lambda _, pole: dict(series[pole].items()), keep)
+    return _slotwise(form.terms, form.n, lambda _, pole: dict(series[pole].items()),
+                     symmetric=True, total=total_order)
 
 
 def _expected_w_coefficient(g: int, n: int, exps: Sequence[int]) -> Frac:
@@ -800,9 +835,11 @@ class FgnPrimitive:
     def evaluate(self, points: Sequence[Frac]) -> Frac:
         """The value at an exact point, each slot's h_{a,j}(p) in the closed
         form -P^k (1 - (-a p)^k)/(2k), P = 1/(p - a), k = j - 1 (as in
-        _slot_f_series)."""
-        return _evaluate(self, points, lambda a, j, p: (
-            -(1 - (-a * p) ** (j - 1)) / (2 * (j - 1) * Frac(p - a) ** (j - 1))))
+        _slot_f_series), taken on integers: with p = u/v it is
+        ((-a u)^k - v^k)/(2k (u - a v)^k), one Fraction per value."""
+        return _evaluate(self, points, lambda a, j, p: Frac(
+            (-a * p.numerator) ** (j - 1) - p.denominator ** (j - 1),
+            2 * (j - 1) * (p.numerator - a * p.denominator) ** (j - 1)))
 
     def origin_vanishes(self) -> bool:
         return self.evaluate([Frac(0)] * self.n) == 0

@@ -651,7 +651,7 @@ def multiseries_two_point_closed_form(order: int) -> MultiSeries:
     return total
 
 
-def slotwise(terms, n: int, slot_map, keep=None) -> dict:
+def slotwise(terms, n: int, slot_map) -> dict:
     """sum_key c * prod_k slot_map(k, key[k]) for terms {key: c} of arity n,
     expanded slot by slot with merged partial states, on ``Fraction``s."""
     state = {((), key): c for key, c in terms.items()}
@@ -661,8 +661,7 @@ def slotwise(terms, n: int, slot_map, keep=None) -> dict:
         for (done, rest), c in state.items():
             for label, w in images[rest[0]].items():
                 s = (done + (label,), rest[1:])
-                if keep is None or keep(*s):
-                    nxt[s] = nxt.get(s, 0) + c * w
+                nxt[s] = nxt.get(s, 0) + c * w
         state = {s: c for s, c in nxt.items() if c}
     return {done: c for (done, _), c in state.items()}
 

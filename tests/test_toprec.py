@@ -13,7 +13,7 @@ from fractions import Fraction as Frac
 from functools import cache
 
 import pytest
-from itertools import product
+from itertools import permutations, product
 
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
@@ -39,6 +39,7 @@ from p1qcurve.toprec import (
     _loc_slot,
     _pullback,
     _slot_f_series,
+    _slot_symmetric,
     _slot_w_series,
     _slotwise,
     _wgn_x_series,
@@ -847,7 +848,7 @@ slot_scalars = st.one_of(
 
 @st.composite
 def slotwise_inputs(draw):
-    """(terms, n, images, bound): terms of arity 1..4 over items 0..2 with
+    """(terms, n, images): terms of arity 1..4 over items 0..2 with
     mixed-denominator, integer and zero coefficients, and an image map
     (slot, item) -> {label: weight} that may hold zero weights."""
     n = draw(st.integers(1, 4))
@@ -858,23 +859,21 @@ def slotwise_inputs(draw):
         for k in range(n)
         for item in range(3)
     }
-    return terms, n, images, draw(st.none() | st.integers(-4, 8))
+    return terms, n, images
 
 
 def _slotwise_matches_oracle(kernel, inputs) -> None:
-    terms, n, images, bound = inputs
+    terms, n, images = inputs
     slot_map = lambda k, item: images[(k, item)]
-    keep = None if bound is None else (lambda done, rest: sum(done) <= bound)
-    got = kernel(terms, n, slot_map, keep)
+    got = kernel(terms, n, slot_map)
     assert all(_exact_scalar(c) and c for c in got.values())
-    assert got == slotwise(terms, n, slot_map, keep)
+    assert got == slotwise(terms, n, slot_map)
 
 
 @given(slotwise_inputs())
 @settings(max_examples=150, deadline=None)
 @example(({(0, 1): Frac(1, 6), (1, 1): Frac(-3, 4), (2, 0): 0}, 2,
-          {(k, i): {0: Frac(2, 3), 1: 0, 2: Frac(-5, 2)} for k in range(2) for i in range(3)},
-          None))
+          {(k, i): {0: Frac(2, 3), 1: 0, 2: Frac(-5, 2)} for k in range(2) for i in range(3)}))
 def test_slotwise_matches_the_fraction_oracle(inputs):
     _slotwise_matches_oracle(_slotwise, inputs)
 
@@ -895,6 +894,118 @@ def test_slotwise_property_detects_a_wrong_kernel(old, new):
     )
     with pytest.raises(AssertionError):
         check()
+
+
+@st.composite
+def symmetric_slotwise_inputs(draw):
+    """(terms, n, image, total): a term map of arity 1..4 over items 0..2,
+    symmetrised by giving every permutation of a key the coefficient of its
+    sorted form, one slot-independent image item -> {int label: weight},
+    and an optional bound on the label sum."""
+    n = draw(st.integers(1, 4))
+    items = st.integers(0, 2)
+    orbits = draw(st.dictionaries(st.tuples(*[items] * n).map(lambda key: tuple(sorted(key))),
+                                  slot_scalars, max_size=6))
+    terms = {perm: c for key, c in orbits.items() for perm in permutations(key)}
+    image = {
+        item: draw(st.dictionaries(st.integers(-2, 5), slot_scalars, min_size=1, max_size=5))
+        for item in range(3)
+    }
+    return terms, n, image, draw(st.none() | st.integers(-4, 12))
+
+
+def _symmetric_matches_full(kernel, inputs) -> None:
+    """The sorted contraction with its permutation fill equals the unpruned
+    one, restricted to the label-sum bound."""
+    terms, n, image, total = inputs
+    slot_map = lambda _, item: image[item]
+    got = kernel(terms, n, slot_map, symmetric=True, total=total)
+    full = _slotwise(terms, n, slot_map)
+    assert got == {e: c for e, c in full.items() if total is None or sum(e) <= total}
+
+
+@given(symmetric_slotwise_inputs())
+@settings(max_examples=150, deadline=None)
+@example(({(0, 0, 1): Frac(1, 3), (0, 1, 0): Frac(1, 3), (1, 0, 0): Frac(1, 3)}, 3,
+          {0: {0: 1, 1: Frac(-1, 2)}, 1: {0: 2, 1: 3}, 2: {0: 1}}, 2))
+def test_symmetric_slotwise_matches_the_full_contraction(inputs):
+    _symmetric_matches_full(_slotwise, inputs)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("lo <= label", "lo < label"),
+        ("for perm in set(permutations(done))", "for perm in [done]"),
+    ],
+    ids=["repeated-labels-dropped", "permutation-fill-dropped"],
+)
+def test_symmetric_property_detects_a_wrong_kernel(old, new):
+    """Negative control: the same property with a faulty pruning or fill
+    must fail."""
+    wrong = _mutant(_slotwise, old, new)
+    check = settings(database=None, phases=[Phase.generate], deadline=None)(
+        given(symmetric_slotwise_inputs())(lambda inputs: _symmetric_matches_full(wrong, inputs))
+    )
+    with pytest.raises(AssertionError):
+        check()
+
+
+@given(slotwise_inputs() | symmetric_slotwise_inputs())
+@settings(max_examples=150, deadline=None)
+def test_slot_symmetry_generators_match_every_permutation(inputs):
+    """The two-generator test agrees with invariance under all of S_n."""
+    terms, n = inputs[:2]
+    nonzero = {key: c for key, c in terms.items() if c}
+    assert _slot_symmetric(terms, n) == all(
+        {tuple(key[i] for i in perm): c for key, c in nonzero.items()} == nonzero
+        for perm in permutations(range(n))
+    )
+
+
+def test_symmetric_contraction_rejects_an_asymmetric_term_map():
+    """Negative control: a term map that is not invariant under a slot
+    permutation raises instead of being filled from its sorted tuples."""
+    slot_map = lambda _, item: {item: Frac(1)}
+    with pytest.raises(ExactError):
+        _slotwise({(0, 1): Frac(1)}, 2, slot_map, symmetric=True)
+    # invariant under the swap of slots 1 and 2, not under the 3-cycle
+    with pytest.raises(ExactError):
+        _slotwise({(0, 0, 1): Frac(1)}, 3, slot_map, symmetric=True)
+    terms = dict(toprec_wgn(1, 2).terms)
+    key = next(key for key in terms if len(set(key)) > 1)
+    terms[key] += 1
+    assert not CorrelationForm(1, 2, terms).is_symmetric()
+    with pytest.raises(ExactError):
+        _wgn_x_simplex(CorrelationForm(1, 2, terms), 6)
+    with pytest.raises(ExactError):
+        _wgn_x_series(CorrelationForm(1, 2, terms), 6)
+
+
+def test_residue_tables_stop_at_the_deepest_read(monkeypatch):
+    """After a cold toprec_wgn on every stable pair, each S_{p,q} table the
+    engine read is exactly as long as the deepest coefficient read from it."""
+    tables: dict[int, TruncatedSeries] = {}
+    deepest: dict[int, int] = {}
+    build, read = toprec._loc_residue_series, TruncatedSeries.coefficient
+
+    def recording_build(*args):
+        table = build(*args)
+        tables[id(table)] = table
+        return table
+
+    def recording_read(self, k):
+        if id(self) in tables:
+            deepest[id(self)] = max(deepest.get(id(self), k), k)
+        return read(self, k)
+
+    monkeypatch.setattr(toprec, "_loc_residue_series", recording_build)
+    monkeypatch.setattr(TruncatedSeries, "coefficient", recording_read)
+    toprec_wgn.__wrapped__.cache_clear()
+    for g, n in STABLE_PAIRS:
+        toprec_wgn(g, n)
+    assert deepest
+    assert all(tables[i].order == k for i, k in deepest.items())
 
 
 # ---------------------------------------------------------------------------
