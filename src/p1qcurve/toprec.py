@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Frac
 from functools import cache
 from itertools import combinations, permutations, product
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .exactcore import (
     ExactError,
@@ -612,11 +612,25 @@ def ns_expansion_check(g: int, n: int, total_order: int = 10) -> bool:
     if total_order < 0:
         raise ExactError("total order must be nonnegative")
     coeffs = _wgn_x_simplex(toprec_wgn(g, n), total_order)
-    return all(
-        coeffs.get(exps, 0) == _expected_w_coefficient(g, n, exps)
-        for exps in product(range(total_order + 1), repeat=n)
-        if sum(exps) <= total_order
-    )
+    expected: dict[tuple[int, ...], Frac] = {}  # the prediction per sorted tuple
+    for exps in _simplex(n, total_order):
+        key = tuple(sorted(exps))
+        if key not in expected:
+            expected[key] = _expected_w_coefficient(g, n, key)
+        if coeffs.get(exps, 0) != expected[key]:
+            return False
+    return True
+
+
+def _simplex(n: int, total: int) -> Iterator[tuple[int, ...]]:
+    """The n-tuples of nonnegative integers with sum at most total, in
+    lexicographic order."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(total + 1):
+        for rest in _simplex(n - 1, total - first):
+            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -895,9 +909,12 @@ def fgn_x_expansion(g: int, n: int, order: int, verify: bool = True) -> MultiSer
         primitive_fgn(g, n).terms, n, order, lambda a, j: _slot_f_series(a, j, order)
     )
     if verify:
+        expected: dict[tuple[int, ...], Frac] = {}  # the prediction per sorted tuple
         for exps in product(range(order + 1), repeat=n):
-            got = total.coefficient(exps)
-            want = _expected_f_coefficient(g, n, exps)
+            key = tuple(sorted(exps))
+            if key not in expected:
+                expected[key] = _expected_f_coefficient(g, n, key)
+            got, want = total.coefficient(exps), expected[key]
             if got != want:
                 raise ExactError(
                     f"primitive expansion mismatch at exponents {exps}: "

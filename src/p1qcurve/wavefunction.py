@@ -361,25 +361,31 @@ def _theta_definition(g: int, n: int, d: int, order: int) -> LogLaurentForm:
     return LogLaurentForm(terms, order)
 
 
+def _block_value(g: int, n: int, d: int) -> Frac:
+    """V = sum_b count(b) prod b_i! <prod tau_{b_i}(omega)>_{g,n}^d over the
+    weakly increasing b with sum(b) = 2g - 2 + 2d, count(b) being the number
+    of orderings of b: the coefficient of the unshifted (g, n, d) block
+    V / x^{2g - 2 + n + 2d}."""
+    return sum(
+        (
+            stationary_invariant(g, n, d, b) * (count * math.prod(map(math.factorial, b)))
+            for b, count in _sorted_compositions(2 * g - 2 + 2 * d, n)
+        ),
+        Frac(0),
+    )
+
+
 def _theta_shifted(g: int, n: int, d: int, order: int) -> LogLaurentForm:
     """The same block after resummation: no unit-class insertions, but every
     x replaced by x + hbar/2 through :func:`shift_form`.
 
     The unshifted block is -x + x log x for (0, 1, 0); otherwise
-    sum_b <prod tau_{b_i}(omega)>_{g,n}^d prod b_i! / x^{n + sum b}.
+    V / x^{n + sum b} with V of :func:`_block_value`.
     """
     if (g, n, d) == (0, 1, 0):
         block = {(0, -1, 0): Frac(-1), (0, -1, 1): Frac(1)}
     else:
-        sb = 2 * g - 2 + 2 * d
-        value = sum(
-            (
-                stationary_invariant(g, n, d, b) * count * math.prod(map(math.factorial, b))
-                for b, count in _sorted_compositions(sb, n)
-            ),
-            Frac(0),
-        )
-        block = {(0, n + sb, 0): value}
+        block = {(0, 2 * g - 2 + n + 2 * d, 0): _block_value(g, n, d)}
     return shift_form(LogLaurentForm(block, order), Frac(1, 2), order)
 
 
@@ -401,12 +407,17 @@ def theta_resummation_check(g: int, n: int, d: int, order: int) -> bool:
 def _degree_block(d: int, order: int) -> tuple[Frac, ...]:
     """Coefficients (in w = 1/u, u = x/hbar) of the degree-d block of the
     specialized generating function: the sum over genus and point number of
+    (-1)^n / n! times the (g, n, d) block of :func:`_theta_shifted` in
+    u-units.
 
-        (-1)^n / n! * (block of _theta_shifted in u-units).
+    That block is V (x + hbar/2)^-lead with V of :func:`_block_value` and
+    lead = 2g - 2 + n + 2d >= 1, so its half-step shift has the closed form
 
-    A block term hbar^p x^-i sits at w^i, i = 2g - 2 + n + 2d + p; the
-    degree-1 block also carries the unmarked constant, equal to the one-point
-    invariant by the divisor equation.
+        V (x + hbar/2)^-lead = V sum_{p>=0} C(-lead, p) / 2^p hbar^p x^-(lead+p),
+
+    and the term hbar^p x^-(lead+p) sits at w^(lead+p).  V is formed once
+    per (g, n, d); the degree-1 block also carries the unmarked constant,
+    equal to the one-point invariant by the divisor equation.
     """
     if d < 1:
         raise ExactError("degree blocks are formed for d >= 1")
@@ -419,11 +430,12 @@ def _degree_block(d: int, order: int) -> tuple[Frac, ...]:
             lead = 2 * g - 2 + n + 2 * d
             if lead > order:
                 break
-            # a term hbar^p x^-i of the block sits at w^i with i = lead + p,
-            # so the block's hbar-order order - lead fills the window
-            prefac = Frac((-1) ** n, math.factorial(n))
-            for (_, i, _), c in _theta_shifted(g, n, d, order - lead).terms.items():
-                out[i] += prefac * c
+            value = _block_value(g, n, d) * Frac((-1) ** n, math.factorial(n))
+            if not value:
+                continue
+            # C(-lead, p) = (-1)^p C(lead + p - 1, p)
+            for p in range(order - lead + 1):
+                out[lead + p] += value * Frac((-1) ** p * math.comb(lead + p - 1, p), 2**p)
         g += 1
     # dimension forces the block to start at w^(2d-1) (constant excepted);
     # only the window w^0..w^order is checked

@@ -14,12 +14,23 @@ the disconnected sum factors as exp(sum_j y_j z_{k_j}) times the sum on the
 N alone, and the two logarithms have the same q^d coefficients for d >= 1.
 `connected_coefficient` gets one connected invariant from an integer
 moment-cumulant recursion on the N, with no series algebra; as the empty
-partition has N = 0, the recursion carries no degree-0 term.  The tests
-check it against three independent routes: the recursion on the whole
-coefficients, the multivariate-series logarithm, and the set-partition
-cumulant combination of whole n-point series in tests/oracles.py.  A
-string-type recursion extends the stationary values to insertions of the
-unit class.
+partition has N = 0, the recursion carries no degree-0 term.
+
+A moment or cumulant depends only on the degree and on the multiset
+k = b + 1 of eigenvalue orders, never on the invariant that asks for it.  So
+each is a memo table keyed by (degree, sorted multiset): the moment rows
+`_moments`, the cumulant rows `_cumulants`, the split lists
+`_sub_multisets`, and the per-partition products `_products`, each built
+from the product for the multiset without its last entry and one column of
+`_numerators`.  The recursion for a multiset reads the rows of its
+sub-multisets; invariants whose multisets overlap, as the blocks of the
+degree-graded link do, form each shared cumulant once.
+
+The tests check the engine against four routes: the per-call table of every
+sub-multiset, the recursion on the whole coefficients, the
+multivariate-series logarithm, and the set-partition cumulant combination of
+whole n-point series in tests/oracles.py.  A string-type recursion extends
+the stationary values to insertions of the unit class.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Frac
 from functools import cache
-from itertools import chain, product
+from operator import mul
 
 from .exactcore import ExactError, TruncatedSeries, series_log
 from .partitions import Partition, _hook_product, partitions
@@ -75,7 +86,6 @@ def zeta_reciprocal(order: int, var: str = "t") -> TruncatedSeries:
     return zeta_series(order + 2, var).inverse()
 
 
-@cache
 def _eigen_numerator(lam: Partition, k: int) -> int:
     """The integer N_{lam,k} = sum_i ((2(lam_i - i) + 1)^k - (1 - 2i)^k), k >= 0.
 
@@ -129,23 +139,33 @@ def connected_coefficient(d: int, b) -> Frac:
     M~ does not depend on their y_j, and the invariant vanishes for d >= 1.
 
     The logarithm of M~ is taken by the scalar moment-cumulant recursion
-    (Okounkov-Pandharipande, arXiv:math/0204305), on integers.  The moments
-    M(d', e) = sum_{lam |- d'} dim^2 prod_j N_{lam,k_j}^{e_j} are
-    (d'!)^2 D^e times those of M~, and M(0, e) is 1 at e = 0 and 0 otherwise,
-    since the empty partition has N = 0.  The cumulants
-    K(d', e) = (d'!)^3 D^e kappa(d', e) of log M~ then solve
+    (Okounkov-Pandharipande, arXiv:math/0204305), on integers, over the
+    sorted multiset ks = (k_1, ..., k_n) of b + 1.  The moments
+    M(d', ks) = sum_{lam |- d'} dim^2 prod_{k in ks} N_{lam,k} are
+    (d'!)^2 D^ks times those of M~, with D^ks = prod_{k in ks} 2^k k!, and
+    M(0, ks) is 1 at the empty ks and 0 otherwise, since the empty partition
+    has N = 0.  The cumulants K(d', ks) = (d'!)^3 D^ks kappa(d', ks) of
+    log M~ then solve
 
-        K(d', e) = d'! M(d', e) - sum_{k<d'} (d'-1)!/(k-1)! C(d', k)^2
-                   sum_{f<=e} C(e, f) K(k, f) M(d'-k, e-f),
+        K(d', ks) = d'! M(d', ks) - sum_{k<d'} (d'-1)!/(k-1)! C(d', k)^2
+                    sum_{f <= ks} prod_j C(m_j, f_j) K(k, f) M(d'-k, ks - f),
 
-    with no d' = 0 term, and the answer is K(d, m) / ((d!)^3 D^m).  At the
-    top degree only K(d, m) and M(d, m) are formed; at d = 1 the answer is
-    M(1, m) / D^m.
+    with no d' = 0 term, where f runs over the sub-multisets of ks, m_j and
+    f_j counting the j-th distinct value in ks and in f.  The answer is
+    K(d, ks) / ((d!)^3 D^ks).
+
+    Both K and M depend only on (d', multiset), so each is kept once per
+    pair, in the tables `_cumulants` and `_moments`, and shared by every
+    invariant that reads it: a cold query forms K(d', f) and M(d', f) once
+    for each d' < d and each sub-multiset f, and K(d, ks) and M(d, ks) at
+    the top; a later query on overlapping multisets forms only what it does
+    not find.
 
     tests/test_wedge.py keeps the multivariate-series logarithm of M as the
     oracle `_log_route_coefficient`; tests/oracles.py keeps the recursion on
     the unshifted coefficients a_{lam,j}, with its d' = 0 term, as
-    `connected_coefficient_unshifted`.
+    `connected_coefficient_unshifted`, and the per-call table of every
+    sub-multiset's moments and cumulants as `connected_coefficient_table`.
 
     The degree and the exponents are checked on every call, before the memo
     table is read: the table compares keys by value, so 1.0 or True would
@@ -166,22 +186,67 @@ def _fock_weights(d: int) -> tuple[tuple[Partition, int], ...]:
 
 
 @cache
-def _splits(mults: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """For every multi-index e <= mults, in lexicographic order, the flat
-    tuple (C(e, f), index of f, ...) over all f <= e.  The lexicographic
-    index is linear in e, so e - f has the index of e minus that of f; flat
-    pairs keep the table at two ints per split."""
-    shapes = list(product(*(range(m + 1) for m in mults)))
-    index = {e: i for i, e in enumerate(shapes)}
+def _numerators(d: int, k: int) -> tuple[int, ...]:
+    """N_{lam,k} for every lam |- d, in the order of `_fock_weights(d)`."""
+    return tuple(_eigen_numerator(lam, k) for lam, _ in _fock_weights(d))
+
+
+@cache
+def _products(d: int, ks: tuple[int, ...]) -> tuple[int, ...]:
+    """dim(lam)^2 prod_{k in ks} N_{lam,k} for every lam |- d, for a sorted
+    multiset ks: the product for ks[:-1] times one numerator column."""
+    if not ks:
+        return tuple(w for _, w in _fock_weights(d))
+    return tuple(map(mul, _products(d, ks[:-1]), _numerators(d, ks[-1])))
+
+
+@cache
+def _moments(d: int, ks: tuple[int, ...]) -> tuple[int, ...]:
+    """(M(1, ks), ..., M(d, ks)), M(d', ks) = sum_{lam |- d'} dim(lam)^2
+    prod_{k in ks} N_{lam,k}, for d >= 1 and a sorted multiset ks."""
+    head = _moments(d - 1, ks) if d > 1 else ()
+    return head + (sum(_products(d, ks)),)
+
+
+@cache
+def _sub_multisets(ks: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """(prod_j C(m_j, f_j), f, ks - f) for every sub-multiset f of the sorted
+    multiset ks, where m_j and f_j count the j-th distinct value in ks and f;
+    built from those of ks without its largest value."""
+    if not ks:
+        return ((1, (), ()),)
+    top = ks[-1]
+    m = ks.count(top)
     return tuple(
-        tuple(
-            chain.from_iterable(
-                (math.prod(map(math.comb, e, f)), index[f])
-                for f in product(*(range(x + 1) for x in e))
-            )
-        )
-        for e in shapes
+        (c * math.comb(m, j), f + (top,) * j, rest + (top,) * (m - j))
+        for c, f, rest in _sub_multisets(ks[:-m])
+        for j in range(m + 1)
     )
+
+
+@cache
+def _link_weights(d: int) -> tuple[int, ...]:
+    """(d-1)!/(k-1)! C(d, k)^2 for k = 1, ..., d-1."""
+    return tuple(
+        math.factorial(d - 1) // math.factorial(k - 1) * math.comb(d, k) ** 2 for k in range(1, d)
+    )
+
+
+@cache
+def _cumulants(d: int, ks: tuple[int, ...]) -> tuple[int, ...]:
+    """(K(1, ks), ..., K(d, ks)), K(d', ks) = (d'!)^3 prod_{k in ks} 2^k k!
+    kappa(d', ks), for d >= 1 and a sorted multiset ks; see
+    connected_coefficient.  The row for d extends the row for d - 1 and
+    shares its integers, so each K(d', ks) is formed once, and the recursion
+    for K(d, ks) reads one cumulant row and one moment row per sub-multiset."""
+    if d == 1:
+        return _moments(1, ks)
+    weights = _link_weights(d)
+    top = math.factorial(d) * _moments(d, ks)[-1]
+    for c, f, rest in _sub_multisets(ks):
+        low = map(mul, weights, _cumulants(d - 1, f))  # w_k K(k, f), k = 1..d-1
+        top -= c * sum(map(mul, low, reversed(_moments(d - 1, rest))))  # times M(d - k, rest)
+    return _cumulants(d - 1, ks) + (top,)
 
 
 @cache
@@ -193,52 +258,9 @@ def _connected_coefficient(d: int, b: tuple[int, ...]) -> Frac:
         return zeta_reciprocal(max(b[0] + 1, 1)).coefficient(b[0] + 1) if len(b) == 1 else Frac(0)
     if b[0] < 0:
         return Frac(0)  # N = 0 at k <= 0: M~ does not depend on that y
-    values = sorted(set(b))
-    ks = [v + 1 for v in values]
-    mults = tuple(b.count(v) for v in values)
-    scale = math.factorial(d) ** 3 * math.prod(
-        (2**k * math.factorial(k)) ** m for k, m in zip(ks, mults)
-    )
-    top = sum(
-        w * math.prod(_eigen_numerator(lam, k) ** m for k, m in zip(ks, mults))
-        for lam, w in _fock_weights(d)
-    )  # M(d, m)
-    if d == 1:
-        return Frac(top, scale)
-    splits = _splits(mults)
-    moments = [None]  # moments[d'][e] = M(d', e), for 1 <= d' < d
-    for dp in range(1, d):
-        row = [0] * len(splits)
-        for lam, w in _fock_weights(dp):
-            vec = [w]
-            for k, m in zip(ks, mults):
-                a = _eigen_numerator(lam, k)
-                powers = [a**p for p in range(m + 1)]
-                vec = [x * y for x in vec for y in powers]
-            for i, x in enumerate(vec):
-                row[i] += x
-        moments.append(row)
-    last = len(splits) - 1
-    cumulants = [None]  # cumulants[d'][e] = K(d', e); the top row holds K(d, m) alone
-    for dp in range(1, d + 1):
-        terms = [
-            (
-                math.factorial(dp - 1) // math.factorial(k - 1) * math.comb(dp, k) ** 2,
-                cumulants[k],
-                moments[dp - k],
-            )
-            for k in range(1, dp)
-        ]
-        shapes = enumerate(zip(moments[dp], splits)) if dp < d else [(last, (top, splits[last]))]
-        row = []
-        for i, (x, parts) in shapes:
-            acc = math.factorial(dp) * x
-            for w, kk, mm in terms:
-                pairs = iter(parts)
-                acc -= w * sum(c * kk[f] * mm[i - f] for c, f in zip(pairs, pairs))
-            row.append(acc)
-        cumulants.append(row)
-    return Frac(cumulants[-1][-1], scale)
+    ks = tuple(v + 1 for v in b)
+    scale = math.factorial(d) ** 3 * math.prod(2**k * math.factorial(k) for k in ks)
+    return Frac(_cumulants(d, ks)[-1], scale)
 
 
 # ---------------------------------------------------------------------------

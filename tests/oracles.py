@@ -45,6 +45,10 @@ checks.  ``connected_coefficient_unshifted`` is ``connected_coefficient`` as
 it was before the lam-independent 1/zeta term was factored out of its
 moments: ``Fraction`` eigenvalue coefficients ``_eigen_coefficient``, lcm
 denominators and the d' = 0 correction of the cumulant recursion.
+``connected_coefficient_table`` is ``connected_coefficient`` as it was
+before its moments and cumulants were shared per multiset: the whole table
+of every sub-multiset's moments and cumulants, with the split table
+``_splits`` of its multiplicities, rebuilt for each ``(d, b)``.
 ``multiseries_two_point_closed_form`` is the two-point closed form as
 it was summed before ``wedge._two_point_closed_form`` read it off the powers
 of ``catalan_inverse``.
@@ -59,7 +63,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as Frac
 from functools import cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from p1qcurve.exactcore import (
     ExactError,
@@ -82,6 +86,7 @@ from p1qcurve.partitions import (
     partitions,
 )
 from p1qcurve.toprec import primitive_slot_function
+from p1qcurve import wedge
 from p1qcurve.wedge import catalan_inverse, zeta_reciprocal
 
 
@@ -605,6 +610,85 @@ def connected_coefficient_unshifted(d: int, b, coefficient=_eigen_coefficient) -
             row.append(acc)
         cumulants.append(row)
     scale = math.factorial(d) ** 3 * math.prod(den**m for den, m in zip(dens, mults))
+    return Frac(cumulants[-1][-1], scale)
+
+
+def _splits(mults: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """For every multi-index e <= mults, in lexicographic order, the flat
+    tuple (C(e, f), index of f, ...) over all f <= e.  The lexicographic
+    index is linear in e, so e - f has the index of e minus that of f."""
+    shapes = list(product(*(range(m + 1) for m in mults)))
+    index = {e: i for i, e in enumerate(shapes)}
+    return tuple(
+        tuple(
+            chain.from_iterable(
+                (math.prod(map(math.comb, e, f)), index[f])
+                for f in product(*(range(x + 1) for x in e))
+            )
+        )
+        for e in shapes
+    )
+
+
+def connected_coefficient_table(d: int, b) -> Frac:
+    """``wedge.connected_coefficient`` by the per-call table: the moments
+    M(d', e) and cumulants K(d', e) of every multiplicity vector e <= m of
+    the distinct values of b, for every d' < d, then K(d, m) alone.  It reads
+    the numerators and weights through ``wedge._eigen_numerator`` and
+    ``wedge._fock_weights`` at call time."""
+    b = tuple(sorted(b))
+    if not b:
+        return Frac(1) if d == 1 else Frac(0)
+    if d == 0:
+        return zeta_reciprocal(max(b[0] + 1, 1)).coefficient(b[0] + 1) if len(b) == 1 else Frac(0)
+    if b[0] < 0:
+        return Frac(0)
+    numerator = wedge._eigen_numerator
+    values = sorted(set(b))
+    ks = [v + 1 for v in values]
+    mults = tuple(b.count(v) for v in values)
+    scale = math.factorial(d) ** 3 * math.prod(
+        (2**k * math.factorial(k)) ** m for k, m in zip(ks, mults)
+    )
+    top = sum(
+        w * math.prod(numerator(lam, k) ** m for k, m in zip(ks, mults))
+        for lam, w in wedge._fock_weights(d)
+    )  # M(d, m)
+    if d == 1:
+        return Frac(top, scale)
+    splits = _splits(mults)
+    moments = [None]  # moments[d'][e] = M(d', e), for 1 <= d' < d
+    for dp in range(1, d):
+        row = [0] * len(splits)
+        for lam, w in wedge._fock_weights(dp):
+            vec = [w]
+            for k, m in zip(ks, mults):
+                a = numerator(lam, k)
+                powers = [a**p for p in range(m + 1)]
+                vec = [x * y for x in vec for y in powers]
+            for i, x in enumerate(vec):
+                row[i] += x
+        moments.append(row)
+    last = len(splits) - 1
+    cumulants = [None]  # cumulants[d'][e] = K(d', e); the top row holds K(d, m) alone
+    for dp in range(1, d + 1):
+        terms = [
+            (
+                math.factorial(dp - 1) // math.factorial(k - 1) * math.comb(dp, k) ** 2,
+                cumulants[k],
+                moments[dp - k],
+            )
+            for k in range(1, dp)
+        ]
+        shapes = enumerate(zip(moments[dp], splits)) if dp < d else [(last, (top, splits[last]))]
+        row = []
+        for i, (x, parts) in shapes:
+            acc = math.factorial(dp) * x
+            for w, kk, mm in terms:
+                pairs = iter(parts)
+                acc -= w * sum(c * kk[f] * mm[i - f] for c, f in zip(pairs, pairs))
+            row.append(acc)
+        cumulants.append(row)
     return Frac(cumulants[-1][-1], scale)
 
 

@@ -11,10 +11,12 @@ import p1qcurve
 
 MODULES = ["p1qcurve"] + [f"p1qcurve.{m.name}" for m in pkgutil.iter_modules(p1qcurve.__path__)]
 
-# the set-partition n-point route, kept in tests/oracles.py as the oracle of
-# wedge.connected_coefficient, and the series route of the residue engine,
-# kept there as the oracle of toprec._branch_residues
+# the set-partition n-point route and the per-call table route, kept in
+# tests/oracles.py as the oracles of wedge.connected_coefficient, and the
+# series route of the residue engine, kept there as the oracle of
+# toprec._branch_residues
 ORACLE_ONLY = {
+    "_splits",
     "_loc_rational",
     "_loc_kernel_denominator_inverse",
     "_loc_kernel_numerator",

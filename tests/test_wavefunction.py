@@ -15,6 +15,7 @@ Oracles used here:
   coefficients so a regression cannot pass silently).
 """
 
+import inspect
 import math
 from fractions import Fraction as Frac
 
@@ -22,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p1qcurve import wavefunction as wf
 from p1qcurve.exactcore import (
     ExactError,
     Polynomial,
@@ -292,8 +294,6 @@ def test_multinomial_kernel_property(g, d, k, b):
 def test_theta_grading_guard_catches_off_diagonal_data(monkeypatch):
     # the block assembler asserts the dimension diagonal instead of trusting
     # it: a correlator source that returns nonzero off-dimension must raise
-    from p1qcurve import wavefunction as wf
-
     monkeypatch.setattr(wf, "unit_insertions", lambda *args: Frac(1))
     with pytest.raises(ExactError, match="grading violation"):
         wf._theta_definition(1, 1, 1, 4)
@@ -334,16 +334,61 @@ def test_build_degree_graded_x_leading_values():
             assert result.entries[d].geometric.coefficient(j) == expansion.coefficient(j)
 
 
+def _assembled_block(theta, d, order):
+    """The degree-d block as it was assembled before its half-step shift
+    took a closed form: sum_{g,n} (-1)^n / n! times each term of the block
+    form theta(g, n, d, order - lead), placed at w^i from its x^-i."""
+    out = [Frac(0)] * (order + 1)
+    if d == 1:
+        out[0] += stationary_invariant(0, 1, 1, (0,))
+    g = 0
+    while 2 * g - 1 + 2 * d <= order:
+        for n in range(1, order + 1):
+            lead = 2 * g - 2 + n + 2 * d
+            if lead > order:
+                break
+            for (_, i, _), c in theta(g, n, d, order - lead).terms.items():
+                out[i] += Frac((-1) ** n, math.factorial(n)) * c
+        g += 1
+    return tuple(out)
+
+
+def _block_mutant(old, new):
+    """_degree_block with one piece of its source replaced, defined in a
+    copy of the module's namespace."""
+    source = inspect.getsource(wf._degree_block)
+    assert source.count(old) == 1
+    namespace = dict(vars(wf))
+    exec(source.replace(old, new), namespace)
+    return namespace["_degree_block"]
+
+
+BLOCK_CASES = [(d, order) for d in range(1, 7) for order in range(1, 17)]
+
+
+def test_closed_form_blocks_match_the_shift_route():
+    # V (x + hbar/2)^-lead in closed form against shift_form's Taylor chain
+    for d, order in BLOCK_CASES:
+        want = _assembled_block(wf._theta_shifted, d, order)
+        assert wf._degree_block(d, order) == want, (d, order)
+
+
+def test_closed_form_block_comparison_detects_a_wrong_half_step():
+    wrong = _block_mutant("2**p", "2**(p+1)")
+    assert any(
+        wrong(d, order) != _assembled_block(wf._theta_shifted, d, order)
+        for d, order in BLOCK_CASES
+    )
+
+
 def test_build_degree_graded_x_routes_agree(monkeypatch):
     # the blocks built from unit insertions give the same geometric side as
-    # the resummed half-step shifts the production path reads
-    from p1qcurve import wavefunction as wf
-
+    # the closed-form half-step shifts the production path reads
     shift = build_degree_graded_x(3, 9)
-    wf._degree_block.cache_clear()
-    monkeypatch.setattr(wf, "_theta_shifted", wf._theta_definition)
+    monkeypatch.setattr(
+        wf, "_degree_block", lambda d, order: _assembled_block(wf._theta_definition, d, order)
+    )
     definition = build_degree_graded_x(3, 9)
-    wf._degree_block.cache_clear()
     for a, b in zip(shift.entries, definition.entries):
         assert a.geometric == b.geometric
 
@@ -354,8 +399,6 @@ def test_build_degree_graded_x_with_blocks_past_the_order():
     result = build_degree_graded_x(8, 12)
     assert bool(result) is True
     assert len(result.entries) == 9
-    from p1qcurve import wavefunction as wf
-
     assert not any(wf._degree_block(8, 12))
 
 

@@ -249,6 +249,12 @@ def test_shifted_engine_matches_the_unshifted_recursion_and_the_log_route(case):
     assert value == _log_route_coefficient(d, b)
 
 
+def _clear_wedge_tables():
+    for value in vars(wedge).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+
+
 def test_log_route_oracle_detects_a_perturbed_eigen_coefficient(monkeypatch):
     d, b = 2, (0, 2)  # genus 0; reads [t^1] and [t^3] of every eps_lam, lam |- d' <= 2
     assert wedge._connected_coefficient.__wrapped__(d, b) == _log_route_coefficient(d, b)
@@ -260,7 +266,75 @@ def test_log_route_oracle_detects_a_perturbed_eigen_coefficient(monkeypatch):
         return numerator(lam, k) + shift
 
     monkeypatch.setattr(wedge, "_eigen_numerator", perturbed)
-    assert wedge._connected_coefficient.__wrapped__(d, b) != _log_route_coefficient(d, b)
+    # the numerator columns, moments and cumulants are tables of their own:
+    # cleared, every one is rebuilt from the perturbed numerator
+    _clear_wedge_tables()
+    try:
+        assert wedge._connected_coefficient.__wrapped__(d, b) != _log_route_coefficient(d, b)
+    finally:
+        _clear_wedge_tables()
+
+
+@st.composite
+def invariant_calls(draw):
+    """A list of (d, b) with d <= 7 and sorted b of length <= 5 in -2..8,
+    drawn from a small pool of values so that the multisets overlap, in a
+    random order; and a second, unrelated list to warm the tables with
+    (possibly empty)."""
+    pool = draw(st.lists(st.integers(-2, 8), min_size=1, max_size=4, unique=True))
+    case = st.tuples(
+        st.integers(0, 7),
+        st.lists(st.sampled_from(pool), max_size=5).map(lambda b: tuple(sorted(b))),
+    )
+    calls = draw(st.lists(case, min_size=1, max_size=4))
+    warm = draw(st.lists(st.tuples(st.integers(1, 7), st.lists(st.integers(0, 8), max_size=4)
+                                   .map(lambda b: tuple(sorted(b)))), max_size=3))
+    return draw(st.permutations(calls)), warm
+
+
+@given(invariant_calls())
+@settings(max_examples=80, deadline=None)
+@example(([(7, (1, 3, 5, 5)), (7, (3, 5)), (2, (1, 5))], []))
+@example(([(5, (0, 0, 2, 2, 6)), (3, (0, 2))], [(6, (0, 2, 2, 6)), (4, (1, 1))]))
+@example(([(6, (-2, 1, 1, 8, 8)), (0, (7,)), (1, ())], [(7, (8,))]))
+def test_shared_engine_matches_the_table_oracle_in_any_call_order(case):
+    """From cold tables, or after warming them on other invariants, the
+    shared cumulants give the per-call table's and the unshifted
+    recursion's values in whatever order the invariants are asked for."""
+    calls, warm = case
+    _clear_wedge_tables()
+    for d, b in warm:
+        connected_coefficient(d, b)
+    for d, b in calls:
+        value = connected_coefficient(d, b)
+        assert value == oracles.connected_coefficient_table(d, b)
+        assert value == connected_coefficient_unshifted(d, b)
+
+
+def test_a_cold_invariant_forms_each_sub_multiset_entry_once():
+    """connected_coefficient(8, (1, 3, 5, 5)) reads K and M of its 12
+    sub-multisets of k = b + 1 at every degree below 8, and K and M of the
+    whole multiset at degree 8: 85 entries each, each formed on one miss."""
+    _clear_wedge_tables()
+    connected_coefficient(8, (1, 3, 5, 5))
+    for table in (wedge._cumulants, wedge._moments):
+        info = table.cache_info()
+        assert info.misses == info.currsize == 7 * 12 + 1
+    assert wedge._sub_multisets.cache_info().currsize == 12
+
+
+def test_a_sub_multiset_invariant_reads_only_cached_cumulants():
+    """After a cold degree-8 invariant, a degree-8 invariant on a
+    sub-multiset of its k forms its own top cumulant and reads every other
+    one from the table; one of degree 7 reads its value from the table."""
+    _clear_wedge_tables()
+    connected_coefficient(8, (1, 3, 5, 5))
+    misses = wedge._cumulants.cache_info().misses
+    value = connected_coefficient(8, (3, 5))
+    assert wedge._cumulants.cache_info().misses == misses + 1
+    assert value == oracles.connected_coefficient_table(8, (3, 5))
+    connected_coefficient(7, (1, 5, 5))
+    assert wedge._cumulants.cache_info().misses == misses + 1
 
 
 def test_closed_form_eigen_coefficients_match_series():
