@@ -91,7 +91,7 @@ def _over_lcm(cs) -> tuple[list[int], int]:
 
 def rational_to_json(x: Frac) -> str:
     """Render a rational as ``"p/q"`` in lowest terms, ``"p"`` when q == 1."""
-    return str(Frac(x))
+    return str(x if isinstance(x, Frac) else Frac(x))
 
 
 def rational_from_json(s: str) -> Frac:

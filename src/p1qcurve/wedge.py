@@ -281,7 +281,7 @@ def stationary_invariant(g: int, n: int, d: int, b) -> Frac:
         raise ExactError("genus and degree must be nonnegative")
     if sum(b) != 2 * g - 2 + 2 * d:
         return Frac(0)
-    return connected_coefficient(d, tuple(sorted(b)))
+    return _connected_coefficient(d, tuple(sorted(b)))
 
 
 _STRING_BASE: dict[tuple[int, int, tuple[int, ...]], Frac] = {
@@ -295,7 +295,7 @@ def _unit_insertions(g: int, k: int, d: int, b: tuple[int, ...]) -> Frac:
     if sum(b) != 2 * g - 2 + 2 * d + k:
         return Frac(0)
     if k == 0:
-        return connected_coefficient(d, b)
+        return _connected_coefficient(d, b)
     if any(bi == -1 for bi in b):
         return Frac(0)
     if any(bi < 0 for bi in b):

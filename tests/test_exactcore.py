@@ -54,6 +54,10 @@ def test_rational_json_lowest_terms():
     assert rational_from_json("-7/3") == F(-7, 3)
 
 
+def test_rational_json_of_ints_and_bools():
+    assert [rational_to_json(x) for x in (7, -3, 0, True, False)] == ["7", "-3", "0", "1", "0"]
+
+
 @given(fracs)
 def test_rational_json_roundtrip(x):
     assert rational_from_json(rational_to_json(x)) == x
