@@ -13,7 +13,11 @@ supplies the shared machinery:
 * ``partial_fractions`` -- exact partial-fraction decomposition over rational poles.
 * ``TruncatedSeries``  -- univariate Laurent series with an explicit inclusive
   truncation order; reading a coefficient past the order raises
-  :class:`TruncationError` instead of silently returning zero.
+  :class:`TruncationError` instead of silently returning zero.  Stored as
+  ``Polynomial`` is, a tuple of integer numerators over one positive integer
+  denominator in lowest terms; sums, products, powers and the inverse run on
+  the integers, and ``coeffs``, ``coefficient()``, ``items()`` and the JSON
+  wire form are ``Frac`` views built on demand.
 * ``MultiSeries``  -- sparse multivariate series with per-variable orders.
 * ``FormalLaurent`` -- Laurent series whose coefficients are polynomials in a
   formal symbol ``L = log(-1)``, the branch constant of ``log z`` about
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 from typing import Iterable, Mapping, Sequence, Union
@@ -634,13 +639,15 @@ class RationalFunction:
         den = self.den.shift(center)
         if self.is_zero():
             return TruncatedSeries.zero(var, order)
-        v = 0
-        while den.coefficient(v) == 0:
-            v += 1
+        v = next(k for k, x in enumerate(den._num) if x)
         top = order + v
-        num_series = TruncatedSeries(var, 0, (num.coefficient(k) for k in range(top + 1)), top)
-        unit_series = TruncatedSeries(var, 0, (den.coefficient(v + k) for k in range(top + 1)), top)
-        quot = num_series * unit_series.inverse()
+
+        def window(p: Polynomial, lo: int) -> TruncatedSeries:
+            """The coefficients of ``t**lo .. t**(lo + top)`` of ``p`` at ``t**0 ..``."""
+            cs = list(p._num[lo : lo + top + 1])
+            return _series(var, 0, cs + [0] * (top + 1 - len(cs)), p._den, top)
+
+        quot = window(num, 0) * window(den, v).inverse()
         return quot.shift_exponent(-v).truncate(order)
 
     def series_at_infinity(self, order: int, var: str = "xinv") -> "TruncatedSeries":
@@ -778,69 +785,80 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
 class TruncatedSeries:
     """Univariate Laurent series known exactly through an inclusive order.
 
-    ``coeffs[k]`` is the coefficient of ``var**(min_exp + k)``; the last entry
-    is the coefficient of ``var**order``.  All coefficients below ``min_exp``
-    are exactly zero (knowledge, not truncation); coefficients above ``order``
+    Coefficient ``k`` is that of ``var**(min_exp + k)``; the last one is the
+    coefficient of ``var**order``.  All coefficients below ``min_exp`` are
+    exactly zero (knowledge, not truncation); coefficients above ``order``
     are unknown and raise :class:`TruncationError` when requested.
+
+    Stored as ``Polynomial`` is: ``_num`` holds the integer numerators of
+    ``var**min_exp .. var**order`` and ``_den`` their one positive
+    denominator, in lowest terms (``gcd(_den, *_num) == 1``).  The form is
+    canonical: leading zeros raise ``min_exp``, so the first numerator is
+    nonzero, and the zero series is ``_num == ()`` with
+    ``min_exp == order + 1``.  Equality and hashing compare the fields;
+    ``coeffs``, ``coefficient()`` and ``items()`` are :class:`Frac` views
+    computed on demand, and every arithmetic method works on the integers.
 
     Arithmetic propagates the truncation order soundly: the order of a product
     is ``min(o1 + m2, o2 + m1)`` where ``m`` are the declared lowest exponents.
     """
 
-    __slots__ = ("var", "min_exp", "order", "coeffs")
+    __slots__ = ("var", "min_exp", "order", "_num", "_den")
 
     def __init__(self, var: str, min_exp: int, coeffs: Iterable[Scalar], order: int):
-        self.var = var
-        self.min_exp = int(min_exp)
-        self.order = int(order)
-        cs = tuple(_frac(c) for c in coeffs)
-        if len(cs) != self.order - self.min_exp + 1:
+        min_exp, order = int(min_exp), int(order)
+        cs = [_frac(c) for c in coeffs]
+        if len(cs) != order - min_exp + 1:
             raise ExactError(
                 f"coefficient count {len(cs)} does not match range "
-                f"[{self.min_exp}, {self.order}]"
+                f"[{min_exp}, {order}]"
             )
-        # Normalize: leading zeros raise min_exp (they are knowledge of zeroness,
-        # representation stays canonical with a nonzero first stored coefficient
-        # whenever one exists).
-        lead = 0
-        while lead < len(cs) and cs[lead] == 0:
-            lead += 1
-        if lead:
-            self.min_exp += lead
-            cs = cs[lead:]
-        if not cs:
-            self.min_exp = self.order + 1  # canonical empty: zero through order
-        self.coeffs = cs
+        # over the lcm of reduced denominators the numerators share no factor
+        # with it; leading zeros raise min_exp
+        nums, den = _over_lcm(cs)
+        lead = next((k for k, x in enumerate(nums) if x), len(nums))
+        self.var = var
+        self.order = order
+        self._num: tuple[int, ...] = tuple(nums[lead:])
+        self.min_exp = min_exp + lead if self._num else order + 1
+        self._den: int = den if self._num else 1
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def zero(cls, var: str, order: int) -> "TruncatedSeries":
-        return cls(var, order + 1, (), order)
+        return _series(var, order + 1, [], 1, order)
 
     @classmethod
     def constant(cls, var: str, c: Scalar, order: int) -> "TruncatedSeries":
         if order < 0:
             raise ExactError("constant series needs order >= 0")
-        return cls(var, 0, (c,) + (0,) * order, order)
+        c = _frac(c)
+        return _series(var, 0, [c.numerator] + [0] * order, c.denominator, order)
 
     @classmethod
     def variable(cls, var: str, order: int) -> "TruncatedSeries":
         if order < 1:
             raise ExactError("variable series needs order >= 1")
-        return cls(var, 1, (1,) + (0,) * (order - 1), order)
+        return _series(var, 1, [1] + [0] * (order - 1), 1, order)
 
     @classmethod
     def monomial(cls, var: str, exp: int, c: Scalar, order: int) -> "TruncatedSeries":
         if exp > order:
             raise ExactError("monomial exponent exceeds requested order")
-        return cls(var, exp, (c,) + (0,) * (order - exp), order)
+        c = _frac(c)
+        return _series(var, exp, [c.numerator] + [0] * (order - exp), c.denominator, order)
 
     @classmethod
     def from_function(cls, var: str, fn, min_exp: int, order: int) -> "TruncatedSeries":
         return cls(var, min_exp, (fn(k) for k in range(min_exp, order + 1)), order)
 
     # -- queries -------------------------------------------------------------------
+
+    @property
+    def coeffs(self) -> tuple[Frac, ...]:
+        """The coefficients of ``var**min_exp .. var**order`` as fractions."""
+        return tuple(Frac(x, self._den) for x in self._num)
 
     def coefficient(self, k: int) -> Frac:
         if k > self.order:
@@ -850,19 +868,20 @@ class TruncatedSeries:
             )
         if k < self.min_exp:
             return Frac(0)
-        return self.coeffs[k - self.min_exp]
+        return Frac(self._num[k - self.min_exp], self._den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def valuation(self) -> int | None:
         """Exponent of the first known-nonzero coefficient, or None if all zero."""
-        return self.min_exp if self.coeffs else None
+        return self.min_exp if self._num else None
 
     def items(self):
-        for k, c in enumerate(self.coeffs):
-            if c:
-                yield self.min_exp + k, c
+        den = self._den
+        for k, x in enumerate(self._num, self.min_exp):
+            if x:
+                yield k, Frac(x, den)
 
     # -- structural ops -----------------------------------------------------------
 
@@ -874,13 +893,13 @@ class TruncatedSeries:
         if new_order < self.min_exp:
             return TruncatedSeries.zero(self.var, new_order)
         keep = new_order - self.min_exp + 1
-        return TruncatedSeries(self.var, self.min_exp, self.coeffs[:keep], new_order)
+        return _series(self.var, self.min_exp, self._num[:keep], self._den, new_order)
 
     def shift_exponent(self, delta: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.var, self.min_exp + delta, self.coeffs, self.order + delta)
+        return _series(self.var, self.min_exp + delta, self._num, self._den, self.order + delta)
 
     def rename(self, var: str) -> "TruncatedSeries":
-        return TruncatedSeries(var, self.min_exp, self.coeffs, self.order)
+        return _series(var, self.min_exp, self._num, self._den, self.order)
 
     # -- arithmetic -------------------------------------------------------------------
 
@@ -896,18 +915,18 @@ class TruncatedSeries:
         self._check_var(other)
         order = min(self.order, other.order)
         lo = min(self.min_exp, other.min_exp, order + 1)
-        # merge the stored tuples at their exponent offsets, through ``order``
-        out = [Frac(0)] * (order - lo + 1)
-        for s in (self, other):
-            start = s.min_exp - lo
-            for k, c in enumerate(s.coeffs[: max(0, order - s.min_exp + 1)], start):
-                out[k] = out[k] + c if out[k] else c
-        return TruncatedSeries(self.var, lo, out, order)
+        g = math.gcd(self._den, other._den)
+        # merge the numerators over the lcm at their exponent offsets, through ``order``
+        out = [0] * (order - lo + 1)
+        for s, scale in ((self, other._den // g), (other, self._den // g)):
+            for k, x in enumerate(s._num[: max(0, order - s.min_exp + 1)], s.min_exp - lo):
+                out[k] += x * scale
+        return _series(self.var, lo, out, self._den // g * other._den, order)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.var, self.min_exp, (-c for c in self.coeffs), self.order)
+        return _series(self.var, self.min_exp, [-x for x in self._num], self._den, self.order)
 
     def __sub__(self, other) -> "TruncatedSeries":
         if isinstance(other, (int, Frac)):
@@ -920,33 +939,32 @@ class TruncatedSeries:
         return (-self) + other
 
     def __mul__(self, other) -> "TruncatedSeries":
-        """The product, known through ``min(o1 + m2, o2 + m1)``.  Two series
-        are convolved on integer numerators: each operand's coefficients over
-        their lcm denominator, only the entries below the product's order,
-        then one division per product coefficient."""
+        """The product, known through ``min(o1 + m2, o2 + m1)``: the integer
+        numerators convolved, only the entries below the product's order,
+        over the product of the two denominators."""
         if isinstance(other, (int, Frac)):
             c = _frac(other)
             if c == 0:
                 return TruncatedSeries.zero(self.var, self.order)
-            return TruncatedSeries(self.var, self.min_exp, (c * a for a in self.coeffs), self.order)
+            p = c.numerator
+            return _series(self.var, self.min_exp, [p * x for x in self._num],
+                           self._den * c.denominator, self.order)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_var(other)
-        if self.is_zero() or other.is_zero():
-            order = min(self.order + other.min_exp, other.order + self.min_exp)
-            return TruncatedSeries.zero(self.var, order)
         order = min(self.order + other.min_exp, other.order + self.min_exp)
+        if self.is_zero() or other.is_zero():
+            return TruncatedSeries.zero(self.var, order)
         lo = self.min_exp + other.min_exp
         size = order - lo + 1  # no operand entry at or past this index is read
-        a, da = _over_lcm(self.coeffs[:size])
-        b, db = _over_lcm(other.coeffs[:size])
+        b = other._num[:size]
         out = [0] * size
-        for i, x in enumerate(a):
+        for i, x in enumerate(self._num[:size]):
             if x:
-                for j, y in enumerate(b[: size - i]):
-                    out[i + j] += x * y
-        den = da * db
-        return TruncatedSeries(self.var, lo, [Frac(c, den) for c in out], order)
+                for j, y in enumerate(b[: size - i], i):
+                    out[j] += x * y
+        den = self._den * other._den
+        return _series(self.var, lo, out, den, order)
 
     __rmul__ = __mul__
 
@@ -976,21 +994,27 @@ class TruncatedSeries:
         return result  # type: ignore[return-value]
 
     def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; needs a nonzero stored leading coefficient."""
+        """Multiplicative inverse; needs a nonzero stored leading coefficient.
+
+        With ``A`` the numerators (``A_0 != 0``) and ``D`` the denominator,
+        the unit part's inverse is ``D B_k / A_0^(k+1)`` for the integers
+        ``B_0 = 1``, ``B_k = -sum_{j=1..k} A_j A_0^(j-1) B_{k-j}``; all of it
+        goes over the one denominator ``A_0^(n+1)``."""
         if self.is_zero():
             raise ExactError("cannot invert a series with no known nonzero coefficient")
-        v = self.min_exp  # normalized: first stored coefficient is nonzero
+        v = self.min_exp  # normalized: the first numerator is nonzero
         n = self.order - v  # unit part known through t^n
-        a0 = self.coeffs[0]
-        inv: list[Frac] = [Frac(1) / a0]
+        a = self._num
+        a0 = a[0]
+        w = [x * a0 ** (j - 1) for j, x in enumerate(a[1:], 1)]
+        inv = [1]
         for k in range(1, n + 1):
-            acc = Frac(0)
-            for j in range(1, k + 1):
-                aj = self.coeffs[j] if j < len(self.coeffs) else Frac(0)
-                if aj:
-                    acc += aj * inv[k - j]
-            inv.append(-acc / a0)
-        return TruncatedSeries(self.var, -v, inv, n - v)
+            inv.append(-sum(map(operator.mul, w[:k], reversed(inv))))
+        scale = self._den
+        for k in range(n, -1, -1):
+            inv[k] *= scale
+            scale *= a0
+        return _series(self.var, -v, inv, a0 ** (n + 1), n - v)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -999,24 +1023,19 @@ class TruncatedSeries:
             self.var == other.var
             and self.order == other.order
             and self.min_exp == other.min_exp
-            and self.coeffs == other.coeffs
+            and self._num == other._num
+            and self._den == other._den
         )
 
     def __hash__(self) -> int:
-        return hash((self.var, self.min_exp, self.order, self.coeffs))
+        return hash((self.var, self.min_exp, self.order, self._num, self._den))
 
     # -- calculus ------------------------------------------------------------------------
 
     def derivative(self) -> "TruncatedSeries":
-        pairs = [(k - 1, k * c) for k, c in zip(range(self.min_exp, self.order + 1), self.coeffs) if k != 0]
-        order = self.order - 1
-        if not pairs:
-            return TruncatedSeries.zero(self.var, order)
-        lo = pairs[0][0]
-        out = [Frac(0)] * (order - lo + 1)
-        for e, c in pairs:
-            out[e - lo] = c
-        return TruncatedSeries(self.var, lo, out, order)
+        return _series(self.var, self.min_exp - 1,
+                       [k * x for k, x in enumerate(self._num, self.min_exp)],
+                       self._den, self.order - 1)
 
     # -- serialization & display -----------------------------------------------------------
 
@@ -1051,6 +1070,31 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({self.pretty()})"
+
+
+def _series(var: str, min_exp: int, nums: Sequence[int], den: int, order: int) -> TruncatedSeries:
+    """``sum nums[k] var^(min_exp + k) / den`` known through ``var**order``
+    (``len(nums) == order - min_exp + 1``, ``den`` nonzero), in canonical form."""
+    lead = 0
+    while lead < len(nums) and not nums[lead]:
+        lead += 1
+    if lead:
+        nums, min_exp = nums[lead:], min_exp + lead
+    if not nums:
+        min_exp, den = order + 1, 1
+    elif den != 1:
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+    s = object.__new__(TruncatedSeries)
+    s.var = var
+    s.min_exp = min_exp
+    s.order = order
+    s._num = tuple(nums)
+    s._den = den
+    return s
 
 
 def series_exp(s: TruncatedSeries) -> TruncatedSeries:
@@ -1163,6 +1207,34 @@ class MultiSeries:
                     raise ExactError(f"exponent {exps} outside declared window")
             clean[tuple(int(e) for e in exps)] = fc
         self.data = clean
+
+    @classmethod
+    def _from_record(
+        cls,
+        vars: tuple[str, ...],
+        min_exps: tuple[int, ...],
+        orders: tuple[int, ...],
+        data: dict[tuple[int, ...], Frac],
+    ) -> "MultiSeries":
+        """The series of a record its caller built exactly: ``data`` maps int
+        exponent tuples of the arity of ``vars`` to nonzero ``Frac``s inside
+        the window, and is kept, not copied.  The invariants are checked on
+        the record as a whole -- the key arities once, each slot's least and
+        greatest exponent once, the value types and nonzeroness once --
+        instead of one ``_frac`` round trip and window test per entry."""
+        n = len(vars)
+        if not n == len(min_exps) == len(orders):
+            raise ExactError("vars, min_exps, orders must have equal length")
+        if not set(map(len, data)) <= {n}:
+            raise ExactError("exponent tuple arity mismatch")
+        for var, column, m, o in zip(vars, zip(*data), min_exps, orders):
+            if min(column) < m or max(column) > o:
+                raise ExactError(f"exponent of {var} outside declared window [{m}, {o}]")
+        if not (set(map(type, data.values())) <= {Frac} and all(data.values())):
+            raise ExactError("record coefficients must be nonzero fractions")
+        series = object.__new__(cls)
+        series.vars, series.min_exps, series.orders, series.data = vars, min_exps, orders, data
+        return series
 
     # -- constructors ----------------------------------------------------------
 

@@ -566,7 +566,7 @@ def _x_expansion(terms: Mapping[PoleKey, Frac], n: int, order: int, slot_series)
     copies each coefficient to the tuple's permutations."""
     series = {pole: slot_series(*pole) for pole in {pole for key in terms for pole in key}}
     low = {pole: 0 if s.is_zero() else s.min_exp for pole, s in series.items()}
-    return MultiSeries(
+    return MultiSeries._from_record(
         tuple(f"w{k+1}" for k in range(n)),
         tuple(min((low[key[k]] for key in terms), default=0) for k in range(n)),
         (order,) * n,

@@ -26,6 +26,11 @@ evaluates a form's slots term by term.
 ``slotwise`` and ``series_mul`` are ``toprec._slotwise`` and the product of
 two ``TruncatedSeries`` as they were before both moved to integer numerators
 over one denominator: one ``Fraction`` multiply-add per update.
+``series_inverse`` is ``TruncatedSeries.inverse`` as it was before the series
+moved to integer numerators: the recurrence on ``Fraction`` coefficients, one
+division by the leading coefficient per step.  ``series_truncate``,
+``series_shift`` and ``series_derivative`` read the operand coefficient by
+coefficient and build their result through the public constructor.
 
 ``x_partition_termwise``, ``offset_sum_termwise``, ``y_polynomial_termwise``,
 ``laguerre_value_termwise``, ``laguerre_pole_sum_termwise`` and
@@ -767,6 +772,37 @@ def series_mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
             if b:
                 out[e1 + g.min_exp + j - lo] += a * b
     return TruncatedSeries(f.var, lo, out, order)
+
+
+def series_inverse(f: TruncatedSeries) -> TruncatedSeries:
+    """1/f for f with a nonzero leading coefficient, known through
+    t^(order - 2 min_exp): inv_k = -(sum_{j=1..k} f_j inv_{k-j}) / f_0."""
+    if f.is_zero():
+        raise ExactError("cannot invert a series with no known nonzero coefficient")
+    v, n = f.min_exp, f.order - f.min_exp
+    cs = [f.coefficient(v + k) for k in range(n + 1)]
+    inv = [1 / cs[0]]
+    for k in range(1, n + 1):
+        inv.append(-sum((cs[j] * inv[k - j] for j in range(1, k + 1)), Frac(0)) / cs[0])
+    return TruncatedSeries(f.var, -v, inv, n - v)
+
+
+def series_truncate(f: TruncatedSeries, order: int) -> TruncatedSeries:
+    """f known only through t^order (order <= f.order)."""
+    lo = min(f.min_exp, order + 1)
+    return TruncatedSeries(f.var, lo, [f.coefficient(k) for k in range(lo, order + 1)], order)
+
+
+def series_shift(f: TruncatedSeries, delta: int) -> TruncatedSeries:
+    """t^delta f."""
+    cs = [f.coefficient(k) for k in range(f.min_exp, f.order + 1)]
+    return TruncatedSeries(f.var, f.min_exp + delta, cs, f.order + delta)
+
+
+def series_derivative(f: TruncatedSeries) -> TruncatedSeries:
+    """df/dt, known through t^(order - 1)."""
+    cs = [k * f.coefficient(k) for k in range(f.min_exp, f.order + 1)]
+    return TruncatedSeries(f.var, f.min_exp - 1, cs, f.order - 1)
 
 
 def series_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:

@@ -32,7 +32,17 @@ from p1qcurve.exactcore import (
     series_exp,
     series_log,
 )
-from oracles import FracPolynomial, frac_canonical, reassemble_termwise, series_add, series_mul
+from oracles import (
+    FracPolynomial,
+    frac_canonical,
+    reassemble_termwise,
+    series_add,
+    series_derivative,
+    series_inverse,
+    series_mul,
+    series_shift,
+    series_truncate,
+)
 
 fracs = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 small_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=5)
@@ -413,9 +423,22 @@ def test_series_sum_matches_the_coefficientwise_oracle(f, g):
     assert f - g == series_add(f, -g)
 
 
+def _assert_canonical(s: TruncatedSeries) -> None:
+    """Integer numerators over one positive denominator in lowest terms, a
+    nonzero first numerator, the zero series as () from order + 1."""
+    assert type(s._den) is int and s._den > 0
+    assert all(type(x) is int for x in s._num)
+    assert math.gcd(s._den, *s._num) == 1
+    if s._num:
+        assert s._num[0] and len(s._num) == s.order - s.min_exp + 1
+    else:
+        assert s._den == 1 and s.min_exp == s.order + 1
+
+
 def _product_matches_oracle(mul, f, g) -> None:
     got = mul(f, g)
     assert all(type(c) is F for c in got.coeffs)
+    _assert_canonical(got)
     assert got == series_mul(f, g)
 
 
@@ -427,20 +450,112 @@ def test_series_product_matches_the_fraction_oracle(f, g):
     _product_matches_oracle(TruncatedSeries.__mul__, f, g)
 
 
+@given(series(), st.one_of(st.integers(-5, 5), fracs))
+def test_series_scalar_product_matches_the_fraction_oracle(f, c):
+    got = f * c
+    _assert_canonical(got)
+    assert got == TruncatedSeries("t", f.min_exp, [c * x for x in f.coeffs], f.order)
+    assert c * f == got
+
+
+def _mutant_method(method, old: str, new: str):
+    """``method`` recompiled from its source with ``old`` replaced by ``new``
+    (``old`` must occur exactly once) in the namespace of ``exactcore``."""
+    source = textwrap.dedent(inspect.getsource(method))
+    assert source.count(old) == 1
+    namespace = dict(vars(exactcore))
+    exec(source.replace(old, new), namespace)
+    return namespace[method.__name__]
+
+
 def test_series_property_detects_a_wrong_product():
     """Negative control: a product that drops the second operand's
     denominator must fail the same property."""
-    source = textwrap.dedent(inspect.getsource(TruncatedSeries.__mul__))
-    assert source.count("den = da * db") == 1
-    namespace = dict(vars(exactcore))
-    exec(source.replace("den = da * db", "den = da"), namespace)
+    wrong = _mutant_method(TruncatedSeries.__mul__, "den = self._den * other._den", "den = self._den")
     check = settings(database=None, phases=[Phase.generate])(
-        given(series(), series())(
-            lambda f, g: _product_matches_oracle(namespace["__mul__"], f, g)
-        )
+        given(series(), series())(lambda f, g: _product_matches_oracle(wrong, f, g))
     )
     with pytest.raises(AssertionError):
         check()
+
+
+def _inverse_matches_oracle(inverse, f) -> None:
+    assume(not f.is_zero())
+    got = inverse(f)
+    _assert_canonical(got)
+    assert got == series_inverse(f)
+
+
+@given(series())
+@example(TruncatedSeries("t", -1, [F(-2, 3), F(1, 2), 0, 5, F(-7, 4)], 3))
+@example(TruncatedSeries("t", 2, [F(3, 5)], 2))
+def test_series_inverse_matches_the_fraction_oracle(f):
+    _inverse_matches_oracle(TruncatedSeries.inverse, f)
+
+
+def test_series_inverse_property_detects_a_dropped_leading_power():
+    """Negative control: the integer recurrence without the power of the
+    leading numerator A_0 in its weights must fail the same property."""
+    wrong = _mutant_method(TruncatedSeries.inverse, "x * a0 ** (j - 1)", "x")
+    check = settings(database=None, phases=[Phase.generate])(
+        given(series())(lambda f: _inverse_matches_oracle(wrong, f))
+    )
+    with pytest.raises(AssertionError):
+        check()
+
+
+@given(series(), st.integers(-6, 8))
+def test_series_truncate_matches_the_oracle(f, order):
+    assume(order <= f.order)
+    got = f.truncate(order)
+    _assert_canonical(got)
+    assert got == series_truncate(f, order)
+
+
+@given(series(), st.integers(-4, 4))
+def test_series_shift_and_rename_match_the_oracle(f, delta):
+    got = f.shift_exponent(delta)
+    _assert_canonical(got)
+    assert got == series_shift(f, delta)
+    assert got.rename("u") == series_shift(f, delta).rename("u") != got
+
+
+@given(series())
+@example(TruncatedSeries("t", 0, [F(5, 2), 0, 3], 2))  # the constant drops out
+@example(TruncatedSeries("t", 0, [7], 0))
+def test_series_derivative_matches_the_oracle(f):
+    got = f.derivative()
+    _assert_canonical(got)
+    assert got == series_derivative(f)
+
+
+@given(series())
+def test_series_from_the_constructor_is_canonical(f):
+    _assert_canonical(f)
+    _assert_canonical(-f)
+    assert f - f == TruncatedSeries.zero("t", f.order)
+
+
+def test_series_canonical_form():
+    half = TruncatedSeries("t", 0, [F(2, 4), 1, F(3, 6)], 2)
+    same = TruncatedSeries("t", 0, [F(1, 2), 1, F(1, 2)], 2)
+    assert half == same and hash(half) == hash(same)
+    assert (half._num, half._den) == ((1, 2, 1), 2)
+    doubled = TruncatedSeries("t", 0, [1, 2, 1], 2) * F(1, 2)
+    assert doubled == half and hash(doubled) == hash(half)
+    # leading zeros raise min_exp, trailing zeros stay known zeros
+    lead = TruncatedSeries("t", -2, [0, 0, F(3, 4), 0], 1)
+    assert (lead.min_exp, lead._num, lead._den) == (0, (3, 0), 4)
+    assert lead == TruncatedSeries("t", 0, [F(3, 4), 0], 1)
+    # the zero series: no numerators, denominator 1, min_exp = order + 1
+    for zero in (TruncatedSeries("t", -3, [0, F(0, 5), 0], -1),
+                 TruncatedSeries.zero("t", -1),
+                 lead - lead,
+                 half * 0):
+        assert (zero._num, zero._den) == ((), 1)
+        assert zero.min_exp == zero.order + 1
+    assert TruncatedSeries("t", -3, [0, 0, 0], -1) == TruncatedSeries.zero("t", -1)
+    assert hash(TruncatedSeries("t", -3, [0, 0, 0], -1)) == hash(TruncatedSeries.zero("t", -1))
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +595,39 @@ def test_multiseries_hash_agrees_with_eq():
 def test_multiseries_json_roundtrip():
     m = MultiSeries(("x1", "x2"), (-1, 0), (2, 2), {(-1, 2): F(3, 4), (0, 0): -2})
     assert MultiSeries.from_json(m.to_json()) == m
+
+
+RECORD_WINDOW = (("x1", "x2"), (-1, 0), (2, 2))
+
+
+def test_multiseries_record_equals_the_checked_constructor():
+    data = {(-1, 2): F(3, 4), (0, 0): F(-2), (2, 1): F(1, 5)}
+    record = MultiSeries._from_record(*RECORD_WINDOW, dict(data))
+    public = MultiSeries(*RECORD_WINDOW, data)
+    assert record == public and record.min_exps == public.min_exps
+    assert MultiSeries._from_record(*RECORD_WINDOW, {}) == MultiSeries.zero(*RECORD_WINDOW)
+
+
+@pytest.mark.parametrize("data", [
+    {(-2, 0): F(1)},         # below the window of x1
+    {(0, 3): F(1)},          # above the window of x2
+    {(0, 0): F(1), (1, -1): F(2)},
+], ids=["below", "above", "one-entry-below"])
+def test_multiseries_record_refuses_an_exponent_outside_the_window(data):
+    with pytest.raises(ExactError, match="outside declared window"):
+        MultiSeries._from_record(*RECORD_WINDOW, data)
+
+
+@pytest.mark.parametrize("data", [{(0,): F(1)}, {(0, 0): F(1), (0, 0, 0): F(1)}])
+def test_multiseries_record_refuses_an_arity_mismatch(data):
+    with pytest.raises(ExactError, match="arity"):
+        MultiSeries._from_record(*RECORD_WINDOW, data)
+
+
+@pytest.mark.parametrize("value", [F(0), 0, 1, 0.5])
+def test_multiseries_record_refuses_a_zero_or_inexact_coefficient(value):
+    with pytest.raises(ExactError, match="nonzero fractions"):
+        MultiSeries._from_record(*RECORD_WINDOW, {(0, 0): F(1), (1, 1): value})
 
 
 # ---------------------------------------------------------------------------

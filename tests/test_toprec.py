@@ -22,6 +22,7 @@ from p1qcurve import toprec
 from p1qcurve.exactcore import (
     BranchLogError,
     ExactError,
+    MultiSeries,
     PoleEvaluationError,
     Polynomial,
     RationalFunction,
@@ -199,6 +200,35 @@ def test_fgn_x_expansion_frozen_digest(g, n):
 @pytest.mark.parametrize("g,n", STABLE_PAIRS)
 def test_wgn_x_series_frozen_digest(g, n):
     assert _json_digest(_wgn_x_series(toprec_wgn(g, n), 10)) == WGN_X_DIGESTS[(g, n)]
+
+
+@pytest.mark.parametrize("g,n", BOUNDED_PAIRS)
+@pytest.mark.parametrize("kind", ["fgn", "wgn"])
+def test_x_expansion_record_equals_the_checked_constructor(g, n, kind):
+    """The record _x_expansion hands to MultiSeries unchecked per entry is
+    the series the public constructor builds from the same data: no entry
+    outside the window, none zero, none dropped."""
+    terms, slot = ((primitive_fgn(g, n).terms, _slot_f_series) if kind == "fgn"
+                   else (toprec_wgn(g, n).terms, _slot_w_series))
+    record = toprec._x_expansion(terms, n, 8, lambda a, j: slot(a, j, 8))
+    public = MultiSeries(record.vars, record.min_exps, record.orders, record.data)
+    assert record.data and record == public and record.min_exps == public.min_exps
+
+
+def test_complexity_five_gate_reproduces_the_term_digest(monkeypatch):
+    """W_{3,1}, run with WGN_BOUND raised to 5, has the term digest of
+    ROADMAP.md: the first 16 hex digits of the sha256 of
+    repr(sorted((repr(key), str(c)) for key, c in terms))."""
+    monkeypatch.setattr(toprec, "WGN_BOUND", 5)
+    try:
+        form = toprec_wgn(3, 1)
+    finally:
+        toprec_wgn.__wrapped__.cache_clear()
+    canonical = repr(sorted((repr(k), str(c)) for k, c in form.terms.items()))
+    assert hashlib.sha256(canonical.encode()).hexdigest()[:16] == "5b8807bf6b33194f"
+    monkeypatch.undo()
+    with pytest.raises(ExactError, match="exceeds the configured bound"):
+        toprec_wgn(3, 1)
 
 
 SLOT_POLES = [(a, j) for a in BRANCH_POINTS for j in range(2, 13)]
