@@ -1122,22 +1122,15 @@ def series_exp(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_log(s: TruncatedSeries) -> TruncatedSeries:
-    """Logarithm of a series with constant term 1 and no negative exponents."""
+    """Logarithm of a series with constant term 1 and no negative exponents:
+    the integral of s'/s."""
     if s.min_exp < 0:
         raise ExactError("series_log needs a series with no negative exponents")
     if s.coefficient(0) != 1:
         raise ExactError("series_log needs constant term exactly 1")
-    order = s.order
-    f = [s.coefficient(k) for k in range(order + 1)]
-    # log(f)' = f'/f:  k·g_k = k·f_k - sum_{j=1}^{k-1} j·g_j·f_{k-j}
-    g = [Frac(0)] * (order + 1)
-    for k in range(1, order + 1):
-        acc = k * f[k]
-        for j in range(1, k):
-            if g[j] and f[k - j]:
-                acc -= j * g[j] * f[k - j]
-        g[k] = acc / k
-    return TruncatedSeries(s.var, 0, g, order)
+    q = s.derivative() * s.inverse()
+    integral = [0] + [q.coefficient(k) / (k + 1) for k in range(s.order)]
+    return TruncatedSeries(s.var, 0, integral, s.order)
 
 
 def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
@@ -1153,7 +1146,7 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     nonneg = [outer.coefficient(k) for k in range(0, outer.order + 1)]
     acc = TruncatedSeries.zero(inner.var, inner.order)
     for c in reversed(nonneg):
-        acc = acc * inner + c
+        acc = acc * inner + c if c else acc * inner
     result = acc
     if outer.min_exp < 0:
         inv = inner.inverse()

@@ -654,7 +654,7 @@ def _harmonic(k: int) -> Frac:
     return sum((Frac(1, j) for j in range(1, k + 1)), Frac(0))
 
 
-@cache
+@_memo_checked(lambda k: _integers(order=k))
 def s_matrix(k: int) -> SMatrix:
     """Closed-form transition matrices: even orders are diagonal, odd orders
     are off-diagonal."""
@@ -786,6 +786,7 @@ def theta_expansion_check(i: int, d: int, order: int) -> bool:
     * residue form: the residue of x^m * eta(i, d) dx at z = 0 equals
       -m! * M_{m-d}[2][i] for every m up to the order.
     """
+    _integers(index=i, degree=d, order=order)
     if i not in (1, 2):
         raise ExactError("basis index must be 1 or 2")
     eta = eta_function(i, d)

@@ -4,13 +4,13 @@ The stationary invariants computed by :mod:`p1qcurve.wedge` assemble into the
 logarithm of a wave function.  Every ingredient of that assembly is a finite
 combination of the monomials
 
-    hbar^p * x^{-i} * (log x)^l      (i >= -1, l in {0, 1}),
+    hbar^p * x^{-i} * (log x)^l      (i >= -1, l in {0, 1})
 
-so (x - x log x)/hbar is two monomials at p = -1.  The span is closed under
-the substitution t -> -hbar d/dx applied to log x (for any Laurent series
-a(t) with minimal exponent -1), under x-differentiation, and therefore under
-the shift operators exp(m hbar d/dx), m rational, realized as truncated
-Taylor expansions; the half-step shift x -> x + hbar/2 is one of them.
+on one diagonal i - p = c, so it is x^{-c} (a(r) + b(r) log x) with r = hbar/x
+and a, b truncated series in r (:class:`LogLaurentForm`); (x - x log x)/hbar is
+c = 0, a = 1/r, b = -1/r.  The shift x -> x + m hbar, m rational, is one series
+substitution: with s = 1 + m r it sends r to r/s, x^{-c} to x^{-c} s^{-c} and
+log x to log x + log s.  The half-step shift x -> x + hbar/2 is one of them.
 
 On top of that calculus the module verifies, all in exact arithmetic:
 
@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Frac
 from functools import cache
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .exactcore import (
@@ -48,12 +49,14 @@ from .exactcore import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
+    series_compose,
     series_exp,
+    series_log,
 )
-from .partitions import _sorted_tuples
+from .partitions import _memo_checked, _sorted_tuples
 from .qcurve import toda_quadratic_check, verify_xd_recursion, x_partition
-from .toprec import _binomial, s0_s1_closed_forms
-from .wedge import stationary_invariant, unit_insertions, zeta_series
+from .toprec import s0_s1_closed_forms
+from .wedge import _integers, stationary_invariant, unit_insertions, zeta_series
 
 __all__ = [
     "DegreeGradedX",
@@ -65,7 +68,6 @@ __all__ = [
     "bernoulli_operator",
     "build_degree_graded_x",
     "conjugation_check",
-    "form_derivative",
     "qce_verification",
     "semiclassical_check",
     "shift_form",
@@ -79,7 +81,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@cache
+@_memo_checked(lambda m: _integers(index=m))
 def bernoulli_number(m: int) -> Frac:
     """Exact Bernoulli number B_m with B_1 = -1/2 (so that
     t/(e^t - 1) = sum_m B_m t^m / m!)."""
@@ -100,97 +102,81 @@ def bernoulli_number(m: int) -> Frac:
 
 
 class LogLaurentForm:
-    """Finite combination of monomials hbar^p x^{-i} (log x)^l.
+    """x^{-c} (a(r) + b(r) log x) with r = hbar/x: a finite combination of
+    the monomials hbar^p x^{-i} (log x)^l on the diagonal i - p = c.
 
-    ``terms`` maps (p, i, l), with i >= -1 and l in {0, 1}, to the
-    coefficient of hbar^p * x^{-i} * (log x)^l; (x - x log x)/hbar is
-    ``{(-1, -1, 0): 1, (-1, -1, 1): -1}``.  ``order`` is the hbar-order
-    through which the form is complete; arithmetic keeps the minimum of the
-    operands' orders.
+    ``a`` and ``b`` are :class:`TruncatedSeries` in r known through the same
+    order; their coefficients of r^p are those of hbar^p x^{-(c+p)} and of
+    hbar^p x^{-(c+p)} log x.  Every monomial needs i = c + p >= -1.
+    ``terms`` is the read-only map (p, i, l) -> coefficient of the nonzero
+    monomials, ``order`` the hbar-order through which the form is complete.
+    Forms on one diagonal add and subtract, keeping the lesser order.
     """
 
-    __slots__ = ("terms", "order")
+    __slots__ = ("c", "a", "b")
 
-    def __init__(self, terms: Mapping[tuple[int, int, int], Frac], order: int):
-        self.terms = {k: Frac(v) for k, v in terms.items() if v}
-        for _, i, l in self.terms:
-            if i < -1 or l not in (0, 1):
-                raise ExactError("monomials x^{-i} (log x)^l need i >= -1 and l in {0, 1}")
-        self.order = order
+    def __init__(self, c: int, a: TruncatedSeries, b: TruncatedSeries):
+        if a.order != b.order:
+            raise ExactError("a and b must be known through the same order")
+        if any(not s.is_zero() and c + s.min_exp < -1 for s in (a, b)):
+            raise ExactError("monomials x^{-i} (log x)^l need i >= -1")
+        self.c, self.a, self.b = c, a, b
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def order(self) -> int:
+        return self.a.order
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int, int], Frac]:
+        return MappingProxyType(
+            {(p, self.c + p, l): v for l, s in enumerate((self.a, self.b)) for p, v in s.items()}
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LogLaurentForm):
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        raise TypeError("LogLaurentForm is mutable-by-convention; not hashable")
-
     def __add__(self, other: "LogLaurentForm") -> "LogLaurentForm":
         if not isinstance(other, LogLaurentForm):
             return NotImplemented
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            terms[key] = terms.get(key, Frac(0)) + c
-        return LogLaurentForm(terms, min(self.order, other.order))
+        if self.c != other.c:
+            raise ExactError(f"forms on the diagonals {self.c} and {other.c} do not add")
+        return LogLaurentForm(self.c, self.a + other.a, self.b + other.b)
 
     def __neg__(self) -> "LogLaurentForm":
-        return self.scaled(Frac(-1))
+        return LogLaurentForm(self.c, -self.a, -self.b)
 
     def __sub__(self, other: "LogLaurentForm") -> "LogLaurentForm":
         return self + (-other)
 
-    def scaled(self, c) -> "LogLaurentForm":
-        c = Frac(c)
-        return LogLaurentForm({k: c * v for k, v in self.terms.items()}, self.order)
-
     def __repr__(self) -> str:
         bits = [
-            f"{c}*h^{p}*x^{-i}" + ("*logx" if l else "")
-            for (p, i, l), c in sorted(self.terms.items())
+            f"{v}*h^{p}*x^{-i}" + ("*logx" if l else "")
+            for (p, i, l), v in sorted(self.terms.items())
         ]
         body = " + ".join(bits) if bits else "0"
         return f"LogLaurentForm({body}; order={self.order})"
 
 
-def form_derivative(form: LogLaurentForm) -> LogLaurentForm:
-    """d/dx on the monomial basis:
-
-        d/dx x^{-i} (log x)^l = -i x^{-i-1} (log x)^l + l x^{-i-1} (log x)^{l-1}.
-    """
-    terms: dict[tuple[int, int, int], Frac] = {}
-    for (p, i, l), c in form.terms.items():
-        for key, weight in (((p, i + 1, l), -i), ((p, i + 1, l - 1), l)):
-            if weight:
-                terms[key] = terms.get(key, Frac(0)) + weight * c
-    return LogLaurentForm(terms, form.order)
-
-
 def shift_form(form: LogLaurentForm, m, order: int) -> LogLaurentForm:
-    """The shifted form f(x + m*hbar), m rational, as a truncated Taylor
-    expansion
+    """The shifted form f(x + m*hbar), m rational, exact through hbar-order
+    ``min(order, form.order)``.  With s = 1 + m r, x + m hbar = x s, so
 
-        f(x + m hbar) = sum_{j>=0} (m hbar)^j / j! * f^{(j)}(x),
+        f(x + m hbar) = x^{-c} s^{-c} (a(r/s) + b(r/s) (log x + log s)).
 
-    exact through hbar-order ``order``.  On log x this realizes the rewrite
-    log(x + m hbar) = log x + sum_j (-1)^{j+1} (m hbar/x)^j / j.
+    Substituting r/s into the poles r^{-1}..r^{-k} of a and b inverts r/s,
+    which costs the truncated arithmetic k + 1 orders, so r runs through
+    order + 1 + k.
     """
-    m = Frac(m)
-    total = LogLaurentForm(form.terms, order)
-    deriv = form
-    for j in range(1, order + 2):
-        deriv = form_derivative(deriv)
-        if deriv.is_zero():
-            break
-        weight = m**j / math.factorial(j)
-        total = total + LogLaurentForm(
-            {(p + j, i, l): weight * c for (p, i, l), c in deriv.terms.items() if p + j <= order},
-            order,
-        )
-    return total
+    order = min(order, form.order)
+    r = TruncatedSeries.variable("r", order + 1 - min(form.a.min_exp, form.b.min_exp, 0))
+    s = 1 + Frac(m) * r
+    inner = r / s
+    b = series_compose(form.b, inner)
+    a = series_compose(form.a, inner) + b * series_log(s)
+    weight = s ** -form.c
+    return LogLaurentForm(form.c, (weight * a).truncate(order), (weight * b).truncate(order))
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +194,17 @@ def apply_laurent_operator(a: TruncatedSeries, order: int) -> LogLaurentForm:
     if a.min_exp < -1:
         raise ExactError("operator series must not go below 1/t")
     upto = min(order, a.order)
-    c = a.coefficient(-1) if a.min_exp <= -1 else Frac(0)
-    terms = {(-1, -1, 0): c, (-1, -1, 1): -c}
-    if a.min_exp <= 0 <= upto:
-        terms[(0, 0, 1)] = a.coefficient(0)
-    for i in range(1, upto + 1):
-        terms[(i, i, 0)] = -a.coefficient(i) * math.factorial(i - 1)
-    return LogLaurentForm(terms, upto)
+    # on the diagonal c = 0, in r = hbar/x:
+    # a_{-1} (1/r - (log x)/r) + a_0 log x - sum_{i>=1} a_i (i-1)! r^i
+    pole = a.coefficient(-1)
+    power = TruncatedSeries.from_function(
+        "r", lambda i: pole if i < 0 else -a.coefficient(i) * math.factorial(i - 1) if i else 0,
+        -1, upto,
+    )
+    log = TruncatedSeries.from_function(
+        "r", lambda i: -pole if i < 0 else 0 if i else a.coefficient(0), -1, upto
+    )
+    return LogLaurentForm(0, power, log)
 
 
 def bernoulli_operator(order: int) -> LogLaurentForm:
@@ -227,6 +217,7 @@ def bernoulli_operator(order: int) -> LogLaurentForm:
 
         (x - x log x)/hbar - (1/2) log x - hbar/(12 x) + O(hbar^3).
     """
+    _integers(order=order)
     if order < 0:
         raise ExactError("order must be nonnegative")
     series = TruncatedSeries.from_function(
@@ -243,25 +234,17 @@ def bernoulli_operator(order: int) -> LogLaurentForm:
 # ---------------------------------------------------------------------------
 
 
-def _exp_of_difference(delta: LogLaurentForm, order: int) -> tuple[int, TruncatedSeries]:
-    """Exponentiate a form c*log x + sum_{p>=1} a_p (hbar/x)^p; returns
-    (c, exp of the sum as a series in r = hbar/x) with c required integral,
-    so that the exponential is x^c times that series."""
-    c = Frac(0)
-    out = [Frac(0)] * (order + 1)
-    for (p, i, l), v in delta.terms.items():
-        if l:
-            if (p, i) != (0, 0):
-                raise ExactError(f"log x appears off hbar^0 x^0, at {(p, i, l)}")
-            c = v
-        elif p != i or p < 0:
-            raise ExactError(f"term is not a power of hbar/x at {(p, i, l)}")
-        elif p <= order:
-            out[p] = v
-    if c.denominator != 1:
+def _exp_of_difference(delta: LogLaurentForm) -> tuple[int, TruncatedSeries]:
+    """Exponentiate a form k*log x + sum_{p>=1} a_p (hbar/x)^p; returns
+    (k, exp of the sum as a series in r = hbar/x) with k required integral,
+    so that the exponential is x^k times that series."""
+    k = delta.b.coefficient(0)
+    if delta.c or delta.b != TruncatedSeries.constant("r", k, delta.order):
+        raise ExactError("the difference must be k log x plus a series in hbar/x")
+    if k.denominator != 1:
         raise ExactError("log x coefficient must be an integer to exponentiate")
     # series_exp rejects a nonzero constant term
-    return int(c), series_exp(TruncatedSeries("r", 0, out, order))
+    return int(k), series_exp(delta.a)
 
 
 # ---------------------------------------------------------------------------
@@ -283,27 +266,29 @@ def conjugation_check(k_max: int, hbar_order: int = 8) -> bool:
     x - hbar and the weight x for the second; both sides are expanded in the
     bigraded truncation and compared exactly.
     """
+    _integers(k_max=k_max, hbar_order=hbar_order)
     if k_max < 1:
         raise ExactError("k_max must be at least 1")
     order = hbar_order
     prefactor = bernoulli_operator(order)
     diff_up = shift_form(prefactor, 1, order) - prefactor
     diff_down = shift_form(prefactor, -1, order) - prefactor
-    xpow_up, exp_up = _exp_of_difference(diff_up, order)
-    xpow_down, exp_down = _exp_of_difference(diff_down, order)
+    xpow_up, exp_up = _exp_of_difference(diff_up)
+    xpow_down, exp_down = _exp_of_difference(diff_down)
     # the exponentials must carry the weights 1/x and x respectively
     if xpow_up != -1 or xpow_down != 1:
         return False
-    # (base + r)^e; (1 - r)^k is (-1)^k (-1 + r)^k, and the sign cancels
-    binomial = lambda base, e: _binomial(base, e, order).rename("r")
+    # r = hbar/x through r^order, hbar-order 0 included
+    r = TruncatedSeries.from_function("r", lambda p: int(p == 1), 0, order)
+    up, down = 1 + r, 1 - r
     for k in range(k_max + 1):
         # first identity applied to x^k: both sides are x^{k-1} times a
-        # series in r = hbar/x
-        if exp_up * binomial(1, k) != binomial(1, k - 1):
+        # series in r
+        if exp_up * up**k != up ** (k - 1):
             return False
         # second identity applied to x^k: both sides are x^{k+1} times a
         # series in r
-        if exp_down * binomial(-1, k) != binomial(-1, k):
+        if exp_down * down**k != down**k:
             return False
         # third identity: the prefactor exponentials are multiplication
         # operators, so conjugating x by them leaves x^{k+1} unchanged --
@@ -335,12 +320,15 @@ def _theta_definition(g: int, n: int, d: int, order: int) -> LogLaurentForm:
     with the closed terms -x + x log x + (hbar/2) log x for the unstable
     (0, 1, 0) block.  Nonzero terms are asserted to sit on the diagonal
     (1/x-power) - (hbar-power) = 2g - 2 + n + 2d: the genus grading is checked,
-    not assumed.
+    not assumed.  On that diagonal the k-insertion term is hbar^k / x^{n + sum b}
+    = x^{-offset} r^k, r = hbar/x.
     """
-    terms: dict[tuple[int, int, int], Frac] = {}
     offset = 2 * g - 2 + n + 2 * d
+    a = [Frac(0)] * (order + 1)
+    b_log = [Frac(0)] * (order + 1)
     if (g, n, d) == (0, 1, 0):
-        terms = {(0, -1, 0): Frac(-1), (0, -1, 1): Frac(1), (1, 0, 1): Frac(1, 2)}
+        # x (-1 + (1 + r/2) log x)
+        a[0], b_log[0], b_log[1] = Frac(-1), Frac(1), Frac(1, 2)
     for k in range(order + 1):
         for sb in range(0, offset + k - n + 1):
             for b, count in _sorted_compositions(sb, n):
@@ -355,10 +343,10 @@ def _theta_definition(g: int, n: int, d: int, order: int) -> LogLaurentForm:
                 coeff = value * Frac((-1) ** k * count, 2**k * math.factorial(k))
                 for bi in b:
                     coeff *= math.factorial(bi)
-                key = (k, n + sb, 0)
-                assert key[1] - key[0] == offset
-                terms[key] = terms.get(key, Frac(0)) + coeff
-    return LogLaurentForm(terms, order)
+                a[k] += coeff
+    return LogLaurentForm(
+        offset, TruncatedSeries("r", 0, a, order), TruncatedSeries("r", 0, b_log, order)
+    )
 
 
 def _block_value(g: int, n: int, d: int) -> Frac:
@@ -382,17 +370,20 @@ def _theta_shifted(g: int, n: int, d: int, order: int) -> LogLaurentForm:
     The unshifted block is -x + x log x for (0, 1, 0); otherwise
     V / x^{n + sum b} with V of :func:`_block_value`.
     """
-    if (g, n, d) == (0, 1, 0):
-        block = {(0, -1, 0): Frac(-1), (0, -1, 1): Frac(1)}
-    else:
-        block = {(0, 2 * g - 2 + n + 2 * d, 0): _block_value(g, n, d)}
-    return shift_form(LogLaurentForm(block, order), Frac(1, 2), order)
+    a, b = (-1, 1) if (g, n, d) == (0, 1, 0) else (_block_value(g, n, d), 0)
+    block = LogLaurentForm(
+        2 * g - 2 + n + 2 * d,
+        TruncatedSeries.constant("r", a, order),
+        TruncatedSeries.constant("r", b, order),
+    )
+    return shift_form(block, Frac(1, 2), order)
 
 
 def theta_resummation_check(g: int, n: int, d: int, order: int) -> bool:
     """True iff the unit-insertion sum for the (g, n, d) block equals its
     resummed half-step-shifted form, coefficientwise through hbar-order
     ``order`` in the bigraded truncation."""
+    _integers(genus=g, points=n, degree=d, order=order)
     if g < 0 or n < 1 or d < 0 or order < 1:
         raise ExactError("need g >= 0, n >= 1, d >= 0, order >= 1")
     return _theta_definition(g, n, d, order) == _theta_shifted(g, n, d, order)
@@ -482,6 +473,7 @@ def build_degree_graded_x(d_max: int = 4, order: int = 12) -> DegreeGradedX:
     expanded at u = infinity.  The result is truthy iff the two sides agree;
     its ``disagreements`` list (degree, exponent, both values).
     """
+    _integers(d_max=d_max, order=order)
     if d_max < 0 or order < 1:
         raise ExactError("need d_max >= 0 and order >= 1")
     blocks = {
@@ -542,6 +534,7 @@ def qce_verification(d_max: int) -> QceReport:
     All three links are evaluated and reported; ``first_failure`` names the
     first broken one, e.g. ``"recursion, d=3"``.
     """
+    _integers(d_max=d_max)
     if d_max < 1:
         raise ExactError("d_max must be at least 1")
     rec_detail = next(
@@ -583,6 +576,7 @@ def semiclassical_check(order: int = 12) -> bool:
     the parametrisation x(z) = z + 1/z; S_0'' and the hbar^1 identity are
     verified as exact rational functions of z.
     """
+    _integers(order=order)
     if not s0_s1_closed_forms(order):
         return False
     z = RationalFunction.identity()
@@ -614,6 +608,7 @@ def toda_specialization_check(order: int = 8, d_max: int = 4) -> bool:
     (c) the kernel identity behind (a): (e^{t/2} - e^{-t/2})^2 * t/(e^t - 1)
         = t (1 - e^{-t}), checked as truncated series.
     """
+    _integers(order=order, d_max=d_max)
     if order < 2 or d_max < 0:
         raise ExactError("need order >= 2 and d_max >= 0")
     prefactor = bernoulli_operator(order)
@@ -621,9 +616,9 @@ def toda_specialization_check(order: int = 8, d_max: int = 4) -> bool:
         (shift_form(prefactor, 1, order) - prefactor)
         + (shift_form(prefactor, -1, order) - prefactor)
     )
-    xpow, expanded = _exp_of_difference(second_difference, order)
+    xpow, expanded = _exp_of_difference(second_difference)
     # x/(x + hbar) = x^0 * (1 + r)^{-1} in r = hbar/x
-    if xpow != 0 or expanded != _binomial(1, -1, order).rename("r"):
+    if xpow != 0 or expanded != (1 + TruncatedSeries.variable("r", order)).inverse():
         return False
     # kernel identity as series in t; zeta has valuation 1, so zeta*zeta*bern
     # is known through t^(order+1)

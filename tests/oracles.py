@@ -31,6 +31,9 @@ moved to integer numerators: the recurrence on ``Fraction`` coefficients, one
 division by the leading coefficient per step.  ``series_truncate``,
 ``series_shift`` and ``series_derivative`` read the operand coefficient by
 coefficient and build their result through the public constructor.
+``series_log_recurrence`` is ``series_log`` as it was before it became the
+integral of s'/s: the recurrence k g_k = k f_k - sum_j j g_j f_{k-j} on
+``Fraction`` coefficients.
 
 ``x_partition_termwise``, ``offset_sum_termwise``, ``y_polynomial_termwise``,
 ``laguerre_value_termwise``, ``laguerre_pole_sum_termwise`` and
@@ -61,6 +64,14 @@ of ``catalan_inverse``.
 ``hook_lengths_product`` is ``partitions.hook_product`` as it was before it
 was read from the parts in closed form: the product of every box's hook
 length, box by box.
+
+``MonomialForm``, ``form_derivative`` and ``taylor_shift_form`` are the
+wave-function calculus as it was before ``wavefunction.LogLaurentForm``
+became x^{-c} (a(r) + b(r) log x): a map of monomials hbar^p x^{-i} (log x)^l
+to ``Fraction`` coefficients, d/dx on that basis, and the shift
+x -> x + m hbar as the Taylor chain sum_j (m hbar)^j / j! f^{(j)}(x).  It
+accepts forms off one diagonal.  ``diagonal_form`` builds a
+``LogLaurentForm`` from such a map.
 """
 
 from __future__ import annotations
@@ -91,6 +102,7 @@ from p1qcurve.partitions import (
     partitions,
 )
 from p1qcurve.toprec import primitive_slot_function
+from p1qcurve.wavefunction import LogLaurentForm
 from p1qcurve import wedge
 from p1qcurve.wedge import catalan_inverse, zeta_reciprocal
 
@@ -805,6 +817,19 @@ def series_derivative(f: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(f.var, f.min_exp - 1, cs, f.order - 1)
 
 
+def series_log_recurrence(s: TruncatedSeries) -> TruncatedSeries:
+    """log s for s with constant term 1: k g_k = k s_k - sum_{j<k} j g_j s_{k-j}."""
+    order = s.order
+    f = [s.coefficient(k) for k in range(order + 1)]
+    g = [Frac(0)] * (order + 1)
+    for k in range(1, order + 1):
+        acc = k * f[k]
+        for j in range(1, k):
+            acc -= j * g[j] * f[k - j]
+        g[k] = acc / k
+    return TruncatedSeries(s.var, 0, g, order)
+
+
 def series_add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """f + g through min(o1, o2), each coefficient read from both operands."""
     order = min(f.order, g.order)
@@ -898,3 +923,70 @@ def reassemble_termwise(pf: PartialFractions) -> RationalFunction:
     for (root, mult), coeff in pf.terms:
         total = total + RationalFunction(Polynomial.constant(coeff), Polynomial((-root, 1)) ** mult)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the wave-function calculus on monomial maps
+# ---------------------------------------------------------------------------
+
+
+class MonomialForm:
+    """Finite combination of monomials hbar^p x^{-i} (log x)^l: ``terms``
+    maps (p, i, l) to the coefficient, ``order`` is the hbar-order through
+    which the form is complete."""
+
+    def __init__(self, terms, order: int):
+        self.terms = {k: Frac(v) for k, v in terms.items() if v}
+        for _, i, l in self.terms:
+            if i < -1 or l not in (0, 1):
+                raise ExactError("monomials x^{-i} (log x)^l need i >= -1 and l in {0, 1}")
+        self.order = order
+
+    def __add__(self, other: "MonomialForm") -> "MonomialForm":
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, Frac(0)) + c
+        return MonomialForm(terms, min(self.order, other.order))
+
+
+def form_derivative(form: MonomialForm) -> MonomialForm:
+    """d/dx x^{-i} (log x)^l = -i x^{-i-1} (log x)^l + l x^{-i-1} (log x)^{l-1}."""
+    terms: dict = {}
+    for (p, i, l), c in form.terms.items():
+        for key, weight in (((p, i + 1, l), -i), ((p, i + 1, l - 1), l)):
+            if weight:
+                terms[key] = terms.get(key, Frac(0)) + weight * c
+    return MonomialForm(terms, form.order)
+
+
+def taylor_shift_form(form: MonomialForm, m, order: int) -> MonomialForm:
+    """f(x + m hbar) = sum_{j>=0} (m hbar)^j / j! f^{(j)}(x) through
+    hbar-order ``order``; complete for forms with no power of hbar below -1."""
+    m = Frac(m)
+    total = MonomialForm(form.terms, order)
+    deriv = form
+    for j in range(1, order + 2):
+        deriv = form_derivative(deriv)
+        if not deriv.terms:
+            break
+        weight = m**j / math.factorial(j)
+        total = total + MonomialForm(
+            {(p + j, i, l): weight * c for (p, i, l), c in deriv.terms.items() if p + j <= order},
+            order,
+        )
+    return total
+
+
+def diagonal_form(terms, order: int) -> LogLaurentForm:
+    """The ``LogLaurentForm`` with the given monomials, which must share one
+    diagonal i - p = c (c = 0 for an empty map)."""
+    diagonals = {i - p for p, i, _ in terms} or {0}
+    assert len(diagonals) == 1, diagonals
+    (c,) = diagonals
+    lo = min([p for p, _, _ in terms] + [0])
+    a, b = (
+        TruncatedSeries.from_function("r", lambda p: terms.get((p, c + p, l), 0), lo, order)
+        for l in (0, 1)
+    )
+    return LogLaurentForm(c, a, b)
+

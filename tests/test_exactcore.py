@@ -39,6 +39,7 @@ from oracles import (
     series_add,
     series_derivative,
     series_inverse,
+    series_log_recurrence,
     series_mul,
     series_shift,
     series_truncate,
@@ -347,6 +348,15 @@ def test_exp_rejects_constant_term():
         series_exp(TruncatedSeries("t", 0, [1, 1], 1))
     with pytest.raises(ExactError):
         series_exp(TruncatedSeries("t", -1, [1, 0, 1], 1))
+
+
+@given(st.lists(small_fracs, max_size=10))
+@example([])
+def test_log_matches_the_recurrence_oracle(tail):
+    s = TruncatedSeries("t", 0, [1] + tail, len(tail))
+    got = series_log(s)
+    _assert_canonical(got)
+    assert got == series_log_recurrence(s)
 
 
 def test_log_requires_unit_constant():

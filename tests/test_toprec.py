@@ -722,6 +722,20 @@ def test_s_matrix_rejects_negative():
         s_matrix(-1)
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, Frac(2)], ids=["bool", "float", "Fraction"])
+@pytest.mark.parametrize(
+    "fn, args", [(s_matrix, (2,)), (theta_expansion_check, (1, 0, 4))],
+    ids=["s_matrix", "theta_expansion_check"],
+)
+def test_entry_points_take_only_integers(fn, args, bad):
+    # the good call fills the memo tables; a bool, float or Fraction equal
+    # to a good argument must still be refused, in every position
+    fn(*args)
+    for pos in range(len(args)):
+        with pytest.raises(ExactError, match="must be an integer"):
+            fn(*args[:pos], bad, *args[pos + 1 :])
+
+
 # ---------------------------------------------------------------------------
 # the eta / theta primitive family
 # ---------------------------------------------------------------------------

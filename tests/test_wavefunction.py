@@ -6,8 +6,8 @@ Oracles used here:
   (e^t - 1)/t = sum t^m/(m+1)! independently of the recurrence;
 * shifted forms are recomputed monomial by monomial from the literal
   rewrite log(x + m*hbar) = log x + sum_j (-1)^(j+1) (m hbar/x)^j / j together
-  with binomial expansions of (x + m*hbar)^(-i), independently of the Taylor
-  engine;
+  with binomial expansions of (x + m*hbar)^(-i), and by the Taylor chain of
+  ``oracles.taylor_shift_form``, independently of the series substitution;
 * the unit-insertion reduction is tested against the multinomial kernel
   sum over distributions (property test);
 * degree blocks are compared against the closed rational functions of
@@ -20,7 +20,7 @@ import math
 from fractions import Fraction as Frac
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from p1qcurve import wavefunction as wf
@@ -38,7 +38,6 @@ from p1qcurve.wavefunction import (
     bernoulli_operator,
     build_degree_graded_x,
     conjugation_check,
-    form_derivative,
     qce_verification,
     semiclassical_check,
     shift_form,
@@ -46,6 +45,8 @@ from p1qcurve.wavefunction import (
     toda_specialization_check,
 )
 from p1qcurve.wedge import stationary_invariant, unit_insertions
+
+from oracles import MonomialForm, diagonal_form, form_derivative, taylor_shift_form
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +120,7 @@ def test_bernoulli_operator_against_direct_coefficients():
 
 def test_form_derivative_rules():
     # (x - x log x)/hbar + 3 hbar^2 log x + 5 hbar x^{-4} + 7x
-    form = LogLaurentForm(
+    form = MonomialForm(
         {(-1, -1, 0): 1, (-1, -1, 1): -1, (2, 0, 1): 3, (1, 4, 0): 5, (0, -1, 0): 7}, 6
     )
     # -(log x)/hbar; log x at hbar^2 -> 3/x at hbar^2; x^{-4} -> -20 x^{-5}; 7x -> 7
@@ -128,8 +129,9 @@ def test_form_derivative_rules():
     }
 
 
-def _shift_oracle(form: LogLaurentForm, m, order: int) -> LogLaurentForm:
-    """Shift by literal substitution, independent of the Taylor engine.
+def _shift_oracle(form, m, order: int) -> MonomialForm:
+    """Shift by literal substitution, independent of the Taylor chain and of
+    the series substitution.
 
     Each monomial hbar^p x^{-i} (log x)^l becomes hbar^p (x + m hbar)^{-i}
     (log x + lambda)^l, with the binomial expansion
@@ -155,7 +157,7 @@ def _shift_oracle(form: LogLaurentForm, m, order: int) -> LogLaurentForm:
                 key = (p + dp + ep, di + ei, el)
                 if key[0] <= order:
                     out[key] = out.get(key, Frac(0)) + c * a * b
-    return LogLaurentForm(out, order)
+    return MonomialForm(out, order)
 
 
 @pytest.mark.parametrize("m", [1, -1, 2, Frac(1, 2)])
@@ -163,7 +165,7 @@ def test_shift_form_matches_literal_substitution(m):
     order = 8
     for form in (
         bernoulli_operator(order),
-        LogLaurentForm({(0, -1, 0): -1, (0, -1, 1): 1}, order),  # the (0,1,0) block
+        diagonal_form({(0, -1, 0): -1, (0, -1, 1): 1}, order),  # the (0,1,0) block
     ):
         assert shift_form(form, m, order).terms == _shift_oracle(form, m, order).terms
 
@@ -172,10 +174,81 @@ def test_shift_form_matches_literal_substitution(m):
 def test_shift_form_on_pure_tail(m):
     # f = x^{-2} at hbar^0: shift must match the binomial expansion
     order = 7
-    form = LogLaurentForm({(0, 2, 0): Frac(1)}, order)
+    form = diagonal_form({(0, 2, 0): Frac(1)}, order)
     got = shift_form(form, m, order)
     for l in range(order + 1):
         assert got.terms.get((l, 2 + l, 0), Frac(0)) == math.comb(1 + l, l) * Frac((-m) ** l)
+
+
+SHIFTS = [0, 1, -1, 2, -2, Frac(1, 2), Frac(-1, 2), Frac(-3, 5)]
+
+
+@st.composite
+def diagonal_terms(draw):
+    """A monomial map on one diagonal c in -1..4 and its hbar-order 0..10;
+    the powers of hbar run from -1 (from 0 for c = -1, where i = c + p must
+    stay >= -1), as far down as the Taylor chain reaches."""
+    c = draw(st.integers(-1, 4))
+    order = draw(st.integers(0, 10))
+    keys = [(p, c + p, l) for p in range(max(-1, -1 - c), order + 1) for l in (0, 1)]
+    coefficients = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    return draw(st.dictionaries(st.sampled_from(keys), coefficients, max_size=6)), order
+
+
+def _shift_agrees(shift, terms, order, m) -> None:
+    got = shift(diagonal_form(terms, order), m, order).terms
+    form = MonomialForm(terms, order)
+    assert got == taylor_shift_form(form, m, order).terms
+    assert got == _shift_oracle(form, m, order).terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonal_terms(), st.sampled_from(SHIFTS))
+def test_shift_form_matches_the_taylor_chain_and_the_substitution(case, m):
+    _shift_agrees(shift_form, *case, m)
+
+
+def _mutant(fn, old: str, new: str):
+    """``fn`` with one piece of its source replaced, defined in a copy of the
+    module's namespace."""
+    source = inspect.getsource(fn)
+    assert source.count(old) == 1
+    namespace = dict(vars(wf))
+    exec(source.replace(old, new), namespace)
+    return namespace[fn.__name__]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("weight = s ** -form.c", "weight = s ** 0"), (" + b * series_log(s)", "")],
+    ids=["no-weight", "no-log-s"],
+)
+def test_shift_property_detects_a_wrong_substitution(old, new):
+    wrong = _mutant(shift_form, old, new)
+    check = settings(database=None, phases=[Phase.generate], deadline=None)(
+        given(diagonal_terms(), st.sampled_from(SHIFTS))(
+            lambda case, m: _shift_agrees(wrong, *case, m)
+        )
+    )
+    with pytest.raises(AssertionError):
+        check()
+
+
+def test_log_laurent_form_lives_on_one_diagonal():
+    form = bernoulli_operator(4)
+    assert (form.c, form.order) == (0, 4)
+    assert (form - form).terms == {}
+    with pytest.raises(TypeError):
+        form.terms[(0, 0, 1)] = 1
+    with pytest.raises(TypeError):
+        hash(form)
+    with pytest.raises(ExactError, match="diagonals"):
+        form + diagonal_form({(0, 2, 0): 1}, 4)
+    # x^2 is i = -2, below the span
+    with pytest.raises(ExactError):
+        LogLaurentForm(-2, TruncatedSeries.constant("r", 1, 3), TruncatedSeries.zero("r", 3))
+    with pytest.raises(ExactError):
+        LogLaurentForm(0, TruncatedSeries.zero("r", 3), TruncatedSeries.zero("r", 2))
 
 
 def test_shift_difference_is_diagonal_with_log():
@@ -210,14 +283,17 @@ def test_shift_difference_exponentials_are_the_weights():
 
     order = 10
     form = bernoulli_operator(order)
-    xpow, series = _exp_of_difference(shift_form(form, 1, order) - form, order)
+    xpow, series = _exp_of_difference(shift_form(form, 1, order) - form)
     assert xpow == -1
     assert [series.coefficient(l) for l in range(order + 1)] == [
         Frac((-1) ** l) for l in range(order + 1)
     ]
-    xpow, series = _exp_of_difference(shift_form(form, -1, order) - form, order)
+    xpow, series = _exp_of_difference(shift_form(form, -1, order) - form)
     assert xpow == 1
     assert [series.coefficient(l) for l in range(order + 1)] == [Frac(1)] + [Frac(0)] * order
+    # the prefactor itself carries (log x)/hbar: not k log x
+    with pytest.raises(ExactError):
+        _exp_of_difference(form)
 
 
 # ---------------------------------------------------------------------------
@@ -353,28 +429,18 @@ def _assembled_block(theta, d, order):
     return tuple(out)
 
 
-def _block_mutant(old, new):
-    """_degree_block with one piece of its source replaced, defined in a
-    copy of the module's namespace."""
-    source = inspect.getsource(wf._degree_block)
-    assert source.count(old) == 1
-    namespace = dict(vars(wf))
-    exec(source.replace(old, new), namespace)
-    return namespace["_degree_block"]
-
-
 BLOCK_CASES = [(d, order) for d in range(1, 7) for order in range(1, 17)]
 
 
 def test_closed_form_blocks_match_the_shift_route():
-    # V (x + hbar/2)^-lead in closed form against shift_form's Taylor chain
+    # V (x + hbar/2)^-lead in closed form against shift_form's series substitution
     for d, order in BLOCK_CASES:
         want = _assembled_block(wf._theta_shifted, d, order)
         assert wf._degree_block(d, order) == want, (d, order)
 
 
 def test_closed_form_block_comparison_detects_a_wrong_half_step():
-    wrong = _block_mutant("2**p", "2**(p+1)")
+    wrong = _mutant(wf._degree_block, "2**p", "2**(p+1)")
     assert any(
         wrong(d, order) != _assembled_block(wf._theta_shifted, d, order)
         for d, order in BLOCK_CASES
@@ -484,3 +550,29 @@ def test_toda_kernel_series_identity():
     )
     for j in range(2, order + 1):
         assert lhs.coefficient(j) == rhs.coefficient(j)
+
+
+ENTRY_POINTS = [
+    (qce_verification, (2,)),
+    (conjugation_check, (2, 4)),
+    (bernoulli_number, (2,)),
+    (bernoulli_operator, (4,)),
+    (build_degree_graded_x, (2, 6)),
+    (theta_resummation_check, (0, 1, 0, 6)),
+    (toda_specialization_check, (4, 2)),
+    (semiclassical_check, (4,)),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, Frac(2)], ids=["bool", "float", "Fraction"])
+@pytest.mark.parametrize(
+    "fn, args", ENTRY_POINTS, ids=[fn.__name__ for fn, _ in ENTRY_POINTS]
+)
+def test_entry_points_take_only_integers(fn, args, bad):
+    # the good call fills the memo tables; a bool, float or Fraction equal
+    # to a good argument must still be refused, in every position
+    fn(*args)
+    for pos in range(len(args)):
+        with pytest.raises(ExactError, match="must be an integer"):
+            fn(*args[:pos], bad, *args[pos + 1 :])
+
