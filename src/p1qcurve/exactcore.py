@@ -35,7 +35,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction as Frac
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[Frac, int]
 
@@ -326,14 +326,15 @@ class Polynomial:
 
         For ``c = a/b`` and ``p = P/den`` of degree ``k``, the integer
         polynomial ``m(t) = b^k P(t/b)`` is shifted by the integer ``a``
-        (:func:`_taylor_shift`); then ``p(t + c) = m(b t + a) / (den b^k)``.
+        (all ``k`` passes of :func:`_taylor_passes`); then
+        ``p(t + c) = m(b t + a) / (den b^k)``.
         """
         c = _frac(c)
         a, b = c.numerator, c.denominator
         k = len(self._num) - 1
         if k < 1 or not a:
             return self
-        cs = _taylor_shift([x * b ** (k - i) for i, x in enumerate(self._num)], a)
+        cs = list(_taylor_passes([x * b ** (k - i) for i, x in enumerate(self._num)], a))
         return _poly([x * b**i for i, x in enumerate(cs)], self._den * b**k)
 
     def monic(self) -> "Polynomial":
@@ -400,15 +401,17 @@ def _poly(nums: list[int], den: int = 1) -> Polynomial:
     return p
 
 
-def _taylor_shift(cs: list[int], a: int) -> list[int]:
-    """The integer polynomial ``cs`` (ascending) replaced by ``cs(t + a)``, in
-    place: ``k`` passes of synthetic division by ``t - a``, ``O(k^2)`` integer
-    multiply-adds."""
+def _taylor_passes(cs: list[int], a: int) -> Iterator[int]:
+    """The coefficients of ``cs(t + a)`` for the integer polynomial ``cs``
+    (ascending), in ascending order, computed in place: pass ``i`` of
+    synthetic division by ``t - a`` finalises ``cs[i]``, so reading the first
+    ``n`` of them costs ``O(n k)`` integer multiply-adds, not ``O(k^2)``."""
     k = len(cs) - 1
     for i in range(k):
         for j in range(k - 1, i - 1, -1):
             cs[j] += a * cs[j + 1]
-    return cs
+        yield cs[i]
+    yield from cs[k:]
 
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
@@ -634,20 +637,40 @@ class RationalFunction:
     # -- expansions --------------------------------------------------------------
 
     def laurent_at(self, center: Scalar, order: int, var: str = "t") -> "TruncatedSeries":
-        """Laurent expansion in ``t = z - center`` through ``t**order`` inclusive."""
-        num = self.num.shift(center)
-        den = self.den.shift(center)
+        """Laurent expansion in ``t = z - center`` through ``t**order`` inclusive.
+
+        Only the Taylor coefficients in the window are computed: with ``v``
+        the order of the pole (the first nonzero Taylor coefficient of the
+        denominator) and ``top = order + v``, those of ``t**0 .. t**top`` of
+        the numerator and of ``t**v .. t**(v + top)`` of the denominator, one
+        synthetic division by ``t - center`` each (:func:`_taylor_passes`).
+        For ``center = a/b`` and ``p = P/den`` of degree ``k``, the Taylor
+        coefficients of ``p`` at ``a/b`` are ``mu_j b^j / (den b^k)`` with
+        ``mu_j`` those of the integer ``b^k P(t/b)`` at ``a``.
+        """
         if self.is_zero():
             return TruncatedSeries.zero(var, order)
-        v = next(k for k, x in enumerate(den._num) if x)
+        c = _frac(center)
+        a, b = c.numerator, c.denominator
+
+        def taylor(p: Polynomial) -> tuple[Iterator[int], int]:
+            """The Taylor coefficients of ``p`` at ``center``, lazily, as
+            integers over one denominator."""
+            k = len(p._num) - 1
+            m = [x * b ** (k - i) for i, x in enumerate(p._num)]
+            return (mu * b**j for j, mu in enumerate(_taylor_passes(m, a))), p._den * b**k
+
+        def window(coeffs: Iterator[int], den: int) -> TruncatedSeries:
+            """The next ``top + 1`` of ``coeffs``, zero-padded, at ``t**0 ..``."""
+            cs = list(itertools.islice(coeffs, max(0, top + 1)))
+            return _series(var, 0, cs + [0] * (top + 1 - len(cs)), den, top)
+
+        den_coeffs, den_den = taylor(self.den)
+        lead, v = 0, -1
+        while not lead:
+            lead, v = next(den_coeffs), v + 1
         top = order + v
-
-        def window(p: Polynomial, lo: int) -> TruncatedSeries:
-            """The coefficients of ``t**lo .. t**(lo + top)`` of ``p`` at ``t**0 ..``."""
-            cs = list(p._num[lo : lo + top + 1])
-            return _series(var, 0, cs + [0] * (top + 1 - len(cs)), p._den, top)
-
-        quot = window(num, 0) * window(den, v).inverse()
+        quot = window(*taylor(self.num)) * window(itertools.chain([lead], den_coeffs), den_den).inverse()
         return quot.shift_exponent(-v).truncate(order)
 
     def series_at_infinity(self, order: int, var: str = "xinv") -> "TruncatedSeries":
@@ -672,6 +695,14 @@ class RationalFunction:
         return f"RationalFunction({self.num!r}, {self.den!r})"
 
 
+def _reduced(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """``num / den`` for a pair already in canonical form (coprime, ``den``
+    monic), built without normalising it again."""
+    f = object.__new__(RationalFunction)
+    f.num, f.den = num, den
+    return f
+
+
 # ---------------------------------------------------------------------------
 # Partial fractions
 # ---------------------------------------------------------------------------
@@ -691,10 +722,14 @@ class PartialFractions:
         return dict(self.terms)
 
     def reassemble(self) -> RationalFunction:
-        """The rational function, summed over one common denominator
-        ``D = prod (t - root)**(highest mult at root)``: the numerator is
-        ``poly_part D + sum c D / (t - root)**mult`` (exact divisions), and the
-        quotient is normalised once."""
+        """The rational function, :meth:`_summed` and normalised once."""
+        return RationalFunction(*self._summed())
+
+    def _summed(self) -> tuple[Polynomial, Polynomial]:
+        """The unreduced numerator and denominator: over one common
+        denominator ``D = prod (t - root)**(highest mult at root)`` the
+        numerator is ``poly_part D + sum c D / (t - root)**mult`` (exact
+        divisions)."""
         top: dict[Frac, int] = {}
         for (root, mult), _ in self.terms:
             top[root] = max(top.get(root, 0), mult)
@@ -702,7 +737,27 @@ class PartialFractions:
         num = self.poly_part * den
         for (root, mult), coeff in self.terms:
             num = num + coeff * (den // Polynomial.from_roots([root] * mult))
-        return RationalFunction(num, den)
+        return num, den
+
+    def _sums_to(self, f: RationalFunction) -> bool:
+        """Whether the decomposition sums to ``f``: the :meth:`_summed` pair
+        and ``f`` cross-multiplied, with no normalisation."""
+        num, den = self._summed()
+        return num * f.den == f.num * den
+
+
+def _ceil_root(n: int, k: int) -> int:
+    """The least integer ``x >= 0`` with ``x**k >= n``, for ``n >= 0``, by
+    integer Newton steps down from a power of two above the root."""
+    if n <= 1:
+        return n
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    return x if x**k >= n else x + 1
 
 
 def _rational_roots(p: Polynomial) -> list[Frac]:
@@ -716,21 +771,24 @@ def _rational_roots(p: Polynomial) -> list[Frac]:
     over Q iff ``F`` has ``k`` integer roots ``u = a*r``.  Then
     ``F`` is real-rooted and the Budan–Fourier count ``V(l) - V(r)`` (sign
     changes of ``F, F', ..., F^(k)`` at a point, zeros dropped) is exactly the
-    number of roots in ``(l, r]``.  Bisecting ``(-B, B]``, ``B = 1 + max|F_i|``,
-    at integer midpoints down to unit intervals ``(n-1, n]`` of nonzero count,
-    each must have count 1 and ``F(n) = 0``.  Only Taylor shifts of ``F`` are
-    computed: no integer is factored, as the rational-root test would have to.
+    number of roots in ``(l, r]``.  Every root lies strictly inside Fujiwara's
+    bound ``|u| < 2 max_i |F_i|**(1/(k-i))``; with the exact integer ceiling
+    of each root (:func:`_ceil_root`) that gives an integer ``B >= 1``.
+    Bisecting ``(-B, B]`` at integer midpoints down to unit intervals
+    ``(n-1, n]`` of nonzero count, each must have count 1 and ``F(n) = 0``.
+    Only Taylor shifts of ``F`` are computed: no integer is factored, as the
+    rational-root test would have to.
     """
     s = (p // p.gcd(p.derivative())).monic()
     k, a = s.degree, s._den
     F = [x * a ** (k - 1 - i) for i, x in enumerate(s._num[:-1])] + [1]
 
     def variations(x: int) -> int:
-        cs = _taylor_shift(list(F), x)  # u^j coefficient F^(j)(x) / j!
+        cs = _taylor_passes(list(F), x)  # u^j coefficient F^(j)(x) / j!
         signs = [v > 0 for v in cs if v]
         return sum(u != w for u, w in zip(signs, signs[1:]))
 
-    bound = 1 + max(abs(v) for v in F)
+    bound = max(1, 2 * max(_ceil_root(abs(v), k - i) for i, v in enumerate(F[:-1])))
     roots: list[Frac] = []
     stack = [(-bound, variations(-bound), bound, variations(bound))]
     while stack:
@@ -753,12 +811,14 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     """Exact partial fractions of ``f`` over rational poles.
 
     Raises :class:`FactorError` if the denominator has an irrational or
-    non-real root.
+    non-real root.  The result is checked by reassembling it over its own
+    denominator and cross-multiplying with ``f``: no normalisation.
     """
     poly_part, rem = divmod(f.num, f.den)
     if rem.is_zero():
         return PartialFractions(poly_part, ())
-    proper = RationalFunction(rem, f.den)
+    # f is reduced, so rem = f.num mod f.den is coprime to the monic f.den
+    proper = _reduced(rem, f.den)
     terms: list[tuple[tuple[Frac, int], Frac]] = []
     orders = 0
     for root in _rational_roots(proper.den):
@@ -772,7 +832,7 @@ def partial_fractions(f: RationalFunction) -> PartialFractions:
     if orders != proper.den.degree:
         raise FactorError("denominator did not split into rational linear factors")
     result = PartialFractions(poly_part, tuple(terms))
-    if result.reassemble() != f:
+    if not result._sums_to(f):
         raise ExactError("internal error: partial fractions failed to reassemble")
     return result
 
@@ -1137,7 +1197,10 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
     """Substitute ``inner`` (valuation >= 1) into ``outer``.
 
     The truncation order of the result is whatever the sound arithmetic of the
-    parts supports; it is never padded with unknown zeros.
+    parts supports; it is never padded with unknown zeros.  For ``outer``
+    known through ``t**N`` and ``inner`` of valuation ``v``, the unknown terms
+    of ``outer`` start at ``inner**(N+1) = O(t**(v(N+1)))``, so the result is
+    known at most through ``t**(v(N+1) - 1)``.
     """
     val = inner.valuation()
     if val is None or val < 1 or inner.min_exp < 1:
@@ -1152,12 +1215,13 @@ def series_compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedS
         inv = inner.inverse()
         powk = inv
         for k in range(1, -outer.min_exp + 1):
-            c = outer.coefficient(-k)
+            # an unknown coefficient lies past the final truncation
+            c = outer.coefficient(-k) if -k <= outer.order else 0
             if c:
                 result = result + powk * c
             if k < -outer.min_exp:
                 powk = powk * inv
-    return result
+    return result.truncate(min(result.order, val * (outer.order + 1) - 1))
 
 
 # ---------------------------------------------------------------------------

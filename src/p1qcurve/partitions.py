@@ -20,7 +20,7 @@ from fractions import Fraction as Frac
 from functools import cache, wraps
 from typing import Iterator
 
-from .exactcore import ExactError, Polynomial
+from .exactcore import ExactError, Polynomial, _poly
 
 Partition = tuple[int, ...]
 
@@ -220,6 +220,7 @@ def _times_linear(cs: list[int], c: int) -> list[int]:
     return [c * cs[0]] + [c * a + b for a, b in zip(cs[1:], cs)] + [cs[-1]]
 
 
+@_memo_checked(_degree)
 def offset_sum(d: int) -> Polynomial:
     """``G_d(y) = sum_{|lam| = d} P_lam(y) / H_lam^2`` with ``P`` the
     :func:`offset_product` and ``H`` the :func:`hook_product`.
@@ -230,9 +231,11 @@ def offset_sum(d: int) -> Polynomial:
     factor, into the length-``l`` sum ``S_l``.  The zero parts' factors
     ``prod_{i > l} (y - i)`` are shared by every partition of length ``l`` and
     are applied once, by Horner over the lengths:
-    ``acc <- acc (y - l) + S_l``.  The result is one polynomial over ``L``.
+    ``acc <- acc (y - l) + S_l``.  The result is one polynomial over ``L``,
+    built from the integers without a ``Fraction`` per coefficient, and
+    memoised: ``qcurve.x_partition`` and ``qcurve.y_polynomial`` share it.
     """
-    if _degree(d) < 0:
+    if d < 0:
         raise ExactError("cannot partition a negative integer")
     weighted = [(lam, hook_product(lam) ** 2) for lam in partitions(d)]
     den = math.lcm(*(h2 for _, h2 in weighted))
@@ -249,7 +252,7 @@ def offset_sum(d: int) -> Polynomial:
         acc = _times_linear(acc, -length)
         for k, x in enumerate(sums[length]):
             acc[k] += x
-    return Polynomial(Frac(x, den) for x in acc)
+    return _poly(acc, den)
 
 
 def offset_difference_check(d: int) -> bool:

@@ -13,10 +13,15 @@ relations the family satisfies degree by degree.
 Shifts of x by multiples of hbar act as integer shifts of u, so everything
 here is univariate exact rational-function arithmetic.  The partition sums
 are taken once, on integer numerators over one common denominator
-(:func:`partitions.offset_sum`), and each result is normalised once; the
-shifts act on the summed polynomial, never on one partition's term.  Degrees
-are ints and scalars are ints or fractions: a float or a bool raises
-:class:`ExactError` before any memo table is read.
+(:func:`partitions.offset_sum`, shared by X_d and Y_d), and each result is
+normalised once; the shifts act on the summed polynomial, never on one
+partition's term.  Degrees are ints and scalars are ints or fractions: a
+float or a bool raises :class:`ExactError` before any memo table is read.
+
+Checks are identities on cleared denominators; only returned values are
+normalised.  A check such as the shift recursion or the agreement of the
+two Laguerre forms multiplies its denominators out and asks whether one
+polynomial identity holds, with no gcd and no ``RationalFunction`` built.
 """
 
 from __future__ import annotations
@@ -30,6 +35,8 @@ from .exactcore import (
     ExactError,
     Polynomial,
     RationalFunction,
+    _poly,
+    _pseudo_divmod,
     partial_fractions,
 )
 from .partitions import (
@@ -81,7 +88,7 @@ def x_partition(d: int) -> RationalFunction:
 @cache
 def _x_partition(d: int) -> RationalFunction:
     g = offset_sum(d)
-    num = Polynomial([c if (d + k) % 2 == 0 else -c for k, c in enumerate(g.coeffs)])
+    num = _poly([x if (d + k) % 2 == 0 else -x for k, x in enumerate(g._num)], g._den)
     return RationalFunction(num, _pole_product(d))
 
 
@@ -123,36 +130,48 @@ def x_laguerre(d: int) -> RationalFunction:
     Pole-sum form:   (1/d!) (1 - sum_{m=1}^{d} L_{d-m}^{(m)}(1) / (m-1)! / (u+m))
     Ratio form:      L_d^{(u)}(1) / (d! L_d^{(u)}(0))  with u symbolic.
 
-    The pole sum is taken over ``D = prod_m (u+m)`` as
-    ``(D - sum_m c_m D/(u+m)) / (d! D)``, ``c_m`` the pole coefficients, and
-    normalised once.  Both forms are computed and must agree exactly; a
-    mismatch raises, since it can only come from an arithmetic defect.
+    The ratio form is normalised and returned.  The pole sum is taken on
+    integers (:func:`_laguerre_pole_sum`) and left unreduced; the two forms
+    are compared by cross-multiplication and must agree exactly; a mismatch
+    raises, since it can only come from an arithmetic defect.
     """
     if _degree(d) < 0:
         raise ExactError("degree must be nonnegative")
     return _x_laguerre(d)
 
 
-def _laguerre_pole_sum(d: int) -> RationalFunction:
-    """The pole-sum form of :func:`x_laguerre` over ``D = prod_m (u+m)``."""
+def _laguerre_pole_sum(d: int) -> tuple[Polynomial, Polynomial]:
+    """The pole-sum form of :func:`x_laguerre` as an unreduced pair
+    ``(numerator, D)``, ``D = prod_m (u+m)``.
+
+    Over ``w = (d-1)!`` the pole coefficient ``L_{d-m}^{(m)}(1) / (m-1)!`` is
+    the integer ``A_m C(d-1, m-1)``, where ``A_m = (d-m)! L_{d-m}^{(m)}(1)
+    = sum_i (-1)^i C(d, d-m-i) (d-m)!/i!``.  So the numerator is
+    ``(w D - sum_m A_m C(d-1, m-1) D/(u+m)) / (d! w)``, each ``D/(u+m)``
+    one exact division of integer polynomials by a monic linear factor (one
+    synthetic division), and one polynomial over ``d! w``.
+    """
     den = _pole_product(d)
-    num = den
+    w = math.factorial(max(d - 1, 0))
+    acc = [w * x for x in den._num]
     for m in range(1, d + 1):
-        coeff = laguerre_value(d - m, m, 1) / math.factorial(m - 1)
-        num = num - coeff * (den // Polynomial([m, 1]))
-    return RationalFunction(num * Frac(1, math.factorial(d)), den)
+        n = d - m
+        a_m = sum((-1) ** i * math.comb(d, n - i) * math.perm(n, n - i) for i in range(n + 1))
+        c_m = a_m * math.comb(d - 1, m - 1)
+        for k, x in enumerate(_pseudo_divmod(den._num, (m, 1))[0]):
+            acc[k] -= c_m * x
+    return _poly(acc, math.factorial(d) * w), den
 
 
 @cache
 def _x_laguerre(d: int) -> RationalFunction:
-    pole_sum = _laguerre_pole_sum(d)
-    # ratio form with symbolic parameter
     u = Polynomial.identity()
     num = laguerre_value(d, u, 1)
     den = laguerre_value(d, u, 0)
     assert isinstance(num, Polynomial) and isinstance(den, Polynomial)
     ratio = RationalFunction(num, den * math.factorial(d))
-    if pole_sum != ratio:
+    pole_num, pole_den = _laguerre_pole_sum(d)
+    if pole_num * ratio.den != ratio.num * pole_den:
         raise ExactError(
             f"Laguerre pole-sum and ratio forms disagree at degree {d}: "
             "arithmetic defect"
@@ -164,13 +183,26 @@ def verify_xd_recursion(d: int) -> bool:
     """Exact check of the shift recursion
 
         (1/(u+1)) X_{d-1}(u+1) + u (X_d(u-1) - X_d(u)) = 0   for d >= 1.
+
+    The check is that the cleared numerator of the left side
+    (:func:`_recursion_numerator`) is the zero polynomial.
     """
     if _degree(d) < 1:
         raise ExactError("recursion is stated for d >= 1")
-    x_prev, x_d = x_partition(d - 1), x_partition(d)
-    u = RationalFunction.identity()
-    residual = x_prev.shift(1) / RationalFunction(Polynomial([1, 1])) + u * (x_d.shift(-1) - x_d)
-    return residual.is_zero()
+    return _recursion_numerator(x_partition(d - 1), x_partition(d)).is_zero()
+
+
+def _recursion_numerator(x_prev: RationalFunction, x_d: RationalFunction) -> Polynomial:
+    """The numerator of ``(1/(u+1)) x_prev(u+1) + u (x_d(u-1) - x_d(u))`` over
+    ``B E F``: with ``x_prev(u+1) = A/B'``, ``B = (u+1) B'``,
+    ``x_d(u-1) = C/E`` and ``x_d(u) = N/F`` it is
+    ``A E F + u B (C F - N E)``.  Four shifts and a few products, no
+    normalisation."""
+    a = x_prev.num.shift(1)
+    b = Polynomial([1, 1]) * x_prev.den.shift(1)
+    c, e = x_d.num.shift(-1), x_d.den.shift(-1)
+    n, f = x_d.num, x_d.den
+    return a * e * f + Polynomial.identity() * b * (c * f - n * e)
 
 
 def y_polynomial(d: int) -> Polynomial:

@@ -1088,6 +1088,7 @@ def s0_s1_closed_forms(order: int = 12) -> bool:
     closed form.  All log-bearing identities are split into rational
     components so every comparison is exact.
     """
+    _integers(order=order)
     one = Polynomial.one()
     z = Polynomial([0, 1])
 

@@ -54,7 +54,7 @@ from .exactcore import (
     series_log,
 )
 from .partitions import _memo_checked, _sorted_tuples
-from .qcurve import toda_quadratic_check, verify_xd_recursion, x_partition
+from .qcurve import _scalar, toda_quadratic_check, verify_xd_recursion, x_partition
 from .toprec import s0_s1_closed_forms
 from .wedge import _integers, stationary_invariant, unit_insertions, zeta_series
 
@@ -160,8 +160,8 @@ class LogLaurentForm:
 
 
 def shift_form(form: LogLaurentForm, m, order: int) -> LogLaurentForm:
-    """The shifted form f(x + m*hbar), m rational, exact through hbar-order
-    ``min(order, form.order)``.  With s = 1 + m r, x + m hbar = x s, so
+    """The shifted form f(x + m*hbar), m an int or a Fraction, exact through
+    hbar-order ``min(order, form.order)``.  With s = 1 + m r, x + m hbar = x s, so
 
         f(x + m hbar) = x^{-c} s^{-c} (a(r/s) + b(r/s) (log x + log s)).
 
@@ -169,9 +169,11 @@ def shift_form(form: LogLaurentForm, m, order: int) -> LogLaurentForm:
     which costs the truncated arithmetic k + 1 orders, so r runs through
     order + 1 + k.
     """
+    _integers(order=order)
+    m = _scalar(m)
     order = min(order, form.order)
     r = TruncatedSeries.variable("r", order + 1 - min(form.a.min_exp, form.b.min_exp, 0))
-    s = 1 + Frac(m) * r
+    s = 1 + m * r
     inner = r / s
     b = series_compose(form.b, inner)
     a = series_compose(form.a, inner) + b * series_log(s)
@@ -191,6 +193,7 @@ def apply_laurent_operator(a: TruncatedSeries, order: int) -> LogLaurentForm:
         a(-hbar d/dx)(log x) = a_{-1} (x - x log x)/hbar + a_0 log x
                                - sum_{i>=1} a_i (i-1)! hbar^i / x^i.
     """
+    _integers(order=order)
     if a.min_exp < -1:
         raise ExactError("operator series must not go below 1/t")
     upto = min(order, a.order)

@@ -45,6 +45,14 @@ Laguerre binomial rebuilt for every ``k``, and one ``RationalFunction``
 normalisation per term.  ``series_add`` is the sum of two ``TruncatedSeries``
 read coefficient by coefficient.
 
+``recursion_residual``, ``laurent_at_full_shift`` and
+``reassembles_by_normalising`` are the checks of the X_d tower as they were
+before each became one identity on cleared denominators: the shift
+recursion's residual built from ``RationalFunction`` shifts, sums and
+products, each normalised, the Laurent expansion from two full Taylor shifts
+of numerator and denominator, and the partial-fraction self-check that
+normalises the reassembled function and compares it with the input.
+
 ``connected_npoint`` is the set-partition route of the Fock-space engine:
 whole n-point series from the eigenvalue series ``e0_eigenvalue``, divided by
 the vacuum factor and combined into cumulants over the subsets of the marked
@@ -923,6 +931,36 @@ def reassemble_termwise(pf: PartialFractions) -> RationalFunction:
     for (root, mult), coeff in pf.terms:
         total = total + RationalFunction(Polynomial.constant(coeff), Polynomial((-root, 1)) ** mult)
     return total
+
+
+def recursion_residual(x_prev: RationalFunction, x_d: RationalFunction) -> RationalFunction:
+    """(1/(u+1)) x_prev(u+1) + u (x_d(u-1) - x_d(u)), normalised at every step."""
+    u = RationalFunction.identity()
+    return x_prev.shift(1) / RationalFunction(Polynomial([1, 1])) + u * (x_d.shift(-1) - x_d)
+
+
+def laurent_at_full_shift(f: RationalFunction, center, order: int, var: str = "t") -> TruncatedSeries:
+    """The Laurent expansion of ``f`` in ``t = z - center`` through ``t**order``
+    from the whole of ``f.num(t + center)`` and ``f.den(t + center)``."""
+    num = f.num.shift(center)
+    den = f.den.shift(center)
+    if f.is_zero():
+        return TruncatedSeries.zero(var, order)
+    v = next(k for k, c in enumerate(den.coeffs) if c)
+    top = order + v
+
+    def window(p: Polynomial, lo: int) -> TruncatedSeries:
+        cs = list(p.coeffs[lo : lo + top + 1])
+        return TruncatedSeries(var, 0, cs + [0] * (top + 1 - len(cs)), top)
+
+    quot = window(num, 0) * window(den, v).inverse()
+    return quot.shift_exponent(-v).truncate(order)
+
+
+def reassembles_by_normalising(pf: PartialFractions, f: RationalFunction) -> bool:
+    """Whether ``pf`` sums to ``f``: the reassembled function normalised and
+    compared with ``f``."""
+    return pf.reassemble() == f
 
 
 # ---------------------------------------------------------------------------

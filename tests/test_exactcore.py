@@ -35,7 +35,9 @@ from p1qcurve.exactcore import (
 from oracles import (
     FracPolynomial,
     frac_canonical,
+    laurent_at_full_shift,
     reassemble_termwise,
+    reassembles_by_normalising,
     series_add,
     series_derivative,
     series_inverse,
@@ -273,6 +275,75 @@ def test_rational_roots_match_sympy_oracle(roots, extra, num):
     assert orders == want
 
 
+def _integer_roots_found(finder, roots: dict) -> None:
+    p = Polynomial.from_roots(r for r, m in roots.items() for _ in range(m))
+    try:
+        got = finder(p)
+    except FactorError:
+        got = None
+    assert got == sorted(roots)
+
+
+integer_roots = st.dictionaries(st.integers(-10**6, 10**6), st.integers(1, 3), min_size=1, max_size=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_roots)
+@example({-(10**6): 3, 10**6: 3, 0: 1})
+def test_rational_roots_find_every_integer_root(roots):
+    """Integer roots up to 10**6 in size, multiplicities up to 3: the root
+    finder and sympy both see every one."""
+    _integer_roots_found(_rational_roots, roots)
+    p = Polynomial.from_roots(r for r, m in roots.items() for _ in range(m))
+    assert sympy_rational_roots(p) == roots
+
+
+def test_rational_roots_property_detects_a_halved_bound():
+    """Negative control: Fujiwara's bound without its factor 2 lets roots
+    fall outside the bisected interval, and the same property fails."""
+    source = textwrap.dedent(inspect.getsource(_rational_roots))
+    assert source.count("2 * max(") == 1
+    namespace = dict(vars(exactcore))
+    exec(source.replace("2 * max(", "max("), namespace)
+    check = settings(database=None, phases=[Phase.generate], deadline=None)(
+        given(integer_roots)(lambda roots: _integer_roots_found(namespace["_rational_roots"], roots))
+    )
+    with pytest.raises(AssertionError):
+        check()
+
+
+@st.composite
+def laurent_cases(draw):
+    """A rational function, a center (one of its poles half of the time) and
+    an order."""
+    roots = draw(st.lists(small_fracs, max_size=4))
+    extra = draw(st.lists(small_fracs, min_size=1, max_size=3).filter(any))
+    f = RationalFunction(poly(draw(st.lists(small_fracs, max_size=6))), Polynomial.from_roots(roots) * poly(extra))
+    center = draw(st.sampled_from(roots)) if roots and draw(st.booleans()) else draw(small_fracs)
+    return f, center, draw(st.integers(-3, 5))
+
+
+@given(laurent_cases())
+def test_laurent_at_matches_the_full_shift_oracle(case):
+    f, center, order = case
+    try:
+        want = laurent_at_full_shift(f, center, order)
+    except ExactError:
+        with pytest.raises(ExactError):
+            f.laurent_at(center, order)
+        return
+    assert f.laurent_at(center, order) == want
+
+
+@given(partial_fraction_data(), small_fracs)
+def test_reassembly_check_matches_the_normalising_oracle(pf, c):
+    """The cross-multiplied self-check of partial_fractions against the
+    normalising one, on the decomposition's own sum and on moved copies."""
+    f = reassemble_termwise(pf)
+    for g in (f, f + c, f * c, f + RationalFunction(Polynomial.constant(c), poly([1, 1]))):
+        assert pf._sums_to(g) == reassembles_by_normalising(pf, g) == (reassemble_termwise(pf) == g)
+
+
 def test_partial_fractions_random_reassembly():
     """Randomized exact reassembly over assorted pole configurations."""
     rng = random.Random(20260815)
@@ -386,6 +457,36 @@ def test_compose_negative_exponents():
     assert comp.coefficient(-1) == 1
     assert comp.coefficient(0) == 1
     assert all(comp.coefficient(k) == 0 for k in range(1, comp.order + 1))
+
+
+def test_compose_stops_at_the_outer_truncation():
+    """An outer series known through t^N composed with an inner one of
+    valuation v is known through t^(v(N+1) - 1), not further."""
+    outer = TruncatedSeries("t", 0, [1, 1], 1)  # 1 + t + O(t^2)
+    assert series_compose(outer, TruncatedSeries.variable("t", 5)) == outer
+    t2 = TruncatedSeries.monomial("t", 2, 1, 9)
+    assert series_compose(outer, t2) == TruncatedSeries("t", 0, [1, 0, 1, 0], 3)
+    pole = TruncatedSeries("t", -1, [1, 1], 0)  # 1/t + 1 + O(t)
+    assert series_compose(pole, TruncatedSeries.variable("t", 5)) == pole
+
+
+@given(
+    st.lists(small_fracs, min_size=1, max_size=5),
+    st.lists(small_fracs, min_size=1, max_size=4),
+    st.integers(-2, 0),
+    st.lists(small_fracs, min_size=1, max_size=5).filter(lambda cs: cs[0] != 0),
+    st.integers(1, 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_compose_is_sound_under_a_longer_outer_series(known, more, low, inner_cs, v):
+    """Whatever the outer series' unknown terms turn out to be, the
+    composition agrees with the one computed without them through its order."""
+    order = low + len(known) - 1
+    short = TruncatedSeries("t", low, known, order)
+    longer = TruncatedSeries("t", low, known + more, order + len(more))
+    inner = TruncatedSeries("t", v, inner_cs + [0] * 6, v + len(inner_cs) + 5)
+    got = series_compose(short, inner)
+    assert series_compose(longer, inner).truncate(got.order) == got
 
 
 @given(

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import math
+import textwrap
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from p1qcurve import qcurve
-from p1qcurve.exactcore import ExactError, Polynomial, RationalFunction
+from p1qcurve.exactcore import ExactError, Polynomial, RationalFunction, partial_fractions
 from p1qcurve.partitions import hook_product, offset_sum, partitions
 from p1qcurve.qcurve import (
     laguerre_value,
@@ -27,6 +29,10 @@ from p1qcurve.qcurve import (
 from oracles import (
     laguerre_pole_sum_termwise,
     laguerre_value_termwise,
+    laurent_at_full_shift,
+    reassemble_termwise,
+    reassembles_by_normalising,
+    recursion_residual,
     x_partition_termwise,
     y_polynomial_termwise,
 )
@@ -199,9 +205,9 @@ def test_a_refused_degree_takes_no_memo_entry():
     x_partition(1)
     y_polynomial(1)
     x_laguerre(1)
-    tables = (qcurve._x_partition, qcurve._y_polynomial, qcurve._x_laguerre)
+    tables = (qcurve._x_partition, qcurve._y_polynomial, qcurve._x_laguerre, offset_sum.__wrapped__)
     sizes = [t.cache_info().currsize for t in tables]
-    for build in (x_partition, y_polynomial, x_laguerre):
+    for build in (x_partition, y_polynomial, x_laguerre, offset_sum):
         with pytest.raises(ExactError):
             build(True)
     assert [t.cache_info().currsize for t in tables] == sizes
@@ -216,7 +222,9 @@ def test_a_refused_degree_takes_no_memo_entry():
 @settings(max_examples=9, deadline=None)
 def test_partition_sums_match_the_termwise_oracles(d):
     assert x_partition(d) == x_partition_termwise(d)
-    assert qcurve._laguerre_pole_sum(d) == laguerre_pole_sum_termwise(d)
+    num, den = qcurve._laguerre_pole_sum(d)
+    pole_sum = laguerre_pole_sum_termwise(d)
+    assert num * pole_sum.den == pole_sum.num * den
     if d:
         # Y_d vanishes on both sides; the unshifted sum is compared in
         # test_partitions.test_offset_sum_matches_the_termwise_oracle
@@ -235,7 +243,7 @@ def test_laguerre_value_matches_the_termwise_oracle(n, alpha, z):
 @pytest.fixture
 def fresh_tower():
     """Empty partition-sum memo tables before and after the test."""
-    tables = (qcurve._x_partition, qcurve._y_polynomial)
+    tables = (qcurve._x_partition, qcurve._y_polynomial, partitions_module.offset_sum.__wrapped__)
     for t in tables:
         t.cache_clear()
     yield
@@ -252,3 +260,89 @@ def test_a_wrong_hook_weight_breaks_both_checks(monkeypatch, fresh_tower):
     )
     assert x_partition(4) != x_laguerre(4)
     assert not y_polynomial(4).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the checks on cleared denominators against the normalising routes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", range(13))
+def test_tower_checks_match_the_normalising_oracles(d):
+    """Each check of the X_d tower and the route it replaced, for d <= 12."""
+    x_d = x_partition(d)
+    num, den = qcurve._laguerre_pole_sum(d)
+    assert RationalFunction(num, den) == laguerre_pole_sum_termwise(d) == x_d
+    if not d:
+        return
+    x_prev = x_partition(d - 1)
+    assert qcurve._recursion_numerator(x_prev, x_d).is_zero()
+    assert recursion_residual(x_prev, x_d).is_zero()
+    pf = partial_fractions(x_d)
+    assert pf._sums_to(x_d) and reassembles_by_normalising(pf, x_d)
+    assert reassemble_termwise(pf) == x_d
+    for (root, _), _ in pf.terms:
+        for order in (-1, 0, 3):
+            assert x_d.laurent_at(root, order) == laurent_at_full_shift(x_d, root, order)
+
+
+rational_functions = st.builds(
+    lambda num, roots: RationalFunction(Polynomial(num), Polynomial.from_roots(roots)),
+    st.lists(fracs, min_size=1, max_size=4),
+    st.lists(fracs, max_size=3),
+)
+
+
+def _recursion_matches_oracle(numerator, x_prev, x_d) -> None:
+    cleared = Polynomial([1, 1]) * x_prev.den.shift(1) * x_d.den.shift(-1) * x_d.den
+    assert RationalFunction(numerator(x_prev, x_d), cleared) == recursion_residual(x_prev, x_d)
+
+
+@given(rational_functions, rational_functions)
+def test_recursion_numerator_matches_the_normalising_residual(x_prev, x_d):
+    _recursion_matches_oracle(qcurve._recursion_numerator, x_prev, x_d)
+
+
+DROPPED_FACTOR = ("b = Polynomial([1, 1]) * x_prev.den.shift(1)", "b = x_prev.den.shift(1)")
+
+
+def test_recursion_checks_detect_a_dropped_factor():
+    """Negative control: without the factor u+1 of B the tower fails the
+    recursion and the numerator leaves the normalising residual."""
+    source = textwrap.dedent(inspect.getsource(qcurve._recursion_numerator))
+    assert source.count(DROPPED_FACTOR[0]) == 1
+    namespace = dict(vars(qcurve))
+    exec(source.replace(*DROPPED_FACTOR), namespace)
+    mutant = namespace["_recursion_numerator"]
+    assert all(not mutant(x_partition(d - 1), x_partition(d)).is_zero() for d in range(1, 6))
+    check = settings(database=None, phases=[Phase.generate], deadline=None)(
+        given(rational_functions, rational_functions)(
+            lambda x_prev, x_d: _recursion_matches_oracle(mutant, x_prev, x_d)
+        )
+    )
+    with pytest.raises(AssertionError):
+        check()
+
+
+SHIFTED_BINOMIAL = ("math.comb(d - 1, m - 1)", "math.comb(d - 1, m)")
+
+
+def test_pole_sum_checks_detect_a_shifted_binomial(monkeypatch):
+    """Negative control: with C(d-1, m) for C(d-1, m-1) the pole sum leaves
+    the termwise oracle and x_laguerre raises on the mismatch."""
+    source = textwrap.dedent(inspect.getsource(qcurve._laguerre_pole_sum))
+    assert source.count(SHIFTED_BINOMIAL[0]) == 1
+    namespace = dict(vars(qcurve))
+    exec(source.replace(*SHIFTED_BINOMIAL), namespace)
+    mutant = namespace["_laguerre_pole_sum"]
+    for d in range(1, 13):
+        num, den = mutant(d)
+        oracle = laguerre_pole_sum_termwise(d)
+        assert num * oracle.den != oracle.num * den
+    monkeypatch.setattr(qcurve, "_laguerre_pole_sum", mutant)
+    qcurve._x_laguerre.cache_clear()
+    try:
+        with pytest.raises(ExactError, match="disagree"):
+            x_laguerre(4)
+    finally:
+        qcurve._x_laguerre.cache_clear()

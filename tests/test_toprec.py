@@ -724,8 +724,9 @@ def test_s_matrix_rejects_negative():
 
 @pytest.mark.parametrize("bad", [True, 2.0, Frac(2)], ids=["bool", "float", "Fraction"])
 @pytest.mark.parametrize(
-    "fn, args", [(s_matrix, (2,)), (theta_expansion_check, (1, 0, 4))],
-    ids=["s_matrix", "theta_expansion_check"],
+    "fn, args",
+    [(s_matrix, (2,)), (theta_expansion_check, (1, 0, 4)), (s0_s1_closed_forms, (4,))],
+    ids=["s_matrix", "theta_expansion_check", "s0_s1_closed_forms"],
 )
 def test_entry_points_take_only_integers(fn, args, bad):
     # the good call fills the memo tables; a bool, float or Fraction equal

@@ -552,7 +552,17 @@ def test_toda_kernel_series_identity():
         assert lhs.coefficient(j) == rhs.coefficient(j)
 
 
+def shift_form_to_order(order):
+    return shift_form(bernoulli_operator(3), 1, order)
+
+
+def apply_laurent_operator_to_order(order):
+    return apply_laurent_operator(TruncatedSeries("t", -1, [1, 0, 1], 1), order)
+
+
 ENTRY_POINTS = [
+    (shift_form_to_order, (2,)),
+    (apply_laurent_operator_to_order, (2,)),
     (qce_verification, (2,)),
     (conjugation_check, (2, 4)),
     (bernoulli_number, (2,)),
@@ -576,3 +586,9 @@ def test_entry_points_take_only_integers(fn, args, bad):
         with pytest.raises(ExactError, match="must be an integer"):
             fn(*args[:pos], bad, *args[pos + 1 :])
 
+
+
+@pytest.mark.parametrize("m", [True, 0.5, 1.0], ids=["bool", "float", "integral-float"])
+def test_shift_form_takes_only_exact_shifts(m):
+    with pytest.raises(ExactError, match="exact scalar"):
+        shift_form(bernoulli_operator(3), m, 2)
