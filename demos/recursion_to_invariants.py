@@ -65,7 +65,8 @@ print("F_{1,1} expansion:", fgn_x_expansion(1, 1, 5).to_json()["terms"])
 
 # ---------------------------------------------------------------------------
 # Transition matrices: closed-form 2x2 matrices (even orders diagonal, odd
-# orders off-diagonal) tying descendant and ancestor bookkeeping together.
+# orders off-diagonal) whose entries are the large-x coefficients of the
+# rational primitives eta(mu, d); theta_expansion_check compares the two.
 # ---------------------------------------------------------------------------
 
 for k in range(5):

@@ -688,14 +688,23 @@ def main(argv: list[str] | None = None) -> int:
     if args.budget is not None and args.budget < 1:
         return _refuse("--budget must be a positive integer")
     handler, replay = _COMMANDS[args.subcommand]
+    # An exact entry (one of s_matrix(1603), say) may pass Python's limit on
+    # int-to-str digits (3.10.7 on), so the limit is lifted while the
+    # document is computed and rendered; argv is parsed under it.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
         plan = handler(args, args.budget)
         if isinstance(plan, int):
             return plan
+        if limit is not None:
+            sys.set_int_max_str_digits(0)
         result = _run(args.subcommand, plan, replay)
+        text = plan.render(result.payload) if plan.render else result.to_json()
     except ExactError as exc:
         return _refuse(str(exc))
-    text = plan.render(result.payload) if plan.render else result.to_json()
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     sys.stdout.write(text + "\n")
     print(f"wall-time: {result.wall_time:.3f}s", file=sys.stderr)
     return 0 if result.status in ("value", "pass") else 1

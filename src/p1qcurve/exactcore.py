@@ -788,7 +788,7 @@ def _rational_roots(p: Polynomial) -> list[Frac]:
         signs = [v > 0 for v in cs if v]
         return sum(u != w for u, w in zip(signs, signs[1:]))
 
-    bound = max(1, 2 * max(_ceil_root(abs(v), k - i) for i, v in enumerate(F[:-1])))
+    bound = max(1, 2 * max((_ceil_root(abs(v), k - i) for i, v in enumerate(F[:-1])), default=0))
     roots: list[Frac] = []
     stack = [(-bound, variations(-bound), bound, variations(bound))]
     while stack:

@@ -18,15 +18,15 @@ which carries the constant formally, the monomials against the series-inverse
 chains, and the engine against the series route it replaced
 (tests/oracles.series_branch_residues).
 
-The module also provides the pole-primitive family theta/eta with its
-x-expansion checks against the closed-form transition-matrix entries, the
-antisymmetrized primitives F_{g,n} with their expansion in stationary
-invariants (slot series in closed form, _slot_f_series), the ancestor
-decomposition of W_{g,n}, and the two unstable closed forms S_0, S_1.
+The module also provides the rational primitives eta(mu, d), whose
+x-expansions are checked against the closed-form transition-matrix entries,
+the antisymmetrized primitives F_{g,n} with their expansion in stationary
+invariants (slot series in closed form, _slot_f_series), and the two
+unstable closed forms S_0, S_1.
 
 Every slot-by-slot map of a finished form -- the large-x expansions of
 W_{g,n} and F_{g,n}, the z -> 1/z pullback, the derivative of F_{g,n}, the
-ancestor reassembly -- is the one contraction _slotwise of per-slot images.
+evaluation at a point -- is the one contraction _slotwise of per-slot images.
 It runs on integer numerators over one denominator per slot and makes one
 Fraction per output coefficient.  The x-expansions of the slot-symmetric
 W_{g,n} and F_{g,n} contract only the sorted exponent tuples and share each
@@ -53,7 +53,6 @@ from .exactcore import (
     RationalFunction,
     TruncatedSeries,
     TruncationError,
-    partial_fractions,
     series_compose,
     series_log,
 )
@@ -69,26 +68,15 @@ from .wedge import (
 __all__ = [
     "CorrelationForm",
     "SMatrix",
-    "ThetaPrimitive",
-    "W01Form",
-    "W02Form",
-    "ancestor_decomposition",
-    "ancestor_descendant_check",
-    "catalan_inverse",
     "eta_function",
-    "eta_derivative",
     "fgn_x_expansion",
     "ns_expansion_check",
     "primitive_fgn",
     "primitive_slot_function",
     "s0_s1_closed_forms",
     "s_matrix",
-    "theta",
-    "theta_condition_check",
     "theta_expansion_check",
     "toprec_wgn",
-    "w01",
-    "w02",
 ]
 
 
@@ -97,62 +85,6 @@ BRANCH_POINTS = (1, -1)
 _Z = Polynomial.identity()          # the coordinate z
 _XPRIME = RationalFunction(_Z * _Z - 1, _Z * _Z)
 # x'(z) = 1 - 1/z^2 = (z^2 - 1)/z^2
-
-
-# ---------------------------------------------------------------------------
-# Unstable forms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class W01Form:
-    """y(z) dx(z) with y = log z: the log factor is kept symbolic, the dx
-    factor is rational."""
-
-    dx_part: RationalFunction  # x'(z)
-
-    def involution_is_odd(self) -> bool:
-        """Pulling back through z -> 1/z flips the sign of the form: the log
-        factor is odd while x (hence dx as a form) is invariant."""
-        # y(1/z) = -y(z) symbolically; x(1/z) = x(z) exactly:
-        x = RationalFunction(_Z) + RationalFunction(1, _Z)
-        return x.reciprocal_substitution() == x
-
-
-@dataclass(frozen=True)
-class W02Form:
-    """dz1 dz2/(z1-z2)^2 - dx1 dx2/(x1-x2)^2 (the second, x-coordinate term is
-    carried for the primitive's sake; the recursion itself uses only the first
-    term)."""
-
-    def value(self, z1: Frac, z2: Frac) -> Frac:
-        """The dz1 dz2-coefficient at a sample point pair."""
-        if z1 == z2:
-            raise ExactError("diagonal point pair")
-        x1 = z1 + 1 / z1
-        x2 = z2 + 1 / z2
-        if x1 == x2:
-            raise ExactError("sample pair merges under the double cover")
-        xp = lambda z: 1 - 1 / z**2
-        return Frac(1) / (z1 - z2) ** 2 - xp(z1) * xp(z2) / (x1 - x2) ** 2
-
-    def diagonal_simplification_check(self, samples: Sequence[tuple[Frac, Frac]]) -> bool:
-        """The difference of double poles collapses to dz1 dz2/(1 - z1 z2)^2."""
-        for z1, z2 in samples:
-            if self.value(z1, z2) != Frac(1) / (1 - z1 * z2) ** 2:
-                return False
-        return True
-
-    def symmetric(self, samples: Sequence[tuple[Frac, Frac]]) -> bool:
-        return all(self.value(z1, z2) == self.value(z2, z1) for z1, z2 in samples)
-
-
-def w01() -> W01Form:
-    return W01Form(dx_part=_XPRIME)
-
-
-def w02() -> W02Form:
-    return W02Form()
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +610,7 @@ def s_matrix(k: int) -> SMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Pole primitives (eta / theta family)
+# Rational primitives eta(mu, d)
 # ---------------------------------------------------------------------------
 
 _DZ_TO_DX = RationalFunction(_XPRIME.den, _XPRIME.num)  # dz/dx = z^2/(z^2 - 1)
@@ -701,79 +633,6 @@ def eta_function(mu: int, d: int) -> RationalFunction:
         return RationalFunction(_Z, one_minus)
     prev = eta_function(mu, d - 1)
     return -(_DZ_TO_DX * prev.derivative())
-
-
-@cache
-def eta_derivative(mu: int, d: int) -> RationalFunction:
-    """d(eta)/dz: the dz-coefficient of the derivative one-form."""
-    return eta_function(mu, d).derivative()
-
-
-@dataclass(frozen=True)
-class ThetaPrimitive:
-    """theta(i, d) split into real and imaginary rational parts
-    (the i = 2 member is purely imaginary)."""
-
-    i: int
-    d: int
-    real: RationalFunction
-    imag: RationalFunction
-
-
-@cache
-def theta(i: int, d: int) -> ThetaPrimitive:
-    if i not in (1, 2):
-        raise ExactError("primitive index must be 1 or 2")
-    scale = Frac(2**d)
-    if i == 1:
-        return ThetaPrimitive(
-            1, d, (eta_function(1, d) + eta_function(2, d)) * scale, RationalFunction.zero()
-        )
-    return ThetaPrimitive(
-        2, d, RationalFunction.zero(), (eta_function(2, d) - eta_function(1, d)) * scale
-    )
-
-
-def _chain_step(f: RationalFunction) -> RationalFunction:
-    """One application of -2 d/dx in the z-coordinate."""
-    return RationalFunction.constant(-2) * _DZ_TO_DX * f.derivative()
-
-
-def theta_condition_check(i: int, d: int) -> bool:
-    """The pole primitives satisfy their defining conditions exactly:
-
-    * the level-0 members match the closed forms with derivative equal to the
-      elementary double-pole forms dz/(1-z)^2 and (imaginary) dz/(1+z)^2;
-    * level d is the d-fold image of level 0 under -2 d/dx;
-    * every member is odd under z -> 1/z.
-    """
-    th = theta(i, d)
-    # closed level-0 forms
-    one = Polynomial.one()
-    if i == 1:
-        base = RationalFunction(one, one - _Z) - RationalFunction.constant(Frac(1, 2))
-        if theta(1, 0).real != base or not theta(1, 0).imag.is_zero():
-            return False
-        if base.derivative() != RationalFunction(one, (one - _Z) ** 2):
-            return False
-    else:
-        base = -RationalFunction(one, one + _Z) + RationalFunction.constant(Frac(1, 2))
-        if theta(2, 0).imag != base or not theta(2, 0).real.is_zero():
-            return False
-        if base.derivative() != RationalFunction(one, (one + _Z) ** 2):
-            return False
-    # d-fold chain from level 0
-    chained = theta(i, 0).real if i == 1 else theta(i, 0).imag
-    for _ in range(d):
-        chained = _chain_step(chained)
-    part_d = th.real if i == 1 else th.imag
-    if chained != part_d:
-        return False
-    # oddness under the involution
-    for part in (th.real, th.imag):
-        if part.reciprocal_substitution() != -part:
-            return False
-    return True
 
 
 def theta_expansion_check(i: int, d: int, order: int) -> bool:
@@ -939,138 +798,6 @@ def _expected_f_coefficient(g: int, n: int, exps: Sequence[int]) -> Frac:
     for bi in b:
         value *= math.factorial(bi)
     return value
-
-
-# ---------------------------------------------------------------------------
-# Ancestor decomposition
-# ---------------------------------------------------------------------------
-
-
-def _pole_coordinates(f: RationalFunction) -> dict[tuple[Frac, int], Frac]:
-    pf = partial_fractions(f)
-    if not pf.poly_part.is_zero():
-        raise ExactError("basis element has a polynomial part")
-    coords = pf.as_dict()
-    for root, _ in coords:
-        if root not in (1, -1):
-            raise ExactError("basis element has a pole away from the branch points")
-    return coords
-
-
-def _solve_exact(
-    rows: Sequence[tuple[Frac, int]],
-    cols: Sequence[tuple[int, int]],
-    matrix: Mapping[tuple[tuple[Frac, int], tuple[int, int]], Frac],
-    rhs: list[dict[tuple[Frac, int], Frac]],
-) -> list[dict[tuple[int, int], Frac]]:
-    """Solve M y = b for several right-hand sides by exact elimination;
-    raises when a system is inconsistent or underdetermined."""
-    m, k = len(rows), len(cols)
-    aug = [
-        [matrix.get((r, c), Frac(0)) for c in cols] + [b.get(r, Frac(0)) for b in rhs]
-        for r in rows
-    ]
-    row = 0
-    for col in range(k):
-        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
-        if sel is None:
-            raise ExactError("primitive basis is degenerate on this pole window")
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[row])]
-        row += 1
-    for r in range(row, m):
-        if any(aug[r][k + t] != 0 for t in range(len(rhs))):
-            raise ExactError(
-                "pole data is outside the span of the primitive basis; the "
-                "decomposition does not close"
-            )
-    return [
-        {c: aug[idx][k + t] for idx, c in enumerate(cols) if aug[idx][k + t]}
-        for t in range(len(rhs))
-    ]
-
-
-@cache
-def ancestor_decomposition(
-    g: int, n: int
-) -> dict[tuple[tuple[int, int], ...], Frac]:
-    """Expand W_{g,n} over per-slot products of -d(eta(mu, d))/dz; the
-    coefficients are the ancestor correlators of the theory (the sign makes
-    the descendant relation come out unsigned, see
-    ancestor_descendant_check).
-
-    Keys are tuples of per-slot (d, mu) pairs.  The expansion is solved by
-    exact elimination slot by slot and verified by reassembly.
-    """
-    form = toprec_wgn(g, n)
-    pole_orders = form.pole_orders()
-
-    # basis per slot: (d, mu) with pole order 2d+2 bounded by the slot's need
-    tensor: dict[tuple, Frac] = dict(form.terms)
-    for slot in range(n):
-        dmax = max((pole_orders[slot] - 2) // 2, 0)
-        cols = [(d, mu) for d in range(dmax + 1) for mu in (1, 2)]
-        rows_set: set[tuple[Frac, int]] = set()
-        mat: dict[tuple[tuple[Frac, int], tuple[int, int]], Frac] = {}
-        for col in cols:
-            coords = _pole_coordinates(eta_derivative(col[1], col[0]))
-            for r, v in coords.items():
-                mat[(r, col)] = v
-                rows_set.add(r)
-        for key in tensor:
-            rows_set.add(key[slot])
-        rows = sorted(rows_set)
-
-        # (rest, slot item) and (rest, basis column) each name one key
-        fibers: dict[tuple, dict[tuple[Frac, int], Frac]] = {}
-        for key, c in tensor.items():
-            fibers.setdefault(key[:slot] + key[slot + 1 :], {})[key[slot]] = c
-        rests = sorted(fibers, key=repr)
-        sols = _solve_exact(rows, cols, mat, [fibers[r] for r in rests])
-        tensor = {
-            rest[:slot] + (col,) + rest[slot:]: v
-            for rest, sol in zip(rests, sols)
-            for col, v in sol.items()
-        }
-
-    sign = Frac((-1) ** n)
-    result = {k: sign * v for k, v in tensor.items() if v}
-
-    # reassembly: substitute the pole coordinates of each basis element back
-    rebuilt = _slotwise(
-        {key: sign * c for key, c in result.items()},
-        n,
-        lambda _, dmu: _pole_coordinates(eta_derivative(dmu[1], dmu[0])),
-    )
-    if rebuilt != dict(form.terms):
-        raise ExactError("ancestor reassembly failed to reproduce the form")
-    return result
-
-
-def ancestor_descendant_check(m_max: int = 8) -> bool:
-    """The one-point genus-one ancestors, smeared with the transition
-    matrices, reproduce the stationary descendants computed independently by
-    the operator formalism."""
-    if m_max < 0:
-        raise ExactError("m_max must be nonnegative")
-    anc = ancestor_decomposition(1, 1)
-    for m in range(m_max + 1):
-        total = Frac(0)
-        for ((d, mu),), c in anc.items():
-            if m - d >= 0:
-                total += s_matrix(m - d).entry(2, mu) * c
-        if m % 2 == 0:
-            want = stationary_invariant(1, 1, m // 2, (m,))
-        else:
-            want = Frac(0)
-        if total != want:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

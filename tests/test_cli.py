@@ -286,6 +286,51 @@ def test_table_xd_csv(capsys):
     assert "1,num,1,1" in lines
 
 
+# s_matrix(1603) has entries of more than 4300 digits, the default limit of
+# int-to-str conversion (Python 3.10.7 on)
+DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                 reason="no int-to-str digit limit before Python 3.10.7")
+
+
+@contextlib.contextmanager
+def _digits_unlimited():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@DIGIT_LIMIT
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_smatrix_past_the_digit_limit(capsys, fmt):
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "table", "--what", "smatrix", "--range", "1603..1603",
+                         "--format", fmt)
+    assert code == 0, err
+    assert sys.get_int_max_str_digits() == limit
+    m = s_matrix(1603)
+    with _digits_unlimited():
+        assert max(len(str(abs(m.entry(r, c)))) for r in (1, 2) for c in (1, 2)) > limit
+        if fmt == "json":
+            entries = json.loads(out)["payload"]["rows"][0]["entries"]
+        else:
+            entries = [[None] * 2 for _ in range(2)]
+            for line in out.strip().splitlines()[1:]:
+                k, r, c, value = line.split(",")
+                assert k == "1603"
+                entries[int(r) - 1][int(c) - 1] = value
+        assert entries == [[str(m.entry(r, c)) for c in (1, 2)] for r in (1, 2)]
+
+
+@DIGIT_LIMIT
+def test_argv_keeps_the_digit_limit(capsys):
+    code, out, err = run(capsys, "xd", "--d", "9" * 5000)
+    assert code == 2 and out == ""
+    assert "invalid int value" in err
+
+
 # ---------------------------------------------------------------------------
 # fgn / psi-check / toda-check
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ import sys
 sys.modules["sympy"] = None  # any import of sympy now raises ImportError
 import p1qcurve
 from p1qcurve.cli import main
-from p1qcurve.toprec import ancestor_descendant_check
+from p1qcurve.toprec import theta_expansion_check
 assert p1qcurve.xd_pole_report(6) == {-k: 1 for k in range(1, 7)}
-assert ancestor_descendant_check(6)
+assert theta_expansion_check(2, 3, 8)
 assert main(["xd", "--d", "3"]) == 0
 """
 

@@ -250,6 +250,7 @@ def _irreducible(coeffs) -> bool:
     num=st.lists(small_fracs, min_size=1, max_size=6),
 )
 @example(roots=[(F(10**20), 1), (F(-1), 2), (F(1, 3), 1)], extra=None, num=[F(1)])
+@example(roots=[(F(0), 1)], extra=None, num=[F(0), F(1)])  # z/z: a constant denominator
 def test_rational_roots_match_sympy_oracle(roots, extra, num):
     """The Budan–Fourier root finder and partial_fractions against sympy, on
     products of rational linear factors with multiplicity, optionally times an

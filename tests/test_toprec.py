@@ -45,8 +45,6 @@ from p1qcurve.toprec import (
     _slotwise,
     _wgn_x_series,
     _wgn_x_simplex,
-    ancestor_decomposition,
-    ancestor_descendant_check,
     eta_function,
     fgn_x_expansion,
     ns_expansion_check,
@@ -54,12 +52,8 @@ from p1qcurve.toprec import (
     primitive_slot_function,
     s0_s1_closed_forms,
     s_matrix,
-    theta,
-    theta_condition_check,
     theta_expansion_check,
     toprec_wgn,
-    w01,
-    w02,
 )
 from oracles import (
     chain_bergman_inv,
@@ -90,46 +84,6 @@ def _mutant(fn, old: str, new: str):
     namespace = dict(vars(toprec))
     exec(source.replace(old, new), namespace)
     return namespace[fn.__name__]
-
-
-# ---------------------------------------------------------------------------
-# unstable forms
-# ---------------------------------------------------------------------------
-
-
-def test_w01_involution_odd():
-    assert w01().involution_is_odd()
-
-
-def test_w02_diagonal_simplification():
-    samples = [
-        (Frac(1, 3), Frac(2, 7)),
-        (Frac(-2, 5), Frac(3, 11)),
-        (Frac(5, 2), Frac(-7, 3)),
-        (Frac(9, 4), Frac(1, 9)),
-    ]
-    form = w02()
-    assert form.diagonal_simplification_check(samples)
-    assert form.symmetric(samples)
-
-
-@given(
-    st.fractions(min_value=Frac(-3), max_value=Frac(3), max_denominator=40),
-    st.fractions(min_value=Frac(-3), max_value=Frac(3), max_denominator=40),
-)
-@settings(max_examples=60, deadline=None)
-def test_w02_identity_property(z1, z2):
-    if z1 == 0 or z2 == 0 or z1 == z2 or z1 * z2 == 1:
-        return
-    x1, x2 = z1 + 1 / z1, z2 + 1 / z2
-    if x1 == x2:
-        return
-    assert w02().value(z1, z2) == Frac(1) / (1 - z1 * z2) ** 2
-
-
-def test_w02_rejects_diagonal():
-    with pytest.raises(ExactError):
-        w02().value(Frac(1, 2), Frac(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +692,7 @@ def test_entry_points_take_only_integers(fn, args, bad):
 
 
 # ---------------------------------------------------------------------------
-# the eta / theta primitive family
+# the rational primitives eta(mu, d)
 # ---------------------------------------------------------------------------
 
 
@@ -762,19 +716,9 @@ def test_eta_level_one_explicit():
 
 @pytest.mark.parametrize("i", [1, 2])
 @pytest.mark.parametrize("d", range(0, 7))
-def test_theta_conditions(i, d):
-    assert theta_condition_check(i, d)
-
-
-def test_theta_level_zero_forms():
-    one = Polynomial.one()
-    z = Polynomial([0, 1])
-    assert theta(1, 0).real == RationalFunction(one, one - z) - RationalFunction.constant(
-        Frac(1, 2)
-    )
-    assert theta(2, 0).imag == RationalFunction.constant(Frac(1, 2)) - RationalFunction(
-        one, one + z
-    )
+def test_eta_odd_under_involution(i, d):
+    eta = eta_function(i, d)
+    assert eta.reciprocal_substitution() == -eta
 
 
 @pytest.mark.parametrize("i", [1, 2])
@@ -793,8 +737,6 @@ def test_theta_expansion_at_low_order_gives_a_verdict(i):
 
 
 def test_theta_rejects_bad_index():
-    with pytest.raises(ExactError):
-        theta(3, 0)
     with pytest.raises(ExactError):
         eta_function(0, 1)
 
@@ -1051,42 +993,6 @@ def test_residue_tables_stop_at_the_deepest_read(monkeypatch):
         toprec_wgn(g, n)
     assert deepest
     assert all(tables[i].order == k for i, k in deepest.items())
-
-
-# ---------------------------------------------------------------------------
-# ancestor decomposition
-# ---------------------------------------------------------------------------
-
-
-def test_ancestor_03_is_level_zero():
-    anc = ancestor_decomposition(0, 3)
-    assert anc, "decomposition must be nonempty"
-    for key in anc:
-        assert all(d == 0 for d, _ in key)
-    fiber_key = ((0, 2),) * 3
-    assert anc[fiber_key] == 1
-
-
-def test_ancestor_11_frozen():
-    anc = ancestor_decomposition(1, 1)
-    assert anc == {((0, 2),): Frac(-1, 24), ((1, 1),): Frac(1, 12)}
-
-
-@pytest.mark.parametrize("g,n", STABLE_PAIRS)
-def test_ancestor_reassembles(g, n):
-    # the decomposition raises internally when reassembly fails
-    anc = ancestor_decomposition(g, n)
-    assert anc
-
-
-def test_ancestor_descendant_relation():
-    assert ancestor_descendant_check(10)
-
-
-def test_ancestor_descendant_check_rejects_empty_range():
-    # m_max < 0 would compare nothing and pass vacuously
-    with pytest.raises(ExactError):
-        ancestor_descendant_check(-1)
 
 
 # ---------------------------------------------------------------------------
