@@ -13,11 +13,12 @@ Design rules, enforced throughout:
 * a global ``--budget`` flag caps every truncation order; each command
   reports the budget it actually used in its ``parameters`` echo;
 * a subcommand imports only what it computes: at the top this module imports
-  only ``exactcore`` of the package, and each computation binds the names it
-  calls through :func:`_load` when it starts, so a replay from the cache
-  imports none.  With no bytecode cache, compiling the modules that
-  ``p1qc gw`` or ``p1qc xd`` never calls took 0.03-0.04 s, a fifth of
-  either cold command;
+  only ``exactcore`` of the package, and each computation imports the names
+  it calls in its own body, so a replay from the cache imports none of them.
+  ``wgn`` and ``fgn`` are the exception: they read ``toprec.WGN_BOUND``
+  before the cache is read, so even their replays import ``toprec``.  With
+  no bytecode cache, compiling the modules that ``p1qc gw`` or ``p1qc xd``
+  never calls took 0.03-0.04 s, a fifth of either cold command;
 * if the environment variable ``P1QC_CACHE_DIR`` names a directory, the value
   commands (``xd``, ``gw``, ``wgn``, ``table``, ``fgn``) replay
   byte-identical results from it instead of recomputing; entries written by
@@ -39,7 +40,6 @@ that run several invocations in one process skip the rebuild.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import sys
@@ -54,40 +54,6 @@ from .exactcore import ExactError, rational_to_json
 __all__ = ["CommandResult", "main"]
 
 CACHE_ENV = "P1QC_CACHE_DIR"
-
-# module -> the names of it that the commands call, bound here by _load
-_USES = {
-    "partitions": ("_sorted_tuples", "hook_refinement_check", "partitions",
-                   "summation_corollary_check"),
-    "qcurve": ("toda_quadratic_check", "verify_xd_recursion", "x_laguerre", "x_partition",
-               "y_polynomial"),
-    "toprec": ("WGN_BOUND", "_wgn_x_series", "fgn_x_expansion", "ns_expansion_check",
-               "s_matrix", "theta_expansion_check", "toprec_wgn"),
-    "wavefunction": ("qce_verification", "semiclassical_check", "theta_resummation_check",
-                     "toda_specialization_check"),
-    "wedge": ("stationary_invariant",),
-}
-
-
-def _load(*modules: str) -> None:
-    """Import ``modules`` and bind the names of each that this module calls.
-    A name already bound, by an earlier call or by a patch, is kept."""
-    space = globals()
-    for module in modules:
-        source = importlib.import_module(f"{__package__}.{module}")
-        for name in _USES[module]:
-            space.setdefault(name, getattr(source, name))
-
-
-def __getattr__(name: str):
-    """A name of ``_USES`` read before its command ran: bind its module's
-    names, so that it can be read and patched like any other attribute."""
-    for module, names in _USES.items():
-        if name in names:
-            _load(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 _NS_PAIRS = ((0, 3), (1, 1), (0, 4), (1, 2), (2, 1))
 _RESUMMATION_BLOCKS = ((0, 1, 0), (1, 1, 0), (0, 1, 1), (0, 2, 1), (1, 1, 1))
@@ -262,7 +228,7 @@ def _table_csv(what: str, rows: list) -> str:
 
 
 def _suite_recursion(max_d: int, budget: int | None) -> tuple[str | None, dict]:
-    _load("qcurve")
+    from .qcurve import verify_xd_recursion
     for d in range(1, max_d + 1):
         if not verify_xd_recursion(d):
             return f"recursion, d={d}", {}
@@ -270,7 +236,7 @@ def _suite_recursion(max_d: int, budget: int | None) -> tuple[str | None, dict]:
 
 
 def _suite_ydzero(max_d: int, budget: int | None) -> tuple[str | None, dict]:
-    _load("qcurve")
+    from .qcurve import y_polynomial
     for d in range(1, max_d + 1):
         if not y_polynomial(d).is_zero():
             return f"ydzero, d={d}", {}
@@ -278,7 +244,7 @@ def _suite_ydzero(max_d: int, budget: int | None) -> tuple[str | None, dict]:
 
 
 def _suite_han(max_d: int, budget: int | None) -> tuple[str | None, dict]:
-    _load("partitions")
+    from .partitions import hook_refinement_check, partitions, summation_corollary_check
     for d in range(1, max_d + 1):
         if not summation_corollary_check(d):
             return f"summation corollary, d={d}", {}
@@ -290,7 +256,7 @@ def _suite_han(max_d: int, budget: int | None) -> tuple[str | None, dict]:
 
 def _quadratic_witness(d_max: int) -> str | None:
     """The first quadratic lattice relation that fails for d <= d_max."""
-    _load("qcurve")
+    from .qcurve import toda_quadratic_check
     for d in range(d_max + 1):
         for variant in ("full", "one-level"):
             if not toda_quadratic_check(d, variant):
@@ -299,7 +265,7 @@ def _quadratic_witness(d_max: int) -> str | None:
 
 
 def _suite_toda(max_d: int, budget: int | None) -> tuple[str | None, dict]:
-    _load("wavefunction")
+    from .wavefunction import toda_specialization_check
     witness = _quadratic_witness(max_d)
     order = _effective(8, budget)
     if witness is None and not toda_specialization_check(order, min(max_d, 4)):
@@ -308,7 +274,8 @@ def _suite_toda(max_d: int, budget: int | None) -> tuple[str | None, dict]:
 
 
 def _suite_theta(max_d: int, budget: int | None) -> tuple[str | None, dict]:
-    _load("toprec", "wavefunction")
+    from .toprec import theta_expansion_check
+    from .wavefunction import theta_resummation_check
     order = _effective(12, budget)
     for i in (1, 2):
         for d in range(min(max_d, 4) + 1):
@@ -321,7 +288,7 @@ def _suite_theta(max_d: int, budget: int | None) -> tuple[str | None, dict]:
 
 
 def _suite_ns(order: int, budget: int | None) -> tuple[str | None, dict]:
-    _load("toprec")
+    from .toprec import ns_expansion_check
     for g, n in _NS_PAIRS:
         if not ns_expansion_check(g, n, order):
             return f"expansion, (g,n)=({g},{n})", {}
@@ -329,7 +296,7 @@ def _suite_ns(order: int, budget: int | None) -> tuple[str | None, dict]:
 
 
 def _suite_qce(max_d: int, budget: int | None) -> tuple[str | None, dict]:
-    _load("wavefunction")
+    from .wavefunction import qce_verification
     report = qce_verification(max_d)
     links = {name: ok for name, ok in report.links}
     return (None if report else report.first_failure), {"links": links}
@@ -357,7 +324,7 @@ def cmd_xd(args, budget: int | None) -> int | _Plan:
         return _refuse("--d must be nonnegative")
 
     def compute() -> tuple[str, dict]:
-        _load("qcurve")
+        from .qcurve import x_laguerre, x_partition
         payload: dict = {"pretty": {}}
         for name, build in (("partition", x_partition), ("laguerre", x_laguerre)):
             if args.form in (name, "both"):
@@ -428,7 +395,7 @@ def cmd_gw(args, budget: int | None) -> int | _Plan:
                        f"order {required}", 1)
 
     def compute() -> tuple[str, dict]:
-        _load("wedge")
+        from .wedge import stationary_invariant
         payload = {"value": rational_to_json(stationary_invariant(args.g, args.n, args.d, b))}
         if sum(b) != 2 * args.g - 2 + 2 * args.d:
             payload["warning"] = "dimension-violation"
@@ -441,7 +408,7 @@ def cmd_gw(args, budget: int | None) -> int | _Plan:
 def _refuse_pair(args, order: int, unstable: str) -> int | None:
     """The exit code refusing ``(--g, --n)`` outside the stable range or
     above ``WGN_BOUND``, or a capped ``--order`` below 1; None when all hold."""
-    _load("toprec")
+    from .toprec import WGN_BOUND
     if args.g < 0 or args.n < 1:
         return _refuse("need --g >= 0 and --n >= 1")
     complexity = 2 * args.g - 2 + args.n
@@ -463,6 +430,7 @@ def cmd_wgn(args, budget: int | None) -> int | _Plan:
         return refused
 
     def compute() -> tuple[str, dict]:
+        from .toprec import _wgn_x_series, toprec_wgn
         form = toprec_wgn(args.g, args.n)
         if args.emit == "expansion":
             return "value", {"expansion": _wgn_x_series(form, order).to_json()}
@@ -498,7 +466,7 @@ def _parse_range(text: str) -> tuple[int, int] | None:
 def _table_rows(what: str, lo: int, hi: int) -> list:
     rows: list = []
     if what == "smatrix":
-        _load("toprec")
+        from .toprec import s_matrix
         for k in range(lo, hi + 1):
             m = s_matrix(k)
             rows.append({
@@ -507,9 +475,10 @@ def _table_rows(what: str, lo: int, hi: int) -> list:
             })
         return rows
     if what == "xd":
-        _load("qcurve")
+        from .qcurve import x_partition
         return [{"d": d, "x": x_partition(d).to_json()} for d in range(lo, hi + 1)]
-    _load("partitions", "wedge")
+    from .partitions import _sorted_tuples
+    from .wedge import stationary_invariant
     for d in range(lo, hi + 1):
         for g in range(0, 3):
             for n in range(1, 4):
@@ -544,6 +513,7 @@ def cmd_fgn(args, budget: int | None) -> int | _Plan:
         return refused
 
     def compute() -> tuple[str, dict]:
+        from .toprec import fgn_x_expansion
         return "value", {"expansion": fgn_x_expansion(args.g, args.n, order).to_json()}
 
     return _Plan({"g": args.g, "n": args.n, "order": order, "budget_used": order}, compute)
@@ -556,7 +526,7 @@ def cmd_psi_check(args, budget: int | None) -> int | _Plan:
         return _refuse("--dmax and --order must stay positive after budget capping")
 
     def compute() -> tuple[str, dict]:
-        _load("wavefunction")
+        from .wavefunction import qce_verification, semiclassical_check, theta_resummation_check
         report = qce_verification(d_max)
         semi = semiclassical_check()
         blocks = {f"({g},{n},{d})": theta_resummation_check(g, n, d, min(order, 6))
@@ -584,7 +554,7 @@ def cmd_toda_check(args, budget: int | None) -> int | _Plan:
         return _refuse("--order must be >= 2 and --dmax >= 0 after budget capping")
 
     def compute() -> tuple[str, dict]:
-        _load("wavefunction")
+        from .wavefunction import toda_specialization_check
         payload: dict = {"order": order, "d_max": d_max}
         if toda_specialization_check(order, d_max):
             return "pass", payload

@@ -7,8 +7,8 @@ supplies the shared machinery:
 * ``Polynomial``   -- dense univariate polynomial, stored as a tuple of integer
   numerators over one positive integer denominator in lowest terms.  Sums,
   products, Taylor shifts, pseudo-division and the primitive gcd run on the
-  integers; ``coeffs``, ``coefficient()``, ``leading()`` and the JSON wire
-  form are ``Frac`` views built on demand.
+  integers; ``coeffs``, ``leading()`` and the JSON wire form are ``Frac``
+  views built on demand.
 * ``RationalFunction`` -- reduced quotient of polynomials with monic denominator.
 * ``partial_fractions`` -- exact partial-fraction decomposition over rational poles.
 * ``TruncatedSeries``  -- univariate Laurent series with an explicit inclusive
@@ -179,11 +179,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._num
 
-    def coefficient(self, k: int) -> Frac:
-        if k < 0:
-            raise IndexError("polynomial coefficients start at exponent 0")
-        return Frac(self._num[k], self._den) if k < len(self._num) else Frac(0)
-
     def leading(self) -> Frac:
         if not self._num:
             raise ExactError("the zero polynomial has no leading coefficient")
@@ -275,9 +270,6 @@ class Polynomial:
     def __floordiv__(self, other) -> "Polynomial":
         return divmod(self, other)[0]
 
-    def __mod__(self, other) -> "Polynomial":
-        return divmod(self, other)[1]
-
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
@@ -293,7 +285,7 @@ class Polynomial:
         return _poly([k * x for k, x in enumerate(self._num)][1:], self._den)
 
     def __call__(self, value):
-        """Evaluate (Horner).  Accepts scalars, polynomials, rational functions."""
+        """Evaluate (Horner).  Accepts scalars and polynomials."""
         if isinstance(value, int):
             acc = 0
             for c in reversed(self._num):
@@ -314,11 +306,6 @@ class Polynomial:
             for c in reversed(self.coeffs):
                 acc2 = acc2 * value + c
             return acc2
-        if isinstance(value, RationalFunction):
-            accr = RationalFunction.zero()
-            for c in reversed(self.coeffs):
-                accr = accr * value + RationalFunction.constant(c)
-            return accr
         raise TypeError(f"cannot evaluate polynomial at {type(value).__name__}")
 
     def shift(self, c: Scalar) -> "Polynomial":
@@ -555,12 +542,6 @@ class RationalFunction:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other) -> "RationalFunction":
         o = self._coerce(other)
         if o is None:
@@ -576,12 +557,6 @@ class RationalFunction:
         if o.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
         return RationalFunction(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
@@ -605,14 +580,6 @@ class RationalFunction:
             if dv == 0:
                 raise PoleEvaluationError(f"evaluation at pole {value}")
             return self.num(value) / dv
-        if isinstance(value, (Polynomial, RationalFunction)):
-            numv = self.num(value)
-            denv = self.den(value)
-            if isinstance(numv, Polynomial):
-                numv = RationalFunction(numv)
-            if isinstance(denv, Polynomial):
-                denv = RationalFunction(denv)
-            return numv / denv
         raise TypeError(f"cannot evaluate at {type(value).__name__}")
 
     def derivative(self) -> "RationalFunction":
@@ -681,10 +648,6 @@ class RationalFunction:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "RationalFunction":
-        return cls(Polynomial.from_json(data["num"]), Polynomial.from_json(data["den"]))
 
     def pretty(self, var: str = "t") -> str:
         if self.is_polynomial():
@@ -866,7 +829,8 @@ class TruncatedSeries:
     __slots__ = ("var", "min_exp", "order", "_num", "_den")
 
     def __init__(self, var: str, min_exp: int, coeffs: Iterable[Scalar], order: int):
-        min_exp, order = int(min_exp), int(order)
+        if type(min_exp) is not int or type(order) is not int:
+            raise ExactError(f"min_exp and order must be ints, got {min_exp!r} and {order!r}")
         cs = [_frac(c) for c in coeffs]
         if len(cs) != order - min_exp + 1:
             raise ExactError(
@@ -1326,7 +1290,9 @@ class MultiSeries:
     # -- queries -------------------------------------------------------------------
 
     def coefficient(self, exps: Sequence[int]) -> Frac:
-        key = tuple(int(e) for e in exps)
+        key = tuple(exps)
+        if any(type(e) is not int for e in key):
+            raise ExactError(f"exponents must be ints, got {key!r}")
         if len(key) != len(self.vars):
             raise ExactError("exponent tuple arity mismatch")
         for e, o, v in zip(key, self.orders, self.vars):
@@ -1336,9 +1302,6 @@ class MultiSeries:
 
     def is_zero(self) -> bool:
         return not self.data
-
-    def items(self):
-        return self.data.items()
 
     # -- arithmetic ---------------------------------------------------------------------
 
@@ -1404,14 +1367,6 @@ class MultiSeries:
 
     def __hash__(self) -> int:
         return hash((self.vars, self.orders, tuple(sorted(self.data.items()))))
-
-    def truncate(self, orders: Sequence[int]) -> "MultiSeries":
-        orders = tuple(int(o) for o in orders)
-        for o_new, o_old in zip(orders, self.orders):
-            if o_new > o_old:
-                raise TruncationError("cannot extend a multivariate series by truncation")
-        data = {k: v for k, v in self.data.items() if all(e <= o for e, o in zip(k, orders))}
-        return MultiSeries(self.vars, self.min_exps, orders, data)
 
     # -- serialization ----------------------------------------------------------------------
 

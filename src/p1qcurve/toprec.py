@@ -616,7 +616,7 @@ def s_matrix(k: int) -> SMatrix:
 _DZ_TO_DX = RationalFunction(_XPRIME.den, _XPRIME.num)  # dz/dx = z^2/(z^2 - 1)
 
 
-@cache
+@_memo_checked(lambda mu, d: _integers(index=mu, degree=d))
 def eta_function(mu: int, d: int) -> RationalFunction:
     """Rational primitive family: eta(1,0) = 1/(1-z^2) - 1/2,
     eta(2,0) = z/(1-z^2), and each level applies -d/dx."""
@@ -681,7 +681,13 @@ def theta_expansion_check(i: int, d: int, order: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@cache
+def _pole_datum(a, j: int) -> None:
+    if not _exact(a):
+        raise ExactError(f"pole {a!r} is not an int or a Fraction")
+    _integers(pole_order=j)
+
+
+@_memo_checked(_pole_datum)
 def primitive_slot_function(a: int, j: int) -> RationalFunction:
     """The antisymmetrized antiderivative of dz/(z-a)^j: h(z) with
     h'(z) dz recovering the pole form after summation over a stable form's

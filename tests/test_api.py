@@ -8,6 +8,7 @@ import pkgutil
 import pytest
 
 import p1qcurve
+from p1qcurve.exactcore import MultiSeries, Polynomial, RationalFunction
 
 MODULES = ["p1qcurve"] + [f"p1qcurve.{m.name}" for m in pkgutil.iter_modules(p1qcurve.__path__)]
 
@@ -53,6 +54,14 @@ REMOVED = {
     "w02",
 }
 
+# kernel methods deleted because no command, demo, benchmark workload or
+# test entered them
+REMOVED_METHODS = {
+    Polynomial: {"coefficient", "__mod__"},
+    RationalFunction: {"__rsub__", "__rtruediv__", "from_json"},
+    MultiSeries: {"items", "truncate"},
+}
+
 # parameters that only selected negative controls or alternative routes
 REMOVED_PARAMETERS = {
     "explain", "max_points", "perturb", "recursion_perturbation", "route", "strict",
@@ -80,6 +89,22 @@ def test_test_only_routes_and_knobs_stay_out_of_the_package(name):
 @pytest.mark.parametrize("name", MODULES)
 def test_removed_names_stay_out_of_the_package(name):
     assert REMOVED.isdisjoint(vars(importlib.import_module(name)))
+
+
+@pytest.mark.parametrize("cls", REMOVED_METHODS, ids=lambda cls: cls.__name__)
+def test_removed_kernel_methods_stay_out(cls):
+    assert REMOVED_METHODS[cls].isdisjoint(vars(cls))
+
+
+def test_removed_composition_branches_raise_type_error():
+    # the branches that composed a polynomial or a rational function with a
+    # rational function are gone; a polynomial still composes with a polynomial
+    p = Polynomial([1, 1])
+    f = RationalFunction(p, Polynomial([0, 1]))
+    assert p(p) == Polynomial([2, 1])
+    for call in (lambda: p(f), lambda: f(p), lambda: f(f)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_degree_graded_report_reads_disagreements_directly():

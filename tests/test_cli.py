@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import p1qcurve
-from p1qcurve import cli
+from p1qcurve import cli, qcurve, wavefunction  # noqa: F401 (see _FAULTS)
 from p1qcurve.cli import main
 from p1qcurve.toprec import s_matrix
 from p1qcurve.exactcore import rational_to_json
@@ -434,7 +434,7 @@ def test_cache_entry_from_another_version_is_a_miss(capsys, tmp_path, monkeypatc
     def no_compute(*args, **kwargs):
         raise AssertionError("a replay must not compute")
 
-    monkeypatch.setattr(cli, "stationary_invariant", no_compute)
+    monkeypatch.setattr("p1qcurve.wedge.stationary_invariant", no_compute)
     code, out2, err = run(capsys, *argv)
     assert code == 0
     assert out2 == out1
@@ -553,18 +553,22 @@ def _failing_qce(d_max, *args):
     return p1qcurve.QceReport(d_max, links, "conjugation")
 
 
-# Faults injected into the names cli calls, so that failing verdicts and their
-# witnesses are pinned as well as passing ones.
+# Faults injected into the functions cli calls, patched in their defining
+# modules, so that failing verdicts and their witnesses are pinned as well as
+# passing ones.  wavefunction is imported above, before any fault is
+# patched, so the qcurve checks it binds at import are the real ones.
+_QC, _WF = "p1qcurve.qcurve", "p1qcurve.wavefunction"
 _FAULTS = {
-    "recursion": {"verify_xd_recursion": lambda d: d != 1},
-    "specialization": {"toda_specialization_check": lambda order, d_max: False},
-    "quadratic": {"toda_specialization_check": lambda order, d_max: False,
-                  "toda_quadratic_check": lambda d, variant: (d, variant) != (1, "one-level")},
-    "semiclassical": {"semiclassical_check": lambda: False},
-    "qce": {"qce_verification": _failing_qce},
-    "recursion-and-qce": {"verify_xd_recursion": lambda d: d != 1,
-                          "qce_verification": _failing_qce},
-    "laguerre": {"x_laguerre": lambda d: cli.x_partition(d + 1)},
+    "recursion": {f"{_QC}.verify_xd_recursion": lambda d: d != 1},
+    "specialization": {f"{_WF}.toda_specialization_check": lambda order, d_max: False},
+    "quadratic": {f"{_WF}.toda_specialization_check": lambda order, d_max: False,
+                  f"{_QC}.toda_quadratic_check":
+                      lambda d, variant: (d, variant) != (1, "one-level")},
+    "semiclassical": {f"{_WF}.semiclassical_check": lambda: False},
+    "qce": {f"{_WF}.qce_verification": _failing_qce},
+    "recursion-and-qce": {f"{_QC}.verify_xd_recursion": lambda d: d != 1,
+                          f"{_WF}.qce_verification": _failing_qce},
+    "laguerre": {f"{_QC}.x_laguerre": lambda d: qcurve.x_partition(d + 1)},
 }
 
 # (argv, fault, sha256 of the exit code and stdout); see _golden_digest
@@ -668,8 +672,8 @@ def _golden_run(monkeypatch, argv: str, fault, cache_dir) -> str:
             patch.delenv("P1QC_CACHE_DIR", raising=False)
         else:
             patch.setenv("P1QC_CACHE_DIR", str(cache_dir))
-        for name, replacement in _FAULTS.get(fault, {}).items():
-            patch.setattr(cli, name, replacement)
+        for target, replacement in _FAULTS.get(fault, {}).items():
+            patch.setattr(target, replacement)
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv.split())

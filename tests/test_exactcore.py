@@ -684,6 +684,19 @@ def test_multiseries_outer_and_truncation():
         m.coefficient((2, 0))
 
 
+@pytest.mark.parametrize("exps", [(1.9, 0), (True, 0), (F(1), 0)])
+def test_multiseries_coefficient_refuses_inexact_exponents(exps):
+    m = MultiSeries(("x1", "x2"), (0, 0), (2, 2), {(1, 0): 3})
+    with pytest.raises(ExactError, match="must be ints"):
+        m.coefficient(exps)
+
+
+@pytest.mark.parametrize("min_exp, order", [(0.7, 1.2), (0, 1.0), (False, 1), (0, F(1))])
+def test_truncated_series_refuses_inexact_bounds(min_exp, order):
+    with pytest.raises(ExactError, match="must be ints"):
+        TruncatedSeries("t", min_exp, [1, 2], order)
+
+
 def test_multiseries_product_respects_orders():
     m1 = MultiSeries(("x",), (0,), (3,), {(1,): 1, (3,): 2})
     m2 = MultiSeries(("x",), (1,), (3,), {(1,): 1})

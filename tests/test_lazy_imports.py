@@ -7,6 +7,7 @@ has imported everything already.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -16,7 +17,6 @@ from pathlib import Path
 import pytest
 
 import p1qcurve
-from p1qcurve import cli
 
 SRC = Path(p1qcurve.__file__).parents[1]
 
@@ -59,6 +59,33 @@ def test_a_subcommand_loads_only_what_it_computes(argv, modules):
             assert main({argv!r}) == 0
         print(loaded())
     """)
+    assert out == repr(sorted(f"p1qcurve.{m}" for m in ["cli", "exactcore", *modules]))
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["gw", "--g", "2", "--n", "4", "--d", "8", "--b", "1,1,2,14"], []),
+    # wgn and fgn read toprec.WGN_BOUND before the cache is read
+    (["wgn", "--g", "1", "--n", "1"], ["partitions", "toprec", "wedge"]),
+])
+def test_a_replay_loads_only_what_it_reads_before_the_cache(argv, modules, tmp_path):
+    script = f"""
+        import contextlib, io, os
+        os.environ["P1QC_CACHE_DIR"] = {str(tmp_path)!r}
+        from p1qcurve.cli import main
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+            assert main({argv!r}) == 0
+        print(loaded())
+        print(text.getvalue().strip())
+    """
+    fresh(script)
+    # mark the stored payload, so that only a replay can print the mark
+    (entry,) = tmp_path.iterdir()
+    data = json.loads(entry.read_text())
+    data["payload"]["replayed"] = True
+    entry.write_text(json.dumps(data))
+    out, document = fresh(script).split("\n")
+    assert json.loads(document)["payload"]["replayed"] is True
     assert out == repr(sorted(f"p1qcurve.{m}" for m in ["cli", "exactcore", *modules]))
 
 
@@ -105,19 +132,13 @@ def test_the_package_reads_each_export_through_its_module(monkeypatch):
     assert "stationary_invariant" not in vars(p1qcurve)
 
 
-def test_the_cli_binds_every_name_it_calls_from_its_module():
-    for module, names in cli._USES.items():
-        source = importlib.import_module(f"p1qcurve.{module}")
-        for name in names:
-            assert getattr(cli, name) is getattr(source, name), name
-
-
-def test_a_name_bound_before_its_command_runs_is_kept():
+def test_a_patch_of_the_defining_module_is_seen_by_the_command():
     out = fresh("""
-        import contextlib, io
+        import contextlib, importlib, io
         from fractions import Fraction
         from p1qcurve import cli
-        cli.stationary_invariant = lambda g, n, d, b: Fraction(-5, 7)
+        wedge = importlib.import_module("p1qcurve.wedge")
+        wedge.stationary_invariant = lambda g, n, d, b: Fraction(-5, 7)
         text = io.StringIO()
         with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(["gw", "--g", "0", "--n", "1", "--d", "1", "--b", "0"]) == 0

@@ -32,6 +32,7 @@ from p1qcurve.toprec import (
     BRANCH_POINTS,
     WGN_BOUND,
     CorrelationForm,
+    SMatrix,
     _branch_residues,
     _loc_bergman_local_pair,
     _loc_log_gap,
@@ -316,6 +317,9 @@ def test_inexact_expansion_order_raises(order):
         fgn_x_expansion(0, 3, order, verify=False)
     with pytest.raises(ExactError):
         ns_expansion_check(1, 1, order)
+    # int() of 1.9 is 1: the read must not land on the coefficient of (1, 0, 0)
+    with pytest.raises(ExactError):
+        fgn_x_expansion(0, 3, 4, verify=False).coefficient((1.9, 0.9, 0.9))
     for g, n in BAD_PAIRS:
         with pytest.raises(ExactError):
             fgn_x_expansion(g, n, 4, verify=False)
@@ -679,8 +683,9 @@ def test_s_matrix_rejects_negative():
 @pytest.mark.parametrize("bad", [True, 2.0, Frac(2)], ids=["bool", "float", "Fraction"])
 @pytest.mark.parametrize(
     "fn, args",
-    [(s_matrix, (2,)), (theta_expansion_check, (1, 0, 4)), (s0_s1_closed_forms, (4,))],
-    ids=["s_matrix", "theta_expansion_check", "s0_s1_closed_forms"],
+    [(s_matrix, (2,)), (theta_expansion_check, (1, 0, 4)), (s0_s1_closed_forms, (4,)),
+     (eta_function, (1, 2))],
+    ids=["s_matrix", "theta_expansion_check", "s0_s1_closed_forms", "eta_function"],
 )
 def test_entry_points_take_only_integers(fn, args, bad):
     # the good call fills the memo tables; a bool, float or Fraction equal
@@ -736,6 +741,20 @@ def test_theta_expansion_at_low_order_gives_a_verdict(i):
             assert theta_expansion_check(i, d, order) is True
 
 
+def test_theta_expansion_catches_a_wrong_transition_matrix(monkeypatch):
+    assert theta_expansion_check(1, 0, 12) is True
+    exact = toprec.s_matrix
+
+    def doubled_at_three(k):
+        m = exact(k)
+        return SMatrix(k, tuple(tuple(2 * e for e in row) for row in m.entries)) if k == 3 else m
+
+    monkeypatch.setattr(toprec, "s_matrix", doubled_at_three)
+    assert theta_expansion_check(1, 0, 12) is False
+    # index 2 reads the zero entry (2, 2) of the odd order 3
+    assert theta_expansion_check(2, 0, 12) is True
+
+
 def test_theta_rejects_bad_index():
     with pytest.raises(ExactError):
         eta_function(0, 1)
@@ -749,6 +768,15 @@ def test_theta_rejects_bad_index():
 def test_slot_function_rejects_simple_pole():
     with pytest.raises(ExactError):
         primitive_slot_function(Frac(1), 1)
+
+
+@pytest.mark.parametrize("a, j", [(1, 3.0), (1, Frac(3)), (1, True), (True, 3), (1.0, 3)])
+def test_slot_function_takes_an_exact_pole_and_an_int_order(a, j):
+    # the good call fills the memo table, which a bool or float equal to an
+    # argument of it would find
+    primitive_slot_function(1, 3)
+    with pytest.raises(ExactError, match="must be an integer|is not an int or a Fraction"):
+        primitive_slot_function(a, j)
 
 
 def test_slot_function_skew_and_regular():
@@ -1002,3 +1030,11 @@ def test_residue_tables_stop_at_the_deepest_read(monkeypatch):
 
 def test_s0_s1_closed_forms():
     assert s0_s1_closed_forms(10)
+
+
+def test_s0_s1_closed_forms_catches_a_wrong_one_point_series(monkeypatch):
+    assert s0_s1_closed_forms(12) is True
+    exact = toprec._one_point_closed_form
+    monkeypatch.setattr(toprec, "_one_point_closed_form",
+                        lambda order: exact(order) + TruncatedSeries.monomial("w", 3, 1, order))
+    assert s0_s1_closed_forms(12) is False

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from p1qcurve import toprec
 from p1qcurve import wavefunction as wf
 from p1qcurve.exactcore import (
     ExactError,
@@ -468,6 +469,15 @@ def test_build_degree_graded_x_with_blocks_past_the_order():
     assert not any(wf._degree_block(8, 12))
 
 
+def test_build_degree_graded_x_catches_a_wrong_partition_sum(monkeypatch):
+    assert bool(build_degree_graded_x(3, 8)) is True
+    exact = wf.x_partition
+    monkeypatch.setattr(wf, "x_partition", lambda d: exact(d) * 2 if d == 2 else exact(d))
+    result = build_degree_graded_x(3, 8)
+    assert bool(result) is False
+    assert result.disagreements[0] == (2, 0, Frac(1, 2), Frac(1))
+
+
 def test_build_degree_graded_x_reports_disagreement():
     from p1qcurve.wavefunction import DegreeGradedX, XEntry
 
@@ -521,6 +531,29 @@ def test_semiclassical_check():
 
 def test_toda_specialization_check():
     assert toda_specialization_check(8, d_max=4) is True
+
+
+def test_semiclassical_check_catches_a_wrong_one_point_series(monkeypatch):
+    assert semiclassical_check(12) is True
+    exact = toprec._one_point_closed_form
+    monkeypatch.setattr(toprec, "_one_point_closed_form",
+                        lambda order: exact(order) + TruncatedSeries.monomial("w", 3, 1, order))
+    assert semiclassical_check(12) is False
+
+
+def test_prefactor_checks_catch_a_wrong_bernoulli_term(monkeypatch):
+    assert conjugation_check(6, 8) is True
+    assert toda_specialization_check(8, 4) is True
+    exact = wf.bernoulli_operator
+
+    def with_extra_r2(order):
+        form = exact(order)
+        extra = TruncatedSeries.monomial("r", 2, 1, form.order)
+        return LogLaurentForm(form.c, form.a + extra, form.b)
+
+    monkeypatch.setattr(wf, "bernoulli_operator", with_extra_r2)
+    assert conjugation_check(6, 8) is False
+    assert toda_specialization_check(8, 4) is False
 
 
 def test_toda_specialization_check_rejects_empty_degree_range():
