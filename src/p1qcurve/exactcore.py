@@ -26,6 +26,12 @@ supplies the shared machinery:
   branch-constant oracle.
 
 No floats enter any code path; all comparisons are exact.
+
+The package's one exact-argument rule lives here: a count is an ``int``, not
+a ``bool``; a scalar is an ``int`` or a ``Fraction``, never a ``bool`` or a
+``float``.  :func:`_integers` and :func:`_scalar` raise :class:`ExactError`
+on anything else, before any memo table is read (:func:`_memo_checked`);
+arithmetic operators return ``NotImplemented``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction as Frac
+from functools import cache, wraps
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Scalar = Union[Frac, int]
@@ -80,12 +87,40 @@ class PoleEvaluationError(ExactError):
     """A rational function was evaluated at a pole."""
 
 
-def _frac(x: Scalar) -> Frac:
-    if isinstance(x, Frac):
+def _integers(**counts) -> None:
+    """Each named count must be an int, not a bool, a float or a Fraction."""
+    for what, x in counts.items():
+        if type(x) is not int:
+            raise ExactError(f"{what} must be an integer, got {x!r}")
+
+
+def _scalar(x) -> Frac:
+    """``x`` as an exact scalar: an int or a fraction, not a bool or a float."""
+    if type(x) is Frac:
         return x
-    if isinstance(x, int):
+    if type(x) is int:
         return Frac(x)
-    raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
+    raise ExactError(f"expected an exact scalar (int or Fraction), got {x!r}")
+
+
+def _memo_checked(check):
+    """Memoise a function behind ``check``, which takes the same arguments
+    and raises ``ExactError`` on a bad one before the memo table is read: the
+    table compares keys by value, so ``True`` or ``2.0`` would find the entry
+    of ``1`` or ``2``.  The table keeps the function's name and is reached as
+    ``__wrapped__``; a call that raises leaves no entry in it."""
+
+    def decorate(fn):
+        table = cache(fn)
+
+        @wraps(table)
+        def checked(*args, **kwargs):
+            check(*args, **kwargs)
+            return table(*args, **kwargs)
+
+        return checked
+
+    return decorate
 
 
 def _over_lcm(cs) -> tuple[list[int], int]:
@@ -129,7 +164,7 @@ class Polynomial:
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):  # ascending
         # over the lcm of reduced denominators the numerators share no factor with it
-        nums, den = _over_lcm([_frac(c) for c in coeffs])
+        nums, den = _over_lcm([_scalar(c) for c in coeffs])
         while nums and not nums[-1]:
             nums.pop()
         self._num: tuple[int, ...] = tuple(nums)
@@ -159,7 +194,7 @@ class Polynomial:
         """``prod (t - p/q)``, built as ``prod (q t - p)`` over ``prod q``."""
         cs, den = [1], 1
         for r in roots:
-            r = _frac(r)
+            r = _scalar(r)
             p, q = r.numerator, r.denominator
             cs = [-p * cs[0]] + [q * a - p * b for a, b in zip(cs, cs[1:])] + [q * cs[-1]]
             den *= q
@@ -189,9 +224,9 @@ class Polynomial:
     def _coerce(self, other) -> "Polynomial | None":
         if isinstance(other, Polynomial):
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return _poly([other])
-        if isinstance(other, Frac):
+        if type(other) is Frac:
             return _poly([other.numerator], other.denominator)
         return None
 
@@ -286,12 +321,7 @@ class Polynomial:
 
     def __call__(self, value):
         """Evaluate (Horner).  Accepts scalars and polynomials."""
-        if isinstance(value, int):
-            acc = 0
-            for c in reversed(self._num):
-                acc = acc * value + c
-            return Frac(acc, self._den)
-        if isinstance(value, Frac):
+        if type(value) in (int, Frac):
             if not self._num:
                 return Frac(0)
             # sum c_k p^k q^(n-k) over den q^n: Horner on the homogenised form
@@ -316,7 +346,7 @@ class Polynomial:
         (all ``k`` passes of :func:`_taylor_passes`); then
         ``p(t + c) = m(b t + a) / (den b^k)``.
         """
-        c = _frac(c)
+        c = _scalar(c)
         a, b = c.numerator, c.denominator
         k = len(self._num) - 1
         if k < 1 or not a:
@@ -517,7 +547,7 @@ class RationalFunction:
     def _coerce(self, other) -> "RationalFunction | None":
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, (int, Frac)):
+        if type(other) in (int, Frac):
             return RationalFunction(Polynomial((other,)))
         if isinstance(other, Polynomial):
             return RationalFunction(other)
@@ -575,7 +605,7 @@ class RationalFunction:
     # -- evaluation, calculus, substitution ------------------------------------
 
     def __call__(self, value):
-        if isinstance(value, (int, Frac)):
+        if type(value) in (int, Frac):
             dv = self.den(value)
             if dv == 0:
                 raise PoleEvaluationError(f"evaluation at pole {value}")
@@ -615,9 +645,10 @@ class RationalFunction:
         coefficients of ``p`` at ``a/b`` are ``mu_j b^j / (den b^k)`` with
         ``mu_j`` those of the integer ``b^k P(t/b)`` at ``a``.
         """
+        c = _scalar(center)
+        _integers(order=order)
         if self.is_zero():
             return TruncatedSeries.zero(var, order)
-        c = _frac(center)
         a, b = c.numerator, c.denominator
 
         def taylor(p: Polynomial) -> tuple[Iterator[int], int]:
@@ -831,7 +862,7 @@ class TruncatedSeries:
     def __init__(self, var: str, min_exp: int, coeffs: Iterable[Scalar], order: int):
         if type(min_exp) is not int or type(order) is not int:
             raise ExactError(f"min_exp and order must be ints, got {min_exp!r} and {order!r}")
-        cs = [_frac(c) for c in coeffs]
+        cs = [_scalar(c) for c in coeffs]
         if len(cs) != order - min_exp + 1:
             raise ExactError(
                 f"coefficient count {len(cs)} does not match range "
@@ -851,30 +882,35 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, var: str, order: int) -> "TruncatedSeries":
+        _integers(order=order)
         return _series(var, order + 1, [], 1, order)
 
     @classmethod
     def constant(cls, var: str, c: Scalar, order: int) -> "TruncatedSeries":
+        c = _scalar(c)
+        _integers(order=order)
         if order < 0:
             raise ExactError("constant series needs order >= 0")
-        c = _frac(c)
         return _series(var, 0, [c.numerator] + [0] * order, c.denominator, order)
 
     @classmethod
     def variable(cls, var: str, order: int) -> "TruncatedSeries":
+        _integers(order=order)
         if order < 1:
             raise ExactError("variable series needs order >= 1")
         return _series(var, 1, [1] + [0] * (order - 1), 1, order)
 
     @classmethod
     def monomial(cls, var: str, exp: int, c: Scalar, order: int) -> "TruncatedSeries":
+        c = _scalar(c)
+        _integers(exp=exp, order=order)
         if exp > order:
             raise ExactError("monomial exponent exceeds requested order")
-        c = _frac(c)
         return _series(var, exp, [c.numerator] + [0] * (order - exp), c.denominator, order)
 
     @classmethod
     def from_function(cls, var: str, fn, min_exp: int, order: int) -> "TruncatedSeries":
+        _integers(min_exp=min_exp, order=order)
         return cls(var, min_exp, (fn(k) for k in range(min_exp, order + 1)), order)
 
     # -- queries -------------------------------------------------------------------
@@ -910,6 +946,7 @@ class TruncatedSeries:
     # -- structural ops -----------------------------------------------------------
 
     def truncate(self, new_order: int) -> "TruncatedSeries":
+        _integers(order=new_order)
         if new_order > self.order:
             raise TruncationError("cannot extend a series by truncation")
         if new_order >= self.order:
@@ -920,6 +957,7 @@ class TruncatedSeries:
         return _series(self.var, self.min_exp, self._num[:keep], self._den, new_order)
 
     def shift_exponent(self, delta: int) -> "TruncatedSeries":
+        _integers(delta=delta)
         return _series(self.var, self.min_exp + delta, self._num, self._den, self.order + delta)
 
     def rename(self, var: str) -> "TruncatedSeries":
@@ -932,7 +970,7 @@ class TruncatedSeries:
             raise ExactError(f"variable mismatch: {self.var} vs {other.var}")
 
     def __add__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Frac)):
+        if type(other) in (int, Frac):
             other = TruncatedSeries.constant(self.var, other, max(self.order, 0))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -953,9 +991,7 @@ class TruncatedSeries:
         return _series(self.var, self.min_exp, [-x for x in self._num], self._den, self.order)
 
     def __sub__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Frac)):
-            other = TruncatedSeries.constant(self.var, other, max(self.order, 0))
-        if not isinstance(other, TruncatedSeries):
+        if type(other) not in (int, Frac, TruncatedSeries):
             return NotImplemented
         return self + (-other)
 
@@ -966,8 +1002,8 @@ class TruncatedSeries:
         """The product, known through ``min(o1 + m2, o2 + m1)``: the integer
         numerators convolved, only the entries below the product's order,
         over the product of the two denominators."""
-        if isinstance(other, (int, Frac)):
-            c = _frac(other)
+        if type(other) in (int, Frac):
+            c = _scalar(other)
             if c == 0:
                 return TruncatedSeries.zero(self.var, self.order)
             p = c.numerator
@@ -993,11 +1029,10 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Frac)):
-            c = _frac(other)
-            if c == 0:
+        if type(other) in (int, Frac):
+            if other == 0:
                 raise ZeroDivisionError("series division by zero scalar")
-            return self * (Frac(1) / c)
+            return self * (1 / Frac(other))
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self * other.inverse()
@@ -1212,21 +1247,24 @@ class MultiSeries:
         data: Mapping[tuple[int, ...], Scalar],
     ):
         self.vars = tuple(vars)
-        self.min_exps = tuple(int(m) for m in min_exps)
-        self.orders = tuple(int(o) for o in orders)
+        self.min_exps = tuple(min_exps)
+        self.orders = tuple(orders)
+        if any(type(e) is not int for e in itertools.chain(self.min_exps, self.orders, *data)):
+            raise ExactError(f"exponents and their bounds must be ints, got {self.min_exps!r}, "
+                             f"{self.orders!r} and {list(data)!r}")
         if not (len(self.vars) == len(self.min_exps) == len(self.orders)):
             raise ExactError("vars, min_exps, orders must have equal length")
         clean: dict[tuple[int, ...], Frac] = {}
         for exps, c in data.items():
             if len(exps) != len(self.vars):
                 raise ExactError("exponent tuple arity mismatch")
-            fc = _frac(c)
+            fc = _scalar(c)
             if fc == 0:
                 continue
             for e, m, o in zip(exps, self.min_exps, self.orders):
                 if e < m or e > o:
                     raise ExactError(f"exponent {exps} outside declared window")
-            clean[tuple(int(e) for e in exps)] = fc
+            clean[tuple(exps)] = fc
         self.data = clean
 
     @classmethod
@@ -1242,7 +1280,7 @@ class MultiSeries:
         the window, and is kept, not copied.  The invariants are checked on
         the record as a whole -- the key arities once, each slot's least and
         greatest exponent once, the value types and nonzeroness once --
-        instead of one ``_frac`` round trip and window test per entry."""
+        instead of one ``_scalar`` round trip and window test per entry."""
         n = len(vars)
         if not n == len(min_exps) == len(orders):
             raise ExactError("vars, min_exps, orders must have equal length")
@@ -1331,8 +1369,8 @@ class MultiSeries:
         return self + (-other)
 
     def __mul__(self, other) -> "MultiSeries":
-        if isinstance(other, (int, Frac)):
-            c = _frac(other)
+        if type(other) in (int, Frac):
+            c = _scalar(other)
             if c == 0:
                 return MultiSeries.zero(self.vars, self.min_exps, self.orders)
             return MultiSeries(
@@ -1427,10 +1465,10 @@ class _LPoly:
     __slots__ = ("c",)
 
     def __init__(self, c: Mapping[int, Frac] | Scalar = 0):
-        if isinstance(c, (int, Frac)):
-            cc = {0: _frac(c)} if c else {}
+        if type(c) in (int, Frac):
+            cc = {0: _scalar(c)} if c else {}
         else:
-            cc = {int(k): _frac(v) for k, v in c.items() if v != 0}
+            cc = {int(k): _scalar(v) for k, v in c.items() if v != 0}
         self.c: dict[int, Frac] = cc
 
     def __add__(self, other: "_LPoly") -> "_LPoly":

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Frac
-from functools import cache, wraps
 from typing import Iterator
 
-from .exactcore import ExactError, Polynomial, _poly
+from .exactcore import ExactError, Polynomial, _integers, _memo_checked, _poly
 
 Partition = tuple[int, ...]
 
@@ -47,7 +46,7 @@ def is_partition(p) -> bool:
     """A tuple of weakly decreasing positive ints, none of them a bool."""
     return (
         isinstance(p, tuple)
-        and all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in p)
+        and all(type(x) is int and x > 0 for x in p)
         and all(p[i] >= p[i + 1] for i in range(len(p) - 1))
     )
 
@@ -57,34 +56,7 @@ def _validate(p: Partition) -> None:
         raise ExactError(f"not a partition: {p!r}")
 
 
-def _degree(d) -> int:
-    """``d`` as a partition size: an int, not a bool or a float."""
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ExactError(f"degree must be an integer, got {d!r}")
-    return d
-
-
-def _memo_checked(check):
-    """Memoise a function behind ``check``, which takes the same arguments
-    and raises ``ExactError`` on a bad one before the memo table is read: the
-    table compares keys by value, so ``True`` or ``2.0`` would find the entry
-    of ``1`` or ``2``, and ``(True,)`` that of ``(1,)``.  The table keeps the
-    function's name and is reached as ``__wrapped__``."""
-
-    def decorate(fn):
-        table = cache(fn)
-
-        @wraps(table)
-        def checked(*args, **kwargs):
-            check(*args, **kwargs)
-            return table(*args, **kwargs)
-
-        return checked
-
-    return decorate
-
-
-@_memo_checked(_degree)
+@_memo_checked(lambda d: _integers(degree=d))
 def partitions(d: int) -> tuple[Partition, ...]:
     """All partitions of ``d`` in decreasing lexicographic order."""
     if d < 0:
@@ -104,6 +76,7 @@ def partitions(d: int) -> tuple[Partition, ...]:
 def padded(p: Partition, n: int) -> tuple[int, ...]:
     """The parts of ``p`` padded with zeros to length ``n``."""
     _validate(p)
+    _integers(length=n)
     if n < len(p):
         raise ExactError(f"cannot pad {p} to shorter length {n}")
     return p + (0,) * (n - len(p))
@@ -220,7 +193,7 @@ def _times_linear(cs: list[int], c: int) -> list[int]:
     return [c * cs[0]] + [c * a + b for a, b in zip(cs[1:], cs)] + [cs[-1]]
 
 
-@_memo_checked(_degree)
+@_memo_checked(lambda d: _integers(degree=d))
 def offset_sum(d: int) -> Polynomial:
     """``G_d(y) = sum_{|lam| = d} P_lam(y) / H_lam^2`` with ``P`` the
     :func:`offset_product` and ``H`` the :func:`hook_product`.

@@ -15,8 +15,7 @@ here is univariate exact rational-function arithmetic.  The partition sums
 are taken once, on integer numerators over one common denominator
 (:func:`partitions.offset_sum`, shared by X_d and Y_d), and each result is
 normalised once; the shifts act on the summed polynomial, never on one
-partition's term.  Degrees are ints and scalars are ints or fractions: a
-float or a bool raises :class:`ExactError` before any memo table is read.
+partition's term.
 
 Checks are identities on cleared denominators; only returned values are
 normalised.  A check such as the shift recursion or the agreement of the
@@ -28,19 +27,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Frac
-from functools import cache
 from typing import Union
 
 from .exactcore import (
     ExactError,
     Polynomial,
     RationalFunction,
+    _integers,
+    _memo_checked,
     _poly,
     _pseudo_divmod,
+    _scalar,
     partial_fractions,
 )
 from .partitions import (
-    _degree,
     hook_product,
     offset_product,
     offset_sum,
@@ -59,18 +59,12 @@ __all__ = [
 ]
 
 
-def _scalar(x) -> Frac:
-    """``x`` as an exact scalar: an int or a fraction, not a bool or a float."""
-    if not isinstance(x, (int, Frac)) or isinstance(x, bool):
-        raise ExactError(f"expected an exact scalar (int or Fraction), got {x!r}")
-    return Frac(x)
-
-
 def _pole_product(d: int) -> Polynomial:
     """``(u+1)(u+2)...(u+d)``."""
     return Polynomial.from_roots(range(-d, 0))
 
 
+@_memo_checked(lambda d: _integers(degree=d))
 def x_partition(d: int) -> RationalFunction:
     """The degree-d partition sum as a reduced rational function of u.
 
@@ -80,13 +74,8 @@ def x_partition(d: int) -> RationalFunction:
     :func:`partitions.offset_sum`: one integer sum over ``lcm H_p^2``, one
     normalisation of the quotient.
     """
-    if _degree(d) < 0:
+    if d < 0:
         raise ExactError("degree must be nonnegative")
-    return _x_partition(d)
-
-
-@cache
-def _x_partition(d: int) -> RationalFunction:
     g = offset_sum(d)
     num = _poly([x if (d + k) % 2 == 0 else -x for k, x in enumerate(g._num)], g._den)
     return RationalFunction(num, _pole_product(d))
@@ -105,7 +94,8 @@ def laguerre_value(n: int, alpha: PolyOrFrac, z: Frac | int) -> PolyOrFrac:
     products ``k! C(n+alpha, k) = prod_{j<k} (alpha + n - j)`` are built as
     one prefix product, one factor per k.
     """
-    if _degree(n) < 0:
+    _integers(degree=n)
+    if n < 0:
         raise ExactError("Laguerre index must be nonnegative")
     if isinstance(alpha, Polynomial):
         falling: PolyOrFrac = Polynomial.one()
@@ -124,6 +114,7 @@ def laguerre_value(n: int, alpha: PolyOrFrac, z: Frac | int) -> PolyOrFrac:
     return total
 
 
+@_memo_checked(lambda d: _integers(degree=d))
 def x_laguerre(d: int) -> RationalFunction:
     """The degree-d function from Laguerre data, computed two ways.
 
@@ -135,9 +126,20 @@ def x_laguerre(d: int) -> RationalFunction:
     are compared by cross-multiplication and must agree exactly; a mismatch
     raises, since it can only come from an arithmetic defect.
     """
-    if _degree(d) < 0:
+    if d < 0:
         raise ExactError("degree must be nonnegative")
-    return _x_laguerre(d)
+    u = Polynomial.identity()
+    num = laguerre_value(d, u, 1)
+    den = laguerre_value(d, u, 0)
+    assert isinstance(num, Polynomial) and isinstance(den, Polynomial)
+    ratio = RationalFunction(num, den * math.factorial(d))
+    pole_num, pole_den = _laguerre_pole_sum(d)
+    if pole_num * ratio.den != ratio.num * pole_den:
+        raise ExactError(
+            f"Laguerre pole-sum and ratio forms disagree at degree {d}: "
+            "arithmetic defect"
+        )
+    return ratio
 
 
 def _laguerre_pole_sum(d: int) -> tuple[Polynomial, Polynomial]:
@@ -163,22 +165,6 @@ def _laguerre_pole_sum(d: int) -> tuple[Polynomial, Polynomial]:
     return _poly(acc, math.factorial(d) * w), den
 
 
-@cache
-def _x_laguerre(d: int) -> RationalFunction:
-    u = Polynomial.identity()
-    num = laguerre_value(d, u, 1)
-    den = laguerre_value(d, u, 0)
-    assert isinstance(num, Polynomial) and isinstance(den, Polynomial)
-    ratio = RationalFunction(num, den * math.factorial(d))
-    pole_num, pole_den = _laguerre_pole_sum(d)
-    if pole_num * ratio.den != ratio.num * pole_den:
-        raise ExactError(
-            f"Laguerre pole-sum and ratio forms disagree at degree {d}: "
-            "arithmetic defect"
-        )
-    return ratio
-
-
 def verify_xd_recursion(d: int) -> bool:
     """Exact check of the shift recursion
 
@@ -187,7 +173,7 @@ def verify_xd_recursion(d: int) -> bool:
     The check is that the cleared numerator of the left side
     (:func:`_recursion_numerator`) is the zero polynomial.
     """
-    if _degree(d) < 1:
+    if d < 1:
         raise ExactError("recursion is stated for d >= 1")
     return _recursion_numerator(x_partition(d - 1), x_partition(d)).is_zero()
 
@@ -205,6 +191,7 @@ def _recursion_numerator(x_prev: RationalFunction, x_d: RationalFunction) -> Pol
     return a * e * f + Polynomial.identity() * b * (c * f - n * e)
 
 
+@_memo_checked(lambda d: _integers(degree=d))
 def y_polynomial(d: int) -> Polynomial:
     """The weight-d vanishing polynomial
 
@@ -217,13 +204,8 @@ def y_polynomial(d: int) -> Polynomial:
     G(y-1)``, two Taylor shifts in all.  Expected to be identically zero; the
     caller asserts that, this function just builds the sum.
     """
-    if _degree(d) < 1:
+    if d < 1:
         raise ExactError("vanishing polynomial is stated for d >= 1")
-    return _y_polynomial(d)
-
-
-@cache
-def _y_polynomial(d: int) -> Polynomial:
     g = offset_sum(d)
     return Polynomial([d, -1]) * g.shift(1) + Polynomial([-1, 1]) * g + g.shift(-1)
 
@@ -231,7 +213,7 @@ def _y_polynomial(d: int) -> Polynomial:
 def y_evaluate(d: int, y0: Frac | int) -> Frac:
     """Evaluate the weight-d vanishing sum at a point without expanding the
     polynomial first (used to probe the root at y0 = d directly)."""
-    if _degree(d) < 1:
+    if d < 1:
         raise ExactError("vanishing polynomial is stated for d >= 1")
     y0 = _scalar(y0)
     total = Frac(0)
@@ -252,7 +234,8 @@ def toda_quadratic_check(d: int, variant: str = "full") -> bool:
         sum_{a+b=d+1} ( X_a(u) X_b(u-1) - X_a(u-1) X_b(u-1) )
             = (1/u^2) sum_{a+b=d+1} X_a(u) X_b(u) (a-b)^2 / 2
     """
-    if _degree(d) < 0:
+    _integers(degree=d)
+    if d < 0:
         raise ExactError("degree must be nonnegative")
     if variant not in ("full", "one-level"):
         raise ExactError(f"unknown variant {variant!r}")

@@ -53,12 +53,12 @@ from .exactcore import (
     RationalFunction,
     TruncatedSeries,
     TruncationError,
+    _integers,
+    _memo_checked,
     series_compose,
     series_log,
 )
-from .partitions import _memo_checked
 from .wedge import (
-    _integers,
     _one_point_closed_form,
     catalan_inverse,
     stationary_invariant,
@@ -94,11 +94,6 @@ _XPRIME = RationalFunction(_Z * _Z - 1, _Z * _Z)
 PoleKey = tuple[tuple[int, int], ...]  # ((a, j) per slot, a = +-1)
 
 
-def _exact(x) -> bool:
-    """An int or a Fraction, not a bool."""
-    return isinstance(x, (int, Frac)) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class CorrelationForm:
     """W_{g,n} = sum of c * prod_k dz_k/(z_k - a_k)^{j_k}, poles at a = +-1
@@ -112,10 +107,10 @@ class CorrelationForm:
         for key, c in self.terms.items():
             if len(key) != self.n:
                 raise ExactError("pole key arity mismatch")
-            if not _exact(c):
+            if type(c) not in (int, Frac):
                 raise ExactError(f"coefficient {c!r} is not an int or a Fraction")
             for a, j in key:
-                if not (_exact(a) and a in (1, -1)) or type(j) is not int or j < 2:
+                if type(a) not in (int, Frac) or a not in (1, -1) or type(j) is not int or j < 2:
                     raise ExactError(f"illegal pole datum ({a!r},{j!r})")
 
     def pole_orders(self) -> tuple[int, ...]:
@@ -147,7 +142,7 @@ def _evaluate(form, points: Sequence[Frac], slot_function) -> Frac:
     """sum_key c * prod_k slot_function(*key[k], points[k]) at an exact point,
     contracted by _slotwise, which evaluates each distinct (slot, pole) once;
     a point on a pole raises PoleEvaluationError."""
-    if len(points) != form.n or not all(map(_exact, points)):
+    if len(points) != form.n or any(type(p) not in (int, Frac) for p in points):
         raise ExactError(f"{points!r} is not a point of {form.n} ints or Fractions")
     poles = {(k, a) for key in form.terms for k, (a, _) in enumerate(key)}
     if any(points[k] == a for k, a in poles):
@@ -314,11 +309,7 @@ WGN_BOUND = 4  # the largest complexity 2g-2+n the recursion is run to
 _ORDER_MARGIN = 16  # working order beyond the deepest local pole of a piece
 
 
-def _pair(g: int, n: int) -> None:
-    _integers(genus=g, points=n)
-
-
-@_memo_checked(_pair)
+@_memo_checked(lambda g, n: _integers(genus=g, points=n))
 def toprec_wgn(g: int, n: int) -> CorrelationForm:
     """The stable correlation form W_{g,n} from the residue recursion.
 
@@ -682,7 +673,7 @@ def theta_expansion_check(i: int, d: int, order: int) -> bool:
 
 
 def _pole_datum(a, j: int) -> None:
-    if not _exact(a):
+    if type(a) not in (int, Frac):
         raise ExactError(f"pole {a!r} is not an int or a Fraction")
     _integers(pole_order=j)
 
@@ -749,7 +740,7 @@ class FgnPrimitive:
         return _slotwise(self.terms, self.n, derivative) == dict(toprec_wgn(self.g, self.n).terms)
 
 
-@_memo_checked(_pair)
+@_memo_checked(lambda g, n: _integers(genus=g, points=n))
 def primitive_fgn(g: int, n: int) -> FgnPrimitive:
     """The multilinear primitive of W_{g,n}: slotwise antiderivatives,
     antisymmetrized under z -> 1/z, pinned to vanish at the origin."""

@@ -49,14 +49,17 @@ from .exactcore import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
+    _integers,
+    _memo_checked,
+    _scalar,
     series_compose,
     series_exp,
     series_log,
 )
-from .partitions import _memo_checked, _sorted_tuples
-from .qcurve import _scalar, toda_quadratic_check, verify_xd_recursion, x_partition
+from .partitions import _sorted_tuples
+from .qcurve import toda_quadratic_check, verify_xd_recursion, x_partition
 from .toprec import s0_s1_closed_forms
-from .wedge import _integers, stationary_invariant, unit_insertions, zeta_series
+from .wedge import stationary_invariant, unit_insertions, zeta_series
 
 __all__ = [
     "DegreeGradedX",

@@ -40,7 +40,7 @@ from fractions import Fraction as Frac
 from functools import cache
 from operator import mul
 
-from .exactcore import ExactError, TruncatedSeries, series_log
+from .exactcore import ExactError, TruncatedSeries, _integers, series_log
 from .partitions import Partition, _hook_product, partitions
 
 __all__ = [
@@ -65,6 +65,7 @@ def zeta_series(order: int, var: str = "t") -> TruncatedSeries:
 
     truncated at `order` (inclusive).
     """
+    _integers(order=order)
     if order < 1:
         raise ExactError("zeta_series needs order >= 1")
 
@@ -81,6 +82,7 @@ def zeta_reciprocal(order: int, var: str = "t") -> TruncatedSeries:
 
     known through `order` (inclusive); min_exp is -1.
     """
+    _integers(order=order)
     if order < -1:
         raise ExactError("zeta_reciprocal needs order >= -1")
     return zeta_series(order + 2, var).inverse()
@@ -101,17 +103,10 @@ def _eigen_numerator(lam: Partition, k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _integers(**counts) -> None:
-    """Each named count must be an int, not a bool, a float or a Fraction."""
-    for what, x in counts.items():
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise ExactError(f"{what} must be an integer, got {x!r}")
-
-
 def _exponents(b) -> tuple[int, ...]:
     """b as a tuple of descendant exponents: ints (not bools), each >= -2."""
     b = tuple(b)
-    if not all(isinstance(bi, int) and not isinstance(bi, bool) for bi in b):
+    if any(type(bi) is not int for bi in b):
         raise ExactError(f"descendant exponents must be integers, got {b!r}")
     if any(bi < -2 for bi in b):
         raise ExactError("descendant exponents must be >= -2")
@@ -166,10 +161,6 @@ def connected_coefficient(d: int, b) -> Frac:
     the unshifted coefficients a_{lam,j}, with its d' = 0 term, as
     `connected_coefficient_unshifted`, and the per-call table of every
     sub-multiset's moments and cumulants as `connected_coefficient_table`.
-
-    The degree and the exponents are checked on every call, before the memo
-    table is read: the table compares keys by value, so 1.0 or True would
-    find the entry of 1.
     """
     _integers(degree=d)
     if d < 0:
@@ -271,8 +262,7 @@ def _connected_coefficient(d: int, b: tuple[int, ...]) -> Frac:
 def stationary_invariant(g: int, n: int, d: int, b) -> Frac:
     """The connected invariant with n point classes and descendant exponents b
     (each >= -2) at genus g and degree d, as an exact rational; 0 when the
-    dimension constraint sum(b) = 2g - 2 + 2d fails.  g, n and d must be ints
-    (not bools), as the exponents must."""
+    dimension constraint sum(b) = 2g - 2 + 2d fails."""
     _integers(genus=g, points=n, degree=d)
     b = _exponents(b)
     if len(b) != n:
@@ -325,8 +315,7 @@ def unit_insertions(g: int, n: int, k: int, d: int, b) -> Frac:
     """The connected invariant with k unit-class insertions and n point-class
     insertions with descendant exponents b, genus g, degree d; computed by
     repeated string-equation reduction to stationary invariants plus the
-    degree-0 base case with two units and one point class.  g, n, k and d
-    are checked as ints (not bools) before the memo table is read."""
+    degree-0 base case with two units and one point class."""
     _integers(genus=g, points=n, units=k, degree=d)
     b = _exponents(b)
     if len(b) != n:
@@ -344,6 +333,7 @@ def unit_insertions(g: int, n: int, k: int, d: int, b) -> Frac:
 def catalan_inverse(order: int, var: str = "w") -> TruncatedSeries:
     """The series z(x) = sum_m Catalan(m) x^{-(2m+1)} inverting x = z + 1/z
     near z = 0, written in the variable w = 1/x."""
+    _integers(order=order)
     if order < 1:
         raise ExactError("catalan_inverse needs order >= 1")
 
@@ -389,6 +379,7 @@ def unstable_series_report(order: int) -> tuple[bool, str | None]:
     Returns (ok, None) on success or (False, message) naming the first
     mismatching exponent.
     """
+    _integers(order=order)
     if order < 1:
         raise ExactError("unstable_series_check needs order >= 1")
 

@@ -3,6 +3,7 @@ exit codes, budget capping, and the replay cache."""
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -13,10 +14,10 @@ from pathlib import Path
 import pytest
 
 import p1qcurve
-from p1qcurve import cli, qcurve, wavefunction  # noqa: F401 (see _FAULTS)
+from p1qcurve import cli, qcurve, toprec, wavefunction
 from p1qcurve.cli import main
 from p1qcurve.toprec import s_matrix
-from p1qcurve.exactcore import rational_to_json
+from p1qcurve.exactcore import Polynomial, rational_to_json
 
 
 def run(capsys, *argv):
@@ -553,22 +554,32 @@ def _failing_qce(d_max, *args):
     return p1qcurve.QceReport(d_max, links, "conjugation")
 
 
-# Faults injected into the functions cli calls, patched in their defining
-# modules, so that failing verdicts and their witnesses are pinned as well as
-# passing ones.  wavefunction is imported above, before any fault is
-# patched, so the qcurve checks it binds at import are the real ones.
-_QC, _WF = "p1qcurve.qcurve", "p1qcurve.wavefunction"
+# Faults injected into the functions cli calls, patched as (module, name)
+# in their defining modules, so that failing verdicts and their witnesses are
+# pinned as well as passing ones.  wavefunction is imported above, before any
+# fault is patched, so the qcurve checks it binds at import are the real ones.
+# The module partitions is read from sys.modules: the package attribute of
+# that name is the exported function.
+_QC, _WF, _PT = qcurve, wavefunction, importlib.import_module("p1qcurve.partitions")
 _FAULTS = {
-    "recursion": {f"{_QC}.verify_xd_recursion": lambda d: d != 1},
-    "specialization": {f"{_WF}.toda_specialization_check": lambda order, d_max: False},
-    "quadratic": {f"{_WF}.toda_specialization_check": lambda order, d_max: False,
-                  f"{_QC}.toda_quadratic_check":
+    "recursion": {(_QC, "verify_xd_recursion"): lambda d: d != 1},
+    "specialization": {(_WF, "toda_specialization_check"): lambda order, d_max: False},
+    "quadratic": {(_WF, "toda_specialization_check"): lambda order, d_max: False,
+                  (_QC, "toda_quadratic_check"):
                       lambda d, variant: (d, variant) != (1, "one-level")},
-    "semiclassical": {f"{_WF}.semiclassical_check": lambda: False},
-    "qce": {f"{_WF}.qce_verification": _failing_qce},
-    "recursion-and-qce": {f"{_QC}.verify_xd_recursion": lambda d: d != 1,
-                          f"{_WF}.qce_verification": _failing_qce},
-    "laguerre": {f"{_QC}.x_laguerre": lambda d: qcurve.x_partition(d + 1)},
+    "semiclassical": {(_WF, "semiclassical_check"): lambda: False},
+    "qce": {(_WF, "qce_verification"): _failing_qce},
+    "recursion-and-qce": {(_QC, "verify_xd_recursion"): lambda d: d != 1,
+                          (_WF, "qce_verification"): _failing_qce},
+    "laguerre": {(_QC, "x_laguerre"): lambda d: qcurve.x_partition(d + 1)},
+    "ydzero": {(_QC, "y_polynomial"): lambda d: Polynomial([int(d == 2)])},
+    "summation": {(_PT, "summation_corollary_check"): lambda d: d != 2},
+    "hook-refinement": {(_PT, "summation_corollary_check"): lambda d: True,
+                        (_PT, "hook_refinement_check"): lambda mu: mu != (2, 1)},
+    "pole-primitive": {(toprec, "theta_expansion_check"): lambda i, d, order: (i, d) != (2, 1)},
+    "resummation": {(_WF, "theta_resummation_check"):
+                        lambda g, n, d, order: (g, n, d) != (0, 2, 1)},
+    "ns": {(toprec, "ns_expansion_check"): lambda g, n, order: (g, n) != (1, 2)},
 }
 
 # (argv, fault, sha256 of the exit code and stdout); see _golden_digest
@@ -608,6 +619,12 @@ _GOLDEN = [
     ("verify --suite toda --max 3", "specialization", "207aaeaa06053784"),
     ("verify --suite toda --max 3", "quadratic", "fd19387ec9b67054"),
     ("verify --suite qce --max 3", "qce", "08111f8f74cc80da"),
+    ("verify --suite ydzero --max 3", "ydzero", "cbc9b0a9b89676c8"),
+    ("verify --suite han --max 3", "summation", "ed34410bdc0ec175"),
+    ("verify --suite han --max 3", "hook-refinement", "a2259cb96ad17bae"),
+    ("verify --suite theta --max 1", "pole-primitive", "e9f96d08d4f2ef46"),
+    ("verify --suite theta --max 1", "resummation", "6367411d0d5f0551"),
+    ("verify --suite ns --max 3", "ns", "66e09f17fb01d257"),
     ("verify --suite recursion --max 0", None, "53c234e5e8472b6a"),
     ("verify --suite all --max 0", None, "53c234e5e8472b6a"),
     ("verify --suite nonsense", None, "53c234e5e8472b6a"),
@@ -672,8 +689,8 @@ def _golden_run(monkeypatch, argv: str, fault, cache_dir) -> str:
             patch.delenv("P1QC_CACHE_DIR", raising=False)
         else:
             patch.setenv("P1QC_CACHE_DIR", str(cache_dir))
-        for target, replacement in _FAULTS.get(fault, {}).items():
-            patch.setattr(target, replacement)
+        for (module, name), replacement in _FAULTS.get(fault, {}).items():
+            patch.setattr(module, name, replacement)
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv.split())

@@ -30,6 +30,7 @@ from p1qcurve.partitions import (
     offset_sum,
     padded,
     partitions,
+    summation_corollary_check,
 )
 
 from oracles import hook_lengths_product, offset_sum_termwise
@@ -231,6 +232,14 @@ def test_offset_difference_identity_small():
 @settings(max_examples=8, deadline=None)
 def test_offset_difference_identity_property(d):
     assert offset_difference_check(d)
+
+
+def test_summation_corollary_fails_on_a_wrong_offset_sum(monkeypatch):
+    module = importlib.import_module("p1qcurve.partitions")
+    assert summation_corollary_check(2) is True
+    exact = module.offset_sum
+    monkeypatch.setattr(module, "offset_sum", lambda d: exact(d) + Polynomial([0, int(d == 3)]))
+    assert summation_corollary_check(2) is False
 
 
 def _sum_matches_oracle(kernel, d) -> None:

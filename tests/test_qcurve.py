@@ -205,7 +205,8 @@ def test_a_refused_degree_takes_no_memo_entry():
     x_partition(1)
     y_polynomial(1)
     x_laguerre(1)
-    tables = (qcurve._x_partition, qcurve._y_polynomial, qcurve._x_laguerre, offset_sum.__wrapped__)
+    tables = (x_partition.__wrapped__, y_polynomial.__wrapped__, x_laguerre.__wrapped__,
+              offset_sum.__wrapped__)
     sizes = [t.cache_info().currsize for t in tables]
     for build in (x_partition, y_polynomial, x_laguerre, offset_sum):
         with pytest.raises(ExactError):
@@ -243,7 +244,8 @@ def test_laguerre_value_matches_the_termwise_oracle(n, alpha, z):
 @pytest.fixture
 def fresh_tower():
     """Empty partition-sum memo tables before and after the test."""
-    tables = (qcurve._x_partition, qcurve._y_polynomial, partitions_module.offset_sum.__wrapped__)
+    tables = (x_partition.__wrapped__, y_polynomial.__wrapped__,
+              partitions_module.offset_sum.__wrapped__)
     for t in tables:
         t.cache_clear()
     yield
@@ -340,9 +342,9 @@ def test_pole_sum_checks_detect_a_shifted_binomial(monkeypatch):
         oracle = laguerre_pole_sum_termwise(d)
         assert num * oracle.den != oracle.num * den
     monkeypatch.setattr(qcurve, "_laguerre_pole_sum", mutant)
-    qcurve._x_laguerre.cache_clear()
+    x_laguerre.__wrapped__.cache_clear()
     try:
         with pytest.raises(ExactError, match="disagree"):
             x_laguerre(4)
     finally:
-        qcurve._x_laguerre.cache_clear()
+        x_laguerre.__wrapped__.cache_clear()

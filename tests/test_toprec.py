@@ -755,6 +755,14 @@ def test_theta_expansion_catches_a_wrong_transition_matrix(monkeypatch):
     assert theta_expansion_check(2, 0, 12) is True
 
 
+def test_theta_expansion_residue_form_catches_a_wrong_differential(monkeypatch):
+    # the coefficient form does not read x'(z); with it doubled only the
+    # residue form can fail
+    assert theta_expansion_check(1, 0, 6) is True
+    monkeypatch.setattr(toprec, "_XPRIME", toprec._XPRIME * 2)
+    assert theta_expansion_check(1, 0, 6) is False
+
+
 def test_theta_rejects_bad_index():
     with pytest.raises(ExactError):
         eta_function(0, 1)
@@ -763,6 +771,15 @@ def test_theta_rejects_bad_index():
 # ---------------------------------------------------------------------------
 # primitives of the stable forms
 # ---------------------------------------------------------------------------
+
+
+def test_fgn_x_expansion_verify_raises_on_a_wrong_slot_series(monkeypatch):
+    fgn_x_expansion(0, 3, 4)
+    exact = toprec._slot_f_series
+    monkeypatch.setattr(toprec, "_slot_f_series", lambda a, j, order: 2 * exact(a, j, order))
+    with pytest.raises(ExactError, match=r"primitive expansion mismatch at exponents \(0, 0, 1\): "
+                       "series has -2, invariants give -1/4"):
+        fgn_x_expansion(0, 3, 4)
 
 
 def test_slot_function_rejects_simple_pole():
