@@ -44,7 +44,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction as Frac
 from typing import Callable, NamedTuple
 
@@ -59,17 +58,28 @@ _NS_PAIRS = ((0, 3), (1, 1), (0, 4), (1, 2), (2, 1))
 _RESUMMATION_BLOCKS = ((0, 1, 0), (1, 1, 0), (0, 1, 1), (0, 2, 1), (1, 1, 1))
 
 
-@dataclass
 class CommandResult:
     """Canonical outcome of one invocation.  ``wall_time`` is reported on
     stderr and deliberately excluded from the canonical document so that
     identical invocations emit identical bytes."""
 
-    command: str
-    parameters: dict
-    status: str  # "pass" | "fail" | "value"
-    payload: dict
-    wall_time: float = 0.0
+    def __init__(self, command: str, parameters: dict, status: str, payload: dict,
+                 wall_time: float = 0.0):
+        self.command = command
+        self.parameters = parameters
+        self.status = status  # "pass" | "fail" | "value"
+        self.payload = payload
+        self.wall_time = wall_time
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CommandResult:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None  # mutable: wall_time is set after the run
+
+    def __repr__(self) -> str:
+        return f"CommandResult({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def canonical(self) -> dict:
         return {

@@ -39,10 +39,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction as Frac
 from functools import cache, wraps
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[Frac, int]
 
@@ -130,8 +129,9 @@ def _over_lcm(cs) -> tuple[list[int], int]:
 
 
 def rational_to_json(x: Frac) -> str:
-    """Render a rational as ``"p/q"`` in lowest terms, ``"p"`` when q == 1."""
-    return str(x if isinstance(x, Frac) else Frac(x))
+    """Render a rational as ``"p/q"`` in lowest terms, ``"p"`` when q == 1;
+    a bool or a float is refused (:func:`_scalar`)."""
+    return str(_scalar(x))
 
 
 def rational_from_json(s: str) -> Frac:
@@ -281,6 +281,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Polynomial":
+        _integers(exponent=n)
         if n < 0:
             raise ExactError("negative polynomial powers are not polynomials")
         result = Polynomial.one()
@@ -702,8 +703,7 @@ def _reduced(num: Polynomial, den: Polynomial) -> RationalFunction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialFractions:
+class PartialFractions(NamedTuple):
     """Exact decomposition ``f = poly_part + sum c/(t - root)**mult``.
 
     ``terms`` maps ``(root, mult)`` to the coefficient of ``1/(t-root)**mult``.
@@ -921,6 +921,7 @@ class TruncatedSeries:
         return tuple(Frac(x, self._den) for x in self._num)
 
     def coefficient(self, k: int) -> Frac:
+        _integers(index=k)
         if k > self.order:
             raise TruncationError(
                 f"coefficient of {self.var}^{k} requested, series only known "
@@ -1038,6 +1039,7 @@ class TruncatedSeries:
         return self * other.inverse()
 
     def __pow__(self, n: int) -> "TruncatedSeries":
+        _integers(exponent=n)
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:

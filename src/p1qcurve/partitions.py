@@ -46,8 +46,9 @@ def is_partition(p) -> bool:
     """A tuple of weakly decreasing positive ints, none of them a bool."""
     return (
         isinstance(p, tuple)
-        and all(type(x) is int and x > 0 for x in p)
-        and all(p[i] >= p[i + 1] for i in range(len(p) - 1))
+        and all(type(x) is int for x in p)
+        and list(p) == sorted(p, reverse=True)
+        and (not p or p[-1] > 0)
     )
 
 
@@ -199,27 +200,41 @@ def offset_sum(d: int) -> Polynomial:
     :func:`offset_product` and ``H`` the :func:`hook_product`.
 
     Summed once on integers: every ``1 / H_lam^2`` goes over
-    ``L = lcm H_lam^2``.  A partition of length ``l`` adds
-    ``(L / H_lam^2) prod_{i <= l} (y + lam_i - i)``, one multiply-add pass per
-    factor, into the length-``l`` sum ``S_l``.  The zero parts' factors
-    ``prod_{i > l} (y - i)`` are shared by every partition of length ``l`` and
-    are applied once, by Horner over the lengths:
-    ``acc <- acc (y - l) + S_l``.  The result is one polynomial over ``L``,
-    built from the integers without a ``Fraction`` per coefficient, and
-    memoised: ``qcurve.x_partition`` and ``qcurve.y_polynomial`` share it.
+    ``L = lcm H_lam^2``.  The partitions, in the order of :func:`partitions`,
+    walk the tree of their prefixes depth first, and ``prods[k]`` holds
+    ``prod_{i <= k} (y + lam_i - i)`` for the current prefix of length ``k``:
+    a partition keeps the products of the prefix it shares with the one
+    before it and extends them by one multiply-add pass per new part, so
+    each tree node costs one pass.  A partition of length ``l`` then adds its
+    product, scaled once by the weight ``L / H_lam^2``, into the length-``l``
+    sum ``S_l``.  The zero parts' factors ``prod_{i > l} (y - i)`` are shared
+    by every partition of length ``l`` and are applied once, by Horner over
+    the lengths: ``acc <- acc (y - l) + S_l``.  The result is one polynomial
+    over ``L``, built from the integers without a ``Fraction`` per
+    coefficient, and memoised: ``qcurve.x_partition`` and
+    ``qcurve.y_polynomial`` share it.
     """
     if d < 0:
         raise ExactError("cannot partition a negative integer")
     weighted = [(lam, hook_product(lam) ** 2) for lam in partitions(d)]
     den = math.lcm(*(h2 for _, h2 in weighted))
     sums = [[0] * (length + 1) for length in range(d + 1)]
+    prods = [[1]]
+    prev: Partition = ()
     for lam, h2 in weighted:
-        cs = [den // h2]
-        for i, part in enumerate(lam, 1):
-            cs = _times_linear(cs, part - i)
+        k = 0
+        for a, b in zip(prev, lam):
+            if a != b:
+                break
+            k += 1
+        del prods[k + 1 :]
+        for i in range(k, len(lam)):
+            prods.append(_times_linear(prods[i], lam[i] - i - 1))
+        w = den // h2
         s = sums[len(lam)]
-        for k, x in enumerate(cs):
-            s[k] += x
+        for j, x in enumerate(prods[-1]):
+            s[j] += w * x
+        prev = lam
     acc = sums[0]
     for length in range(1, d + 1):
         acc = _times_linear(acc, -length)

@@ -21,6 +21,11 @@ Checks are identities on cleared denominators; only returned values are
 normalised.  A check such as the shift recursion or the agreement of the
 two Laguerre forms multiplies its denominators out and asks whether one
 polynomial identity holds, with no gcd and no ``RationalFunction`` built.
+Both Laguerre forms are built on integer coefficient lists.
+
+The pole report needs no root finder: the denominator of X_d divides
+``(u+1)...(u+d)`` by construction, so the report divides it by those
+factors, exactly, and refuses any factor left over.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ from .exactcore import (
     _poly,
     _pseudo_divmod,
     _scalar,
-    partial_fractions,
 )
 from .partitions import (
+    _times_linear,
     hook_product,
     offset_product,
     offset_sum,
@@ -121,18 +126,22 @@ def x_laguerre(d: int) -> RationalFunction:
     Pole-sum form:   (1/d!) (1 - sum_{m=1}^{d} L_{d-m}^{(m)}(1) / (m-1)! / (u+m))
     Ratio form:      L_d^{(u)}(1) / (d! L_d^{(u)}(0))  with u symbolic.
 
-    The ratio form is normalised and returned.  The pole sum is taken on
-    integers (:func:`_laguerre_pole_sum`) and left unreduced; the two forms
-    are compared by cross-multiplication and must agree exactly; a mismatch
+    The ratio form is taken on integers, from the falling products
+    ``F_k = prod_{j<k} (u + d - j)``: ``d! L_d^{(u)}(1) = sum_k (-1)^(d-k)
+    C(d, k) F_k`` over ``d! L_d^{(u)}(0) = F_d``, times ``d!``.  It is
+    normalised once and returned.  The pole sum is taken on integers too
+    (:func:`_laguerre_pole_sum`) and left unreduced; the two forms are
+    compared by cross-multiplication and must agree exactly; a mismatch
     raises, since it can only come from an arithmetic defect.
     """
     if d < 0:
         raise ExactError("degree must be nonnegative")
-    u = Polynomial.identity()
-    num = laguerre_value(d, u, 1)
-    den = laguerre_value(d, u, 0)
-    assert isinstance(num, Polynomial) and isinstance(den, Polynomial)
-    ratio = RationalFunction(num, den * math.factorial(d))
+    falling, num = [1], [(-1) ** d]
+    for k in range(1, d + 1):
+        falling = _times_linear(falling, d - k + 1)
+        c = (-1) ** (d - k) * math.comb(d, k)
+        num = [a + c * b for a, b in zip(num + [0], falling)]
+    ratio = RationalFunction(_poly(num), _poly([math.factorial(d) * x for x in falling]))
     pole_num, pole_den = _laguerre_pole_sum(d)
     if pole_num * ratio.den != ratio.num * pole_den:
         raise ExactError(
@@ -262,11 +271,29 @@ def toda_quadratic_check(d: int, variant: str = "full") -> bool:
 
 
 def xd_pole_report(d: int) -> dict[Frac, int]:
-    """Pole locations and orders of the degree-d function (simple poles at
-    u = -1..-d expected; reported, not assumed)."""
-    pf = partial_fractions(x_partition(d))
+    """Pole locations and orders of the degree-d function: simple poles at
+    u = -1..-d are expected, and found, not assumed.
+
+    The reduced denominator divides ``(u+1)...(u+d)`` by construction, so
+    its integer coefficients are divided by ``u + i``, for ``i = d..1``, for
+    as long as the division is exact; the order of the pole at ``-i`` is the
+    number of exact divisions.  What is left must be a constant; a factor
+    outside ``u = -1..-d`` raises :class:`ExactError` naming it.
+    """
+    den = x_partition(d).den
+    cs = list(den._num)
     report: dict[Frac, int] = {}
-    for (root, mult), coeff in pf.as_dict().items():
-        if coeff != 0:
-            report[root] = max(report.get(root, 0), mult)
+    for i in range(d, 0, -1):
+        order = 0
+        while len(cs) > 1:
+            q, r, _ = _pseudo_divmod(cs, (i, 1))
+            if any(r):
+                break
+            cs, order = q, order + 1
+        if order:
+            report[Frac(-i)] = order
+    if len(cs) > 1:
+        leftover = _poly(cs, den._den).pretty("u")
+        raise ExactError(f"the denominator of X_{d} has the factor {leftover} "
+                         f"outside u = -1..-{d}")
     return report

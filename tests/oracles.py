@@ -53,6 +53,11 @@ products, each normalised, the Laurent expansion from two full Taylor shifts
 of numerator and denominator, and the partial-fraction self-check that
 normalises the reassembled function and compares it with the input.
 
+``pole_report_by_partial_fractions`` is ``qcurve.xd_pole_report`` as it
+was before it divided the denominator by the expected linear factors: the
+highest order with a nonzero coefficient at each root of the
+:func:`partial_fractions` decomposition.
+
 ``connected_npoint`` is the set-partition route of the Fock-space engine:
 whole n-point series from the eigenvalue series ``e0_eigenvalue``, divided by
 the vacuum factor and combined into cumulants over the subsets of the marked
@@ -97,6 +102,7 @@ from p1qcurve.exactcore import (
     Polynomial,
     RationalFunction,
     TruncatedSeries,
+    partial_fractions,
     series_compose,
     series_log,
 )
@@ -931,6 +937,15 @@ def reassemble_termwise(pf: PartialFractions) -> RationalFunction:
     for (root, mult), coeff in pf.terms:
         total = total + RationalFunction(Polynomial.constant(coeff), Polynomial((-root, 1)) ** mult)
     return total
+
+
+def pole_report_by_partial_fractions(f: RationalFunction) -> dict:
+    """Root -> pole order of ``f``, read off its partial fractions."""
+    report: dict = {}
+    for (root, mult), coeff in partial_fractions(f).as_dict().items():
+        if coeff != 0:
+            report[root] = max(report.get(root, 0), mult)
+    return report
 
 
 def recursion_residual(x_prev: RationalFunction, x_d: RationalFunction) -> RationalFunction:

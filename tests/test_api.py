@@ -154,7 +154,7 @@ def _rows():
     return [
         (exactcore.partial_fractions, (pole,), "-"),
         (exactcore.rational_from_json, ("1/2",), "-"),
-        (exactcore.rational_to_json, (1,), "-"),  # renders what it is given
+        (exactcore.rational_to_json, (1,), "s"),
         (exactcore.series_compose, (w4, w4), "--"),
         (exactcore.series_exp, (w4,), "-"),
         (exactcore.series_log, (w4 + 1,), "-"),
@@ -227,6 +227,9 @@ def _rows():
         (_as("TruncatedSeries.monomial", lambda e, c, o: ts.monomial("w", e, c, o)), (1, 1, 4), "csc"),
         (_as("TruncatedSeries.from_function", lambda m, o: ts.from_function("w", int, m, o)), (1, 3), "cc"),
         (w4.truncate, (2,), "c"),
+        (w4.coefficient, (1,), "c"),
+        (_as("TruncatedSeries.__pow__", lambda n: w4**n), (2,), "c"),
+        (_as("Polynomial.__pow__", lambda n: Polynomial([1, 1]) ** n), (2,), "c"),
         (w4.shift_exponent, (1,), "c"),
         (_as("MultiSeries", lambda m, o, e, c: MultiSeries(("w",), (m,), (o,), {(e,): c})),
          (0, 2, 1, 1), "cccs"),

@@ -68,7 +68,12 @@ def test_rational_json_lowest_terms():
 
 
 def test_rational_json_of_ints_and_bools():
-    assert [rational_to_json(x) for x in (7, -3, 0, True, False)] == ["7", "-3", "0", "1", "0"]
+    """Ints render as integers; a bool or a float is not an exact scalar and
+    is refused, not rendered as the rational it stands for."""
+    assert [rational_to_json(x) for x in (7, -3, 0)] == ["7", "-3", "0"]
+    for bad in (True, False, 0.5, 0.1):
+        with pytest.raises(ExactError):
+            rational_to_json(bad)
 
 
 @given(fracs)

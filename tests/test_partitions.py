@@ -257,9 +257,9 @@ def test_offset_sum_property_detects_a_dropped_rescale():
     1 over L, not L / H^2, must fail the same property."""
     module = importlib.import_module("p1qcurve.partitions")
     source = textwrap.dedent(inspect.getsource(offset_sum))
-    assert source.count("cs = [den // h2]") == 1
+    assert source.count("w = den // h2") == 1
     namespace = dict(vars(module))
-    exec(source.replace("cs = [den // h2]", "cs = [1]"), namespace)
+    exec(source.replace("w = den // h2", "w = 1"), namespace)
     check = settings(database=None, phases=[Phase.generate], deadline=None)(
         given(st.integers(0, 9))(lambda d: _sum_matches_oracle(namespace["offset_sum"], d))
     )

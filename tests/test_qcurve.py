@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import math
+import re
 import textwrap
 from fractions import Fraction as F
 
@@ -30,6 +31,7 @@ from oracles import (
     laguerre_pole_sum_termwise,
     laguerre_value_termwise,
     laurent_at_full_shift,
+    pole_report_by_partial_fractions,
     reassemble_termwise,
     reassembles_by_normalising,
     recursion_residual,
@@ -67,6 +69,37 @@ def test_x_partition_simple_poles():
         report = xd_pole_report(d)
         assert all(order == 1 for order in report.values())
         assert set(report) <= {F(-i) for i in range(1, d + 1)}
+
+
+@pytest.mark.parametrize("d", range(21))
+def test_pole_report_matches_the_partial_fractions_route(d):
+    report = xd_pole_report(d)
+    assert list(report.items()) == list(pole_report_by_partial_fractions(x_partition(d)).items())
+    assert report == {F(-i): 1 for i in range(1, d + 1)}
+
+
+def test_pole_report_reads_a_higher_order_pole(monkeypatch):
+    f = RationalFunction(Polynomial([1, 2]), Polynomial.from_roots([-1, -1, -3]))
+    monkeypatch.setattr(qcurve, "x_partition", lambda d: f)
+    assert xd_pole_report(3) == pole_report_by_partial_fractions(f) == {F(-3): 1, F(-1): 2}
+
+
+@pytest.mark.parametrize("factor, name", [([1, 0, 1], "u^2 + 1"), ([5, 1], "u + 5"),
+                                          ([1, 2], "u + 1/2")])
+def test_pole_report_names_a_factor_outside_the_expected_poles(monkeypatch, factor, name):
+    """Negative control: a denominator with a factor other than u+1..u+d is
+    refused, and the refusal names the factor."""
+    f = RationalFunction(1, qcurve._pole_product(4) * Polynomial(factor))
+    monkeypatch.setattr(qcurve, "x_partition", lambda d: f)
+    with pytest.raises(ExactError, match=re.escape(f"factor {name} outside")):
+        xd_pole_report(4)
+
+
+@pytest.mark.parametrize("d", range(16))
+def test_laguerre_ratio_on_integers_matches_the_termwise_oracle(d):
+    u = Polynomial.identity()
+    num, den = laguerre_value_termwise(d, u, 1), laguerre_value_termwise(d, u, 0)
+    assert x_laguerre(d) == RationalFunction(num, den * math.factorial(d))
 
 
 def test_laguerre_values():
