@@ -21,7 +21,12 @@ Checks are identities on cleared denominators; only returned values are
 normalised.  A check such as the shift recursion or the agreement of the
 two Laguerre forms multiplies its denominators out and asks whether one
 polynomial identity holds, with no gcd and no ``RationalFunction`` built.
-Both Laguerre forms are built on integer coefficient lists.
+Both Laguerre forms are built on integer coefficient lists.  The quadratic
+lattice relations (Okounkov-Pandharipande, arXiv:math/0207233) read each
+X_a over ``Q_a = (u+1)...(u+a)``, so every shifted X_a they use sits over
+``W = u(u+1)...(u+d+1)`` and each relation is one identity between integer
+coefficient lists over the common denominator ``(u+1) W^2`` ("full") or
+``u^2 W^2`` ("one-level").
 
 The pole report needs no root finder: the denominator of X_d divides
 ``(u+1)...(u+d)`` by construction, so the report divides it by those
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Frac
-from typing import Union
+from typing import Sequence
 
 from .exactcore import (
     ExactError,
@@ -43,6 +48,7 @@ from .exactcore import (
     _poly,
     _pseudo_divmod,
     _scalar,
+    _taylor_passes,
 )
 from .partitions import (
     _times_linear,
@@ -86,29 +92,20 @@ def x_partition(d: int) -> RationalFunction:
     return RationalFunction(num, _pole_product(d))
 
 
-PolyOrFrac = Union[Polynomial, Frac, int]
-
-
-def laguerre_value(n: int, alpha: PolyOrFrac, z: Frac | int) -> PolyOrFrac:
+def laguerre_value(n: int, alpha: Frac | int, z: Frac | int) -> Frac:
     """Generalized Laguerre value L_n^(alpha)(z) from the closed sum
 
         L_n^(alpha)(z) = sum_{i=0}^{n} (-1)^i  C(n+alpha, n-i)  z^i / i!
 
-    ``alpha`` may be an exact scalar or a polynomial variable, in which case
-    the result is a polynomial in that variable of degree n.  The falling
-    products ``k! C(n+alpha, k) = prod_{j<k} (alpha + n - j)`` are built as
-    one prefix product, one factor per k.
+    for exact scalars ``alpha`` and ``z``.  The falling products
+    ``k! C(n+alpha, k) = prod_{j<k} (alpha + n - j)`` are built as one
+    prefix product, one factor per k.
     """
     _integers(degree=n)
     if n < 0:
         raise ExactError("Laguerre index must be nonnegative")
-    if isinstance(alpha, Polynomial):
-        falling: PolyOrFrac = Polynomial.one()
-        total: PolyOrFrac = Polynomial.zero()
-    else:
-        alpha = _scalar(alpha)
-        falling, total = Frac(1), Frac(0)
-    z = _scalar(z)
+    alpha, z = _scalar(alpha), _scalar(z)
+    falling, total = Frac(1), Frac(0)
     for k in range(n + 1):
         if k:
             falling = falling * (alpha + (n - k + 1))
@@ -242,32 +239,93 @@ def toda_quadratic_check(d: int, variant: str = "full") -> bool:
     variant="one-level":
         sum_{a+b=d+1} ( X_a(u) X_b(u-1) - X_a(u-1) X_b(u-1) )
             = (1/u^2) sum_{a+b=d+1} X_a(u) X_b(u) (a-b)^2 / 2
+
+    One integer polynomial identity per variant.  Each X_a is
+    ``P_a / (L Q_a)`` with ``Q_a = (u+1)...(u+a)`` and one integer ``L``
+    (:func:`_cleared_numerators`).  The shifts move ``Q_a`` to
+    ``Q_a(u+1) = Q_{a+1}/(u+1)`` and ``Q_a(u-1) = u Q_{a-1}``, so every
+    ``X_a(u+s)`` read here sits over ``L W`` with
+    ``W = u(u+1)...(u+d+1)``, and every product over ``L^2 W^2``.  Both
+    sides are doubled and brought over one product of the factors
+    ``u+i``, ``i = 0..d+1``: ``(u+1) W^2`` for "full", ``u^2 W^2`` for
+    "one-level", where the factor ``u/(u+1)`` or ``1/u^2`` is
+    cross-multiplied.  The two integer coefficient lists must be equal.
     """
     _integers(degree=d)
     if d < 0:
         raise ExactError("degree must be nonnegative")
     if variant not in ("full", "one-level"):
         raise ExactError(f"unknown variant {variant!r}")
-    u_poly = Polynomial.identity()
-    rhs = RationalFunction.zero()
-    for a in range(d + 2):
-        b = d + 1 - a
-        w = Frac((a - b) ** 2, 2)
-        if w:
-            rhs = rhs + x_partition(a) * x_partition(b) * w
+    top = d + 1
+    p = _cleared_numerators(top)
+    # tail[a] = (u+a)(u+a+1)...(u+top), so W / Q_a(u-1) = tail[a]
+    tail = [[1]]
+    for a in range(top, -1, -1):
+        tail.append(_times_linear(tail[-1], a))
+    tail.reverse()
+    # numerators over L W of X_a(u - 1) and of X_a(u); W / Q_a = u tail[a+1]
+    down = [_product(list(_taylor_passes(list(p[a]), -1)), tail[a]) for a in range(top + 1)]
+    mid = [_product(p[a], [0] + tail[a + 1]) for a in range(top + 1)]
+    # X_a(u+1), X_a and X_a(u-1) over L W have len(p[a]) + top - a + 1 coefficients
+    size = 2 * max(map(len, mid)) - 1
+    rhs = [0] * size
+    for a in range(top + 1):
+        _add_product(rhs, mid[a], mid[top - a], (2 * a - top) ** 2)
+    lhs = [0] * size
     if variant == "full":
-        lhs = RationalFunction.zero()
-        for a in range(d + 1):
-            b = d - a
-            lhs = lhs + x_partition(a).shift(1) * x_partition(b).shift(-1)
-        lhs = lhs * RationalFunction(u_poly, Polynomial([1, 1]))
-        return lhs == rhs
-    lhs = RationalFunction.zero()
-    for a in range(d + 2):
-        b = d + 1 - a
-        xa, xb = x_partition(a), x_partition(b)
-        lhs = lhs + (xa - xa.shift(-1)) * xb.shift(-1)
-    return lhs == rhs * RationalFunction(Polynomial.one(), u_poly * u_poly)
+        for a in range(top):
+            # X_a(u + 1) over L W: W / Q_a(u+1) = u (u+1) tail[a+2]
+            up = _product(list(_taylor_passes(list(p[a]), 1)), _times_linear([0] + tail[a + 2], 1))
+            _add_product(lhs, up, down[d - a], 2)
+        lhs, rhs = [0] + lhs, _times_linear(rhs, 1)
+    else:
+        for a in range(top + 1):
+            step = [x - y for x, y in zip(mid[a], down[a])]
+            _add_product(lhs, step, down[top - a], 2)
+        lhs, rhs = [0, 0] + lhs, rhs + [0, 0]
+    return lhs == rhs
+
+
+def _cleared_numerators(top: int) -> list[list[int]]:
+    """Integer lists ``P_0..P_top`` with ``X_a = P_a / (L Q_a)``,
+    ``Q_a = (u+1)...(u+a)``, for one integer ``L``, the lcm of the scalar
+    denominators of the numerators.  ``L`` is not returned: the relations
+    are quadratic in the X_a on both sides, so it cancels.
+
+    ``Q_a`` over the reduced denominator of X_a is taken by one exact
+    division of integer polynomials (:func:`_pseudo_divmod`).  That the
+    denominator divides ``Q_a`` is checked, not assumed: a division that
+    leaves a remainder or needs a scale raises :class:`ExactError` naming
+    ``a``.
+    """
+    q, nums, scales = [1], [], []
+    for a in range(top + 1):
+        if a:
+            q = _times_linear(q, a)
+        x = x_partition(a)
+        quo, rem, scale = _pseudo_divmod(q, x.den._num)
+        if any(rem) or scale != 1:
+            raise ExactError(f"the denominator of X_{a} does not divide (u+1)...(u+{a})")
+        nums.append(_product(x.num._num, quo))
+        scales.append(x.num._den)
+    big = math.lcm(*scales)
+    return [[c * (big // s) for c in n] for n, s in zip(nums, scales)]
+
+
+def _product(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """The product of two integer polynomials (ascending coefficient lists)."""
+    out = [0] * max(len(f) + len(g) - 1, 0)
+    _add_product(out, f, g, 1)
+    return out
+
+
+def _add_product(acc: list[int], f: Sequence[int], g: Sequence[int], c: int) -> None:
+    """``acc += c f g`` on integer coefficient lists; ``acc`` is long enough."""
+    for i, x in enumerate(f):
+        if x:
+            x *= c
+            for j, y in enumerate(g, i):
+                acc[j] += x * y
 
 
 def xd_pole_report(d: int) -> dict[Frac, int]:

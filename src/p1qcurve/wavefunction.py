@@ -59,7 +59,7 @@ from .exactcore import (
 from .partitions import _sorted_tuples
 from .qcurve import toda_quadratic_check, verify_xd_recursion, x_partition
 from .toprec import s0_s1_closed_forms
-from .wedge import stationary_invariant, unit_insertions, zeta_series
+from .wedge import _connected_parts, unit_insertions, zeta_series
 
 __all__ = [
     "DegreeGradedX",
@@ -355,18 +355,28 @@ def _theta_definition(g: int, n: int, d: int, order: int) -> LogLaurentForm:
     )
 
 
-def _block_value(g: int, n: int, d: int) -> Frac:
+def _block_value(g: int, n: int, d: int) -> tuple[int, int]:
     """V = sum_b count(b) prod b_i! <prod tau_{b_i}(omega)>_{g,n}^d over the
     weakly increasing b with sum(b) = 2g - 2 + 2d, count(b) being the number
     of orderings of b: the coefficient of the unshifted (g, n, d) block
-    V / x^{2g - 2 + n + 2d}."""
-    return sum(
-        (
-            stationary_invariant(g, n, d, b) * (count * math.prod(map(math.factorial, b)))
-            for b, count in _sorted_compositions(2 * g - 2 + 2 * d, n)
-        ),
-        Frac(0),
-    )
+    V / x^{2g - 2 + n + 2d}, as a pair of integers (numerator, denominator).
+
+    Summed on the integer parts of :func:`wedge._connected_parts`.  For
+    d >= 1, with ks = b + 1, prod b_i! over (d!)^3 prod 2^k k! is
+    1 / ((d!)^3 2^(sum b + n) prod k_i), so V is sum_b count(b) K(d, ks) /
+    prod k_i over (d!)^3 2^(sum b + n): each term's denominator is the
+    invariant's over prod b_i!, and the numerators are summed over the lcm
+    of those denominators.
+    """
+    terms = []
+    for b, count in _sorted_compositions(2 * g - 2 + 2 * d, n):
+        num, den = _connected_parts(d, b)
+        if num:
+            f = math.prod(map(math.factorial, b))
+            c = math.gcd(den, f)
+            terms.append((count * num * (f // c), den // c))
+    den = math.lcm(*(q for _, q in terms))
+    return sum(v * (den // q) for v, q in terms), den
 
 
 def _theta_shifted(g: int, n: int, d: int, order: int) -> LogLaurentForm:
@@ -376,7 +386,7 @@ def _theta_shifted(g: int, n: int, d: int, order: int) -> LogLaurentForm:
     The unshifted block is -x + x log x for (0, 1, 0); otherwise
     V / x^{n + sum b} with V of :func:`_block_value`.
     """
-    a, b = (-1, 1) if (g, n, d) == (0, 1, 0) else (_block_value(g, n, d), 0)
+    a, b = (-1, 1) if (g, n, d) == (0, 1, 0) else (Frac(*_block_value(g, n, d)), 0)
     block = LogLaurentForm(
         2 * g - 2 + n + 2 * d,
         TruncatedSeries.constant("r", a, order),
@@ -413,33 +423,40 @@ def _degree_block(d: int, order: int) -> tuple[Frac, ...]:
         V (x + hbar/2)^-lead = V sum_{p>=0} C(-lead, p) / 2^p hbar^p x^-(lead+p),
 
     and the term hbar^p x^-(lead+p) sits at w^(lead+p).  V is formed once
-    per (g, n, d); the degree-1 block also carries the unmarked constant,
-    equal to the one-point invariant by the divisor equation.
+    per (g, n, d), as an integer pair; the terms (-1)^n V / n! C(-lead, p) /
+    2^p, p <= order - lead, are summed on integers over one denominator for
+    the degree, the lcm of the n! 2^(order - lead) times V's denominators,
+    and each coefficient becomes one Fraction at the end.  The degree-1
+    block also carries the unmarked constant, equal to the one-point
+    invariant by the divisor equation: the value V of the (0, 1, 1) block.
     """
     if d < 1:
         raise ExactError("degree blocks are formed for d >= 1")
-    out = [Frac(0)] * (order + 1)
-    if d == 1:
-        out[0] += stationary_invariant(0, 1, 1, (0,))
+    blocks = []  # (lead, (-1)^n times V's numerator, n! times V's denominator)
     g = 0
     while 2 * g - 1 + 2 * d <= order:
         for n in range(1, order + 1):
             lead = 2 * g - 2 + n + 2 * d
             if lead > order:
                 break
-            value = _block_value(g, n, d) * Frac((-1) ** n, math.factorial(n))
-            if not value:
-                continue
-            # C(-lead, p) = (-1)^p C(lead + p - 1, p)
-            for p in range(order - lead + 1):
-                out[lead + p] += value * Frac((-1) ** p * math.comb(lead + p - 1, p), 2**p)
+            num, den = _block_value(g, n, d)
+            if num:
+                blocks.append((lead, (-1) ** n * num, math.factorial(n) * den))
         g += 1
+    const, const_den = _block_value(0, 1, 1) if d == 1 else (0, 1)
+    den = math.lcm(const_den, *(q << (order - lead) for lead, _, q in blocks))
+    out = [const * (den // const_den)] + [0] * order
+    for lead, v, q in blocks:
+        v *= den // q  # a multiple of 2^(order - lead)
+        # C(-lead, p) = (-1)^p C(lead + p - 1, p)
+        for p in range(order - lead + 1):
+            out[lead + p] += (-1) ** p * math.comb(lead + p - 1, p) * v // 2**p
     # dimension forces the block to start at w^(2d-1) (constant excepted);
     # only the window w^0..w^order is checked
     for j in range(1, min(2 * d - 1, order + 1)):
         if out[j]:
             raise ExactError(f"degree-{d} block has unexpected support at 1/u^{j}")
-    return tuple(out)
+    return tuple(Frac(x, den) for x in out)
 
 
 @dataclass(frozen=True)

@@ -243,15 +243,26 @@ def _cumulants(d: int, ks: tuple[int, ...]) -> tuple[int, ...]:
 @cache
 def _connected_coefficient(d: int, b: tuple[int, ...]) -> Frac:
     """connected_coefficient on checked, sorted exponents."""
+    return Frac(*_connected_parts(d, b))
+
+
+def _connected_parts(d: int, b: tuple[int, ...]) -> tuple[int, int]:
+    """The connected invariant for checked, sorted exponents b as a pair of
+    integers (numerator, denominator), not reduced.  For d >= 1 and b >= 0
+    it is (K(d, ks), (d!)^3 prod_{k in ks} 2^k k!) with ks = b + 1; see
+    connected_coefficient."""
     if not b:
-        return Frac(1) if d == 1 else Frac(0)
+        return int(d == 1), 1
     if d == 0:
-        return zeta_reciprocal(max(b[0] + 1, 1)).coefficient(b[0] + 1) if len(b) == 1 else Frac(0)
+        if len(b) > 1:
+            return 0, 1
+        z = zeta_reciprocal(max(b[0] + 1, 1)).coefficient(b[0] + 1)
+        return z.numerator, z.denominator
     if b[0] < 0:
-        return Frac(0)  # N = 0 at k <= 0: M~ does not depend on that y
+        return 0, 1  # N = 0 at k <= 0: M~ does not depend on that y
     ks = tuple(v + 1 for v in b)
     scale = math.factorial(d) ** 3 * math.prod(2**k * math.factorial(k) for k in ks)
-    return Frac(_cumulants(d, ks)[-1], scale)
+    return _cumulants(d, ks)[-1], scale
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,21 @@ was before it divided the denominator by the expected linear factors: the
 highest order with a nonzero coefficient at each root of the
 :func:`partial_fractions` decomposition.
 
+``toda_quadratic_check_normalising`` is ``qcurve.toda_quadratic_check`` as
+it was before each variant became one integer identity over a product of
+linear factors: both sides summed as ``RationalFunction``s, one
+normalisation per sum and per product.  It reads ``qcurve.x_partition`` at
+call time, so a test that patches it perturbs both routes.
+``laguerre_value_polynomial`` is the ``Polynomial`` branch that
+``qcurve.laguerre_value`` had while ``x_laguerre`` built its ratio form
+from it: the same prefix product of falling factors, with a polynomial
+parameter.
+
+``block_value_by_fractions`` and ``degree_block_by_fractions`` are
+``wavefunction._block_value`` and ``_degree_block`` as they were before
+both were summed on the integer cumulants: one ``Fraction`` per stationary
+invariant, per block value and per half-step term.
+
 ``connected_npoint`` is the set-partition route of the Fock-space engine:
 whole n-point series from the eigenvalue series ``e0_eigenvalue``, divided by
 the vacuum factor and combined into cumulants over the subsets of the marked
@@ -115,10 +130,11 @@ from p1qcurve.partitions import (
     padded,
     partitions,
 )
+from p1qcurve import qcurve
 from p1qcurve.toprec import primitive_slot_function
-from p1qcurve.wavefunction import LogLaurentForm
+from p1qcurve.wavefunction import LogLaurentForm, _sorted_compositions
 from p1qcurve import wedge
-from p1qcurve.wedge import catalan_inverse, zeta_reciprocal
+from p1qcurve.wedge import catalan_inverse, stationary_invariant, zeta_reciprocal
 
 
 class FracPolynomial:
@@ -948,6 +964,43 @@ def pole_report_by_partial_fractions(f: RationalFunction) -> dict:
     return report
 
 
+def toda_quadratic_check_normalising(d: int, variant: str = "full") -> bool:
+    """Both quadratic lattice relations summed as ``RationalFunction``s."""
+    x = qcurve.x_partition
+    u_poly = Polynomial.identity()
+    rhs = RationalFunction.zero()
+    for a in range(d + 2):
+        b = d + 1 - a
+        w = Frac((a - b) ** 2, 2)
+        if w:
+            rhs = rhs + x(a) * x(b) * w
+    if variant == "full":
+        lhs = RationalFunction.zero()
+        for a in range(d + 1):
+            lhs = lhs + x(a).shift(1) * x(d - a).shift(-1)
+        return lhs * RationalFunction(u_poly, Polynomial([1, 1])) == rhs
+    lhs = RationalFunction.zero()
+    for a in range(d + 2):
+        xa, xb = x(a), x(d + 1 - a)
+        lhs = lhs + (xa - xa.shift(-1)) * xb.shift(-1)
+    return lhs == rhs * RationalFunction(Polynomial.one(), u_poly * u_poly)
+
+
+def laguerre_value_polynomial(n: int, alpha: Polynomial, z) -> Polynomial:
+    """L_n^(alpha)(z) for a polynomial parameter, from the prefix product
+    ``k! C(n+alpha, k) = prod_{j<k} (alpha + n - j)``."""
+    z = Frac(z)
+    falling, total = Polynomial.one(), Polynomial.zero()
+    for k in range(n + 1):
+        if k:
+            falling = falling * (alpha + (n - k + 1))
+        i = n - k
+        total = total + falling * Frac(
+            (-1) ** i * z.numerator**i, z.denominator**i * math.factorial(i) * math.factorial(k)
+        )
+    return total
+
+
 def recursion_residual(x_prev: RationalFunction, x_d: RationalFunction) -> RationalFunction:
     """(1/(u+1)) x_prev(u+1) + u (x_d(u-1) - x_d(u)), normalised at every step."""
     u = RationalFunction.identity()
@@ -976,6 +1029,42 @@ def reassembles_by_normalising(pf: PartialFractions, f: RationalFunction) -> boo
     """Whether ``pf`` sums to ``f``: the reassembled function normalised and
     compared with ``f``."""
     return pf.reassemble() == f
+
+
+# ---------------------------------------------------------------------------
+# the degree-graded blocks on Fractions
+# ---------------------------------------------------------------------------
+
+
+def block_value_by_fractions(g: int, n: int, d: int) -> Frac:
+    """sum_b count(b) prod b_i! <prod tau_{b_i}(omega)>_{g,n}^d, one
+    ``Fraction`` per stationary invariant."""
+    return sum(
+        (
+            stationary_invariant(g, n, d, b) * (count * math.prod(map(math.factorial, b)))
+            for b, count in _sorted_compositions(2 * g - 2 + 2 * d, n)
+        ),
+        Frac(0),
+    )
+
+
+def degree_block_by_fractions(d: int, order: int) -> tuple[Frac, ...]:
+    """The degree-d block in w = 1/u: sum_{g,n} (-1)^n / n! V (x + hbar/2)^-lead,
+    each half-step term V C(-lead, p) / 2^p added as a ``Fraction``."""
+    out = [Frac(0)] * (order + 1)
+    if d == 1:
+        out[0] += stationary_invariant(0, 1, 1, (0,))
+    g = 0
+    while 2 * g - 1 + 2 * d <= order:
+        for n in range(1, order + 1):
+            lead = 2 * g - 2 + n + 2 * d
+            if lead > order:
+                break
+            value = block_value_by_fractions(g, n, d) * Frac((-1) ** n, math.factorial(n))
+            for p in range(order - lead + 1):
+                out[lead + p] += value * Frac((-1) ** p * math.comb(lead + p - 1, p), 2**p)
+        g += 1
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -751,6 +751,7 @@ _CONSOLE_PINS = [
     ("verify --suite ydzero", "cac19248a1984edb"),
     ("verify --suite han", "c0dee448ec97a742"),
     ("verify --suite toda", "7e3f3dbd4cb1f66f"),
+    ("verify --suite toda --max 12", "15b8b4cf29711c0a"),
     ("xd --d 20 --form both", "30a618efee2a50d9"),
     ("wgn --g 1 --n 4", "48661f7d5290d31b"),
     ("wgn --g 0 --n 6", "59a6773addbccc92"),

@@ -29,12 +29,14 @@ from p1qcurve.qcurve import (
 
 from oracles import (
     laguerre_pole_sum_termwise,
+    laguerre_value_polynomial,
     laguerre_value_termwise,
     laurent_at_full_shift,
     pole_report_by_partial_fractions,
     reassemble_termwise,
     reassembles_by_normalising,
     recursion_residual,
+    toda_quadratic_check_normalising,
     x_partition_termwise,
     y_polynomial_termwise,
 )
@@ -106,16 +108,19 @@ def test_laguerre_values():
     assert laguerre_value(0, F(7, 2), 1) == 1
     assert laguerre_value(1, F(1), 1) == 1          # L_1^{(1)}(z) = 2 - z
     assert laguerre_value(2, F(0), 1) == F(-1, 2)   # L_2(z) = 1 - 2z + z^2/2
-    # symbolic parameter: L_1^{(a)}(z) = 1 + a - z
+    # symbolic parameter: L_1^{(a)}(z) = 1 + a - z, from the oracle; the
+    # public function takes exact scalars only
     u = Polynomial.identity()
-    assert laguerre_value(1, u, 1) == Polynomial([0, 1])
-    assert laguerre_value(1, u, 0) == Polynomial([1, 1])
+    assert laguerre_value_polynomial(1, u, 1) == Polynomial([0, 1])
+    assert laguerre_value_polynomial(1, u, 0) == Polynomial([1, 1])
+    with pytest.raises(ExactError):
+        laguerre_value(1, u, 1)
 
 
 def test_laguerre_symbolic_matches_scalar():
     u = Polynomial.identity()
     for n in range(6):
-        pn = laguerre_value(n, u, 1)
+        pn = laguerre_value_polynomial(n, u, 1)
         for a in (0, 1, 2, F(5, 3)):
             assert pn(F(a)) == laguerre_value(n, F(a), 1)
 
@@ -186,6 +191,73 @@ def test_toda_both_variants_small():
     for d in range(4):
         assert toda_quadratic_check(d, "full")
         assert toda_quadratic_check(d, "one-level")
+
+
+VARIANTS = ("full", "one-level")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("d", range(9))
+def test_toda_matches_the_normalising_route(d, variant):
+    assert toda_quadratic_check(d, variant) is toda_quadratic_check_normalising(d, variant) is True
+
+
+PERTURBED = {
+    "X_2-doubled": (2, lambda x: x * 2),
+    "X_3-plus-1/(u+1)": (3, lambda x: x + rf([1], [1, 1])),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("perturbation", PERTURBED.values(), ids=PERTURBED.keys())
+def test_toda_routes_both_reject_a_perturbed_partition_sum(monkeypatch, perturbation, variant):
+    """Negative control: with one X_a changed, every relation that reads it
+    (d >= a - 1) fails on both routes; the lower ones still hold."""
+    degree, change = perturbation
+    exact = qcurve.x_partition
+    monkeypatch.setattr(qcurve, "x_partition", lambda a: change(exact(a)) if a == degree else exact(a))
+    for d in range(7):
+        want = d < degree - 1
+        assert toda_quadratic_check(d, variant) is want, d
+        assert toda_quadratic_check_normalising(d, variant) is want, d
+
+
+TODA_MUTANTS = {
+    "no-weight": ("(2 * a - top) ** 2", "2", VARIANTS),
+    "no-u/(u+1)": ("lhs, rhs = [0] + lhs, _times_linear(rhs, 1)", "pass", ("full",)),
+    "no-1/u^2": ("lhs, rhs = [0, 0] + lhs, rhs + [0, 0]", "pass", ("one-level",)),
+}
+
+
+@pytest.mark.parametrize("old, new, variants", TODA_MUTANTS.values(), ids=TODA_MUTANTS.keys())
+def test_toda_check_detects_a_dropped_factor(old, new, variants):
+    """Negative control: without the weight (a-b)^2/2, the factor u/(u+1)
+    or the factor 1/u^2 the relations fail."""
+    source = textwrap.dedent(inspect.getsource(qcurve.toda_quadratic_check))
+    assert source.count(old) == 1
+    namespace = dict(vars(qcurve))
+    exec(source.replace(old, new), namespace)
+    mutant = namespace["toda_quadratic_check"]
+    for variant in variants:
+        assert not any(mutant(d, variant) for d in range(9)), variant
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [Polynomial([5, 1]), Polynomial([F(1, 2), 1]), Polynomial([1, 0, 1])],
+    ids=["u+5", "u+1/2", "u^2+1"],
+)
+def test_toda_refuses_a_denominator_outside_the_pole_product(monkeypatch, factor):
+    """Control: a denominator of X_2 that does not divide (u+1)(u+2) is
+    reported, not read as a numerator."""
+    exact = qcurve.x_partition
+    monkeypatch.setattr(
+        qcurve, "x_partition",
+        lambda a: exact(a) * RationalFunction(Polynomial.one(), factor) if a == 2 else exact(a),
+    )
+    for variant in VARIANTS:
+        with pytest.raises(ExactError, match=r"denominator of X_2 does not divide"):
+            toda_quadratic_check(3, variant)
 
 
 def test_toda_rejects_unknown_variant():
@@ -271,7 +343,8 @@ def test_partition_sums_match_the_termwise_oracles(d):
     fracs,
 )
 def test_laguerre_value_matches_the_termwise_oracle(n, alpha, z):
-    assert laguerre_value(n, alpha, z) == laguerre_value_termwise(n, alpha, z)
+    value = laguerre_value_polynomial if isinstance(alpha, Polynomial) else laguerre_value
+    assert value(n, alpha, z) == laguerre_value_termwise(n, alpha, z)
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from p1qcurve import toprec
+from p1qcurve import toprec, wedge
 from p1qcurve import wavefunction as wf
 from p1qcurve.exactcore import (
     ExactError,
@@ -47,7 +47,14 @@ from p1qcurve.wavefunction import (
 )
 from p1qcurve.wedge import stationary_invariant, unit_insertions
 
-from oracles import MonomialForm, diagonal_form, form_derivative, taylor_shift_form
+from oracles import (
+    MonomialForm,
+    block_value_by_fractions,
+    degree_block_by_fractions,
+    diagonal_form,
+    form_derivative,
+    taylor_shift_form,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +445,43 @@ def test_closed_form_blocks_match_the_shift_route():
     for d, order in BLOCK_CASES:
         want = _assembled_block(wf._theta_shifted, d, order)
         assert wf._degree_block(d, order) == want, (d, order)
+
+
+def test_blocks_on_integers_match_the_fraction_assembly():
+    for d, order in BLOCK_CASES:
+        assert wf._degree_block(d, order) == degree_block_by_fractions(d, order), (d, order)
+
+
+@pytest.mark.parametrize("g", range(3))
+def test_block_values_on_integers_match_the_fraction_sum(g):
+    # d = 0 included: the theta blocks (1, 1, 0) and (2, 1, 0) read zeta's coefficients
+    for n in range(1, 5):
+        for d in range(4):
+            assert Frac(*wf._block_value(g, n, d)) == block_value_by_fractions(g, n, d), (n, d)
+
+
+def test_degree_graded_link_detects_a_scaled_cumulant(monkeypatch):
+    """Negative control: with K(4, (7,)), which the (0, 1, 4) block reads,
+    doubled, the link reports disagreements at degree 4 and nowhere else."""
+    exact = wedge._cumulants
+
+    def scaled(d, ks):
+        row = exact(d, ks)
+        return row[:-1] + (2 * row[-1],) if (d, ks) == (4, (7,)) else row
+
+    tables = (wf._degree_block, exact, wedge._connected_coefficient)
+    for table in tables:
+        table.cache_clear()
+    monkeypatch.setattr(wedge, "_cumulants", scaled)
+    try:
+        result = build_degree_graded_x(4, 12)
+    finally:
+        monkeypatch.undo()
+        for table in tables:
+            table.cache_clear()
+    assert not result
+    assert {dd for dd, *_ in result.disagreements} == {4}
+    assert build_degree_graded_x(4, 12)
 
 
 def test_closed_form_block_comparison_detects_a_wrong_half_step():
