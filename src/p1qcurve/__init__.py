@@ -40,7 +40,6 @@ _EXPORTS = {
         "TruncatedSeries",
         "TruncationError",
         "partial_fractions",
-        "rational_from_json",
         "rational_to_json",
     ),
     "partitions": (

@@ -10,8 +10,12 @@ Design rules, enforced throughout:
 * exit code 0 = pass or value produced, 1 = a verification returned false or
   a budget was exceeded, 2 = usage error (unknown flags, bad suite names,
   empty ranges);
-* a global ``--budget`` flag caps every truncation order; each command
-  reports the budget it actually used in its ``parameters`` echo;
+* a global ``--budget`` flag caps every truncation order (``wgn``, ``fgn``,
+  ``psi-check``, ``toda-check`` and the suites of ``verify``) and the depths
+  of ``verify``, ``psi-check`` and ``toda-check``; ``gw`` exits 1 when a
+  query's required order exceeds it.  ``xd --d`` and ``table --range`` are
+  never capped: their ``budget_used`` is null.  Each command reports the
+  budget it actually used in its ``parameters`` echo;
 * a subcommand imports only what it computes: at the top this module imports
   only ``exactcore`` of the package, and each computation imports the names
   it calls in its own body, so a replay from the cache imports none of them.
@@ -22,14 +26,19 @@ Design rules, enforced throughout:
 * if the environment variable ``P1QC_CACHE_DIR`` names a directory, the value
   commands (``xd``, ``gw``, ``wgn``, ``table``, ``fgn``) replay
   byte-identical results from it instead of recomputing; entries written by
-  another package version are not used.  The verification commands
-  (``verify``, ``psi-check``, ``toda-check``) always recompute and never
-  touch the cache.  The wall time on stderr includes the cache read.
+  another package version are not used.  A replayed entry is checked for
+  structure, not values: one that is not a well-formed document, or whose
+  payload the ``--format`` renderer cannot read, is a miss, noted on stderr,
+  recomputed and rewritten.  The verification commands (``verify``,
+  ``psi-check``, ``toda-check``) always recompute and never touch the cache.
+  The wall time on stderr includes the cache read.
 
-Each subcommand handler checks its arguments and returns either an exit code
-(usage error or budget refusal) or a :class:`_Plan`; :func:`main` runs every
-plan through :func:`_run`, the only place that reads and writes the cache,
-and is itself the only place that writes stdout and picks the exit code.
+The document is the plain dict ``{"command", "parameters", "status",
+"payload"}`` from compute, through the cache, to stdout.  Each subcommand
+handler checks its arguments and returns either an exit code (usage error or
+budget refusal) or a :class:`_Plan`; :func:`main` runs every plan through
+:func:`_run`, the only place that reads and writes the cache, and is itself
+the only place that writes stdout and picks the exit code.
 
 The argument parser is built once per process, on the first call to
 :func:`main`, and reused by every later call; it holds the command grammar
@@ -50,47 +59,14 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .exactcore import ExactError, rational_to_json
 
-__all__ = ["CommandResult", "main"]
+__all__ = ["main"]
 
 CACHE_ENV = "P1QC_CACHE_DIR"
 
 _NS_PAIRS = ((0, 3), (1, 1), (0, 4), (1, 2), (2, 1))
 _RESUMMATION_BLOCKS = ((0, 1, 0), (1, 1, 0), (0, 1, 1), (0, 2, 1), (1, 1, 1))
-
-
-class CommandResult:
-    """Canonical outcome of one invocation.  ``wall_time`` is reported on
-    stderr and deliberately excluded from the canonical document so that
-    identical invocations emit identical bytes."""
-
-    def __init__(self, command: str, parameters: dict, status: str, payload: dict,
-                 wall_time: float = 0.0):
-        self.command = command
-        self.parameters = parameters
-        self.status = status  # "pass" | "fail" | "value"
-        self.payload = payload
-        self.wall_time = wall_time
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not CommandResult:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    __hash__ = None  # mutable: wall_time is set after the run
-
-    def __repr__(self) -> str:
-        return f"CommandResult({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-    def canonical(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "status": self.status,
-            "payload": self.payload,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
+_FIELDS = {"command", "parameters", "status", "payload"}
+_STATUSES = ("value", "pass", "fail")
 
 
 class _Plan(NamedTuple):
@@ -117,12 +93,16 @@ def _refuse(message: str, code: int = 2) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _dumps(doc: dict) -> str:
+    """The canonical JSON text: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def _cache_name(command: str, parameters: dict) -> str:
     """Entry file name; the key holds the package version, so an entry written
     by another version is never found."""
     import hashlib  # here, not at the top: it would add ~5 ms to every CLI start
-    key = json.dumps({"command": command, "parameters": parameters, "version": __version__},
-                     sort_keys=True, separators=(",", ":"))
+    key = _dumps({"command": command, "parameters": parameters, "version": __version__})
     digest = hashlib.sha256(key.encode()).hexdigest()[:32]
     return f"{command}-{digest}.json"
 
@@ -134,26 +114,31 @@ def _cache_path(command: str, parameters: dict) -> str | None:
     return os.path.join(root, _cache_name(command, parameters))
 
 
-def _cache_load(path: str | None) -> CommandResult | None:
-    """Replay a cache entry; an unreadable entry, or one whose own command
-    and parameters do not hash to its file name, is a miss."""
+def _note_invalid(path: str) -> None:
+    print(f"note: ignoring invalid cache entry {path}", file=sys.stderr)
+
+
+def _cache_load(path: str | None) -> dict | None:
+    """Replay a cache entry as its document, or None for a miss.  The entry
+    is checked for structure, not values: it is a miss unless it is a JSON
+    object with exactly the four document fields, a known status and an
+    object payload, whose own command and parameters hash to its file name."""
     if path is None or not os.path.isfile(path):
         return None
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        result = CommandResult(
-            data["command"], data["parameters"], data["status"], data["payload"]
-        )
-        if os.path.basename(path) == _cache_name(result.command, result.parameters):
-            return result
-    except (OSError, ValueError, KeyError, TypeError):
+            doc = json.load(fh)
+        if (type(doc) is dict and doc.keys() == _FIELDS and doc["status"] in _STATUSES
+                and type(doc["payload"]) is dict
+                and os.path.basename(path) == _cache_name(doc["command"], doc["parameters"])):
+            return doc
+    except (OSError, ValueError, RecursionError):
         pass
-    print(f"note: ignoring invalid cache entry {path}", file=sys.stderr)
+    _note_invalid(path)
     return None
 
 
-def _cache_store(path: str | None, result: CommandResult) -> None:
+def _cache_store(path: str | None, doc: dict) -> None:
     if path is None:
         return
     import tempfile  # here, not at the top: it would add ~9 ms to every CLI start
@@ -161,25 +146,36 @@ def _cache_store(path: str | None, result: CommandResult) -> None:
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(result.to_json())
+            fh.write(_dumps(doc))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _run(command: str, plan: _Plan, replay: bool) -> CommandResult:
-    """Replay the plan's result from the cache when ``replay`` allows it,
-    otherwise compute it (and store it, for a replayable command); the wall
-    time covers the cache read as well."""
+def _render(plan: _Plan, doc: dict) -> str:
+    return plan.render(doc["payload"]) if plan.render else _dumps(doc)
+
+
+def _run(command: str, plan: _Plan, replay: bool) -> tuple[dict, str, float]:
+    """The document, its stdout text and the wall time.  The document is
+    replayed from the cache when ``replay`` allows it, otherwise computed
+    (and stored, for a replayable command); a replayed payload that the text
+    renderer cannot read is a miss too.  The wall time covers the cache read
+    and the rendering."""
     t0 = time.perf_counter()
     path = _cache_path(command, plan.parameters) if replay else None
-    result = _cache_load(path)
-    if result is None:
-        result = CommandResult(command, plan.parameters, *plan.compute())
-        _cache_store(path, result)
-    result.wall_time = time.perf_counter() - t0
-    return result
+    doc = _cache_load(path)
+    if doc is not None:
+        try:
+            return doc, _render(plan, doc), time.perf_counter() - t0
+        except (LookupError, TypeError):
+            _note_invalid(path)
+    status, payload = plan.compute()
+    doc = {"command": command, "parameters": plan.parameters, "status": status,
+           "payload": payload}
+    _cache_store(path, doc)
+    return doc, _render(plan, doc), time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +364,9 @@ def cmd_verify(args, budget: int | None) -> int | _Plan:
     else:
         return _refuse(f"unknown suite {args.suite!r}; "
                        f"choose from {', '.join(_SUITES)}, all")
+    # the order _suite_toda runs at, refused here before any suite computes
+    if "toda" in depths and _effective(8, budget) < 2:
+        return _refuse(f"--budget {budget} caps the toda suite's order below its least order, 2")
 
     def compute() -> tuple[str, dict]:
         payload: dict = {}
@@ -588,7 +587,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "forms, and difference-operator verifications.",
     )
     parser.add_argument("--budget", type=int, default=None,
-                        help="global cap on truncation orders and ranges")
+                        help="cap on truncation orders and on the depths of verify, "
+                             "psi-check and toda-check; gw exits 1 when a query needs "
+                             "a higher order; xd --d and table --range are not capped")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("xd", help="degree-d partition sum as a rational function of u")
@@ -678,16 +679,15 @@ def main(argv: list[str] | None = None) -> int:
             return plan
         if limit is not None:
             sys.set_int_max_str_digits(0)
-        result = _run(args.subcommand, plan, replay)
-        text = plan.render(result.payload) if plan.render else result.to_json()
+        doc, text, wall_time = _run(args.subcommand, plan, replay)
     except ExactError as exc:
         return _refuse(str(exc))
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
     sys.stdout.write(text + "\n")
-    print(f"wall-time: {result.wall_time:.3f}s", file=sys.stderr)
-    return 0 if result.status in ("value", "pass") else 1
+    print(f"wall-time: {wall_time:.3f}s", file=sys.stderr)
+    return 0 if doc["status"] in ("value", "pass") else 1
 
 
 if __name__ == "__main__":

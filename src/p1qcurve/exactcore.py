@@ -7,8 +7,8 @@ supplies the shared machinery:
 * ``Polynomial``   -- dense univariate polynomial, stored as a tuple of integer
   numerators over one positive integer denominator in lowest terms.  Sums,
   products, Taylor shifts, pseudo-division and the primitive gcd run on the
-  integers; ``coeffs``, ``leading()`` and the JSON wire form are ``Frac``
-  views built on demand.
+  integers; ``coeffs``, ``leading()`` and the JSON form are ``Frac`` views
+  built on demand.
 * ``RationalFunction`` -- reduced quotient of polynomials with monic denominator.
 * ``partial_fractions`` -- exact partial-fraction decomposition over rational poles.
 * ``TruncatedSeries``  -- univariate Laurent series with an explicit inclusive
@@ -16,8 +16,8 @@ supplies the shared machinery:
   :class:`TruncationError` instead of silently returning zero.  Stored as
   ``Polynomial`` is, a tuple of integer numerators over one positive integer
   denominator in lowest terms; sums, products, powers and the inverse run on
-  the integers, and ``coeffs``, ``coefficient()``, ``items()`` and the JSON
-  wire form are ``Frac`` views built on demand.
+  the integers, and ``coeffs``, ``coefficient()`` and ``items()`` are
+  ``Frac`` views built on demand.
 * ``MultiSeries``  -- sparse multivariate series with per-variable orders.
 * ``FormalLaurent`` -- Laurent series whose coefficients are polynomials in a
   formal symbol ``L = log(-1)``, the branch constant of ``log z`` about
@@ -26,6 +26,11 @@ supplies the shared machinery:
   branch-constant oracle.
 
 No floats enter any code path; all comparisons are exact.
+
+JSON is write-only: :func:`rational_to_json` and the ``to_json`` methods of
+``Polynomial``, ``RationalFunction`` and ``MultiSeries`` write the forms that
+``p1qc`` prints, every rational as a ``"p/q"`` string, and nothing in the
+package parses them back; ``Fraction(s)`` reads one such string.
 
 The package's one exact-argument rule lives here: a count is an ``int``, not
 a ``bool``; a scalar is an ``int`` or a ``Fraction``, never a ``bool`` or a
@@ -62,7 +67,6 @@ __all__ = [
     "series_compose",
     "MultiSeries",
     "rational_to_json",
-    "rational_from_json",
 ]
 
 
@@ -132,11 +136,6 @@ def rational_to_json(x: Frac) -> str:
     """Render a rational as ``"p/q"`` in lowest terms, ``"p"`` when q == 1;
     a bool or a float is refused (:func:`_scalar`)."""
     return str(_scalar(x))
-
-
-def rational_from_json(s: str) -> Frac:
-    """Parse the ``"p/q"`` wire form produced by :func:`rational_to_json`."""
-    return Frac(s)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +368,6 @@ class Polynomial:
 
     def to_json(self) -> list[str]:
         return [rational_to_json(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "Polynomial":
-        return cls(rational_from_json(s) for s in data)
 
     def pretty(self, var: str = "t") -> str:
         if self.is_zero():
@@ -1098,24 +1093,7 @@ class TruncatedSeries:
                        [k * x for k, x in enumerate(self._num, self.min_exp)],
                        self._den, self.order - 1)
 
-    # -- serialization & display -----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "var": self.var,
-            "min_exp": self.min_exp,
-            "order": self.order,
-            "coeffs": [rational_to_json(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "TruncatedSeries":
-        return cls(
-            data["var"],
-            int(data["min_exp"]),
-            [rational_from_json(s) for s in data["coeffs"]],
-            int(data["order"]),
-        )
+    # -- display ---------------------------------------------------------------------------
 
     def pretty(self) -> str:
         terms = []
@@ -1420,14 +1398,6 @@ class MultiSeries:
                 for k, v in sorted(self.data.items())
             },
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "MultiSeries":
-        terms = {
-            tuple(int(p) for p in key.split(",")): rational_from_json(val)
-            for key, val in data["terms"].items()
-        }
-        return cls(data["vars"], data["min_exps"], data["orders"], terms)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}: {v}" for k, v in sorted(self.data.items()))

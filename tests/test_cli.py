@@ -12,12 +12,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import p1qcurve
 from p1qcurve import cli, qcurve, toprec, wavefunction
 from p1qcurve.cli import main
 from p1qcurve.toprec import s_matrix
 from p1qcurve.exactcore import Polynomial, rational_to_json
+from console_pins import CONSOLE_PINS, mismatches, stdout_digest
 
 
 def run(capsys, *argv):
@@ -149,6 +152,19 @@ def test_verify_all_empty_range_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--suite", "all", "--max", "0")
     assert code == 2
     assert "empty range" in err
+
+
+@pytest.mark.parametrize("suite", ["toda", "all"])
+def test_verify_refuses_a_budget_below_the_toda_order_before_computing(capsys, monkeypatch,
+                                                                       suite):
+    def no_compute(*args):
+        raise AssertionError("a refused run must not compute")
+
+    for name in cli._SUITES:
+        monkeypatch.setitem(cli._SUITES, name, (cli._SUITES[name][0], no_compute))
+    code, out, err = run(capsys, "--budget", "1", "verify", "--suite", suite)
+    assert (code, out) == (2, "")
+    assert "--budget 1" in err and "least order, 2" in err
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +481,132 @@ def test_concurrent_stores_of_one_entry(capsys, tmp_path, monkeypatch):
     assert "invalid cache entry" not in err
 
 
+def _set_in(doc: dict, path: tuple, value) -> dict:
+    """``doc`` with the entry at ``path`` in its payload set to ``value``."""
+    *head, last = path
+    node = doc["payload"]
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+_XD = ("xd", "--d", "3")
+_SMATRIX = ("table", "--what", "smatrix", "--range", "0..1")
+_FORMATS = {"xd": ("json", "csv", "pretty"), "table": ("json", "csv")}
+
+# hand edits of a genuine entry: (the command whose entry is overwritten, the
+# edit, the formats it breaks).  A structurally bad entry breaks every format;
+# a well-formed forged value breaks only the renderer that cannot read it.
+_HOSTILE = {
+    "status-5": (_XD, lambda doc: {**doc, "status": 5}, _FORMATS["xd"]),
+    "status-bogus": (_XD, lambda doc: {**doc, "status": "bogus"}, _FORMATS["xd"]),
+    "payload-list": (_XD, lambda doc: {**doc, "payload": []}, _FORMATS["xd"]),
+    "payload-str": (_XD, lambda doc: {**doc, "payload": "x"}, _FORMATS["xd"]),
+    "extra-field": (_SMATRIX, lambda doc: {**doc, "time": 0.5}, _FORMATS["table"]),
+    "deep-nesting": (_SMATRIX, lambda doc: "[" * 100_000, _FORMATS["table"]),
+    "no-pretty": (_XD, lambda doc: {**doc, "payload": {k: v for k, v in doc["payload"].items()
+                                                         if k != "pretty"}}, ("pretty",)),
+    "num-int": (_XD, lambda doc: _set_in(doc, ("partition", "num"), 3), ("csv",)),
+    "short-entries": (_SMATRIX, lambda doc: _set_in(doc, ("rows", 0, "entries"), [["1"]]),
+                      ("csv",)),
+}
+
+
+def _hostile_cases(breaking: bool) -> list:
+    return [pytest.param(name, fmt, id=f"{name}-{fmt}")
+            for name, (argv, _, breaks) in _HOSTILE.items()
+            for fmt in _FORMATS[argv[0]] if (fmt in breaks) == breaking]
+
+
+def _replay_forged(capsys, tmp_path, monkeypatch, name, fmt):
+    """Run the case uncached, then over its forged entry; return the uncached
+    (code, stdout), the replay's (code, stdout, stderr), the genuine entry
+    text, the forged document and the entry's path."""
+    base, edit, _ = _HOSTILE[name]
+    argv = (*base, "--format", fmt)
+    monkeypatch.delenv("P1QC_CACHE_DIR", raising=False)
+    uncached = run(capsys, *argv)[:2]
+    monkeypatch.setenv("P1QC_CACHE_DIR", str(tmp_path))
+    run(capsys, *base)
+    (entry,) = tmp_path.glob("*.json")
+    genuine = entry.read_text()
+    forged = edit(json.loads(genuine))
+    entry.write_text(forged if isinstance(forged, str) else json.dumps(forged))
+    return uncached, run(capsys, *argv), genuine, forged, entry
+
+
+@pytest.mark.parametrize("name, fmt", _hostile_cases(breaking=True))
+def test_hostile_cache_entry_is_a_miss(capsys, tmp_path, monkeypatch, name, fmt):
+    uncached, (code, out, err), genuine, _, entry = _replay_forged(
+        capsys, tmp_path, monkeypatch, name, fmt)
+    assert (code, out) == uncached
+    assert "invalid cache entry" in err
+    assert entry.read_text() == genuine  # recomputed and rewritten
+
+
+@pytest.mark.parametrize("name, fmt", _hostile_cases(breaking=False))
+def test_forged_cache_value_replays_where_it_renders(capsys, tmp_path, monkeypatch, name, fmt):
+    """The cache checks structure, not values: a well-formed forged value
+    replays in every format whose renderer can read it."""
+    _, (code, out, err), _, forged, entry = _replay_forged(
+        capsys, tmp_path, monkeypatch, name, fmt)
+    assert code == 0
+    assert "invalid cache entry" not in err
+    assert json.loads(entry.read_text()) == forged
+    if fmt == "json":
+        assert json.loads(out) == forged
+
+
+# the value commands whose genuine entries the property below overwrites
+_GENUINE = [_XD, ("gw", "--g", "0", "--n", "1", "--d", "1", "--b", "0"), _SMATRIX]
+
+_KEYS = st.sampled_from(["partition", "laguerre", "pretty", "equal", "num", "den", "rows",
+                         "k", "entries", "d", "x", "g", "n", "b", "value"]) | st.text(max_size=3)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@pytest.fixture(scope="module")
+def genuine_entries(tmp_path_factory):
+    """(argv, entry file name, entry) of each _GENUINE command."""
+    entries = []
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        for argv in _GENUINE:
+            root = tmp_path_factory.mktemp("genuine")
+            patch.setenv("P1QC_CACHE_DIR", str(root))
+            main(list(argv))
+            (entry,) = root.iterdir()
+            entries.append((argv, entry.name, json.loads(entry.read_text())))
+    return entries
+
+
+@settings(max_examples=80, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_entry_under_a_genuine_name_keeps_the_exit_contract(genuine_entries, tmp_path,
+                                                                monkeypatch, data):
+    argv, name, genuine = data.draw(st.sampled_from(genuine_entries))
+    formats = _FORMATS.get(argv[0])  # gw takes no --format
+    tail = ["--format", data.draw(st.sampled_from(formats))] if formats else []
+    fields = data.draw(st.fixed_dictionaries({}, optional={
+        "status": st.sampled_from(["value", "pass", "fail"]) | _JSON,
+        "payload": st.dictionaries(_KEYS, _JSON, max_size=4) | _JSON,
+    }))
+    extra = data.draw(st.dictionaries(st.text(max_size=8), _JSON, max_size=2))
+    doc = {**extra, "command": genuine["command"], "parameters": genuine["parameters"],
+           **fields}
+    monkeypatch.setenv("P1QC_CACHE_DIR", str(tmp_path))
+    (tmp_path / name).write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, *tail])
+    assert code in (0, 1, 2)
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "--suite", "recursion", "--max", "3"),
     ("verify", "--suite", "all", "--max", "1"),
@@ -613,6 +755,7 @@ _GOLDEN = [
     ("--budget 2 verify --suite recursion", None, "8a5d0442d355df80"),
     ("--budget 3 verify --suite toda --max 5", None, "f87ad9d96a377fdc"),
     ("--budget 1 verify --suite toda", None, "53c234e5e8472b6a"),
+    ("--budget 1 verify --suite all", None, "53c234e5e8472b6a"),
     ("verify --suite recursion --max 3", "recursion", "40bcb13d6b5737ae"),
     ("verify --suite all --max 1", "recursion", "967194499612c820"),
     ("verify --suite all --max 1", "recursion-and-qce", "378a1bd3a6cda0fc"),
@@ -726,47 +869,24 @@ def test_stdout_and_exit_codes_frozen(monkeypatch, tmp_path):
 # The console script's stdout pins, in process
 # ---------------------------------------------------------------------------
 
-# (argv, first 16 hex digits of the sha256 of stdout), as the CI workflow
-# pins them for the installed ``p1qc`` script, one process per command
-_CONSOLE_PINS = [
-    ("xd --d 3", "c4ba1c8f5bf95483"),
-    ("xd --d 12 --form both", "ee3d58eb6286385e"),
-    ("verify --suite ydzero --max 12", "d7d9d2b0d5e023ff"),
-    ("verify --suite recursion --max 3", "5f4907f408652b31"),
-    ("--budget 2 verify --suite theta", "d287088bd933a8f0"),
-    ("verify --suite ns", "e156c896b0ae4ade"),
-    ("wgn --g 1 --n 1", "10b4759def134ee3"),
-    ("verify --suite qce --max 3", "21a7e40eb894a9bd"),
-    ("verify --suite qce", "f052e4d8857d8c1e"),
-    ("psi-check", "5de7d9ef1ecf4e72"),
-    ("psi-check --dmax 2 --order 4", "c42087a3a408b609"),
-    ("toda-check --order 4 --dmax 2", "b065c357d16881ea"),
-    ("fgn --g 0 --n 4 --order 6", "ece8147d7f27bd06"),
-    ("fgn --g 1 --n 2 --order 8", "71478b289d0f9bc6"),
-    ("fgn --g 0 --n 5 --order 6", "58bcb123c1e829a9"),
-    ("wgn --g 0 --n 4 --emit expansion --order 10", "9e163f277bcafc80"),
-    ("wgn --g 2 --n 2", "b76e0b0fcd1bdb20"),
-    ("verify --suite all", "25058f7cd6ee9964"),
-    ("verify --suite recursion", "63c2153287a91686"),
-    ("verify --suite ydzero", "cac19248a1984edb"),
-    ("verify --suite han", "c0dee448ec97a742"),
-    ("verify --suite toda", "7e3f3dbd4cb1f66f"),
-    ("verify --suite toda --max 12", "15b8b4cf29711c0a"),
-    ("xd --d 20 --form both", "30a618efee2a50d9"),
-    ("wgn --g 1 --n 4", "48661f7d5290d31b"),
-    ("wgn --g 0 --n 6", "59a6773addbccc92"),
-    ("gw --g 2 --n 4 --d 8 --b 1,1,2,14", "782edb92f6a1219f"),
-    ("table --what invariants --range 1..4", "5b6506e2186c0690"),
-    ("verify --suite theta", "3c15c9c48779600e"),
-    ("table --what smatrix --range 0..8", "6be0c85a07c2c3c1"),
-    ("table --what xd --range 0..4", "50fb84a373042033"),
-]
-
-
-@pytest.mark.parametrize("argv, digest", _CONSOLE_PINS, ids=[argv for argv, _ in _CONSOLE_PINS])
+@pytest.mark.parametrize("argv, digest", CONSOLE_PINS, ids=[argv for argv, _ in CONSOLE_PINS])
 def test_console_script_stdout_pins(monkeypatch, argv, digest):
     monkeypatch.delenv("P1QC_CACHE_DIR", raising=False)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         main(argv.split())
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == digest
+    assert stdout_digest(out.getvalue().encode()) == digest
+
+
+def test_console_pin_runner_names_a_mismatch(tmp_path, monkeypatch):
+    """The script runner, through a ``p1qc`` shim on PATH: a matching pin
+    passes and an altered digest is named with its argv."""
+    shim = tmp_path / "p1qc"
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m p1qcurve.cli "$@"\n')
+    shim.chmod(0o755)
+    src = str(Path(p1qcurve.__file__).parents[1])
+    monkeypatch.setenv("PATH", os.pathsep.join([str(tmp_path), os.environ["PATH"]]))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    (argv, digest), (other, _) = CONSOLE_PINS[0], CONSOLE_PINS[6]
+    found = mismatches([(argv, digest), (other, "0" * 16)])
+    assert len(found) == 1 and found[0].startswith(f"p1qc {other}: ")

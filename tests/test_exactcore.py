@@ -26,7 +26,6 @@ from p1qcurve.exactcore import (
     TruncationError,
     _rational_roots,
     partial_fractions,
-    rational_from_json,
     rational_to_json,
     series_compose,
     series_exp,
@@ -64,7 +63,6 @@ def test_rational_json_lowest_terms():
     assert rational_to_json(F(2, 4)) == "1/2"
     assert rational_to_json(F(-6, 3)) == "-2"
     assert rational_to_json(F(0)) == "0"
-    assert rational_from_json("-7/3") == F(-7, 3)
 
 
 def test_rational_json_of_ints_and_bools():
@@ -78,7 +76,7 @@ def test_rational_json_of_ints_and_bools():
 
 @given(fracs)
 def test_rational_json_roundtrip(x):
-    assert rational_from_json(rational_to_json(x)) == x
+    assert F(rational_to_json(x)) == x
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +123,7 @@ def test_poly_gcd_monic():
 
 def test_poly_json_roundtrip():
     p = poly([F(1, 2), 0, -3])
-    assert Polynomial.from_json(p.to_json()) == p
+    assert Polynomial([F(s) for s in p.to_json()]) == p
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +513,6 @@ def test_truncation_soundness_vs_doubled_order(ac, bc):
         assert p1.coefficient(k) == p2.coefficient(k)
 
 
-def test_series_json_roundtrip():
-    s = TruncatedSeries("t", -1, [F(1, 3), 0, 2, F(-5, 7)], 2)
-    assert TruncatedSeries.from_json(s.to_json()) == s
-
-
 @st.composite
 def series(draw, coeffs=st.one_of(st.integers(-5, 5), fracs)):
     """A series in t from -3 on, zero ones and long ones included."""
@@ -724,7 +717,9 @@ def test_multiseries_hash_agrees_with_eq():
 
 def test_multiseries_json_roundtrip():
     m = MultiSeries(("x1", "x2"), (-1, 0), (2, 2), {(-1, 2): F(3, 4), (0, 0): -2})
-    assert MultiSeries.from_json(m.to_json()) == m
+    data = m.to_json()
+    terms = {tuple(map(int, key.split(","))): F(v) for key, v in data["terms"].items()}
+    assert MultiSeries(data["vars"], data["min_exps"], data["orders"], terms) == m
 
 
 RECORD_WINDOW = (("x1", "x2"), (-1, 0), (2, 2))
