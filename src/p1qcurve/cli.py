@@ -17,21 +17,31 @@ Design rules, enforced throughout:
   never capped: their ``budget_used`` is null.  Each command reports the
   budget it actually used in its ``parameters`` echo;
 * a subcommand imports only what it computes: at the top this module imports
-  only ``exactcore`` of the package, and each computation imports the names
-  it calls in its own body, so a replay from the cache imports none of them.
+  no other module of the package, nor ``fractions``, and each computation
+  imports the names it calls in its own body.  So a replay from the cache,
+  ``--help``, a usage error or a budget refusal compiles this module alone.
   ``wgn`` and ``fgn`` are the exception: they read ``toprec.WGN_BOUND``
   before the cache is read, so even their replays import ``toprec``.  With
-  no bytecode cache, compiling the modules that ``p1qc gw`` or ``p1qc xd``
-  never calls took 0.03-0.04 s, a fifth of either cold command;
+  no bytecode cache, ``import p1qcurve, p1qcurve.cli`` takes 12 ms against
+  30 ms when this module imported ``exactcore`` and ``fractions`` at the
+  top, and a ``gw`` replay, ``--help``, a usage error or a budget refusal
+  as a whole process takes 76-83 ms against 102-109 ms (medians of 40 and
+  20 fresh interpreters, 2-vCPU Xeon VM, Python 3.11.7);
+* an :class:`~p1qcurve.exactcore.ExactError` raised by a handler or a
+  computation exits 2 with ``error: <message>`` on stderr; every other
+  exception propagates.  :func:`main` binds ``ExactError`` only when an
+  exception reaches it, so a run that raises nothing loads ``exactcore``
+  only if its computation does;
 * if the environment variable ``P1QC_CACHE_DIR`` names a directory, the value
   commands (``xd``, ``gw``, ``wgn``, ``table``, ``fgn``) replay
   byte-identical results from it instead of recomputing; entries written by
   another package version are not used.  A replayed entry is checked for
   structure, not values: one that is not a well-formed document, or whose
   payload the ``--format`` renderer cannot read, is a miss, noted on stderr,
-  recomputed and rewritten.  The verification commands (``verify``,
-  ``psi-check``, ``toda-check``) always recompute and never touch the cache.
-  The wall time on stderr includes the cache read.
+  recomputed and rewritten.  A store that fails is noted on stderr and
+  skipped; the computed document is still printed.  The verification
+  commands (``verify``, ``psi-check``, ``toda-check``) always recompute and
+  never touch the cache.  The wall time on stderr includes the cache read.
 
 The document is the plain dict ``{"command", "parameters", "status",
 "payload"}`` from compute, through the cache, to stdout.  Each subcommand
@@ -53,11 +63,9 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction as Frac
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .exactcore import ExactError, rational_to_json
 
 __all__ = ["main"]
 
@@ -143,13 +151,18 @@ def _cache_store(path: str | None, doc: dict) -> None:
         return
     import tempfile  # here, not at the top: it would add ~9 ms to every CLI start
     # One temp file per writer, so concurrent stores of an entry cannot collide.
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    # A store that fails is noted and skipped: the document is still printed.
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(_dumps(doc))
         os.replace(tmp, path)
+    except OSError as exc:
+        print(f"note: could not store cache entry {path}: {exc.strerror or exc}",
+              file=sys.stderr)
     finally:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
 
 
@@ -404,6 +417,7 @@ def cmd_gw(args, budget: int | None) -> int | _Plan:
                        f"order {required}", 1)
 
     def compute() -> tuple[str, dict]:
+        from .exactcore import rational_to_json
         from .wedge import stationary_invariant
         payload = {"value": rational_to_json(stationary_invariant(args.g, args.n, args.d, b))}
         if sum(b) != 2 * args.g - 2 + 2 * args.d:
@@ -439,6 +453,9 @@ def cmd_wgn(args, budget: int | None) -> int | _Plan:
         return refused
 
     def compute() -> tuple[str, dict]:
+        from fractions import Fraction
+
+        from .exactcore import rational_to_json
         from .toprec import _wgn_x_series, toprec_wgn
         form = toprec_wgn(args.g, args.n)
         if args.emit == "expansion":
@@ -447,7 +464,7 @@ def cmd_wgn(args, budget: int | None) -> int | _Plan:
             ([[rational_to_json(a), j] for a, j in key], rational_to_json(c))
             for key, c in form.terms.items()
         )
-        sample = [Frac(k + 2) for k in range(args.n)]
+        sample = [Fraction(k + 2) for k in range(args.n)]
         return "value", {
             "terms": [{"poles": poles, "coeff": c} for poles, c in terms],
             "pole_orders": list(form.pole_orders()),
@@ -473,6 +490,7 @@ def _parse_range(text: str) -> tuple[int, int] | None:
 
 
 def _table_rows(what: str, lo: int, hi: int) -> list:
+    from .exactcore import rational_to_json
     rows: list = []
     if what == "smatrix":
         from .toprec import s_matrix
@@ -680,7 +698,12 @@ def main(argv: list[str] | None = None) -> int:
         if limit is not None:
             sys.set_int_max_str_digits(0)
         doc, text, wall_time = _run(args.subcommand, plan, replay)
-    except ExactError as exc:
+    except Exception as exc:
+        # bound here, not at the top, so that a run that raises nothing
+        # loads the kernel module only if its computation does
+        from .exactcore import ExactError
+        if not isinstance(exc, ExactError):
+            raise
         return _refuse(str(exc))
     finally:
         if limit is not None:

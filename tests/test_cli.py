@@ -16,10 +16,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import p1qcurve
-from p1qcurve import cli, qcurve, toprec, wavefunction
+from p1qcurve import cli, qcurve, toprec, wavefunction, wedge
 from p1qcurve.cli import main
 from p1qcurve.toprec import s_matrix
-from p1qcurve.exactcore import Polynomial, rational_to_json
+from p1qcurve.exactcore import ExactError, Polynomial, rational_to_json
 from console_pins import CONSOLE_PINS, mismatches, stdout_digest
 
 
@@ -481,6 +481,25 @@ def test_concurrent_stores_of_one_entry(capsys, tmp_path, monkeypatch):
     assert "invalid cache entry" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("xd", "--d", "2"),
+    ("gw", "--g", "0", "--n", "1", "--d", "1", "--b", "0"),
+])
+def test_a_failed_cache_store_is_noted_and_the_document_printed(capsys, tmp_path, monkeypatch,
+                                                                 argv):
+    monkeypatch.delenv("P1QC_CACHE_DIR", raising=False)
+    expected = run(capsys, *argv)[:2]
+    # a directory under the entry's name makes the store's rename fail
+    doc = json.loads(expected[1])
+    blocker = tmp_path / cli._cache_name(doc["command"], doc["parameters"])
+    blocker.mkdir()
+    monkeypatch.setenv("P1QC_CACHE_DIR", str(tmp_path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == expected
+    assert f"note: could not store cache entry {blocker}" in err
+    assert [p.name for p in tmp_path.iterdir()] == [blocker.name]  # no temp file is left
+
+
 def _set_in(doc: dict, path: tuple, value) -> dict:
     """``doc`` with the entry at ``path`` in its payload set to ``value``."""
     *head, last = path
@@ -635,6 +654,30 @@ def test_module_entry_point_matches_in_process_main(capsys):
     assert "wall-time" in proc.stderr
     code, out, _ = run(capsys, "xd", "--d", "2")
     assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def test_an_exact_error_from_a_computation_exits_two(capsys, monkeypatch):
+    def refuse(*args):
+        raise ExactError("boom")
+
+    monkeypatch.delenv("P1QC_CACHE_DIR", raising=False)
+    monkeypatch.setattr(wedge, "stationary_invariant", refuse)
+    code, out, err = run(capsys, "gw", "--g", "0", "--n", "1", "--d", "1", "--b", "0")
+    assert (code, out, err) == (2, "", "error: boom\n")
+
+
+def test_any_other_exception_propagates_out_of_main(capsys, monkeypatch):
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.delenv("P1QC_CACHE_DIR", raising=False)
+    monkeypatch.setattr(wedge, "stationary_invariant", crash)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["gw", "--g", "0", "--n", "1", "--d", "1", "--b", "0"])
+    assert capsys.readouterr().out == ""
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit  # restored on the way out
 
 
 def test_bad_budget_is_usage_error(capsys):

@@ -1,9 +1,10 @@
 """The package and the command line import a module only when it is used.
 
-``import p1qcurve`` loads no module of the package, and each ``p1qc``
-subcommand loads only the modules its computation calls.  Every check that
-reads ``sys.modules`` runs in a fresh interpreter, since the test session
-has imported everything already.
+``import p1qcurve`` loads no module of the package, a ``p1qc`` run that
+computes nothing (help, a usage error, a budget refusal, a replay) loads only
+the cli, and each subcommand loads only the modules its computation calls.
+Every check that reads ``sys.modules`` runs in a fresh interpreter, since
+the test session has imported everything already.
 """
 
 import importlib
@@ -37,12 +38,29 @@ def fresh(script: str) -> str:
     return proc.stdout.strip()
 
 
-def test_importing_the_package_and_the_cli_loads_only_exactcore():
+def test_importing_the_package_and_the_cli_loads_only_the_cli():
     out = fresh("""
         import p1qcurve, p1qcurve.cli
+        print(loaded(), 'fractions' in sys.modules)
+    """)
+    assert out == "['p1qcurve.cli'] False"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["xd", "--d", "1", "--frobnicate"], 2),
+    (["--budget", "1", "verify", "--suite", "toda"], 2),
+    (["--budget", "3", "gw", "--g", "2", "--n", "4", "--d", "8", "--b", "1,1,2,14"], 1),
+])
+def test_a_run_that_computes_nothing_loads_only_the_cli(argv, code):
+    out = fresh(f"""
+        import contextlib, io
+        from p1qcurve.cli import main
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main({argv!r}) == {code!r}
         print(loaded())
     """)
-    assert out == "['p1qcurve.cli', 'p1qcurve.exactcore']"
+    assert out == "['p1qcurve.cli']"
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -65,7 +83,7 @@ def test_a_subcommand_loads_only_what_it_computes(argv, modules):
 @pytest.mark.parametrize("argv, modules", [
     (["gw", "--g", "2", "--n", "4", "--d", "8", "--b", "1,1,2,14"], []),
     # wgn and fgn read toprec.WGN_BOUND before the cache is read
-    (["wgn", "--g", "1", "--n", "1"], ["partitions", "toprec", "wedge"]),
+    (["wgn", "--g", "1", "--n", "1"], ["exactcore", "partitions", "toprec", "wedge"]),
 ])
 def test_a_replay_loads_only_what_it_reads_before_the_cache(argv, modules, tmp_path):
     script = f"""
@@ -86,7 +104,7 @@ def test_a_replay_loads_only_what_it_reads_before_the_cache(argv, modules, tmp_p
     entry.write_text(json.dumps(data))
     out, document = fresh(script).split("\n")
     assert json.loads(document)["payload"]["replayed"] is True
-    assert out == repr(sorted(f"p1qcurve.{m}" for m in ["cli", "exactcore", *modules]))
+    assert out == repr(sorted(f"p1qcurve.{m}" for m in ["cli", *modules]))
 
 
 def test_every_export_is_the_object_of_its_defining_module():
